@@ -1,0 +1,218 @@
+"""Golden outputs: report bytes of the sample runs and exact structure tables.
+
+    PYTHONPATH=src python tests/record_golden.py
+
+writes every case of `CASES` under `tests/golden/`: report bytes as
+`reports/<name>.txt` and `reports/<name>.json`, tables as `<name>.json`.
+`test_golden.py` recomputes the same cases and requires exact equality,
+so a refactor that changes a verdict, a normal form, a table entry or a
+report byte fails it.  Re-record only when such a change is intended.
+"""
+
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from homhopf.cli import emit_report, parse_input, run  # noqa: E402
+from homhopf.cross_products import DoubleCrossProduct  # noqa: E402
+from homhopf.errors import TruncationOverflow  # noqa: E402
+from homhopf.fixtures import (  # noqa: E402
+    abelian_lie,
+    fixture_b_lie_pair,
+    sl2,
+)
+from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
+from homhopf.semidual import SemidualConfig, semidualize  # noqa: E402
+from homhopf.cross_products import Bicrossproduct, MatchedPairHopf  # noqa: E402
+from homhopf.uea_trees import (  # noqa: E402
+    build_truncated_uea,
+    ideal_I_span,
+    ideal_J_span,
+    lift_to_Uh_action,
+)
+
+GOLDEN = HERE / "golden"
+SAMPLES = HERE.parent / "sample_inputs"
+
+e = LinComb.basis
+
+
+# ---------------------------------------------------------------------------
+# serialization: keys by repr, coefficients as exact "p/q" strings
+
+
+def lc(x):
+    return sorted([repr(k), str(c)] for k, c in x.items())
+
+
+def table(d):
+    return sorted([repr(k), lc(v)] for k, v in d.items())
+
+
+def columns(op, keys):
+    return [[repr(k), lc(op.apply(e(k)))] for k in keys]
+
+
+def hopf_tables(h):
+    keys = h.basis_keys()
+    return {
+        "keys": [repr(k) for k in keys],
+        "mult": table(h.mult),
+        "unit": lc(h.unit_elem()),
+        "alpha": columns(h.alpha, keys),
+        "comult": table(h.comult),
+        "counit": sorted([repr(k), str(c)] for k, c in h.counit.items()),
+        "beta": columns(h.beta, keys),
+        "antipode": columns(h.antipode, keys),
+    }
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+
+class _Args:
+    target = None
+    degree = None
+    weight_bound = None
+    no_order_constraint = False
+
+
+REPORT_RUNS = [
+    ("kz4_verify", "verify-hopf"),
+    ("kz4_trivial_doublecross", "doublecross"),
+    ("kz4_trivial_doublecross", "semidualize"),
+    ("abelian2_build_uea", "build-uea"),
+    ("fixture_a_prime_hom_lie_hopf", "hom-lie-hopf"),
+    ("fixture_b_hom_lie_hopf", "hom-lie-hopf"),
+]
+
+
+def report_bytes(sample, command):
+    """(exit status, text bytes, JSON bytes) of one CLI run, as `main`
+    computes them from a single report."""
+    doc = parse_input(str(SAMPLES / (sample + ".json")))
+    report = run(command, doc, _Args())
+    code = 0 if report["passed"] else 1
+    return code, emit_report(report, "text"), emit_report(report, "json")
+
+
+def _swap():
+    return LinearOperator.from_matrix([[0, 1], [1, 0]], inverse=[[0, 1], [1, 0]])
+
+
+def uea_tables(g, n, w):
+    u = build_truncated_uea(g, n, w)
+    keys = u.basis_keys()
+    product = []
+    for k1 in keys:
+        for k2 in keys:
+            try:
+                val = lc(u.product(e(k1), e(k2)))
+            except TruncationOverflow:
+                val = "overflow"
+            product.append([repr(k1), repr(k2), val])
+    return {
+        "normal_forms": [repr(k) for k in keys],
+        "dims": u.dims_per_degree(),
+        "product": product,
+        "coproduct": [[repr(k), lc(u.comult_map(e(k)))] for k in keys],
+        "antipode": [[repr(k), lc(u.antipode_map(e(k)))] for k in keys],
+        "alpha": [[repr(k), lc(u.alpha_map(e(k)))] for k in keys],
+    }
+
+
+def spans(rows_by_degree):
+    return {str(d): [lc(r) for r in rows] for d, rows in sorted(rows_by_degree.items())}
+
+
+def lifted_actions():
+    left, right = lift_to_Uh_action(fixture_b_lie_pair(), 3, 1)
+    return {"left": table(left.act), "right": table(right.act)}
+
+
+def _sample_matched_pair():
+    doc = parse_input(str(SAMPLES / "kz4_trivial_doublecross.json"))
+    return doc.matched_pairs["trivial"]
+
+
+def semidual_finite():
+    m = semidualize(_sample_matched_pair(), SemidualConfig())
+    return {"action": table(m.action), "coaction": table(m.coaction)}
+
+
+def semidual_graded():
+    left, right = lift_to_Uh_action(fixture_b_lie_pair(), 3, 1)
+    right_vu = {(v, u): val for (u, v), val in right.act.items()}
+    mp = MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
+    m = semidualize(mp, SemidualConfig(3, 1))
+    return {
+        "action": table(m.action),
+        "coaction_complete": m.coaction_complete,
+        "coaction_truncated": [
+            [repr(k), lc(m.coaction_legs_truncated(e(k)))] for k in m.u.basis_keys()
+        ],
+    }
+
+
+def doublecross_hopf():
+    return hopf_tables(DoubleCrossProduct(_sample_matched_pair()).to_hopf_data())
+
+
+def bicross_hopf():
+    from test_cross_products import trivial_mutual_pair
+
+    return hopf_tables(Bicrossproduct(trivial_mutual_pair()).to_hopf_data())
+
+
+def _neg1():
+    return abelian_lie(1, LinearOperator.from_matrix([[-1]], inverse=[[-1]]))
+
+
+TABLE_CASES = {
+    "uea_sl2_n3_w1": lambda: uea_tables(sl2(), 3, 1),
+    "uea_abelian2_swap_n3_w1": lambda: uea_tables(abelian_lie(2, _swap()), 3, 1),
+    "ideal_I_n3_w1": lambda: spans(ideal_I_span(3, 1)),
+    "ideal_J_abelian2_n2_w0": lambda: spans(ideal_J_span(abelian_lie(2), 2, 0)),
+    "ideal_J_neg1_n1_w1": lambda: spans(ideal_J_span(_neg1(), 1, 1)),
+    "ideal_J_abelian2_n2_w0_again": lambda: spans(ideal_J_span(abelian_lie(2), 2, 0)),
+    "ideal_J_sl2_n3_w1": lambda: spans(ideal_J_span(sl2(), 3, 1)),
+    "lift_fixture_b_n3_w1": lifted_actions,
+    "semidual_kz4": semidual_finite,
+    "semidual_fixture_b_n3_w1": semidual_graded,
+    "doublecross_kz4_hopf_data": doublecross_hopf,
+    "bicross_trivial_mutual_hopf_data": bicross_hopf,
+}
+
+
+def report_name(sample, command):
+    return "%s__%s" % (sample, command)
+
+
+def dump(obj):
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def main():
+    (GOLDEN / "reports").mkdir(parents=True, exist_ok=True)
+    codes = {}
+    for sample, command in REPORT_RUNS:
+        name = report_name(sample, command)
+        code, text, js = report_bytes(sample, command)
+        codes[name] = code
+        (GOLDEN / "reports" / (name + ".txt")).write_bytes(text)
+        (GOLDEN / "reports" / (name + ".json")).write_bytes(js)
+    (GOLDEN / "reports" / "exit_codes.json").write_text(dump(codes))
+    for name, fn in TABLE_CASES.items():
+        (GOLDEN / (name + ".json")).write_text(dump(fn()))
+        sys.stdout.write("recorded %s\n" % name)
+
+
+if __name__ == "__main__":
+    os.chdir(HERE.parent)
+    main()
