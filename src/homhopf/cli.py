@@ -26,8 +26,13 @@ from .cross_products import (
     check_matched_pair_hopf,
     check_mutual_pair,
 )
-from .semidual import SemidualConfig, build_hom_lie_hopf, semidualize
-from .uea_trees import build_truncated_uea, lift_to_Uh_action, tree_label
+from .semidual import (
+    SemidualConfig,
+    build_hom_lie_hopf,
+    lifted_matched_pair,
+    semidualize,
+)
+from .uea_trees import build_truncated_uea, tree_label
 
 COMMANDS = (
     "verify-hopf",
@@ -121,15 +126,22 @@ def _full_mult(table, dim, where):
     return out
 
 
+def _index(value, dim, where):
+    """A basis index: an int in range(dim) (JSON booleans are not ints)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < dim:
+        raise SchemaError("%s: index %r out of range 0..%d" % (where, value, dim - 1))
+    return value
+
+
 def _comult_table(entries, dim, where):
     """[[i, j, k, scalar], ...] -> dict i -> LinComb over (j, k)."""
     out = {i: {} for i in range(dim)}
-    for item in entries:
+    for row, item in enumerate(entries):
         if not isinstance(item, list) or len(item) != 4:
             raise SchemaError("%s: expected [i, j, k, scalar] rows" % where)
         i, j, k, c = item
-        if not 0 <= i < dim:
-            raise SchemaError("%s: index %d out of range" % (where, i))
+        at = "%s/%d" % (where, row)
+        i, j, k = (_index(x, dim, at) for x in (i, j, k))
         out[i][(j, k)] = out[i].get((j, k), Fraction(0)) + _scalar(c, where)
     return {i: LinComb(v) for i, v in out.items()}
 
@@ -183,11 +195,14 @@ def parse_input(path):
         if not isinstance(dim, int) or dim < 1:
             raise SchemaError("%s/dim: positive integer required" % where)
         bracket = {}
-        for item in entry.get("bracket", []):
+        for row, item in enumerate(entry.get("bracket", [])):
             if not isinstance(item, list) or len(item) != 3:
                 raise SchemaError("%s/bracket: expected [i, j, vector] rows" % where)
             i, j, vec = item
-            bracket[(i, j)] = _sparse_vector(vec, dim, where + "/bracket")
+            at = "%s/bracket/%d" % (where, row)
+            bracket[(_index(i, dim, at), _index(j, dim, at))] = _sparse_vector(
+                vec, dim, where + "/bracket"
+            )
         phi = _operator(entry, "phi", dim, where)
         doc.hom_lie[name] = HomLieData(dim, bracket, phi)
 
@@ -303,14 +318,22 @@ def _report_block(check_id, rep):
     }
 
 
+def _parameter(flag_value, flag, doc, key, default, least):
+    """A truncation parameter from its flag, else from pipeline.<key>, else
+    the default; it must be an int (not a JSON boolean) >= least."""
+    if flag_value is not None:
+        value, where = flag_value, flag
+    else:
+        value, where = doc.pipeline.get(key, default), "/pipeline/" + key
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SchemaError("%s: integer >= %d required, got %r" % (where, least, value))
+    return value
+
+
 def _pipeline_args(doc, args):
-    target = args.target or doc.pipeline.get("target")
-    degree = args.degree or doc.pipeline.get("degree") or 2
-    weight = (
-        args.weight_bound
-        if args.weight_bound is not None
-        else doc.pipeline.get("weight_bound", 3)
-    )
+    target = args.target if args.target is not None else doc.pipeline.get("target")
+    degree = _parameter(args.degree, "--degree", doc, "degree", 2, 1)
+    weight = _parameter(args.weight_bound, "--weight-bound", doc, "weight_bound", 3, 0)
     enforce = not args.no_order_constraint and doc.pipeline.get(
         "enforce_order_constraint", True
     )
@@ -352,12 +375,10 @@ def run(command, doc, args):
             mp = doc.matched_pairs[target]
         else:
             pair = need(doc.lie_matched_pairs, "matched pair")
-            left, right = lift_to_Uh_action(pair, degree, weight)
-            right_vu = {(v, u): val for (u, v), val in right.act.items()}
-            mp = MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
+            mp = lifted_matched_pair(pair, degree, weight)
             report["dimensions"] = {
-                "u_per_degree": left.carrier.dims_per_degree(),
-                "v_per_degree": right.carrier.dims_per_degree(),
+                "u_per_degree": mp.u.dims_per_degree(),
+                "v_per_degree": mp.v.dims_per_degree(),
             }
         rep = check_matched_pair_hopf(mp)
         checks.append(_report_block("matched-pair", rep))
@@ -377,9 +398,7 @@ def run(command, doc, args):
             mp = doc.matched_pairs[target]
         else:
             pair = need(doc.lie_matched_pairs, "matched pair")
-            left, right = lift_to_Uh_action(pair, degree, weight)
-            right_vu = {(v, u): val for (u, v), val in right.act.items()}
-            mp = MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
+            mp = lifted_matched_pair(pair, degree, weight)
         checks.append(_report_block("matched-pair", check_matched_pair_hopf(mp)))
         mutual = semidualize(mp, cfg)
         checks.append(_report_block("mutual-pair", check_mutual_pair(mutual)))

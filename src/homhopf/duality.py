@@ -18,7 +18,7 @@ from .errors import (
     NotInvertibleBeta,
     TruncationOverflow,
 )
-from .foundation import LinComb, LinearOperator, RowSpace
+from .foundation import LinComb, LinearOperator, RowSpace, extend, pair_apply
 
 ZERO = Fraction(0)
 
@@ -66,6 +66,18 @@ class Pairing:
         return rows.rank == len(self.left_keys) == len(self.right_keys)
 
 
+def _unshifted_comult(c):
+    """(beta^-2 x beta^-2) Delta(e_x) for every basis key x of c."""
+
+    def unshift(x):
+        return c.beta_pow(-2, x)
+
+    return {
+        x: pair_apply(unshift, unshift, c.comult_map(LinComb.basis(x)))
+        for x in c.basis_keys()
+    }
+
+
 def convolution_algebra(c, a):
     """The Hom-algebra structure on the space of linear maps c -> a.
 
@@ -81,16 +93,7 @@ def convolution_algebra(c, a):
     akeys = a.basis_keys()
     pair_keys = [(i, j) for i in ckeys for j in akeys]
 
-    # precompute (beta^-2 x beta^-2) Delta(e_x)
-    shifted = {}
-    for x in ckeys:
-        d = LinComb()
-        for (k1, k2), v in c.comult_map(LinComb.basis(x)).items():
-            d = d.add_scaled(
-                c.beta_pow(-2, LinComb.basis(k1)) @ c.beta_pow(-2, LinComb.basis(k2)),
-                v,
-            )
-        shifted[x] = d
+    shifted = _unshifted_comult(c)
 
     mult = {}
     for (i, j) in pair_keys:
@@ -136,15 +139,7 @@ def dual_algebra_of_coalgebra(c):
 
     _require_inverse(c.beta, NotInvertibleBeta)
     keys = c.basis_keys()
-    shifted = {}
-    for x in keys:
-        d = LinComb()
-        for (k1, k2), v in c.comult_map(LinComb.basis(x)).items():
-            d = d.add_scaled(
-                c.beta_pow(-2, LinComb.basis(k1)) @ c.beta_pow(-2, LinComb.basis(k2)),
-                v,
-            )
-        shifted[x] = d
+    shifted = _unshifted_comult(c)
     mult = {}
     for i in keys:
         for j in keys:
@@ -244,7 +239,6 @@ class TruncatedDual:
     """
 
     is_truncated = True
-    is_graded_dual = True
 
     def __init__(self, v):
         self.v = v
@@ -336,10 +330,7 @@ class TruncatedDual:
             raise TruncationOverflow(
                 "dual coproduct needs a degree-graded primal quotient"
             )
-        out = LinComb()
-        for k, c in f.items():
-            out = out.add_scaled(self._comult_basis(k), c)
-        return out
+        return extend(self._comult_basis, f)
 
     def _comult_basis(self, k):
         if k in self._comult_cache:

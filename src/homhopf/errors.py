@@ -21,10 +21,6 @@ class NotInvertibleBeta(NotInvertible):
     """The coalgebra twist has no inverse."""
 
 
-class NotInvertibleGamma(NotInvertible):
-    """A carrier structure map has no inverse."""
-
-
 class NotAssociative(HomHopfError):
     """An input algebra expected to be associative is not."""
 
@@ -71,10 +67,6 @@ class NotMutualPair(HomHopfError):
 
 class OrderConstraintViolated(HomHopfError):
     """A twist fails the finite-order hypothesis required for semidualization."""
-
-
-class PairingDegenerate(HomHopfError):
-    """A pairing required to be nondegenerate has a kernel."""
 
 
 class SchemaError(HomHopfError):

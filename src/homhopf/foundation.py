@@ -111,12 +111,7 @@ class LinComb:
         if not c:
             return self
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, ZERO) + c * v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+        _accumulate(out, other, c)
         return LinComb._wrap(out)
 
     def __matmul__(self, other):
@@ -126,13 +121,6 @@ class LinComb:
             for k2, v2 in other.terms.items():
                 out[(k1, k2)] = v1 * v2
         return LinComb._wrap(out)
-
-    def map_basis(self, fn):
-        """Linear extension of a basis map fn: key -> LinComb."""
-        out = LinComb()
-        for k, v in self.terms.items():
-            out = out.add_scaled(fn(k), v)
-        return out
 
     @classmethod
     def _wrap(cls, clean):
@@ -159,12 +147,50 @@ def tensor(a, b):
     return a @ b
 
 
-def pair_map(f, g, t):
-    """Apply f to left legs and g to right legs of a pair-basis combination."""
-    out = LinComb()
-    for (k1, k2), v in t.items():
-        out = out.add_scaled(f(LinComb.basis(k1)) @ g(LinComb.basis(k2)), v)
-    return out
+# ---------------------------------------------------------------------------
+# the accumulator: every linear and bilinear extension goes through here.
+# Each call sums into one fresh dict and wraps it once, so neither the
+# inputs nor the LinComb values handed out by caches are ever mutated.
+
+
+def _accumulate(out, vec, c):
+    """out += c * vec in place (c nonzero), dropping cancelled terms."""
+    scale = c != ONE
+    for k, v in vec.terms.items():
+        if scale:
+            v = c * v
+        w = out.get(k)
+        if w is None:
+            out[k] = v
+        else:
+            w = w + v
+            if w:
+                out[k] = w
+            else:
+                del out[k]
+
+
+def extend(fn, x):
+    """Linear extension of a basis map fn: key -> LinComb."""
+    out = {}
+    for k, c in x.terms.items():
+        _accumulate(out, fn(k), c)
+    return LinComb._wrap(out)
+
+
+def bilinear(fn, x, y):
+    """Bilinear extension of fn: (key of x, key of y) -> LinComb."""
+    out = {}
+    for i, a in x.terms.items():
+        for j, b in y.terms.items():
+            _accumulate(out, fn(i, j), a * b)
+    return LinComb._wrap(out)
+
+
+def pair_apply(f, g, t):
+    """(f x g)(t): f on left legs and g on right legs of a pair-basis
+    combination; f and g map LinComb -> LinComb."""
+    return extend(lambda k: f(LinComb.basis(k[0])) @ g(LinComb.basis(k[1])), t)
 
 
 def swap_pairs(t):
@@ -210,24 +236,12 @@ class LinearOperator:
         return self.columns.keys()
 
     def apply(self, x):
-        out = LinComb()
-        for k, v in x.items():
-            col = self.columns.get(k)
-            if col is None:
-                raise UnknownBasisIndex(repr(k))
-            out = out.add_scaled(col, v)
-        return out
+        return extend(lambda k: _column(self.columns, k), x)
 
     def apply_inverse(self, x):
         if self.inverse_columns is None:
             self._compute_inverse()
-        out = LinComb()
-        for k, v in x.items():
-            col = self.inverse_columns.get(k)
-            if col is None:
-                raise UnknownBasisIndex(repr(k))
-            out = out.add_scaled(col, v)
-        return out
+        return extend(lambda k: _column(self.inverse_columns, k), x)
 
     def power(self, n, x):
         """Apply the n-th power (negative n uses the inverse)."""
@@ -286,11 +300,15 @@ class LinearOperator:
             e = LinComb.basis(k)
             if self.apply(self.inverse_columns[k]) != e:
                 raise NotInvertible("declared inverse fails on %r" % (k,))
-            back = LinComb()
-            for kk, vv in self.columns[k].items():
-                back = back.add_scaled(self.inverse_columns[kk], vv)
-            if back != e:
+            if self.apply_inverse(self.columns[k]) != e:
                 raise NotInvertible("declared inverse fails on %r" % (k,))
+
+
+def _column(columns, k):
+    col = columns.get(k)
+    if col is None:
+        raise UnknownBasisIndex(repr(k))
+    return col
 
 
 class FuncOperator:

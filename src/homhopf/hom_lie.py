@@ -4,8 +4,10 @@ g (+) h whose bracket mixes the two actions.
 """
 
 from .errors import NotHomLie, NotLieEndomorphism, NotMatchedPair
-from .foundation import LinComb, LinearOperator
+from .foundation import LinComb, LinearOperator, bilinear
 from .hom_core import CheckReport
+
+_ZERO = LinComb.zero()
 
 
 class HomLieData:
@@ -39,11 +41,7 @@ class HomLieData:
         return -1 * self.table.get((j, i), LinComb.zero())
 
     def bracket_lc(self, x, y):
-        out = LinComb()
-        for i, a in x.items():
-            for j, b in y.items():
-                out = out.add_scaled(self.bracket(i, j), a * b)
-        return out
+        return bilinear(self.bracket, x, y)
 
     def phi_map(self, x):
         return self.phi.apply(x)
@@ -62,11 +60,8 @@ class LieActionData:
         self.gamma = gamma
 
     def apply(self, xi, v):
-        out = LinComb()
-        for i, a in xi.items():
-            for j, b in v.items():
-                out = out.add_scaled(self.act.get((i, j), LinComb.zero()), a * b)
-        return out
+        """Bilinear extension; a missing table entry reads as zero."""
+        return bilinear(lambda i, j: self.act.get((i, j), _ZERO), xi, v)
 
 
 class MatchedPairLie:

@@ -19,10 +19,11 @@ from .cross_products import (
     build_bicrossproduct,
     check_matched_pair_hopf,
     check_mutual_pair,
+    coaction_column,
 )
 from .duality import dual_hom_hopf, graded_dual, transpose_operator
 from .errors import OrderConstraintViolated
-from .foundation import FuncOperator, LinComb
+from .foundation import FuncOperator, LinComb, bilinear, extend
 from .hom_core import ActionData, CoactionData, check_hom_hopf
 from .uea_trees import lift_to_Uh_action
 
@@ -58,24 +59,12 @@ def _check_order(obj, label, enforce):
 def coaction_from_action(v, carrier_keys, left_table, gamma):
     """Turn a left action of the finite Hopf object v into a right coaction
     over its dual: nabla(u) = sum_w (alpha^-2(w) |> u) x w*."""
-    vk = v.basis_keys()
+    dual = dual_hom_hopf(v)
 
     def lt(vec, u):
-        out = LinComb()
-        for i, a in vec.items():
-            for j, b in u.items():
-                out = out.add_scaled(left_table[(i, j)], a * b)
-        return out
+        return bilinear(lambda i, j: left_table[(i, j)], vec, u)
 
-    coact = {}
-    for ukey in carrier_keys:
-        out = LinComb()
-        for w in vk:
-            part = lt(v.alpha_pow(-2, LinComb.basis(w)), LinComb.basis(ukey))
-            for k2, c in part.items():
-                out = out + LinComb({(k2, w): c})
-        coact[ukey] = out
-    dual = dual_hom_hopf(v)
+    coact = {ukey: coaction_column(lt, v, ukey) for ukey in carrier_keys}
     return CoactionData(dual, carrier_keys, coact, gamma)
 
 
@@ -85,10 +74,10 @@ def action_from_coaction(v, coaction):
     for vkey in v.basis_keys():
         shifted = v.alpha_pow(2, LinComb.basis(vkey))
         for ukey in coaction.carrier_keys:
-            out = LinComb()
-            for (k2, w), c in coaction.coact[ukey].items():
-                out = out.add_scaled(LinComb.basis(k2), c * shifted.get(w))
-            table[(vkey, ukey)] = out
+            table[(vkey, ukey)] = extend(
+                lambda t: shifted.get(t[1]) * LinComb.basis(t[0]),
+                coaction.coact[ukey],
+            )
     return table
 
 
@@ -104,27 +93,34 @@ def dual_left_action_from_right_action(u, v, right_table, gamma=None):
     vk = v.basis_keys()
 
     def rt(vec, uu):
-        out = LinComb()
-        for i, a in vec.items():
-            for j, b in uu.items():
-                out = out.add_scaled(right_table[(i, j)], a * b)
-        return out
+        return bilinear(lambda i, j: right_table[(i, j)], vec, uu)
 
+    act = _dual_action_table(u, v, rt)
+    carrier = transpose_operator(v.alpha.inverted(), vk) if gamma is None else gamma
+    return ActionData(u, vk, act, carrier, side="left")
+
+
+def _dual_action_table(u, v, rt):
+    """Table (u, z) -> u |>* z* of the dual action, read off the right
+    action rt of u on v: its w-coefficient is [alpha^-2(w) <| phi^-2(u)]_z."""
+    vk = v.basis_keys()
     act = {}
     for ukey in u.basis_keys():
         shifted_u = u.alpha_pow(-2, LinComb.basis(ukey))
-        images = {
-            w: rt(v.alpha_pow(-2, LinComb.basis(w)), shifted_u) for w in vk
-        }
+        images = [(w, rt(v.alpha_pow(-2, LinComb.basis(w)), shifted_u)) for w in vk]
         for z in vk:
-            out = LinComb()
-            for w, val in images.items():
-                c = val.get(z)
-                if c:
-                    out = out + LinComb({w: c})
-            act[(ukey, z)] = out
-    carrier = transpose_operator(v.alpha.inverted(), vk) if gamma is None else gamma
-    return ActionData(u, vk, act, carrier, side="left")
+            act[(ukey, z)] = LinComb._wrap(
+                {w: val.terms[z] for w, val in images if z in val.terms}
+            )
+    return act
+
+
+def lifted_matched_pair(pair, truncation_degree, weight_bound):
+    """The matched pair of truncated enveloping algebras U(g), U(h) carrying
+    the lifted actions of a matched pair of Hom-Lie algebras."""
+    left, right = lift_to_Uh_action(pair, truncation_degree, weight_bound)
+    right_vu = {(v, u): val for (u, v), val in right.act.items()}
+    return MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
 
 
 def semidualize(p, cfg):
@@ -135,29 +131,13 @@ def semidualize(p, cfg):
     _check_order(U, "first factor", cfg.enforce_order_constraint)
 
     if getattr(V, "is_truncated", False):
-        dual = graded_dual(V)
-        act = {}
-        for ukey in U.basis_keys():
-            shifted_u = U.alpha_pow(-2, LinComb.basis(ukey))
-            images = {
-                w: p.rt(V.alpha_pow(-2, LinComb.basis(w)), shifted_u)
-                for w in V.basis_keys()
-            }
-            for z in dual.basis_keys():
-                out = LinComb()
-                for w, val in images.items():
-                    c = val.get(z)
-                    if c:
-                        out = out + LinComb({w: c})
-                act[(ukey, z)] = out
-        return GradedMutualPair(dual, U, act, p)
-
-    dual = dual_hom_hopf(V)
-    act = dual_left_action_from_right_action(U, V, p.right).act
-    coact = coaction_from_action(
+        return GradedMutualPair(graded_dual(V), U, _dual_action_table(U, V, p.rt), p)
+    # the dual Hopf algebra is built once, inside coaction_from_action
+    coaction = coaction_from_action(
         V, U.basis_keys(), p.left, FuncOperator(U.alpha_map, U.alpha_inv)
-    ).coact
-    return MutualPairHopf(dual, U, act, coact)
+    )
+    act = _dual_action_table(U, V, p.rt)
+    return MutualPairHopf(coaction.coalgebra, U, act, coaction.coact)
 
 
 class HomLieHopfResult:
@@ -193,12 +173,8 @@ def build_hom_lie_hopf(g, h, pair, cfg):
                     raise OrderConstraintViolated(
                         "twist of %s is not of order dividing 4" % label
                     )
-    left, right = lift_to_Uh_action(
-        pair, cfg.truncation_degree, cfg.weight_bound
-    )
-    ug, uh = left.carrier, right.carrier
-    right_vu = {(v, u): val for (u, v), val in right.act.items()}
-    mp = MatchedPairHopf(ug, uh, left.act, right_vu)
+    mp = lifted_matched_pair(pair, cfg.truncation_degree, cfg.weight_bound)
+    ug, uh = mp.u, mp.v
     matched_report = check_matched_pair_hopf(mp)
     mutual = semidualize(mp, cfg)
     mutual_report = check_mutual_pair(mutual)

@@ -23,7 +23,14 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import NotHomLie, NotInvertible, TruncationOverflow
-from .foundation import FuncOperator, LinComb, RowSpace
+from .foundation import (
+    FuncOperator,
+    LinComb,
+    RowSpace,
+    bilinear,
+    extend,
+    pair_apply,
+)
 from .hom_core import ActionData, CheckReport
 from .hom_lie import check_hom_lie
 
@@ -85,6 +92,11 @@ def display_order(key):
     shape, weights = key[0], key[1]
     decs = key[2] if len(key) == 3 else ()
     return (1, len(weights), weights, shape_code(shape), decs)
+
+
+def leaves(x, weight=0):
+    """The single-leaf trees of one weight decorated by a Lie combination x."""
+    return extend(lambda j: LinComb.basis((LEAF, (weight,), (j,))), x)
 
 
 def tree_label(key):
@@ -152,7 +164,7 @@ class TreeOps:
         return out
 
     def a_shift(self, x, power=1):
-        return x.map_basis(lambda k: self.a_shift_key(k, power))
+        return extend(lambda k: self.a_shift_key(k, power), x)
 
     # -- grafting
 
@@ -168,11 +180,7 @@ class TreeOps:
         return LinComb.basis(((k1[0], k2[0]), k1[1] + k2[1], k1[2] + k2[2]))
 
     def graft(self, x, y):
-        out = LinComb()
-        for k1, a in x.items():
-            for k2, b in y.items():
-                out = out.add_scaled(self.graft_keys(k1, k2), a * b)
-        return out
+        return bilinear(self.graft_keys, x, y)
 
     # -- coproduct over leaf subsets
 
@@ -206,10 +214,7 @@ class TreeOps:
         return out
 
     def coproduct(self, x):
-        out = LinComb()
-        for k, a in x.items():
-            out = out.add_scaled(self.coproduct_key(k), a)
-        return out
+        return extend(self.coproduct_key, x)
 
     def counit_key(self, key):
         return Fraction(1 if key == UNIT else 0)
@@ -241,7 +246,7 @@ class TreeOps:
         return out
 
     def antipode(self, x):
-        return x.map_basis(self.antipode_key)
+        return extend(self.antipode_key, x)
 
     # -- basis enumeration
 
@@ -283,12 +288,14 @@ def tree_counit_antipode(x, phi=None):
 # ideals
 
 
-def _close_under_ops(rowspace, seeds, ops, basis_by_degree, n_max):
+def _close_under_ops(rowspace, seeds, ops, basis_by_degree, n_max, weight_bound):
     """Span closure under grafting by basis trees and the shift map.
 
     Every inserted vector that enlarges the span is grafted against all
     basis trees within the degree budget and shifted both ways; linearity
-    makes applying the closure maps to generators sufficient.
+    makes applying the closure maps to generators sufficient.  Shifts that
+    leave the weight bound (undecorated trees) or do not exist (negative
+    weights) are dropped.
     """
     queue = deque(seeds)
     while queue:
@@ -303,9 +310,11 @@ def _close_under_ops(rowspace, seeds, ops, basis_by_degree, n_max):
                 queue.append(ops.graft(tb, v))
         for power in (1, -1):
             try:
-                queue.append(ops.a_shift(v, power))
+                w = ops.a_shift(v, power)
             except NotInvertible:
-                pass
+                continue
+            if _within_weight(w, weight_bound):
+                queue.append(w)
 
 
 def _within_weight(x, weight_bound):
@@ -342,34 +351,13 @@ def ideal_I_span(n_max, weight_bound):
                             if _within_weight(g, weight_bound):
                                 seeds.append(g)
     rs = RowSpace(order=pivot_order)
-    _close_under_ops_weighted(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
-    return _rows_by_degree(rs, n_max)
+    _close_under_ops(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
+    return _rows_by_degree(rs.basis_rows(), n_max)
 
 
-def _close_under_ops_weighted(rowspace, seeds, ops, basis_by_degree, n_max, weight_bound):
-    queue = deque(seeds)
-    while queue:
-        v = queue.popleft()
-        if not v or not rowspace.add(v):
-            continue
-        d = max_degree(v)
-        for e in range(1, n_max - d + 1):
-            for t in basis_by_degree.get(e, ()):
-                tb = LinComb.basis(t)
-                queue.append(ops.graft(v, tb))
-                queue.append(ops.graft(tb, v))
-        for power in (1, -1):
-            try:
-                w = ops.a_shift(v, power)
-            except NotInvertible:
-                continue
-            if _within_weight(w, weight_bound):
-                queue.append(w)
-
-
-def _rows_by_degree(rowspace, n_max):
+def _rows_by_degree(rows, n_max):
     out = {n: [] for n in range(n_max + 1)}
-    for row in rowspace.basis_rows():
+    for row in rows:
         out[max_degree(row)].append(row)
     return out
 
@@ -399,11 +387,10 @@ def _decorated_ideal_generators(g, ops, basis_by_degree, n_max, weight_bound):
     # weight absorption: (s, xi) - (0, phi^s(xi))
     for s in range(1, weight_bound + 1):
         for xi in range(g.dim):
-            shifted = g.phi_pow(s, LinComb.basis(xi))
-            v = LinComb.basis((LEAF, (s,), (xi,)))
-            for j, c in shifted.items():
-                v = v.add_scaled(LinComb.basis((LEAF, (0,), (j,))), -c)
-            envelope.append(v)
+            envelope.append(
+                LinComb.basis((LEAF, (s,), (xi,)))
+                - leaves(g.phi_pow(s, LinComb.basis(xi)))
+            )
     # commutators: (xi1 xi2) - (xi2 xi1) - leaf([xi1, xi2])
     if n_max >= 2:
         t2 = (LEAF, LEAF)
@@ -412,15 +399,18 @@ def _decorated_ideal_generators(g, ops, basis_by_degree, n_max, weight_bound):
                 v = LinComb.basis((t2, (0, 0), (x1, x2))) - LinComb.basis(
                     (t2, (0, 0), (x2, x1))
                 )
-                for j, c in g.bracket(x1, x2).items():
-                    v = v.add_scaled(LinComb.basis((LEAF, (0,), (j,))), -c)
-                envelope.append(v)
+                envelope.append(v - leaves(g.bracket(x1, x2)))
     return reassoc, envelope
 
 
 def ideal_J_span(g, n_max, weight_bound=3):
     """Per-degree reduced span of the enveloping relations, closed under
-    grafting and the shift map, reduced modulo the reassociation ideal."""
+    grafting and the shift map, reduced modulo the reassociation ideal I.
+
+    These are the rows of the combined closure of both relation sets whose
+    pivot is not a pivot of I: with P the projection whose kernel is I,
+    the leading terms of P(S) are those of S + I minus those of I.
+    """
     ops = TreeOps(g.phi)
     basis_by_degree = {
         n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
@@ -429,23 +419,13 @@ def ideal_J_span(g, n_max, weight_bound=3):
         g, ops, basis_by_degree, n_max, weight_bound
     )
     reassoc = RowSpace(order=pivot_order)
-    _close_under_ops(reassoc, reassoc_seeds, ops, basis_by_degree, n_max)
-
-    envel = RowSpace(order=pivot_order)
-    queue = deque(envelope_seeds)
-    while queue:
-        v = reassoc.reduce(queue.popleft())
-        if not v or not envel.add(v):
-            continue
-        d = max_degree(v)
-        for e in range(1, n_max - d + 1):
-            for t in basis_by_degree.get(e, ()):
-                tb = LinComb.basis(t)
-                queue.append(ops.graft(v, tb))
-                queue.append(ops.graft(tb, v))
-        for power in (1, -1):
-            queue.append(ops.a_shift(v, power))
-    return _rows_by_degree(envel, n_max)
+    _close_under_ops(reassoc, reassoc_seeds, ops, basis_by_degree, n_max, weight_bound)
+    both = RowSpace(order=pivot_order)
+    _close_under_ops(
+        both, reassoc_seeds + envelope_seeds, ops, basis_by_degree, n_max, weight_bound
+    )
+    rows = [both.rows[p] for p in both.pivots() if p not in reassoc.rows]
+    return _rows_by_degree(rows, n_max)
 
 
 class TruncatedUEA:
@@ -500,22 +480,19 @@ class TruncatedUEA:
         return LinComb.basis(UNIT)
 
     def product(self, x, y):
-        out = LinComb()
-        for k1, a in x.items():
-            for k2, b in y.items():
-                d = tree_degree(k1) + tree_degree(k2)
-                if d > self.truncation_degree:
-                    raise TruncationOverflow(
-                        "product degree %d exceeds truncation %d"
-                        % (d, self.truncation_degree)
-                    )
-                key = (k1, k2)
-                val = self._product_cache.get(key)
-                if val is None:
-                    val = self.project(self.ops.graft_keys(k1, k2))
-                    self._product_cache[key] = val
-                out = out.add_scaled(val, a * b)
-        return out
+        return bilinear(self._product_key, x, y)
+
+    def _product_key(self, k1, k2):
+        d = tree_degree(k1) + tree_degree(k2)
+        if d > self.truncation_degree:
+            raise TruncationOverflow(
+                "product degree %d exceeds truncation %d" % (d, self.truncation_degree)
+            )
+        val = self._product_cache.get((k1, k2))
+        if val is None:
+            val = self.project(self.ops.graft_keys(k1, k2))
+            self._product_cache[(k1, k2)] = val
+        return val
 
     def alpha_map(self, x):
         return self.project(self.ops.a_shift(x, 1))
@@ -527,20 +504,14 @@ class TruncatedUEA:
         return self.project(self.ops.a_shift(x, n)) if n else x
 
     def comult_map(self, x):
-        out = LinComb()
-        for k, a in x.items():
-            val = self._comult_cache.get(k)
-            if val is None:
-                raw = self.ops.coproduct_key(k)
-                val = LinComb()
-                for (k1, k2), v in raw.items():
-                    val = val.add_scaled(
-                        self.project(LinComb.basis(k1)) @ self.project(LinComb.basis(k2)),
-                        v,
-                    )
-                self._comult_cache[k] = val
-            out = out.add_scaled(val, a)
-        return out
+        return extend(self._comult_key, x)
+
+    def _comult_key(self, k):
+        val = self._comult_cache.get(k)
+        if val is None:
+            val = pair_apply(self.project, self.project, self.ops.coproduct_key(k))
+            self._comult_cache[k] = val
+        return val
 
     def counit_map(self, x):
         return self.ops.counit(x)
@@ -578,16 +549,14 @@ class TruncatedUEA:
             lambda i, s: (self.project(self.ops.a_shift(rows[i], s)), LinComb.zero()),
         )
 
-        def coideal(i):
-            out = LinComb()
-            for (k1, k2), v in self.ops.coproduct(rows[i]).items():
-                out = out.add_scaled(
-                    self.project(LinComb.basis(k1)) @ self.project(LinComb.basis(k2)),
-                    v,
-                )
-            return out, LinComb.zero()
-
-        rep.run("ideal-coproduct", [(i,) for i in range(len(rows))], coideal)
+        rep.run(
+            "ideal-coproduct",
+            [(i,) for i in range(len(rows))],
+            lambda i: (
+                pair_apply(self.project, self.project, self.ops.coproduct(rows[i])),
+                LinComb.zero(),
+            ),
+        )
         return rep
 
 
@@ -608,7 +577,12 @@ def build_truncated_uea(g, truncation_degree, weight_bound=3, check=True):
     )
     rs = RowSpace(order=pivot_order)
     _close_under_ops(
-        rs, reassoc_seeds + envelope_seeds, ops, basis_by_degree, truncation_degree
+        rs,
+        reassoc_seeds + envelope_seeds,
+        ops,
+        basis_by_degree,
+        truncation_degree,
+        weight_bound,
     )
     return TruncatedUEA(g, truncation_degree, weight_bound, ops, rs, ambient)
 
@@ -666,11 +640,7 @@ class UEAActionContext:
         return out
 
     def eta_right(self, eta, u):
-        out = LinComb()
-        for i, a in eta.items():
-            for k, b in u.items():
-                out = out.add_scaled(self.eta_right_key(i, k), a * b)
-        return out
+        return bilinear(self.eta_right_key, eta, u)
 
     # eta |> tree  (value among trees over g)
 
@@ -686,36 +656,30 @@ class UEAActionContext:
             acted = self.pair.left(
                 self.h.phi_pow(-s, eta), LinComb.basis(key[2][0])
             )
-            out = LinComb()
-            for j, c in acted.items():
-                out = out.add_scaled(LinComb.basis((LEAF, (s,), (j,))), c)
+            out = leaves(acted, s)
         else:
             nl = leaf_count(key[0][0])
             kl = (key[0][0], key[1][:nl], key[2][:nl])
             kr = (key[0][1], key[1][nl:], key[2][nl:])
-            out = self.gops.graft(
+            head = self.gops.graft(
                 self.eta_left(self.h.phi_pow(-1, eta), LinComb.basis(kl)),
                 self.gops.a_shift_key(kr),
             )
-            for (t1, t2), v in self.gops.coproduct_key(kl).items():
+
+            def term(t):
                 actor = self.eta_right(
-                    self.h.phi_pow(-2, eta),
-                    self.gops.a_shift_key(t2, -1),
+                    self.h.phi_pow(-2, eta), self.gops.a_shift_key(t[1], -1)
                 )
-                term = self.gops.graft(
-                    self.gops.a_shift_key(t1),
-                    self.eta_left(actor, LinComb.basis(kr)),
+                return self.gops.graft(
+                    self.gops.a_shift_key(t[0]), self.eta_left(actor, LinComb.basis(kr))
                 )
-                out = out.add_scaled(term, v)
+
+            out = head + extend(term, self.gops.coproduct_key(kl))
         self._left[(i, key)] = out
         return out
 
     def eta_left(self, eta, u):
-        out = LinComb()
-        for i, a in eta.items():
-            for k, b in u.items():
-                out = out.add_scaled(self.eta_left_key(i, k), a * b)
-        return out
+        return bilinear(self.eta_left_key, eta, u)
 
     # Omega |> u : U(h)-tree acting on U(g)-trees
 
@@ -742,11 +706,7 @@ class UEAActionContext:
         return out
 
     def omega_left(self, v, u):
-        out = LinComb()
-        for kv, a in v.items():
-            for ku, b in u.items():
-                out = out.add_scaled(self.omega_left_key(kv, ku), a * b)
-        return out
+        return bilinear(self.omega_left_key, v, u)
 
     # Omega <| u : U(g)-trees acting on U(h)-trees from the right
 
@@ -763,34 +723,30 @@ class UEAActionContext:
             acted = self.eta_right(
                 self.h.phi_pow(s, LinComb.basis(eta)), LinComb.basis(ukey)
             )
-            out = LinComb()
-            for j, c in acted.items():
-                out = out.add_scaled(LinComb.basis((LEAF, (0,), (j,))), c)
+            out = leaves(acted)
         else:
             nl = leaf_count(vkey[0][0])
             vl = (vkey[0][0], vkey[1][:nl], vkey[2][:nl])
             vr = (vkey[0][1], vkey[1][nl:], vkey[2][nl:])
-            out = LinComb()
-            for (o1, o2), cv in self.hops.coproduct_key(vr).items():
-                for (t1, t2), cu in self.gops.coproduct_key(ukey).items():
-                    inner = self.omega_left(
-                        self.hops.a_shift_key(o1, -1),
-                        self.gops.a_shift_key(t1, -2),
-                    )
-                    left = self.omega_right(LinComb.basis(vl), inner)
-                    right = self.omega_right(
-                        LinComb.basis(o2), self.gops.a_shift_key(t2, -1)
-                    )
-                    out = out.add_scaled(self.hops.graft(left, right), cv * cu)
+
+            def term(o, t):
+                inner = self.omega_left(
+                    self.hops.a_shift_key(o[0], -1), self.gops.a_shift_key(t[0], -2)
+                )
+                left = self.omega_right(LinComb.basis(vl), inner)
+                right = self.omega_right(
+                    LinComb.basis(o[1]), self.gops.a_shift_key(t[1], -1)
+                )
+                return self.hops.graft(left, right)
+
+            out = bilinear(
+                term, self.hops.coproduct_key(vr), self.gops.coproduct_key(ukey)
+            )
         self._omega_right[(vkey, ukey)] = out
         return out
 
     def omega_right(self, v, u):
-        out = LinComb()
-        for kv, a in v.items():
-            for ku, b in u.items():
-                out = out.add_scaled(self.omega_right_key(kv, ku), a * b)
-        return out
+        return bilinear(self.omega_right_key, v, u)
 
 
 def act_U_on_h(pair, eta, u, ctx=None):

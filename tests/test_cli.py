@@ -181,3 +181,69 @@ def test_order_constraint_flag(tmp_path, capsys):
     assert "OrderConstraintViolated" in out
     # the override proceeds (and the trivial actions still pass)
     assert main(["hom-lie-hopf", "--input", path, "--no-order-constraint"]) == 0
+
+
+def a2_doc():
+    return {
+        "field": "Q",
+        "hom_lie": {"a2": lie_to_json(abelian_lie(2))},
+        "pipeline": {"target": "a2", "degree": 2, "weight_bound": 1},
+    }
+
+
+def assert_input_error(capsys, argv, where):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert where in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_negative_degree_flag_exits_two(tmp_path, capsys):
+    path = write(tmp_path, a2_doc())
+    argv = ["build-uea", "--input", path, "--degree", "-1"]
+    assert_input_error(capsys, argv, "--degree")
+
+
+def test_zero_degree_is_rejected_not_replaced(tmp_path, capsys):
+    path = write(tmp_path, a2_doc())
+    argv = ["build-uea", "--input", path, "--degree", "0"]
+    assert_input_error(capsys, argv, "--degree")
+    doc = a2_doc()
+    doc["pipeline"]["degree"] = 0
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["build-uea", "--input", path], "/pipeline/degree")
+    doc["pipeline"]["degree"] = "3"
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["build-uea", "--input", path], "/pipeline/degree")
+
+
+def test_negative_weight_bound_exits_two(tmp_path, capsys):
+    path = write(tmp_path, a2_doc())
+    argv = ["build-uea", "--input", path, "--weight-bound", "-1"]
+    assert_input_error(capsys, argv, "--weight-bound")
+    doc = a2_doc()
+    doc["pipeline"]["weight_bound"] = True
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["build-uea", "--input", path], "/pipeline/weight_bound")
+    # W = 0 stays a valid bound
+    path = write(tmp_path, a2_doc())
+    assert main(["build-uea", "--input", path, "--weight-bound", "0"]) == 0
+
+
+def test_out_of_range_bracket_index_exits_two(tmp_path, capsys):
+    doc = a2_doc()
+    doc["hom_lie"]["a2"]["bracket"] = [[0, 9, ["1", "0"]]]
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["build-uea", "--input", path], "/hom_lie/a2/bracket/0")
+
+
+def test_out_of_range_comult_leg_exits_two(tmp_path, capsys):
+    doc = kz4_doc()
+    doc["hopf"]["kz4"]["comult"].append([0, 7, 0, "1"])
+    path = write(tmp_path, doc)
+    row = len(doc["hopf"]["kz4"]["comult"]) - 1
+    assert_input_error(
+        capsys, ["verify-hopf", "--input", path], "/hopf/kz4/comult/%d" % row
+    )

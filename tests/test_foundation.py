@@ -9,7 +9,10 @@ from homhopf.foundation import (
     LinComb,
     LinearOperator,
     RowSpace,
+    bilinear,
+    extend,
     lincomb_arith,
+    pair_apply,
     quotient_projection,
     solve_linear,
     subspace_basis,
@@ -168,3 +171,101 @@ def test_solve_linear_recovers_known_solution(mat, x):
         assert sum(mat[i][j] * sol[j] for j in range(3)) == sum(
             mat[i][j] * x[j] for j in range(3)
         )
+
+
+# ---------------------------------------------------------------------------
+# the accumulator helpers against the add_scaled loops they replace
+
+# few keys and coefficients that are negatives of each other, so that
+# sums cancel often
+cancelling = st.sampled_from(
+    [Fraction(c) for c in (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)]
+)
+sparse = st.dictionaries(st.integers(0, 3), cancelling, max_size=4).map(LinComb)
+tables = st.lists(sparse, min_size=4, max_size=4)
+pair_sparse = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), cancelling, max_size=5
+).map(LinComb)
+
+
+def ref_extend(fn, x):
+    out = LinComb()
+    for k, c in x.items():
+        out = out.add_scaled(fn(k), c)
+    return out
+
+
+def ref_bilinear(fn, x, y):
+    out = LinComb()
+    for i, a in x.items():
+        for j, b in y.items():
+            out = out.add_scaled(fn(i, j), a * b)
+    return out
+
+
+def ref_pair_apply(f, g, t):
+    out = LinComb()
+    for (k1, k2), v in t.items():
+        out = out.add_scaled(f(e(k1)) @ g(e(k2)), v)
+    return out
+
+
+def snapshot(*vecs):
+    return [dict(v.terms) for v in vecs]
+
+
+def no_alias(result, vecs):
+    return all(result.terms is not v.terms for v in vecs)
+
+
+@given(sparse, sparse, cancelling)
+@settings(max_examples=60, deadline=None)
+def test_add_scaled_matches_add_and_scale(x, y, c):
+    assert x.add_scaled(y, c) == x + c * y
+
+
+@given(tables, sparse)
+@settings(max_examples=80, deadline=None)
+def test_extend_matches_add_scaled_loop(cols, x):
+    before = snapshot(x, *cols)
+    got = extend(lambda k: cols[k], x)
+    assert got == ref_extend(lambda k: cols[k], x)
+    assert 0 not in got.terms.values()
+    assert snapshot(x, *cols) == before
+    assert no_alias(got, [x, *cols])
+
+
+@given(tables, sparse, sparse)
+@settings(max_examples=80, deadline=None)
+def test_bilinear_matches_add_scaled_loop(cols, x, y):
+    def fn(i, j):
+        return cols[(i + 2 * j) % 4]
+
+    before = snapshot(x, y, *cols)
+    got = bilinear(fn, x, y)
+    assert got == ref_bilinear(fn, x, y)
+    assert 0 not in got.terms.values()
+    assert snapshot(x, y, *cols) == before
+    assert no_alias(got, [x, y, *cols])
+
+
+@given(tables, tables, pair_sparse)
+@settings(max_examples=80, deadline=None)
+def test_pair_apply_matches_add_scaled_loop(fcols, gcols, t):
+    f = LinearOperator(dict(enumerate(fcols)), check=False).apply
+    g = LinearOperator(dict(enumerate(gcols)), check=False).apply
+    before = snapshot(t, *fcols, *gcols)
+    got = pair_apply(f, g, t)
+    assert got == ref_pair_apply(f, g, t)
+    assert 0 not in got.terms.values()
+    assert snapshot(t, *fcols, *gcols) == before
+    assert no_alias(got, [t, *fcols, *gcols])
+
+
+def test_single_term_result_is_a_fresh_combination():
+    # a cache hands out one shared LinComb; scaling by 1 must still copy
+    cached = LinComb({0: 1, 1: -1})
+    got = extend(lambda k: cached, e(5))
+    assert got == cached and got.terms is not cached.terms
+    got.terms[0] = Fraction(7)
+    assert cached == LinComb({0: 1, 1: -1})

@@ -99,6 +99,14 @@ def test_lie_modules():
     assert any(eq.eq_id == "lie-module-i" and eq.violations for eq in rep.equations)
 
 
+def test_lie_action_missing_entry_reads_zero():
+    g = sl2()
+    sparse = LieActionData(g, range(3), {(0, 1): e(2)}, LinearOperator.identity(range(3)))
+    assert sparse.apply(e(0), e(1) + e(2)) == e(2)
+    assert sparse.apply(e(1), e(0)) == LinComb.zero()
+    assert sparse.apply(e(0) + e(2), 3 * e(1)) == 3 * e(2)
+
+
 def test_trivial_actions_always_matched():
     g = sl2()
     h = abelian_lie(2)

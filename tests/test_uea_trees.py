@@ -253,6 +253,21 @@ def test_truncated_uea_hopf_suite_and_overflow():
         u.product(e(y), e(y3))
 
 
+def test_truncated_uea_product_cache_is_kept_and_never_mutated():
+    u = build_truncated_uea(abelian_lie(2), 3, 1)
+    ones = [k for k in u.basis_keys() if u.degree(k) == 1]
+    x, y = e(ones[0]), e(ones[1])
+    first = u.product(x + y, x - y)
+    cached = {key: dict(val.terms) for key, val in u._product_cache.items()}
+    assert (ones[0], ones[1]) in cached
+    assert u.product(x + y, x - y) == first
+    assert u.product(x, y) == u.product(y, x)  # abelian: symmetric normal forms
+    for key, terms in cached.items():
+        assert u._product_cache[key].terms == terms
+    with pytest.raises(TruncationOverflow):
+        u.product(x, e([k for k in u.basis_keys() if u.degree(k) == 3][0]))
+
+
 def test_well_definedness_report():
     neg = LinearOperator.from_matrix([[-1]], inverse=[[-1]])
     for g in (abelian_lie(1), abelian_lie(1, neg), abelian_lie(2, swap_phi()), sl2()):
