@@ -89,43 +89,6 @@ def _operator(section, name, dim, where, required=True):
         raise InverseMismatch("%s/%s: %s" % (where, name, exc))
 
 
-def _sparse_vector(entries, dim, where):
-    out = {}
-    if isinstance(entries, list) and all(not isinstance(x, list) for x in entries):
-        if len(entries) != dim:
-            raise SchemaError("%s: dense vector length != %d" % (where, dim))
-        return LinComb({i: _scalar(c, where) for i, c in enumerate(entries)})
-    for item in entries:
-        if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError("%s: expected [index, scalar] pairs" % where)
-        k, c = item
-        out[k] = out.get(k, Fraction(0)) + _scalar(c, where)
-    return LinComb(out)
-
-
-def _table3(entries, where):
-    """[[i, j, k, scalar], ...] -> dict (i, j) -> LinComb over k."""
-    out = {}
-    for item in entries:
-        if not isinstance(item, list) or len(item) != 4:
-            raise SchemaError("%s: expected [i, j, k, scalar] rows" % where)
-        i, j, k, c = item
-        cur = out.setdefault((i, j), {})
-        cur[k] = cur.get(k, Fraction(0)) + _scalar(c, where)
-    return {key: LinComb(val) for key, val in out.items()}
-
-
-def _full_mult(table, dim, where):
-    out = {}
-    for i in range(dim):
-        for j in range(dim):
-            out[(i, j)] = table.get((i, j), LinComb.zero())
-    for (i, j) in table:
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise SchemaError("%s: index (%d, %d) out of range" % (where, i, j))
-    return out
-
-
 def _index(value, dim, where):
     """A basis index: an int in range(dim) (JSON booleans are not ints)."""
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < dim:
@@ -133,16 +96,58 @@ def _index(value, dim, where):
     return value
 
 
-def _comult_table(entries, dim, where):
-    """[[i, j, k, scalar], ...] -> dict i -> LinComb over (j, k)."""
-    out = {i: {} for i in range(dim)}
+def _sparse_vector(entries, dim, where):
+    """A dense list of dim scalars, or a list of [index, scalar] pairs."""
+    if not isinstance(entries, list):
+        raise SchemaError("%s: expected a list" % where)
+    if all(not isinstance(x, list) for x in entries):
+        if len(entries) != dim:
+            raise SchemaError("%s: dense vector length != %d" % (where, dim))
+        return LinComb({i: _scalar(c, where) for i, c in enumerate(entries)})
+    out = {}
+    for row, item in enumerate(entries):
+        if not isinstance(item, list) or len(item) != 2:
+            raise SchemaError("%s: expected [index, scalar] pairs" % where)
+        at = "%s/%d" % (where, row)
+        k = _index(item[0], dim, at)
+        out[k] = out.get(k, Fraction(0)) + _scalar(item[1], at)
+    return LinComb(out)
+
+
+def _index_rows(entries, dims, where):
+    """Rows [i, j, k, scalar] with each index range-checked against its
+    entry of dims; yields (i, j, k, Fraction)."""
+    if not isinstance(entries, list):
+        raise SchemaError("%s: expected a list of [i, j, k, scalar] rows" % where)
     for row, item in enumerate(entries):
         if not isinstance(item, list) or len(item) != 4:
             raise SchemaError("%s: expected [i, j, k, scalar] rows" % where)
-        i, j, k, c = item
         at = "%s/%d" % (where, row)
-        i, j, k = (_index(x, dim, at) for x in (i, j, k))
-        out[i][(j, k)] = out[i].get((j, k), Fraction(0)) + _scalar(c, where)
+        i, j, k = (_index(x, n, at) for x, n in zip(item, dims))
+        yield i, j, k, _scalar(item[3], at)
+
+
+def _table3(entries, dims, where):
+    """[[i, j, k, scalar], ...] -> dict (i, j) -> LinComb over k."""
+    out = {}
+    for i, j, k, c in _index_rows(entries, dims, where):
+        cur = out.setdefault((i, j), {})
+        cur[k] = cur.get(k, Fraction(0)) + c
+    return {key: LinComb(val) for key, val in out.items()}
+
+
+def _full_mult(table, dim):
+    return {
+        (i, j): table.get((i, j), LinComb.zero()) for i in range(dim) for j in range(dim)
+    }
+
+
+def _comult_table(entries, dims, where):
+    """[[i, j, k, scalar], ...] -> dict i -> LinComb over (j, k), for every
+    i in range(dims[0])."""
+    out = {i: {} for i in range(dims[0])}
+    for i, j, k, c in _index_rows(entries, dims, where):
+        out[i][(j, k)] = out[i].get((j, k), Fraction(0)) + c
     return {i: LinComb(v) for i, v in out.items()}
 
 
@@ -177,9 +182,9 @@ def parse_input(path):
         dim = entry.get("dim")
         if not isinstance(dim, int) or dim < 1:
             raise SchemaError("%s/dim: positive integer required" % where)
-        mult = _full_mult(_table3(entry.get("mult", []), where + "/mult"), dim, where + "/mult")
+        mult = _full_mult(_table3(entry.get("mult", []), (dim,) * 3, where + "/mult"), dim)
         unit = _sparse_vector(entry.get("unit", []), dim, where + "/unit")
-        comult = _comult_table(entry.get("comult", []), dim, where + "/comult")
+        comult = _comult_table(entry.get("comult", []), (dim,) * 3, where + "/comult")
         counit_vec = _sparse_vector(entry.get("counit", []), dim, where + "/counit")
         counit = {i: counit_vec.get(i) for i in range(dim)}
         alpha = _operator(entry, "alpha", dim, where)
@@ -201,7 +206,7 @@ def parse_input(path):
             i, j, vec = item
             at = "%s/bracket/%d" % (where, row)
             bracket[(_index(i, dim, at), _index(j, dim, at))] = _sparse_vector(
-                vec, dim, where + "/bracket"
+                vec, dim, at + "/2"
             )
         phi = _operator(entry, "phi", dim, where)
         doc.hom_lie[name] = HomLieData(dim, bracket, phi)
@@ -215,8 +220,8 @@ def parse_input(path):
         where = "/matched_pairs/%s" % name
         u = _resolve(entry.get("u"), doc.hopf, where + "/u")
         v = _resolve(entry.get("v"), doc.hopf, where + "/v")
-        left = _table3(entry.get("left", []), where + "/left")
-        right = _table3(entry.get("right", []), where + "/right")
+        left = _table3(entry.get("left", []), (v.dim, u.dim, u.dim), where + "/left")
+        right = _table3(entry.get("right", []), (v.dim, u.dim, v.dim), where + "/right")
         for i in v.basis_keys():
             for j in u.basis_keys():
                 left.setdefault((i, j), LinComb.zero())
@@ -227,30 +232,21 @@ def parse_input(path):
         where = "/mutual_pairs/%s" % name
         f = _resolve(entry.get("f"), doc.hopf, where + "/f")
         u = _resolve(entry.get("u"), doc.hopf, where + "/u")
-        action = _table3(entry.get("action", []), where + "/action")
+        action = _table3(entry.get("action", []), (u.dim, f.dim, f.dim), where + "/action")
         for i in u.basis_keys():
             for j in f.basis_keys():
                 action.setdefault((i, j), LinComb.zero())
-        coaction = {}
-        for item in entry.get("coaction", []):
-            if not isinstance(item, list) or len(item) != 4:
-                raise SchemaError(
-                    "%s/coaction: expected [u, u', f, scalar] rows" % where
-                )
-            i, j, k, c = item
-            cur = coaction.setdefault(i, {})
-            cur[(j, k)] = cur.get((j, k), Fraction(0)) + _scalar(c, where)
-        coaction = {
-            i: LinComb(coaction.get(i, {})) for i in u.basis_keys()
-        }
+        coaction = _comult_table(
+            entry.get("coaction", []), (u.dim, u.dim, f.dim), where + "/coaction"
+        )
         doc.mutual_pairs[name] = MutualPairHopf(f, u, action, coaction)
 
     for name, entry in raw.get("lie_matched_pairs", {}).items():
         where = "/lie_matched_pairs/%s" % name
         g = _resolve(entry.get("g"), doc.hom_lie, where + "/g")
         h = _resolve(entry.get("h"), doc.hom_lie, where + "/h")
-        h_on_g = _table3(entry.get("h_on_g", []), where + "/h_on_g")
-        g_on_h = _table3(entry.get("g_on_h", []), where + "/g_on_h")
+        h_on_g = _table3(entry.get("h_on_g", []), (h.dim, g.dim, g.dim), where + "/h_on_g")
+        g_on_h = _table3(entry.get("g_on_h", []), (g.dim, h.dim, h.dim), where + "/g_on_h")
         doc.lie_matched_pairs[name] = MatchedPairLie(
             g,
             h,

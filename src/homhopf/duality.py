@@ -18,19 +18,33 @@ from .errors import (
     NotInvertibleBeta,
     TruncationOverflow,
 )
-from .foundation import LinComb, LinearOperator, RowSpace, extend, pair_apply
+from .foundation import LinComb, LinearOperator, RowSpace, bilinear, extend, pair_apply
 
 ZERO = Fraction(0)
+_EMPTY = LinComb()
+
+
+def transpose_table(images, keys=()):
+    """Transpose a table of images: `images` yields (k, LinComb) with
+    distinct k, and column i of the result is sum_k [image of k]_i e_k.
+
+    Every i in `keys` gets a column, empty when no image reaches it.  Each
+    column is built in one dict and wrapped once.
+    """
+    cols = {i: {} for i in keys}
+    for k, img in images:
+        for i, v in img.items():
+            col = cols.get(i)
+            if col is None:
+                col = cols[i] = {}
+            col[k] = v
+    return {i: LinComb._wrap(col) for i, col in cols.items()}
 
 
 def transpose_operator(op, keys):
     """Dual operator on the dual basis: column i is sum_k [op e_k]_i e_k."""
-    cols = {i: LinComb() for i in keys}
-    for k in keys:
-        img = op.apply(LinComb.basis(k))
-        for i, v in img.items():
-            cols[i] = cols[i] + LinComb({k: v})
-    return LinearOperator(cols, check=False)
+    images = ((k, op.apply(LinComb.basis(k))) for k in keys)
+    return LinearOperator(transpose_table(images, keys), check=False)
 
 
 def _require_inverse(op, err):
@@ -84,50 +98,26 @@ def convolution_algebra(c, a):
     Basis maps are pairs (i, j): send the coalgebra basis vector i to the
     algebra basis vector j.  Product, twist and unit are
       (F * G)(x) = F(beta^-2 x_(1)) . G(beta^-2 x_(2)),
-      (alpha* F)(x) = alpha(F(beta^-1 x)),   unit = eta o eps.
+      (alpha* F)(x) = alpha(F(beta^-1 x)),   unit = eta o eps,
+    that is, the tensor product of the dual algebra of c with a.
     """
     from .hom_core import HomAlgebraData
 
-    _require_inverse(c.beta, NotInvertibleBeta)
-    ckeys = c.basis_keys()
+    dual = dual_algebra_of_coalgebra(c)
+    ckeys = dual.basis_keys()
     akeys = a.basis_keys()
     pair_keys = [(i, j) for i in ckeys for j in akeys]
-
-    shifted = _unshifted_comult(c)
-
-    mult = {}
-    for (i, j) in pair_keys:
-        for (i2, j2) in pair_keys:
-            out = LinComb()
-            prod = a.product(LinComb.basis(j), LinComb.basis(j2))
-            for x in ckeys:
-                coeff = ZERO
-                for (k1, k2), v in shifted[x].items():
-                    if k1 == i and k2 == i2:
-                        coeff += v
-                if coeff:
-                    for m, w in prod.items():
-                        out = out + LinComb({(x, m): coeff * w})
-            mult[((i, j), (i2, j2))] = out
-
-    unit = LinComb()
-    for x in ckeys:
-        eps = c.counit_map(LinComb.basis(x))
-        if eps:
-            for m, w in a.unit_elem().items():
-                unit = unit + LinComb({(x, m): eps * w})
-
-    alpha_cols = {}
-    for (i, j) in pair_keys:
-        col = LinComb()
-        aj = a.alpha_map(LinComb.basis(j))
-        for x in ckeys:
-            ci = c.beta_pow(-1, LinComb.basis(x)).get(i)
-            if ci:
-                for m, w in aj.items():
-                    col = col + LinComb({(x, m): ci * w})
-        alpha_cols[(i, j)] = col
-
+    mult = {
+        ((i, j), (i2, j2)): dual.mult[(i, i2)]
+        @ a.product(LinComb.basis(j), LinComb.basis(j2))
+        for (i, j) in pair_keys
+        for (i2, j2) in pair_keys
+    }
+    unit = dual.unit @ a.unit_elem()
+    alpha_cols = {
+        (i, j): dual.alpha.columns[i] @ a.alpha_map(LinComb.basis(j))
+        for (i, j) in pair_keys
+    }
     return HomAlgebraData(
         len(pair_keys), mult, unit, LinearOperator(alpha_cols, check=False), keys=pair_keys
     )
@@ -139,16 +129,8 @@ def dual_algebra_of_coalgebra(c):
 
     _require_inverse(c.beta, NotInvertibleBeta)
     keys = c.basis_keys()
-    shifted = _unshifted_comult(c)
-    mult = {}
-    for i in keys:
-        for j in keys:
-            out = LinComb()
-            for x in keys:
-                coeff = shifted[x].get((i, j))
-                if coeff:
-                    out = out + LinComb({x: coeff})
-            mult[(i, j)] = out
+    pairs = [(i, j) for i in keys for j in keys]
+    mult = transpose_table(_unshifted_comult(c).items(), pairs)
     unit = LinComb({x: c.counit_map(LinComb.basis(x)) for x in keys})
     alpha = transpose_operator(c.beta.inverted(), keys)
     return HomAlgebraData(len(keys), mult, unit, alpha, keys=keys)
@@ -161,12 +143,12 @@ def dual_coalgebra_of_algebra(a):
 
     _require_inverse(a.alpha, NotInvertibleAlpha)
     keys = a.basis_keys()
-    comult = {k: LinComb() for k in keys}
-    for i in keys:
-        for j in keys:
-            prod = a.alpha_pow(-2, a.product(LinComb.basis(i), LinComb.basis(j)))
-            for k, v in prod.items():
-                comult[k] = comult[k] + LinComb({(i, j): v})
+    images = (
+        ((i, j), a.alpha_pow(-2, a.product(LinComb.basis(i), LinComb.basis(j))))
+        for i in keys
+        for j in keys
+    )
+    comult = transpose_table(images, keys)
     counit = {k: a.unit_elem().get(k) for k in keys}
     beta = transpose_operator(a.alpha.inverted(), keys)
     return HomCoalgebraData(len(keys), comult, counit, beta, keys=keys)
@@ -209,18 +191,16 @@ def coregular_actions(a):
     def table(mirror):
         act = {}
         for p in keys:
+            ep = LinComb.basis(p)
+
+            def image(x):
+                ex = LinComb.basis(x)
+                lhs = a.product(ep, ex) if mirror else a.product(ex, ep)
+                return a.alpha_pow(-2, lhs)
+
+            cols = transpose_table(((x, image(x)) for x in keys), keys)
             for q in keys:
-                col = LinComb()
-                for x in keys:
-                    lhs = (
-                        a.product(LinComb.basis(p), LinComb.basis(x))
-                        if mirror
-                        else a.product(LinComb.basis(x), LinComb.basis(p))
-                    )
-                    v = a.alpha_pow(-2, lhs).get(q)
-                    if v:
-                        col = col + LinComb({x: v})
-                act[(p, q)] = col
+                act[(p, q)] = cols[q]
         return act
 
     left = ActionData(a, keys, table(False), gamma, side="left")
@@ -236,6 +216,10 @@ class TruncatedDual:
     coproduct is available degree-by-degree only when the primal quotient
     is degree-graded, and raises TruncationOverflow otherwise.  Pairing is
     the degreewise dual-basis pairing against the normal forms.
+
+    Each structure map is the transpose of a primal one.  It is compiled
+    into a table on first use, once per instance, and every call reads
+    from that table.
     """
 
     is_truncated = True
@@ -244,7 +228,7 @@ class TruncatedDual:
         self.v = v
         self.keys = list(v.basis_keys())
         self.truncation_degree = v.truncation_degree
-        self._comult_cache = {}
+        self._tables = {}
 
     # -- bookkeeping
 
@@ -299,19 +283,10 @@ class TruncatedDual:
     def product_dropped(self, f, g):
         """Convolution product projected to the retained degrees (the image
         of the true product under the truncation, for table comparisons)."""
-        out = LinComb()
-        for om in self.keys:
-            d = self.v.comult_map(LinComb.basis(om))
-            coeff = ZERO
-            for (k1, k2), v in d.items():
-                a = self.pair(f, self.v.beta_pow(-2, LinComb.basis(k1)))
-                if a:
-                    b = self.pair(g, self.v.beta_pow(-2, LinComb.basis(k2)))
-                    if b:
-                        coeff += v * a * b
-            if coeff:
-                out = out + LinComb({om: coeff})
-        return out
+        table = self._table(
+            "product", lambda: transpose_table(_unshifted_comult(self.v).items())
+        )
+        return bilinear(lambda i, j: table.get((i, j), _EMPTY), f, g)
 
     def alpha_map(self, f):
         # (beta_V^-1)* = precompose with beta_V^-1
@@ -333,25 +308,21 @@ class TruncatedDual:
         return extend(self._comult_basis, f)
 
     def _comult_basis(self, k):
-        if k in self._comult_cache:
-            return self._comult_cache[k]
-        out = LinComb()
-        dk = self.degree(k)
-        for i in self.keys:
-            di = self.degree(i)
-            if di > dk:
-                continue
-            for j in self.keys:
-                if di + self.degree(j) != dk:
-                    continue
-                prod = self.v.alpha_pow(
-                    -2, self.v.product(LinComb.basis(i), LinComb.basis(j))
-                )
-                c = prod.get(k)
-                if c:
-                    out = out + LinComb({(i, j): c})
-        self._comult_cache[k] = out
-        return out
+        # Delta(k*) pairs e_i x e_j with alpha^-2(e_i e_j) for the (i, j)
+        # of total degree deg k; one table holds every key of that degree
+        d = self.degree(k)
+
+        def build():
+            e = LinComb.basis
+            images = (
+                ((i, j), self.v.alpha_pow(-2, self.v.product(e(i), e(j))))
+                for i in self.keys
+                for j in self.keys
+                if self.degree(i) + self.degree(j) == d
+            )
+            return transpose_table(images)
+
+        return self._table(("comult", d), build).get(k, _EMPTY)
 
     def counit_map(self, f):
         return self.pair(f, self.v.unit_elem())
@@ -366,12 +337,8 @@ class TruncatedDual:
         return self._precompose(f, -n, use_beta=False)
 
     def antipode_map(self, f):
-        out = {}
-        for k in self.keys:
-            c = self.pair(f, self.v.antipode_map(LinComb.basis(k)))
-            if c:
-                out[k] = c
-        return LinComb(out)
+        table = self._table("antipode", lambda: self._transpose(self.v.antipode_map))
+        return extend(lambda i: table.get(i, _EMPTY), f)
 
     # -- helpers
 
@@ -379,14 +346,22 @@ class TruncatedDual:
         """Return f o (map^power) with map = beta_V (use_beta) or alpha_V."""
         if power == 0:
             return f
-        out = {}
-        for k in self.keys:
-            x = LinComb.basis(k)
-            x = self.v.beta_pow(power, x) if use_beta else self.v.alpha_pow(power, x)
-            c = self.pair(f, x)
-            if c:
-                out[k] = c
-        return LinComb(out)
+        twist = self.v.beta_pow if use_beta else self.v.alpha_pow
+        table = self._table(
+            ("twist", power, use_beta),
+            lambda: self._transpose(lambda x: twist(power, x)),
+        )
+        return extend(lambda i: table.get(i, _EMPTY), f)
+
+    def _transpose(self, fn):
+        """Column i is sum_k [fn(e_k)]_i e_k: f o fn is extend(column, f)."""
+        return transpose_table((k, fn(LinComb.basis(k))) for k in self.keys)
+
+    def _table(self, name, build):
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = build()
+        return table
 
 
 def graded_dual(u):

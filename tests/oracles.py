@@ -1,13 +1,18 @@
 """Independent reference computations used by the tests.
 
-Everything here is deliberately coded from first principles (binomials,
-power sums, dense fraction elimination) without touching the package's
-algebra machinery, so it can serve as a second route for the values the
-tests freeze.
+The dimension formula and the classical bicrossproduct are coded from
+first principles (binomials, power sums) without touching the package's
+algebra machinery, so they can serve as a second route for the values the
+tests freeze.  The `*_by_pairing` functions are the direct definitions of
+the degreewise dual's structure maps: each pairs a functional against the
+primal image of every basis key, on every call.  `TruncatedDual` compiles
+the same maps into tables, and the tests require equal results.
 """
 
 import math
 from fractions import Fraction
+
+from homhopf.foundation import LinComb
 
 
 def sym_algebra_dims(generators, n_max):
@@ -76,3 +81,70 @@ class ClassicalBicrossOracle:
                 tgt = (a + t, n2)
                 out[tgt] = out.get(tgt, Fraction(0)) + coeff
         return {k: v for k, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# the degreewise dual d = TruncatedDual(v) by pairing against v
+
+
+def dual_product_by_pairing(d, f, g):
+    """(f * g)(e_om) = sum over Delta(e_om) of f(beta^-2 x) g(beta^-2 y),
+    for every retained key om."""
+    out = LinComb()
+    for om in d.keys:
+        delta = d.v.comult_map(LinComb.basis(om))
+        coeff = Fraction(0)
+        for (k1, k2), v in delta.items():
+            a = d.pair(f, d.v.beta_pow(-2, LinComb.basis(k1)))
+            if a:
+                b = d.pair(g, d.v.beta_pow(-2, LinComb.basis(k2)))
+                if b:
+                    coeff += v * a * b
+        if coeff:
+            out = out + LinComb({om: coeff})
+    return out
+
+
+def dual_precompose_by_pairing(d, f, power, use_beta):
+    """f o (map^power) with map = beta_V (use_beta) or alpha_V."""
+    if power == 0:
+        return f
+    out = {}
+    for k in d.keys:
+        x = LinComb.basis(k)
+        x = d.v.beta_pow(power, x) if use_beta else d.v.alpha_pow(power, x)
+        c = d.pair(f, x)
+        if c:
+            out[k] = c
+    return LinComb(out)
+
+
+def dual_antipode_by_pairing(d, f):
+    """f o S_V."""
+    out = {}
+    for k in d.keys:
+        c = d.pair(f, d.v.antipode_map(LinComb.basis(k)))
+        if c:
+            out[k] = c
+    return LinComb(out)
+
+
+def dual_comult_basis_by_pairing(d, k):
+    """Delta(e_k*) = sum over (i, j) of total degree deg k of
+    [alpha^-2(e_i e_j)]_k e_i* x e_j* (a graded primal quotient)."""
+    out = LinComb()
+    dk = d.degree(k)
+    for i in d.keys:
+        di = d.degree(i)
+        if di > dk:
+            continue
+        for j in d.keys:
+            if di + d.degree(j) != dk:
+                continue
+            prod = d.v.alpha_pow(
+                -2, d.v.product(LinComb.basis(i), LinComb.basis(j))
+            )
+            c = prod.get(k)
+            if c:
+                out = out + LinComb({(i, j): c})
+    return out

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +248,74 @@ def test_out_of_range_comult_leg_exits_two(tmp_path, capsys):
     assert_input_error(
         capsys, ["verify-hopf", "--input", path], "/hopf/kz4/comult/%d" % row
     )
+
+
+def sample_doc(name):
+    path = Path(__file__).resolve().parent.parent / "sample_inputs" / (name + ".json")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "table,row",
+    [("left", [0, 9, 0, "1"]), ("left", [0, 0, 4, "1"]), ("right", [4, 0, 0, "1"])],
+)
+def test_out_of_range_matched_pair_row_exits_two(tmp_path, capsys, table, row):
+    doc = sample_doc("kz4_trivial_doublecross")
+    rows = doc["matched_pairs"]["trivial"][table]
+    rows.append(row)
+    path = write(tmp_path, doc)
+    where = "/matched_pairs/trivial/%s/%d" % (table, len(rows) - 1)
+    assert_input_error(capsys, ["matched-pair-check", "--input", path], where)
+
+
+@pytest.mark.parametrize(
+    "table,row", [("action", [0, 0, 4, "1"]), ("coaction", [0, 4, 0, "1"])]
+)
+def test_out_of_range_mutual_pair_row_exits_two(tmp_path, capsys, table, row):
+    doc = kz4_doc()
+    doc["mutual_pairs"] = {
+        "m": {"f": "kz4", "u": "kz4", "action": [[0, 0, 0, "1"]], "coaction": []}
+    }
+    doc["mutual_pairs"]["m"][table].append(row)
+    doc["pipeline"]["target"] = "m"
+    path = write(tmp_path, doc)
+    where = "/mutual_pairs/m/%s/%d" % (table, len(doc["mutual_pairs"]["m"][table]) - 1)
+    assert_input_error(capsys, ["bicross", "--input", path], where)
+
+
+@pytest.mark.parametrize(
+    "table,row", [("h_on_g", [0, 0, 1, "1"]), ("g_on_h", [1, 0, 0, "1"])]
+)
+def test_out_of_range_lie_action_row_exits_two(tmp_path, capsys, table, row):
+    doc = sample_doc("fixture_b_hom_lie_hopf")
+    rows = doc["lie_matched_pairs"]["fixture_b"][table]
+    rows.append(row)
+    path = write(tmp_path, doc)
+    where = "/lie_matched_pairs/fixture_b/%s/%d" % (table, len(rows) - 1)
+    assert_input_error(capsys, ["matched-pair-check", "--input", path], where)
+
+
+def test_out_of_range_mult_target_exits_two(tmp_path, capsys):
+    doc = kz4_doc()
+    doc["hopf"]["kz4"]["mult"].append([1, 1, 7, "1"])
+    path = write(tmp_path, doc)
+    row = len(doc["hopf"]["kz4"]["mult"]) - 1
+    assert_input_error(
+        capsys, ["verify-hopf", "--input", path], "/hopf/kz4/mult/%d" % row
+    )
+    doc["hopf"]["kz4"]["mult"] = 5
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["verify-hopf", "--input", path], "/hopf/kz4/mult")
+
+
+def test_out_of_range_sparse_vector_index_exits_two(tmp_path, capsys):
+    doc = sample_doc("abelian2_build_uea")
+    doc["hom_lie"]["abelian2"]["bracket"] = [[0, 1, [[7, "1"]]]]
+    path = write(tmp_path, doc)
+    argv = ["build-uea", "--input", path]
+    assert_input_error(capsys, argv, "/hom_lie/abelian2/bracket/0/2/0")
+    # a vector that is not a list at all
+    doc = kz4_doc()
+    doc["hopf"]["kz4"]["counit"] = 5
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["verify-hopf", "--input", path], "/hopf/kz4/counit")

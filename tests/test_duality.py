@@ -179,3 +179,114 @@ def test_dual_algebra_of_cotwist_coalgebra():
     assert check_hom_coalgebra(c).passed
     dual = dual_algebra_of_coalgebra(c)
     assert check_hom_algebra(dual).passed
+
+
+# ---------------------------------------------------------------------------
+# the tabulated degreewise dual against the pairing loops it replaced
+
+
+def _dual_case(name):
+    from homhopf.duality import graded_dual
+    from homhopf.fixtures import (
+        abelian_lie,
+        fixture_a_prime_lie_pair,
+        fixture_b_lie_pair,
+        sl2,
+        sl2_involution,
+    )
+    from homhopf.hom_lie import lie_twist
+    from homhopf.uea_trees import build_truncated_uea
+
+    # the quarter turn is the one twist here whose inverse differs from it
+    quarter_turn = LinearOperator.from_matrix([[0, -1], [1, 0]], inverse=[[0, 1], [-1, 0]])
+    lie = {
+        "fixture_b": lambda: fixture_b_lie_pair().h,
+        "fixture_a_prime": lambda: fixture_a_prime_lie_pair().h,
+        "sl2": sl2,
+        "sl2_twisted": lambda: lie_twist(sl2(), sl2_involution()),
+        "abelian2_quarter_turn": lambda: abelian_lie(2, quarter_turn),
+    }[name]()
+    return graded_dual(build_truncated_uea(lie, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fixture_b", "fixture_a_prime", "sl2", "sl2_twisted", "abelian2_quarter_turn"],
+)
+def test_truncated_dual_tables_match_pairing(name):
+    from homhopf.errors import TruncationOverflow
+    from oracles import (
+        dual_antipode_by_pairing,
+        dual_comult_basis_by_pairing,
+        dual_precompose_by_pairing,
+        dual_product_by_pairing,
+    )
+
+    d = _dual_case(name)
+    keys = d.basis_keys()
+    overflowing = []
+    for k1 in keys:
+        f = e(k1)
+        for k2 in keys:
+            g = e(k2)
+            dropped = d.product_dropped(f, g)
+            assert dropped == dual_product_by_pairing(d, f, g)
+            try:
+                assert d.product(f, g) == dropped
+            except TruncationOverflow:
+                overflowing.append((k1, k2))
+        for n in (-2, -1, 1, 2):
+            assert d.alpha_pow(n, f) == dual_precompose_by_pairing(d, f, -n, True)
+            assert d.beta_pow(n, f) == dual_precompose_by_pairing(d, f, -n, False)
+        assert d.antipode_map(f) == dual_antipode_by_pairing(d, f)
+        if d.v.graded:
+            assert d.comult_map(f) == dual_comult_basis_by_pairing(d, k1)
+        else:
+            with pytest.raises(TruncationOverflow):
+                d.comult_map(f)
+    # the degree guard refuses exactly the pairs past the truncation
+    assert overflowing == [
+        (k1, k2)
+        for k1 in keys
+        for k2 in keys
+        if d.degree(k1) + d.degree(k2) > d.truncation_degree
+    ]
+    assert overflowing
+
+    # linearity: combinations with several terms, some of them cancelling
+    f = LinComb({k: i + 1 for i, k in enumerate(keys)})
+    g = LinComb({k: (-1) ** i for i, k in enumerate(keys)})
+    assert d.product_dropped(f, g) == dual_product_by_pairing(d, f, g)
+    assert d.product_dropped(f - f, g) == LinComb()
+    assert d.alpha_pow(2, g) == dual_precompose_by_pairing(d, g, -2, True)
+    assert d.antipode_map(f) == dual_antipode_by_pairing(d, f)
+
+
+def test_truncated_dual_tables_are_lazy_and_per_instance():
+    from homhopf.duality import graded_dual
+    from homhopf.fixtures import abelian_lie
+    from homhopf.uea_trees import build_truncated_uea
+
+    d2 = graded_dual(build_truncated_uea(abelian_lie(1), 2, 1))
+    d3 = graded_dual(build_truncated_uea(abelian_lie(1), 3, 1))
+    assert d2._tables == {} and d3._tables == {}
+
+    _, y1, y2, y3 = (e(k) for k in sorted(d3.basis_keys(), key=d3.degree))
+    assert d3.product_dropped(y1, y2) == 3 * y3
+    assert set(d3._tables) == {"product"}
+    table = d3._tables["product"]
+    d3.product_dropped(y2, y1)
+    assert d3._tables["product"] is table
+    assert d2._tables == {}
+
+    # the N = 2 dual drops the degree-3 product instead of reading N = 3's
+    _, z1, z2 = (e(k) for k in sorted(d2.basis_keys(), key=d2.degree))
+    assert d2.product_dropped(z1, z2) == LinComb()
+    for d, x in ((d2, z1), (d3, y1)):
+        d.alpha_map(x)
+        d.beta_inv(x)
+        d.antipode_map(x)
+        d.comult_map(x)
+    assert set(d2._tables) == set(d3._tables)
+    for name, table in d3._tables.items():
+        assert all(table is not other for other in d2._tables.values()), name
