@@ -50,10 +50,12 @@ COMMANDS = (
 
 
 def _scalar(value, where):
+    """An exact rational from an int or a "p/q" string (JSON booleans are
+    not ints)."""
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int):
+        if isinstance(value, str) or (
+            isinstance(value, int) and not isinstance(value, bool)
+        ):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -151,6 +153,27 @@ def _comult_table(entries, dims, where):
     return {i: LinComb(v) for i, v in out.items()}
 
 
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise SchemaError("%s: expected an object" % where)
+    return value
+
+
+def _entries(raw, section):
+    """(name, entry, JSON pointer) for each entry of a top-level section;
+    the section and every entry must be objects."""
+    for name, entry in _object(raw.get(section, {}), "/" + section).items():
+        where = "/%s/%s" % (section, name)
+        yield name, _object(entry, where), where
+
+
+def _dim(entry, where):
+    dim = entry.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise SchemaError("%s/dim: positive integer required" % where)
+    return dim
+
+
 class InputDocument:
     """Validated structures from one JSON input file."""
 
@@ -177,11 +200,8 @@ def parse_input(path):
         raise SchemaError("/field: only the rational field Q is supported")
 
     doc = InputDocument()
-    for name, entry in raw.get("hopf", {}).items():
-        where = "/hopf/%s" % name
-        dim = entry.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise SchemaError("%s/dim: positive integer required" % where)
+    for name, entry, where in _entries(raw, "hopf"):
+        dim = _dim(entry, where)
         mult = _full_mult(_table3(entry.get("mult", []), (dim,) * 3, where + "/mult"), dim)
         unit = _sparse_vector(entry.get("unit", []), dim, where + "/unit")
         comult = _comult_table(entry.get("comult", []), (dim,) * 3, where + "/comult")
@@ -194,13 +214,13 @@ def parse_input(path):
             dim, mult, unit, alpha, comult, counit, beta, antipode
         )
 
-    for name, entry in raw.get("hom_lie", {}).items():
-        where = "/hom_lie/%s" % name
-        dim = entry.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise SchemaError("%s/dim: positive integer required" % where)
+    for name, entry, where in _entries(raw, "hom_lie"):
+        dim = _dim(entry, where)
         bracket = {}
-        for row, item in enumerate(entry.get("bracket", [])):
+        rows = entry.get("bracket", [])
+        if not isinstance(rows, list):
+            raise SchemaError("%s/bracket: expected a list" % where)
+        for row, item in enumerate(rows):
             if not isinstance(item, list) or len(item) != 3:
                 raise SchemaError("%s/bracket: expected [i, j, vector] rows" % where)
             i, j, vec = item
@@ -212,12 +232,11 @@ def parse_input(path):
         doc.hom_lie[name] = HomLieData(dim, bracket, phi)
 
     def _resolve(ref, table, where):
-        if ref not in table:
+        if not isinstance(ref, str) or ref not in table:
             raise SchemaError("%s: dangling reference %r" % (where, ref))
         return table[ref]
 
-    for name, entry in raw.get("matched_pairs", {}).items():
-        where = "/matched_pairs/%s" % name
+    for name, entry, where in _entries(raw, "matched_pairs"):
         u = _resolve(entry.get("u"), doc.hopf, where + "/u")
         v = _resolve(entry.get("v"), doc.hopf, where + "/v")
         left = _table3(entry.get("left", []), (v.dim, u.dim, u.dim), where + "/left")
@@ -228,8 +247,7 @@ def parse_input(path):
                 right.setdefault((i, j), LinComb.zero())
         doc.matched_pairs[name] = MatchedPairHopf(u, v, left, right)
 
-    for name, entry in raw.get("mutual_pairs", {}).items():
-        where = "/mutual_pairs/%s" % name
+    for name, entry, where in _entries(raw, "mutual_pairs"):
         f = _resolve(entry.get("f"), doc.hopf, where + "/f")
         u = _resolve(entry.get("u"), doc.hopf, where + "/u")
         action = _table3(entry.get("action", []), (u.dim, f.dim, f.dim), where + "/action")
@@ -241,8 +259,7 @@ def parse_input(path):
         )
         doc.mutual_pairs[name] = MutualPairHopf(f, u, action, coaction)
 
-    for name, entry in raw.get("lie_matched_pairs", {}).items():
-        where = "/lie_matched_pairs/%s" % name
+    for name, entry, where in _entries(raw, "lie_matched_pairs"):
         g = _resolve(entry.get("g"), doc.hom_lie, where + "/g")
         h = _resolve(entry.get("h"), doc.hom_lie, where + "/h")
         h_on_g = _table3(entry.get("h_on_g", []), (h.dim, g.dim, g.dim), where + "/h_on_g")
@@ -254,10 +271,7 @@ def parse_input(path):
             LieActionData(g, range(h.dim), g_on_h, h.phi),
         )
 
-    pipeline = raw.get("pipeline", {})
-    if pipeline and not isinstance(pipeline, dict):
-        raise SchemaError("/pipeline: expected an object")
-    doc.pipeline = pipeline
+    doc.pipeline = _object(raw.get("pipeline", {}), "/pipeline")
     return doc
 
 
@@ -328,11 +342,17 @@ def _parameter(flag_value, flag, doc, key, default, least):
 
 def _pipeline_args(doc, args):
     target = args.target if args.target is not None else doc.pipeline.get("target")
+    if target is not None and not isinstance(target, str):
+        raise SchemaError("/pipeline/target: expected a string, got %r" % (target,))
     degree = _parameter(args.degree, "--degree", doc, "degree", 2, 1)
     weight = _parameter(args.weight_bound, "--weight-bound", doc, "weight_bound", 3, 0)
-    enforce = not args.no_order_constraint and doc.pipeline.get(
-        "enforce_order_constraint", True
-    )
+    enforce = doc.pipeline.get("enforce_order_constraint", True)
+    if not isinstance(enforce, bool):
+        raise SchemaError(
+            "/pipeline/enforce_order_constraint: expected true or false, got %r"
+            % (enforce,)
+        )
+    enforce = enforce and not args.no_order_constraint
     return target, degree, weight, enforce
 
 

@@ -355,28 +355,38 @@ class RowSpace:
     key on basis indices; integers sort naturally by default, other keys
     by repr).  Rows are normalized to pivot coefficient 1 and fully
     back-substituted, so the stored basis is the unique RREF basis for
-    the span given the order.
+    the span given the order: no row holds another row's pivot.
+
+    `columns` maps each basis key to the pivots whose rows may hold it.
+    It covers every nonzero (key, row) pair and may list a row whose term
+    has since cancelled, so back-substitution visits only the rows that
+    can hold a new pivot.
     """
 
     def __init__(self, order=None):
         self.order = order if order is not None else _default_order
         self.rows = {}
+        self.columns = {}
 
     @property
     def rank(self):
         return len(self.rows)
 
     def reduce(self, v):
-        """Reduce v modulo the span; result has no pivot indices in support."""
-        while True:
-            hit = None
-            for k in v.terms:
-                if k in self.rows:
-                    hit = k
-                    break
-            if hit is None:
-                return v
-            v = v.add_scaled(self.rows[hit], -v.terms[hit])
+        """Reduce v modulo the span; result has no pivot indices in support.
+
+        No row holds another pivot, so the pivots hit and their
+        coefficients can be read off v itself; the hit rows are
+        subtracted in the order of v, into one dict.
+        """
+        rows = self.rows
+        if rows.keys().isdisjoint(v.terms):
+            return v
+        out = dict(v.terms)
+        for k, c in v.terms.items():
+            if k in rows:
+                _accumulate(out, rows[k], -c)
+        return LinComb._wrap(out)
 
     def contains(self, v):
         return not self.reduce(v)
@@ -388,12 +398,17 @@ class RowSpace:
             return False
         piv = min(v.terms, key=self.order)
         v = (ONE / v.terms[piv]) * v
-        # keep existing rows fully reduced against the new pivot
-        for p, row in list(self.rows.items()):
-            c = row.get(piv)
-            if c:
-                self.rows[p] = row.add_scaled(v, -c)
-        self.rows[piv] = v
+        rows, columns = self.rows, self.columns
+        # keep the rows that hold the new pivot fully reduced against it
+        holders = [p for p in columns.pop(piv, ()) if rows[p].get(piv)]
+        for p in holders:
+            rows[p] = rows[p].add_scaled(v, -rows[p].terms[piv])
+        rows[piv] = v
+        holders.append(piv)
+        for k in v.terms:
+            if k != piv:
+                columns.setdefault(k, set()).update(holders)
+        columns[piv] = {piv}
         return True
 
     def pivots(self):

@@ -58,6 +58,15 @@ def leaf_count(shape):
     return leaf_count(shape[0]) + leaf_count(shape[1])
 
 
+def split(key):
+    """The left and right subtree keys of a join key."""
+    nl = leaf_count(key[0][0])
+    return (
+        (key[0][0],) + tuple(part[:nl] for part in key[1:]),
+        (key[0][1],) + tuple(part[nl:] for part in key[1:]),
+    )
+
+
 def shape_code(shape):
     """Preorder serialization: stable total order on shapes."""
     if shape == LEAF:
@@ -182,20 +191,15 @@ class TreeOps:
     def graft(self, x, y):
         return bilinear(self.graft_keys, x, y)
 
-    # -- coproduct over leaf subsets
+    # -- coproduct: a leaf is primitive, and a join is the graft of the
+    # coproducts of its subtrees, leg by leg,
+    #   Delta(t v t') = sum graft(a, c) x graft(b, d)
+    # over a x b in Delta(t) and c x d in Delta(t').  Unrolled, this is
+    # the sum over leaf subsets S of (t with the leaves outside S replaced
+    # by the unit) x (t with the leaves in S replaced by the unit).
 
-    def _restrict(self, shape, key, keep, offset):
-        """Replace the leaves outside `keep` by the unit and collapse."""
-        if shape == LEAF:
-            if offset in keep:
-                if self.phi is None:
-                    return LinComb.basis((LEAF, (key[1][offset],)))
-                return LinComb.basis((LEAF, (key[1][offset],), (key[2][offset],)))
-            return LinComb.basis(UNIT)
-        nl = leaf_count(shape[0])
-        left = self._restrict(shape[0], key, keep, offset)
-        right = self._restrict(shape[1], key, keep, offset + nl)
-        return self.graft(left, right)
+    def _graft_legs(self, p, q):
+        return self.graft_keys(p[0], q[0]) @ self.graft_keys(p[1], q[1])
 
     def coproduct_key(self, key):
         if key == UNIT:
@@ -203,13 +207,13 @@ class TreeOps:
         cached = self._coproduct_cache.get(key)
         if cached is not None:
             return cached
-        n = tree_degree(key)
-        out = LinComb()
-        for bits in iproduct((0, 1), repeat=n):
-            keep = {i for i in range(n) if bits[i]}
-            rest = self._restrict(key[0], key, keep, 0)
-            other = self._restrict(key[0], key, set(range(n)) - keep, 0)
-            out = out + (rest @ other)
+        if key[0] == LEAF:
+            out = LinComb({(UNIT, key): 1, (key, UNIT): 1})
+        else:
+            kl, kr = split(key)
+            out = bilinear(
+                self._graft_legs, self.coproduct_key(kl), self.coproduct_key(kr)
+            )
         self._coproduct_cache[key] = out
         return out
 
@@ -230,17 +234,10 @@ class TreeOps:
         cached = self._antipode_cache.get(key)
         if cached is not None:
             return cached
-        shape = key[0]
-        if shape == LEAF:
+        if key[0] == LEAF:
             out = -1 * LinComb.basis(key)
         else:
-            nl = leaf_count(shape[0])
-            if self.phi is None:
-                kl = (shape[0], key[1][:nl])
-                kr = (shape[1], key[1][nl:])
-            else:
-                kl = (shape[0], key[1][:nl], key[2][:nl])
-                kr = (shape[1], key[1][nl:], key[2][nl:])
+            kl, kr = split(key)
             out = self.graft(self.antipode_key(kr), self.antipode_key(kl))
         self._antipode_cache[key] = out
         return out
@@ -510,7 +507,9 @@ class TruncatedUEA:
         val = self._comult_cache.get(k)
         if val is None:
             val = pair_apply(self.project, self.project, self.ops.coproduct_key(k))
-            self._comult_cache[k] = val
+            # a pivot occurs in one ideal row only: caching it buys nothing
+            if k not in self.rowspace.rows:
+                self._comult_cache[k] = val
         return val
 
     def counit_map(self, x):
@@ -552,10 +551,7 @@ class TruncatedUEA:
         rep.run(
             "ideal-coproduct",
             [(i,) for i in range(len(rows))],
-            lambda i: (
-                pair_apply(self.project, self.project, self.ops.coproduct(rows[i])),
-                LinComb.zero(),
-            ),
+            lambda i: (self.comult_map(rows[i]), LinComb.zero()),
         )
         return rep
 
@@ -631,9 +627,7 @@ class UEAActionContext:
             s, xi = key[1][0], key[2][0]
             out = self.pair.right(eta, self.g.phi_pow(s, LinComb.basis(xi)))
         else:
-            nl = leaf_count(key[0][0])
-            kl = (key[0][0], key[1][:nl], key[2][:nl])
-            kr = (key[0][1], key[1][nl:], key[2][nl:])
+            kl, kr = split(key)
             inner = self.eta_right(self.h.phi_pow(-1, eta), LinComb.basis(kl))
             out = self.eta_right(inner, self.gops.a_shift_key(kr))
         self._right[(i, key)] = out
@@ -658,9 +652,7 @@ class UEAActionContext:
             )
             out = leaves(acted, s)
         else:
-            nl = leaf_count(key[0][0])
-            kl = (key[0][0], key[1][:nl], key[2][:nl])
-            kr = (key[0][1], key[1][nl:], key[2][nl:])
+            kl, kr = split(key)
             head = self.gops.graft(
                 self.eta_left(self.h.phi_pow(-1, eta), LinComb.basis(kl)),
                 self.gops.a_shift_key(kr),
@@ -695,9 +687,7 @@ class UEAActionContext:
                 self.h.phi_pow(s, LinComb.basis(eta)), LinComb.basis(ukey)
             )
         else:
-            nl = leaf_count(vkey[0][0])
-            vl = (vkey[0][0], vkey[1][:nl], vkey[2][:nl])
-            vr = (vkey[0][1], vkey[1][nl:], vkey[2][nl:])
+            vl, vr = split(vkey)
             inner = self.omega_left(
                 LinComb.basis(vr), self.gops.a_shift_key(ukey, -1)
             )
@@ -725,9 +715,7 @@ class UEAActionContext:
             )
             out = leaves(acted)
         else:
-            nl = leaf_count(vkey[0][0])
-            vl = (vkey[0][0], vkey[1][:nl], vkey[2][:nl])
-            vr = (vkey[0][1], vkey[1][nl:], vkey[2][nl:])
+            vl, vr = split(vkey)
 
             def term(o, t):
                 inner = self.omega_left(

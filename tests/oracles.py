@@ -7,12 +7,17 @@ tests freeze.  The `*_by_pairing` functions are the direct definitions of
 the degreewise dual's structure maps: each pairs a functional against the
 primal image of every basis key, on every call.  `TruncatedDual` compiles
 the same maps into tables, and the tests require equal results.
+`FullScanRowSpace` and `coproduct_by_leaf_subsets` are the row reduction
+without a column index and the tree coproduct as a sum over leaf subsets,
+which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from homhopf.foundation import LinComb
+from homhopf.uea_trees import LEAF, UNIT, leaf_count
 
 
 def sym_algebra_dims(generators, n_max):
@@ -147,4 +152,73 @@ def dual_comult_basis_by_pairing(d, k):
             c = prod.get(k)
             if c:
                 out = out + LinComb({(i, j): c})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# row reduction by full scans
+
+
+class FullScanRowSpace:
+    """The reduced echelon space without a column index: `reduce` subtracts
+    one hit row at a time, rescanning the vector after each, and `add`
+    back-substitutes by probing every stored row for the new pivot."""
+
+    def __init__(self, order):
+        self.order = order
+        self.rows = {}
+
+    def reduce(self, v):
+        while True:
+            hit = None
+            for k in v.terms:
+                if k in self.rows:
+                    hit = k
+                    break
+            if hit is None:
+                return v
+            v = v.add_scaled(self.rows[hit], -v.terms[hit])
+
+    def add(self, v):
+        v = self.reduce(v)
+        if not v:
+            return False
+        piv = min(v.terms, key=self.order)
+        v = (Fraction(1) / v.terms[piv]) * v
+        for p, row in list(self.rows.items()):
+            c = row.get(piv)
+            if c:
+                self.rows[p] = row.add_scaled(v, -c)
+        self.rows[piv] = v
+        return True
+
+
+# ---------------------------------------------------------------------------
+# the tree coproduct as a sum over leaf subsets
+
+
+def _restrict(ops, shape, key, keep, offset):
+    """Replace the leaves of key outside `keep` by the unit and collapse
+    by grafting."""
+    if shape == LEAF:
+        if offset in keep:
+            return LinComb.basis((LEAF,) + tuple((part[offset],) for part in key[1:]))
+        return LinComb.basis(UNIT)
+    nl = leaf_count(shape[0])
+    left = _restrict(ops, shape[0], key, keep, offset)
+    right = _restrict(ops, shape[1], key, keep, offset + nl)
+    return ops.graft(left, right)
+
+
+def coproduct_by_leaf_subsets(ops, key):
+    """Delta(t) = sum over leaf subsets S of t|S x t|(complement of S)."""
+    if key == UNIT:
+        return LinComb.basis((UNIT, UNIT))
+    n = len(key[1])
+    out = LinComb()
+    for bits in itertools.product((0, 1), repeat=n):
+        keep = {i for i in range(n) if bits[i]}
+        rest = _restrict(ops, key[0], key, keep, 0)
+        other = _restrict(ops, key[0], key, set(range(n)) - keep, 0)
+        out = out + (rest @ other)
     return out

@@ -182,6 +182,12 @@ def test_order_constraint_flag(tmp_path, capsys):
     assert "OrderConstraintViolated" in out
     # the override proceeds (and the trivial actions still pass)
     assert main(["hom-lie-hopf", "--input", path, "--no-order-constraint"]) == 0
+    # the file's switch is a JSON boolean, not a truthy string
+    capsys.readouterr()
+    pair_doc["pipeline"]["enforce_order_constraint"] = "false"
+    path = write(tmp_path, pair_doc)
+    argv = ["hom-lie-hopf", "--input", path]
+    assert_input_error(capsys, argv, "/pipeline/enforce_order_constraint")
 
 
 def a2_doc():
@@ -238,6 +244,9 @@ def test_out_of_range_bracket_index_exits_two(tmp_path, capsys):
     doc["hom_lie"]["a2"]["bracket"] = [[0, 9, ["1", "0"]]]
     path = write(tmp_path, doc)
     assert_input_error(capsys, ["build-uea", "--input", path], "/hom_lie/a2/bracket/0")
+    doc["hom_lie"]["a2"]["bracket"] = 5
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["build-uea", "--input", path], "/hom_lie/a2/bracket")
 
 
 def test_out_of_range_comult_leg_exits_two(tmp_path, capsys):
@@ -319,3 +328,61 @@ def test_out_of_range_sparse_vector_index_exits_two(tmp_path, capsys):
     doc["hopf"]["kz4"]["counit"] = 5
     path = write(tmp_path, doc)
     assert_input_error(capsys, ["verify-hopf", "--input", path], "/hopf/kz4/counit")
+
+
+SECTIONS = {
+    "hopf": ("kz4_verify", "verify-hopf"),
+    "hom_lie": ("abelian2_build_uea", "build-uea"),
+    "matched_pairs": ("kz4_trivial_doublecross", "matched-pair-check"),
+    "mutual_pairs": ("kz4_verify", "bicross"),
+    "lie_matched_pairs": ("fixture_b_hom_lie_hopf", "matched-pair-check"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_section_that_is_not_an_object_exits_two(tmp_path, capsys, section):
+    sample, command = SECTIONS[section]
+    doc = sample_doc(sample)
+    doc[section] = []
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, [command, "--input", path], "/" + section)
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_entry_that_is_not_an_object_exits_two(tmp_path, capsys, section):
+    sample, command = SECTIONS[section]
+    doc = sample_doc(sample)
+    doc.setdefault(section, {})["x"] = 3
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, [command, "--input", path], "/%s/x" % section)
+
+
+def test_boolean_dim_exits_two(tmp_path, capsys):
+    doc = sample_doc("abelian2_build_uea")
+    doc["hom_lie"]["abelian2"]["dim"] = True
+    path = write(tmp_path, doc)
+    argv = ["build-uea", "--input", path]
+    assert_input_error(capsys, argv, "/hom_lie/abelian2/dim")
+    doc = sample_doc("kz4_verify")
+    doc["hopf"]["kz4_twisted"]["dim"] = True
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["verify-hopf", "--input", path], "/hopf/kz4_twisted/dim")
+
+
+def test_boolean_scalar_exits_two(tmp_path, capsys):
+    doc = sample_doc("kz4_verify")
+    doc["hopf"]["kz4_twisted"]["unit"] = [True, 0, 0, 0]
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["verify-hopf", "--input", path], "/hopf/kz4_twisted/unit")
+
+
+def test_target_that_is_not_a_string_exits_two(tmp_path, capsys):
+    doc = sample_doc("kz4_verify")
+    doc["pipeline"]["target"] = ["x"]
+    path = write(tmp_path, doc)
+    assert_input_error(capsys, ["verify-hopf", "--input", path], "/pipeline/target")
+    doc = sample_doc("kz4_trivial_doublecross")
+    doc["matched_pairs"]["trivial"]["u"] = ["x"]
+    path = write(tmp_path, doc)
+    argv = ["matched-pair-check", "--input", path]
+    assert_input_error(capsys, argv, "/matched_pairs/trivial/u")

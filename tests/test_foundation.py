@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homhopf.errors import NotInvertible, UnknownBasisIndex
@@ -18,6 +18,8 @@ from homhopf.foundation import (
     subspace_basis,
     tensor,
 )
+
+from oracles import FullScanRowSpace
 
 e = LinComb.basis
 
@@ -269,3 +271,59 @@ def test_single_term_result_is_a_fresh_combination():
     assert got == cached and got.terms is not cached.terms
     got.terms[0] = Fraction(7)
     assert cached == LinComb({0: 1, 1: -1})
+
+
+# ---------------------------------------------------------------------------
+# the indexed row space against the full-scan loops it replaces
+
+vectors = st.dictionaries(
+    st.integers(0, 5), st.one_of(cancelling, coeffs), max_size=5
+).map(LinComb)
+
+# a step is a fresh vector, a copy of an earlier one, or an earlier one
+# plus a multiple of another, so that many steps reduce to zero or cancel
+steps = st.lists(
+    st.one_of(
+        vectors,
+        st.tuples(st.integers(0, 30)),
+        st.tuples(st.integers(0, 30), st.integers(0, 30), cancelling),
+    ),
+    max_size=14,
+)
+
+
+def drawn_vectors(steps):
+    out = []
+    for step in steps:
+        if isinstance(step, LinComb):
+            out.append(step)
+        elif out and len(step) == 1:
+            out.append(out[step[0] % len(out)])
+        elif out:
+            a, b = out[step[0] % len(out)], out[step[1] % len(out)]
+            out.append(a.add_scaled(b, step[2]))
+    return out
+
+
+def same_terms(x, y):
+    """Equal combinations with their terms in the same order."""
+    return list(x.items()) == list(y.items())
+
+
+# the hit rows bring in different keys, so the order of subtraction shows
+# in the term order of the result
+@example([LinComb({0: 1, 2: 1}), LinComb({1: 1, 3: 1})], None, [LinComb({1: 1, 0: 1})])
+@given(steps, st.sampled_from([None, lambda k: -k]), st.lists(vectors, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_rowspace_matches_full_scan(steps, order, probes):
+    fast = RowSpace(order=order)
+    ref = FullScanRowSpace(fast.order)
+    drawn = drawn_vectors(steps)
+    for v in drawn:
+        assert fast.add(v) == ref.add(v)
+        assert list(fast.rows) == list(ref.rows)
+        assert all(same_terms(fast.rows[p], row) for p, row in ref.rows.items())
+        for p, row in fast.rows.items():
+            assert all(p in fast.columns[k] for k in row)
+    for v in probes + drawn:
+        assert same_terms(fast.reduce(v), ref.reduce(v))

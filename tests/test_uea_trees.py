@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 
 from homhopf.errors import NotHomLie, TruncationOverflow
-from homhopf.fixtures import abelian_lie, fixture_a_prime_lie_pair, fixture_b_lie_pair, sl2
+from homhopf.fixtures import (
+    abelian_lie,
+    fixture_a_prime_lie_pair,
+    fixture_b_lie_pair,
+    sl2,
+    sl2_involution,
+)
 from homhopf.foundation import LinComb, LinearOperator
 from homhopf.hom_core import check_hom_hopf, check_hom_module
-from homhopf.hom_lie import HomLieData
+from homhopf.hom_lie import HomLieData, lie_twist
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -25,6 +31,8 @@ from homhopf.uea_trees import (
     tree_counit_antipode,
     UEAActionContext,
 )
+
+from oracles import coproduct_by_leaf_subsets
 
 e = LinComb.basis
 
@@ -126,6 +134,40 @@ def test_coassociativity_on_all_trees_up_to_degree_four():
             checked += 1
     # 4 + 16 + 128 + 1280 decorated trees with weights <= 1 over a 2-dim algebra
     assert checked == 1428
+
+
+def quarter_turn():
+    return LinearOperator.from_matrix([[0, -1], [1, 0]], inverse=[[0, 1], [-1, 0]])
+
+
+# (Lie algebra or None for undecorated trees, weight bound); the quarter
+# turn is not an involution, so a wrong twist power shows
+COPRODUCT_CASES = {
+    "undecorated_w1": (lambda: None, 1),
+    "sl2_w0": (sl2, 0),
+    "sl2_twisted_w0": (lambda: lie_twist(sl2(), sl2_involution()), 0),
+    "abelian2_quarter_turn_w1": (lambda: abelian_lie(2, quarter_turn()), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPRODUCT_CASES))
+def test_recursive_coproduct_matches_leaf_subsets(name):
+    make, weight_bound = COPRODUCT_CASES[name]
+    g = make()
+    phi, dim = (None, None) if g is None else (g.phi, g.dim)
+    ops, ref = TreeOps(phi), TreeOps(phi)
+    for n in range(1, 5):
+        for key in ops.basis_keys(n, weight_bound, dim):
+            assert ops.coproduct_key(key) == coproduct_by_leaf_subsets(ref, key), key
+    assert ops.coproduct_key(UNIT) == coproduct_by_leaf_subsets(ref, UNIT)
+
+
+def test_comult_cache_holds_normal_forms_only():
+    u = build_truncated_uea(lie_twist(sl2(), sl2_involution()), 3, 1)
+    assert u.well_definedness_report().passed
+    assert check_hom_hopf(u).passed
+    assert u._comult_cache
+    assert set(u._comult_cache) <= set(u.basis_keys())
 
 
 def test_ideal_I_span_degrees():
