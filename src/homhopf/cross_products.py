@@ -391,7 +391,12 @@ class _TensorHopf:
     """What the double cross product and the bicrossproduct share: the pair
     basis of A x B, the unit, the counit, twists applied leg by leg, and
     materialization as tables.  Each subclass names the factor maps that
-    make up its twists in `_twists`: name -> (map on A, map on B)."""
+    make up its twists in `_twists`: name -> (map on A, map on B), and
+    computes one product of basis keys in `product_keys`.
+
+    The product and the twists are compiled lazily, one key pair or key at
+    a time, once per instance; every later call reads the stored value.
+    """
 
     def __init__(self, a, b):
         self._factors = (a, b)
@@ -399,6 +404,34 @@ class _TensorHopf:
             b, "is_truncated", False
         )
         self.keys = [(ka, kb) for ka in a.basis_keys() for kb in b.basis_keys()]
+        # (k1, k2) -> product, (twist name, k) -> twist image; a basis key is
+        # a pair of factor keys, so the two kinds of entry never collide
+        self._memo = {}
+
+    def _cached(self, key, build, *args):
+        """build(*args), stored under key on first use.  An overflow is
+        stored as its message and raised afresh on every lookup: the
+        exception object would pin the frames of the failed evaluation."""
+        val = self._memo.get(key)
+        if val is None:
+            try:
+                val = build(*args)
+            except TruncationOverflow as exc:
+                val = str(exc)
+            self._memo[key] = val
+        if type(val) is str:
+            raise TruncationOverflow(val)
+        return val
+
+    def _product_key(self, k1, k2):
+        return self._cached((k1, k2), self.product_keys, k1, k2)
+
+    def _twist_image(self, name, k):
+        f, g = self._twists[name]
+        return f(e(k[0])) @ g(e(k[1]))
+
+    def _twist(self, name, x):
+        return extend(lambda k: self._cached((name, k), self._twist_image, name, k), x)
 
     def basis_keys(self):
         return list(self.keys)
@@ -412,16 +445,16 @@ class _TensorHopf:
         return a.unit_elem() @ b.unit_elem()
 
     def alpha_map(self, x):
-        return pair_apply(*self._twists["alpha"], x)
+        return self._twist("alpha", x)
 
     def alpha_inv(self, x):
-        return pair_apply(*self._twists["alpha_inv"], x)
+        return self._twist("alpha_inv", x)
 
     def beta_map(self, x):
-        return pair_apply(*self._twists["beta"], x)
+        return self._twist("beta", x)
 
     def beta_inv(self, x):
-        return pair_apply(*self._twists["beta_inv"], x)
+        return self._twist("beta_inv", x)
 
     def alpha_pow(self, n, x):
         for _ in range(abs(n)):
@@ -447,7 +480,7 @@ class _TensorHopf:
         def op(fn):
             return LinearOperator({k: fn(e(k)) for k in keys}, check=False)
 
-        mult = {(k1, k2): self.product_keys(k1, k2) for k1 in keys for k2 in keys}
+        mult = {(k1, k2): self._product_key(k1, k2) for k1 in keys for k2 in keys}
         comult = {k: self.comult_map(e(k)) for k in keys}
         counit = {k: self.counit_map(e(k)) for k in keys}
         return HomHopfData(
@@ -492,7 +525,7 @@ class DoubleCrossProduct(_TensorHopf):
         return bilinear(term, V.comult_map(e(k1[1])), U.comult_map(e(k2[0])))
 
     def product(self, x, y):
-        return bilinear(self.product_keys, x, y)
+        return bilinear(self._product_key, x, y)
 
     def comult_map(self, x):
         U, V = self.u, self.v
@@ -930,7 +963,7 @@ class Bicrossproduct(_TensorHopf):
         return extend(term, U.comult_map(e(k1[1])))
 
     def product(self, x, y):
-        return bilinear(self.product_keys, x, y)
+        return bilinear(self._product_key, x, y)
 
     def _fproduct(self, a, b, truncated):
         if truncated and hasattr(self.f, "product_dropped"):

@@ -44,7 +44,9 @@ class LinComb:
         self.terms = clean
 
     @classmethod
-    def basis(cls, key, coeff=1):
+    def basis(cls, key, coeff=ONE):
+        if coeff is ONE:
+            return cls._wrap({key: ONE})
         return cls({key: coeff})
 
     @classmethod

@@ -29,7 +29,6 @@ from .foundation import (
     RowSpace,
     bilinear,
     extend,
-    pair_apply,
 )
 from .hom_core import ActionData, CheckReport
 from .hom_lie import check_hom_lie
@@ -506,7 +505,17 @@ class TruncatedUEA:
     def _comult_key(self, k):
         val = self._comult_cache.get(k)
         if val is None:
-            val = pair_apply(self.project, self.project, self.ops.coproduct_key(k))
+            # each distinct leg key is projected once per call; the memo is
+            # local because one kept on the instance slowed other callers
+            legs = {}
+
+            def leg(t):
+                v = legs.get(t)
+                if v is None:
+                    v = legs[t] = self.project(LinComb.basis(t))
+                return v
+
+            val = extend(lambda t: leg(t[0]) @ leg(t[1]), self.ops.coproduct_key(k))
             # a pivot occurs in one ideal row only: caching it buys nothing
             if k not in self.rowspace.rows:
                 self._comult_cache[k] = val

@@ -1,8 +1,8 @@
 import pytest
 
-from homhopf.errors import NotMatchedPair, NotMutualPair
-from homhopf.fixtures import fixture_b_lie_pair, kz4_twisted_hopf
-from homhopf.foundation import LinComb
+from homhopf.errors import NotMatchedPair, NotMutualPair, TruncationOverflow
+from homhopf.fixtures import fixture_a_prime_lie_pair, fixture_b_lie_pair, kz4_twisted_hopf
+from homhopf.foundation import LinComb, pair_apply
 from homhopf.hom_core import (
     ActionData,
     CoactionData,
@@ -10,6 +10,8 @@ from homhopf.hom_core import (
     check_hom_module,
 )
 from homhopf.cross_products import (
+    Bicrossproduct,
+    DoubleCrossProduct,
     MatchedPairHopf,
     MutualPairHopf,
     build_bicrossproduct,
@@ -21,6 +23,7 @@ from homhopf.cross_products import (
     check_module_coalgebra,
     check_mutual_pair,
 )
+from homhopf.semidual import SemidualConfig, lifted_matched_pair, semidualize
 from homhopf.uea_trees import UNIT, lift_to_Uh_action
 
 e = LinComb.basis
@@ -281,3 +284,74 @@ def test_bicross_product_of_fiber_elements():
                 F.alpha_inv(F.beta_map(e(kf))), F.alpha_inv(F.beta_map(e(kf2)))
             ) @ one_u
             assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the tabulated product and twists of the tensor-product Hopf objects
+# against the uncached maps they replace
+
+TWIST_METHODS = {
+    "alpha": "alpha_map",
+    "alpha_inv": "alpha_inv",
+    "beta": "beta_map",
+    "beta_inv": "beta_inv",
+}
+
+
+def lie_bicross(pair, n, w):
+    return Bicrossproduct(semidualize(lifted_matched_pair(pair, n, w), SemidualConfig(n, w)))
+
+
+# fixture A' is the one case whose alpha and beta twists differ, so a table
+# that mixes up twist names shows there
+TENSOR_CASES = {
+    "fixture_b_bicross_n3_w1": lambda: lie_bicross(fixture_b_lie_pair(), 3, 1),
+    "fixture_a_prime_bicross_n3_w1": lambda: lie_bicross(fixture_a_prime_lie_pair(), 3, 1),
+    "kz4_doublecross": lambda: DoubleCrossProduct(trivial_hopf_matched_pair()),
+    "z4_trivial_bicross": lambda: Bicrossproduct(trivial_mutual_pair()),
+}
+
+
+def terms(x):
+    """Terms in order, so that equality includes term order."""
+    return list(x.items())
+
+
+def memo_terms(t):
+    return {k: v if isinstance(v, str) else terms(v) for k, v in t._memo.items()}
+
+
+@pytest.mark.parametrize("case", sorted(TENSOR_CASES))
+def test_tabulated_tensor_maps_match_uncached(case):
+    t = TENSOR_CASES[case]()
+    keys = t.basis_keys()
+    overflows = 0
+    # the second pass reads every entry, overflows included, from the table
+    for _ in range(2):
+        for k1 in keys:
+            for k2 in keys:
+                try:
+                    want = t.product_keys(k1, k2)
+                except TruncationOverflow:
+                    overflows += 1
+                    with pytest.raises(TruncationOverflow):
+                        t.product(e(k1), e(k2))
+                    continue
+                assert terms(t.product(e(k1), e(k2))) == terms(want), (k1, k2)
+    assert overflows or not t.is_truncated
+    for name, (f, g) in t._twists.items():
+        method = getattr(t, TWIST_METHODS[name])
+        for k in keys:
+            for _ in range(2):
+                assert terms(method(e(k))) == terms(pair_apply(f, g, e(k))), (name, k)
+    assert not any(isinstance(v, BaseException) for v in t._memo.values())
+
+    # the tables hand out shared instances: a full suite must leave them as is
+    first = check_hom_hopf(t)
+    before = memo_terms(t)
+    second = check_hom_hopf(t)
+    assert memo_terms(t) == before
+    assert [(q.eq_id, q.checked, q.skipped) for q in first.equations] == [
+        (q.eq_id, q.checked, q.skipped) for q in second.equations
+    ]
+    assert first.passed and second.passed

@@ -37,6 +37,18 @@ def test_lincomb_arith_examples():
     assert not lincomb_arith(e(0), e(0), -1)
 
 
+def test_basis_coefficients():
+    # the default coefficient skips coercion and stores the Fraction 1
+    v = LinComb.basis("x")
+    assert v.terms == {"x": 1} and type(v.terms["x"]) is Fraction
+    # an explicit coefficient is coerced as before
+    assert not LinComb.basis("x", 0)
+    t = LinComb.basis("x", True)
+    assert t.terms == {"x": 1} and type(t.terms["x"]) is Fraction
+    with pytest.raises(TypeError):
+        LinComb.basis("x", 1.0)
+
+
 def test_tensor_examples():
     assert tensor(e(0) + e(1), e(2)) == LinComb({(0, 2): 1, (1, 2): 1})
     assert tensor(LinComb.zero(), e(0)) == LinComb.zero()
