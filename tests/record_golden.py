@@ -27,8 +27,16 @@ from homhopf.fixtures import (  # noqa: E402
     sl2,
 )
 from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
-from homhopf.semidual import SemidualConfig, semidualize  # noqa: E402
-from homhopf.cross_products import Bicrossproduct, MatchedPairHopf  # noqa: E402
+from homhopf.semidual import (  # noqa: E402
+    SemidualConfig,
+    lifted_matched_pair,
+    semidualize,
+)
+from homhopf.cross_products import (  # noqa: E402
+    Bicrossproduct,
+    MatchedPairHopf,
+    check_matched_pair_hopf,
+)
 from homhopf.uea_trees import (  # noqa: E402
     build_truncated_uea,
     ideal_I_span,
@@ -170,6 +178,44 @@ def bicross_hopf():
     return hopf_tables(Bicrossproduct(trivial_mutual_pair()).to_hopf_data())
 
 
+def check_outcome(rep):
+    """Every equation of a report in order: counts and each violation's
+    witness, lhs and rhs."""
+    return [
+        {
+            "id": eq.eq_id,
+            "checked": eq.checked,
+            "skipped": eq.skipped,
+            "violations": [[repr(v.witness), lc(v.lhs), lc(v.rhs)] for v in eq.violations],
+        }
+        for eq in rep.equations
+    ]
+
+
+def _perturbed(table, key, delta):
+    out = dict(table)
+    out[key] = out[key] + delta
+    return out
+
+
+def failing_matched_pairs():
+    """check_matched_pair_hopf on two broken pairs: the kz4 sample pair with
+    one constant of each action changed, and the lifted fixture-B pair
+    (N=2, W=1) with one entry of the right action changed."""
+    mp = _sample_matched_pair()
+    kz4 = MatchedPairHopf(
+        mp.u, mp.v, _perturbed(mp.left, (1, 1), e(0)), _perturbed(mp.right, (2, 1), e(3))
+    )
+    mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
+    y = [k for k in mp.u.basis_keys() if mp.u.degree(k) == 1][0]
+    x = [k for k in mp.v.basis_keys() if mp.v.degree(k) == 1][0]
+    lifted = MatchedPairHopf(mp.u, mp.v, mp.left, _perturbed(mp.right, (x, y), e(x)))
+    return {
+        "kz4_left_right": check_outcome(check_matched_pair_hopf(kz4)),
+        "fixture_b_n2_w1_right": check_outcome(check_matched_pair_hopf(lifted)),
+    }
+
+
 def _neg1():
     return abelian_lie(1, LinearOperator.from_matrix([[-1]], inverse=[[-1]]))
 
@@ -187,6 +233,7 @@ TABLE_CASES = {
     "semidual_fixture_b_n3_w1": semidual_graded,
     "doublecross_kz4_hopf_data": doublecross_hopf,
     "bicross_trivial_mutual_hopf_data": bicross_hopf,
+    "matched_pair_violations": failing_matched_pairs,
 }
 
 
