@@ -155,9 +155,7 @@ def semidual_finite():
 
 
 def semidual_graded():
-    left, right = lift_to_Uh_action(fixture_b_lie_pair(), 3, 1)
-    right_vu = {(v, u): val for (u, v), val in right.act.items()}
-    mp = MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
+    mp = lifted_matched_pair(fixture_b_lie_pair(), 3, 1)
     m = semidualize(mp, SemidualConfig(3, 1))
     return {
         "action": table(m.action),

@@ -27,12 +27,13 @@ from homhopf.cross_products import (
     check_matched_pair_hopf,
     check_mutual_pair,
 )
-from homhopf.semidual import SemidualConfig, build_hom_lie_hopf, semidualize
-from homhopf.uea_trees import (
-    TreeOps,
-    build_truncated_uea,
-    lift_to_Uh_action,
+from homhopf.semidual import (
+    SemidualConfig,
+    build_hom_lie_hopf,
+    lifted_matched_pair,
+    semidualize,
 )
+from homhopf.uea_trees import TreeOps, build_truncated_uea
 
 from oracles import ClassicalBicrossOracle, sym_algebra_dims
 
@@ -53,13 +54,6 @@ def _trivial_hopf_matched_pair():
             left[(i, j)] = v.counit_map(e(i)) * u.alpha_map(e(j))
             right[(i, j)] = u.counit_map(e(j)) * v.alpha_map(e(i))
     return MatchedPairHopf(u, v, left, right)
-
-
-def _uea_matched_pair(n, w):
-    pair = fixture_b_lie_pair()
-    left, right = lift_to_Uh_action(pair, n, w)
-    right_vu = {(v, u): val for (u, v), val in right.act.items()}
-    return MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
 
 
 def test_criterion_1_hom_hopf_axiom_suite():
@@ -150,7 +144,7 @@ def test_criterion_4_tree_hopf_structure():
 
 def test_criterion_5_matched_pair_lift():
     t0 = time.monotonic()
-    mp = _uea_matched_pair(3, 3)
+    mp = lifted_matched_pair(fixture_b_lie_pair(), 3, 3)
     rep = check_matched_pair_hopf(mp)
     assert rep.passed, rep.summary_lines()
     for eq_id in (
@@ -178,7 +172,7 @@ def test_criterion_5_matched_pair_lift():
 
 def test_criterion_6_double_cross_product():
     t0 = time.monotonic()
-    mp = _uea_matched_pair(3, 3)
+    mp = lifted_matched_pair(fixture_b_lie_pair(), 3, 3)
     dcp = build_double_cross_product(mp)
     rep = check_hom_hopf(dcp)
     assert rep.passed, rep.summary_lines()

@@ -8,7 +8,8 @@ from homhopf.errors import InverseMismatch
 from homhopf.fixtures import kz4_twisted_hopf, abelian_lie, fixture_b_lie_pair
 from homhopf.foundation import LinComb
 
-from jsonize import hopf_to_json, lie_to_json, lie_pair_to_json
+from jsonize import hopf_to_json, lie_to_json, lie_pair_to_json, mutual_pair_to_json
+from test_cross_products import trivial_mutual_pair
 
 e = LinComb.basis
 
@@ -159,6 +160,49 @@ def test_lie_pipeline_commands(tmp_path, capsys):
     assert report["passed"] is True
     # degree overridden from the command line
     assert main(["hom-lie-hopf", "--input", path, "--degree", "3"]) == 0
+
+
+def trivial_mutual_doc():
+    m = trivial_mutual_pair()
+    return {
+        "field": "Q",
+        "hopf": {"f": hopf_to_json(m.f), "u": hopf_to_json(m.u)},
+        "mutual_pairs": {"m": mutual_pair_to_json(m, "f", "u")},
+        "pipeline": {"target": "m"},
+    }
+
+
+def test_bicross_on_a_mutual_pair(tmp_path, capsys):
+    path = write(tmp_path, trivial_mutual_doc())
+    assert main(["bicross", "--input", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [b["id"] for b in report["checks"]] == ["mutual-pair", "bicross-suite"]
+    assert report["passed"] is True
+
+
+def test_bicross_on_a_perturbed_coaction_exits_one(tmp_path, capsys):
+    doc = trivial_mutual_doc()
+    row = doc["mutual_pairs"]["m"]["coaction"][1]
+    row[3] = str(2 * int(row[3]))
+    path = write(tmp_path, doc)
+    assert main(["bicross", "--input", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [b["id"] for b in report["checks"]] == ["mutual-pair"]
+    assert report["violations_total"] > 0
+
+
+def test_semidualize_on_a_lie_matched_pair(tmp_path, capsys):
+    pair = fixture_b_lie_pair()
+    doc = {
+        "field": "Q",
+        "hom_lie": {"g": lie_to_json(pair.g), "h": lie_to_json(pair.h)},
+        "lie_matched_pairs": {"b": lie_pair_to_json(pair, "g", "h")},
+        "pipeline": {"target": "b", "degree": 2, "weight_bound": 1},
+    }
+    path = write(tmp_path, doc)
+    assert main(["semidualize", "--input", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [b["id"] for b in report["checks"]] == ["matched-pair", "mutual-pair"]
 
 
 def test_order_constraint_flag(tmp_path, capsys):

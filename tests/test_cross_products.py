@@ -24,7 +24,7 @@ from homhopf.cross_products import (
     check_mutual_pair,
 )
 from homhopf.semidual import SemidualConfig, lifted_matched_pair, semidualize
-from homhopf.uea_trees import UNIT, lift_to_Uh_action
+from homhopf.uea_trees import UNIT
 
 e = LinComb.basis
 
@@ -42,10 +42,7 @@ def trivial_hopf_matched_pair():
 
 
 def uea_matched_pair(n=3, w=3):
-    pair = fixture_b_lie_pair()
-    left, right = lift_to_Uh_action(pair, n, w)
-    right_vu = {(v, u): val for (u, v), val in right.act.items()}
-    return MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
+    return lifted_matched_pair(fixture_b_lie_pair(), n, w)
 
 
 def trivial_mutual_pair():

@@ -22,6 +22,7 @@ from homhopf.semidual import (
     build_hom_lie_hopf,
     coaction_from_action,
     dual_left_action_from_right_action,
+    lifted_matched_pair,
     semidualize,
 )
 from oracles import ClassicalBicrossOracle
@@ -150,22 +151,17 @@ def test_graded_semidual_fixture_a_prime():
 
 
 def test_graded_semidual_iff_perturbation():
-    pair = fixture_b_lie_pair()
-    from homhopf.uea_trees import lift_to_Uh_action
-
-    left, right = lift_to_Uh_action(pair, 2, 1)
-    U, V = left.carrier, right.carrier
-    right_vu = {(v, u): val for (u, v), val in right.act.items()}
-    good = MatchedPairHopf(U, V, left.act, right_vu)
+    good = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
+    U, V = good.u, good.v
     cfg = SemidualConfig(2, 1)
     assert check_matched_pair_hopf(good).passed
     assert check_mutual_pair(semidualize(good, cfg)).passed
 
     y = [k for k in U.basis_keys() if U.degree(k) == 1][0]
     x = [k for k in V.basis_keys() if V.degree(k) == 1][0]
-    pert = dict(right_vu)
+    pert = dict(good.right)
     pert[(x, y)] = pert[(x, y)] + e(x)
-    bad = MatchedPairHopf(U, V, left.act, pert)
+    bad = MatchedPairHopf(U, V, good.left, pert)
     assert not check_matched_pair_hopf(bad).passed
     rep = check_mutual_pair(semidualize(bad, cfg))
     assert not rep.passed

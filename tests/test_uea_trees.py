@@ -10,10 +10,11 @@ from homhopf.fixtures import (
     fixture_b_lie_pair,
     sl2,
     sl2_involution,
+    solvable2_lie,
 )
 from homhopf.foundation import LinComb, LinearOperator
 from homhopf.hom_core import check_hom_hopf, check_hom_module
-from homhopf.hom_lie import HomLieData, lie_twist
+from homhopf.hom_lie import HomLieData, LieActionData, MatchedPairLie, lie_twist
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -369,6 +370,30 @@ def test_lift_to_Uh_action():
     # both lifted actions are Hom-modules over the truncated algebras
     assert check_hom_module(uh, left).passed
     assert check_hom_module(ug, right).passed
+
+
+def _solvable_on_line(diag):
+    """g = solvable2 ([x, y] = y) with the 1-dim abelian h acting on g by
+    diag(diag) and g acting on h by zero."""
+    g, h = solvable2_lie(), abelian_lie(1)
+    h_on_g = LieActionData(
+        h, range(2), {(0, j): c * e(j) for j, c in enumerate(diag)}, g.phi
+    )
+    return MatchedPairLie(g, h, h_on_g, LieActionData(g, [0], {}, h.phi))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lift_rejects_an_action_that_is_not_a_derivation(n):
+    # the identity on g is not a derivation of [x, y] = y, so the lifted
+    # action moves the commutator relation out of the enveloping ideal
+    with pytest.raises(NotHomLie, match="h-action does not preserve the g-ideal"):
+        lift_to_Uh_action(_solvable_on_line((1, 1)), n, 0)
+
+
+def test_lift_accepts_a_derivation():
+    # Dx = 0, Dy = y is a derivation of [x, y] = y
+    left, right = lift_to_Uh_action(_solvable_on_line((0, 1)), 3, 0)
+    assert check_hom_module(right.carrier, left).passed
 
 
 def test_trivial_pair_lift_unrolls_to_counit_pattern():
