@@ -130,18 +130,12 @@ def _index_rows(entries, dims, where):
 
 
 def _table3(entries, dims, where):
-    """[[i, j, k, scalar], ...] -> dict (i, j) -> LinComb over k."""
-    out = {}
+    """[[i, j, k, scalar], ...] -> dict (i, j) -> LinComb over k, for every
+    (i, j) in range(dims[0]) x range(dims[1])."""
+    out = {(i, j): {} for i in range(dims[0]) for j in range(dims[1])}
     for i, j, k, c in _index_rows(entries, dims, where):
-        cur = out.setdefault((i, j), {})
-        cur[k] = cur.get(k, Fraction(0)) + c
+        out[(i, j)][k] = out[(i, j)].get(k, Fraction(0)) + c
     return {key: LinComb(val) for key, val in out.items()}
-
-
-def _full_mult(table, dim):
-    return {
-        (i, j): table.get((i, j), LinComb.zero()) for i in range(dim) for j in range(dim)
-    }
 
 
 def _comult_table(entries, dims, where):
@@ -202,7 +196,7 @@ def parse_input(path):
     doc = InputDocument()
     for name, entry, where in _entries(raw, "hopf"):
         dim = _dim(entry, where)
-        mult = _full_mult(_table3(entry.get("mult", []), (dim,) * 3, where + "/mult"), dim)
+        mult = _table3(entry.get("mult", []), (dim,) * 3, where + "/mult")
         unit = _sparse_vector(entry.get("unit", []), dim, where + "/unit")
         comult = _comult_table(entry.get("comult", []), (dim,) * 3, where + "/comult")
         counit_vec = _sparse_vector(entry.get("counit", []), dim, where + "/counit")
@@ -241,19 +235,12 @@ def parse_input(path):
         v = _resolve(entry.get("v"), doc.hopf, where + "/v")
         left = _table3(entry.get("left", []), (v.dim, u.dim, u.dim), where + "/left")
         right = _table3(entry.get("right", []), (v.dim, u.dim, v.dim), where + "/right")
-        for i in v.basis_keys():
-            for j in u.basis_keys():
-                left.setdefault((i, j), LinComb.zero())
-                right.setdefault((i, j), LinComb.zero())
         doc.matched_pairs[name] = MatchedPairHopf(u, v, left, right)
 
     for name, entry, where in _entries(raw, "mutual_pairs"):
         f = _resolve(entry.get("f"), doc.hopf, where + "/f")
         u = _resolve(entry.get("u"), doc.hopf, where + "/u")
         action = _table3(entry.get("action", []), (u.dim, f.dim, f.dim), where + "/action")
-        for i in u.basis_keys():
-            for j in f.basis_keys():
-                action.setdefault((i, j), LinComb.zero())
         coaction = _comult_table(
             entry.get("coaction", []), (u.dim, u.dim, f.dim), where + "/coaction"
         )

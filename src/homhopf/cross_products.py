@@ -212,6 +212,26 @@ class MatchedPairHopf:
         return bilinear(lambda i, j: self.right[(i, j)], v, u)
 
 
+def _check_left_module(rep, a, carrier_keys, act, gamma):
+    """Hom-module axioms of a left action act of a on a carrier with twist
+    gamma: act(x . y, gamma(m)) = act(alpha(x), act(y, m)), act(1, m) =
+    gamma(m)."""
+    ak = a.basis_keys()
+    rep.run(
+        "left-module-assoc",
+        [(i, j, k) for i in ak for j in ak for k in carrier_keys],
+        lambda i, j, k: (
+            act(a.product(e(i), e(j)), gamma(e(k))),
+            act(a.alpha_map(e(i)), act(e(j), e(k))),
+        ),
+    )
+    rep.run(
+        "left-module-unit",
+        [(k,) for k in carrier_keys],
+        lambda k: (act(a.unit_elem(), e(k)), gamma(e(k))),
+    )
+
+
 def check_matched_pair_hopf(p):
     """Module axioms, module-coalgebra conditions, the two twist
     compatibilities, and the four mixed equations."""
@@ -219,21 +239,10 @@ def check_matched_pair_hopf(p):
     U, V = p.u, p.v
     uk, vk = U.basis_keys(), V.basis_keys()
     eU, eV = LinComb.basis, LinComb.basis
+    vu = [(i, k) for i in vk for k in uk]
 
     # Hom-module axioms
-    rep.run(
-        "left-module-assoc",
-        [(i, j, k) for i in vk for j in vk for k in uk],
-        lambda i, j, k: (
-            p.lt(V.product(eV(i), eV(j)), U.alpha_map(eU(k))),
-            p.lt(V.alpha_map(eV(i)), p.lt(eV(j), eU(k))),
-        ),
-    )
-    rep.run(
-        "left-module-unit",
-        [(k,) for k in uk],
-        lambda k: (p.lt(V.unit_elem(), eU(k)), U.alpha_map(eU(k))),
-    )
+    _check_left_module(rep, V, uk, p.lt, U.alpha_map)
     rep.run(
         "right-module-assoc",
         [(i, j, k) for i in vk for j in uk for k in uk],
@@ -248,79 +257,50 @@ def check_matched_pair_hopf(p):
         lambda i: (p.rt(eV(i), U.unit_elem()), V.alpha_map(eV(i))),
     )
 
-    # module-coalgebra conditions for |>
-    rep.run(
-        "lt/Hom-mod-coalg-00",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: (
-            U.beta_map(p.lt(eV(i), eU(k))),
-            p.lt(V.beta_map(eV(i)), U.beta_map(eU(k))),
-        ),
-    )
-
-    def diag(act, target, i, k):
-        # Delta(v . u) = (v_(1) . u_(1)) x (v_(2) . u_(2)) for . = |> or <|
-        lhs = target.comult_map(act(eV(i), eU(k)))
-        rhs = bilinear(
-            lambda s, t: act(eV(s[0]), eU(t[0])) @ act(eV(s[1]), eU(t[1])),
-            V.comult_map(eV(i)),
-            U.comult_map(eU(k)),
+    # module-coalgebra conditions and twist compatibility of |> (values in
+    # U), then of <| (values in V); each lambda is consumed by its run
+    # before the loop moves on
+    for side, act, target, compat in (
+        ("lt", p.lt, U, "rt-phi-compatibility"),
+        ("rt", p.rt, V, "lt-a-compatibility"),
+    ):
+        rep.run(
+            side + "/Hom-mod-coalg-00",
+            vu,
+            lambda i, k: (
+                target.beta_map(act(eV(i), eU(k))),
+                act(V.beta_map(eV(i)), U.beta_map(eU(k))),
+            ),
         )
-        return lhs, rhs
-
-    rep.run(
-        "lt/Hom-mod-coalg-I",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: diag(p.lt, U, i, k),
-    )
-    rep.run(
-        "lt/Hom-mod-coalg-II",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: (
-            LinComb.basis("k", U.counit_map(p.lt(eV(i), eU(k)))),
-            LinComb.basis("k", V.counit_map(eV(i)) * U.counit_map(eU(k))),
-        ),
-    )
-    rep.run(
-        "rt-phi-compatibility",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: (
-            U.alpha_map(p.lt(eV(i), eU(k))),
-            p.lt(V.alpha_map(eV(i)), U.alpha_map(eU(k))),
-        ),
-    )
-
-    # module-coalgebra conditions for <|
-    rep.run(
-        "rt/Hom-mod-coalg-00",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: (
-            V.beta_map(p.rt(eV(i), eU(k))),
-            p.rt(V.beta_map(eV(i)), U.beta_map(eU(k))),
-        ),
-    )
-
-    rep.run(
-        "rt/Hom-mod-coalg-I",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: diag(p.rt, V, i, k),
-    )
-    rep.run(
-        "rt/Hom-mod-coalg-II",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: (
-            LinComb.basis("k", V.counit_map(p.rt(eV(i), eU(k)))),
-            LinComb.basis("k", V.counit_map(eV(i)) * U.counit_map(eU(k))),
-        ),
-    )
-    rep.run(
-        "lt-a-compatibility",
-        [(i, k) for i in vk for k in uk],
-        lambda i, k: (
-            V.alpha_map(p.rt(eV(i), eU(k))),
-            p.rt(V.alpha_map(eV(i)), U.alpha_map(eU(k))),
-        ),
-    )
+        # Delta(v . u) = (v_(1) . u_(1)) x (v_(2) . u_(2))
+        rep.run(
+            side + "/Hom-mod-coalg-I",
+            vu,
+            lambda i, k: (
+                target.comult_map(act(eV(i), eU(k))),
+                bilinear(
+                    lambda s, t: act(eV(s[0]), eU(t[0])) @ act(eV(s[1]), eU(t[1])),
+                    V.comult_map(eV(i)),
+                    U.comult_map(eU(k)),
+                ),
+            ),
+        )
+        rep.run(
+            side + "/Hom-mod-coalg-II",
+            vu,
+            lambda i, k: (
+                LinComb.basis("k", target.counit_map(act(eV(i), eU(k)))),
+                LinComb.basis("k", V.counit_map(eV(i)) * U.counit_map(eU(k))),
+            ),
+        )
+        rep.run(
+            compat,
+            vu,
+            lambda i, k: (
+                target.alpha_map(act(eV(i), eU(k))),
+                act(V.alpha_map(eV(i)), U.alpha_map(eU(k))),
+            ),
+        )
 
     # the four mixed equations
     def v_rt_uu(i, j, k):
@@ -365,9 +345,7 @@ def check_matched_pair_hopf(p):
         )
         return lhs, rhs
 
-    rep.run(
-        "v-lt-u-ot-v-rt-u-switch", [(i, k) for i in vk for k in uk], switch
-    )
+    rep.run("v-lt-u-ot-v-rt-u-switch", vu, switch)
     rep.run(
         "actions-on-1",
         [(i,) for i in vk],
@@ -663,20 +641,7 @@ def _check_action_side(m):
     rep = CheckReport()
     F, U = m.f, m.u
     fk, uk = F.basis_keys(), U.basis_keys()
-
-    rep.run(
-        "left-module-assoc",
-        [(i, j, k) for i in uk for j in uk for k in fk],
-        lambda i, j, k: (
-            m.act(U.product(e(i), e(j)), F.beta_map(e(k))),
-            m.act(U.alpha_map(e(i)), m.act(e(j), e(k))),
-        ),
-    )
-    rep.run(
-        "left-module-unit",
-        [(k,) for k in fk],
-        lambda k: (m.act(U.unit_elem(), e(k)), F.beta_map(e(k))),
-    )
+    _check_left_module(rep, U, fk, m.act, F.beta_map)
     rep.merge(check_module_algebra(U, F, SimpleNamespace(apply=m.act)))
     rep.run(
         "rt-f-comp",
@@ -687,6 +652,19 @@ def _check_action_side(m):
         ),
     )
     return rep
+
+
+def _check_comp_II(rep, m):
+    """eps_F(u |> f) = eps_U(u) eps_F(f), the same in both checkers."""
+    F, U = m.f, m.u
+    rep.run(
+        "comp-II",
+        [(i, k) for i in U.basis_keys() for k in F.basis_keys()],
+        lambda i, k: (
+            LinComb.basis("k", F.counit_map(m.act(e(i), e(k)))),
+            LinComb.basis("k", U.counit_map(e(i)) * F.counit_map(e(k))),
+        ),
+    )
 
 
 def _check_mutual_pair_finite(m):
@@ -727,14 +705,7 @@ def _check_mutual_pair_finite(m):
         return lhs, extend(over_u, U.comult_map(u))
 
     rep.run("comp-I", [(i, k) for i in uk for k in fk], comp1)
-    rep.run(
-        "comp-II",
-        [(i, k) for i in uk for k in fk],
-        lambda i, k: (
-            LinComb.basis("k", F.counit_map(m.act(e(i), e(k)))),
-            LinComb.basis("k", U.counit_map(e(i)) * F.counit_map(e(k))),
-        ),
-    )
+    _check_comp_II(rep, m)
 
     def comp3(i, j):
         u, u2 = e(i), e(j)
@@ -885,14 +856,7 @@ def _check_mutual_pair_graded(m):
         ],
         comp1,
     )
-    rep.run(
-        "comp-II",
-        [(i, k) for i in uk for k in fk],
-        lambda i, k: (
-            LinComb.basis("k", F.counit_map(m.act(e(i), e(k)))),
-            LinComb.basis("k", U.counit_map(e(i)) * F.counit_map(e(k))),
-        ),
-    )
+    _check_comp_II(rep, m)
 
     def comp3(i, j, w):
         u, u2 = e(i), e(j)

@@ -239,10 +239,7 @@ class TruncatedDual:
         return self.v.degree(key)
 
     def dims_per_degree(self):
-        dims = [0] * (self.truncation_degree + 1)
-        for k in self.keys:
-            dims[self.degree(k)] += 1
-        return dims
+        return self.v.dims_per_degree()
 
     def pairing_matrix(self, d):
         keys = [k for k in self.keys if self.degree(k) == d]

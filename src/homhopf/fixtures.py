@@ -180,12 +180,3 @@ def trivial_left_action(h, target):
             act[(i, j)] = eps * target.alpha_map(LinComb.basis(j))
     return ActionData(h, target.basis_keys(), act, target.alpha, side="left")
 
-
-def trivial_right_action(u, target):
-    """v <| u := eps(u) * alpha(v); table keyed (carrier, actor) -> carrier."""
-    act = {}
-    for i in u.basis_keys():
-        eps = u.counit_map(LinComb.basis(i))
-        for j in target.basis_keys():
-            act[(i, j)] = eps * target.alpha_map(LinComb.basis(j))
-    return ActionData(u, target.basis_keys(), act, target.alpha, side="right")

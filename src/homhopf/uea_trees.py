@@ -1,6 +1,7 @@
 """Weighted planar binary trees with Lie-algebra decorations, the free
-Hom-Hopf structure they carry (grafting, the shift map, the leaf-subset
-coproduct, the mirror antipode), the reassociation and enveloping ideals,
+Hom-Hopf structure they carry (grafting, the shift map, the coproduct
+that grafts the coproducts of the two subtrees leg by leg, the mirror
+antipode), the reassociation and enveloping ideals,
 and the degree-truncated universal enveloping Hom-Hopf algebra of a
 Hom-Lie algebra together with the lifted matched-pair actions.
 
@@ -219,9 +220,6 @@ class TreeOps:
     def coproduct(self, x):
         return extend(self.coproduct_key, x)
 
-    def counit_key(self, key):
-        return Fraction(1 if key == UNIT else 0)
-
     def counit(self, x):
         return sum((a for k, a in x.items() if k == UNIT), Fraction(0))
 
@@ -320,6 +318,31 @@ def _within_weight(x, weight_bound):
     return True
 
 
+def _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound):
+    """Instances of the reassociation relation (x v y) v a(z) - a(x) v (y v z)
+    on basis trees within the degree budget.  Instances that leave the
+    weight bound are dropped; only undecorated trees have any, since a
+    decorated shift leaves the weights alone."""
+    seeds = []
+    for d1 in range(1, n_max - 1):
+        for d2 in range(1, n_max - d1):
+            for d3 in range(1, n_max - d1 - d2 + 1):
+                for x in basis_by_degree[d1]:
+                    bx = LinComb.basis(x)
+                    ax = ops.a_shift(bx)
+                    for y in basis_by_degree[d2]:
+                        by = LinComb.basis(y)
+                        xy = ops.graft(bx, by)
+                        for z in basis_by_degree[d3]:
+                            bz = LinComb.basis(z)
+                            g = ops.graft(xy, ops.a_shift(bz)) - ops.graft(
+                                ax, ops.graft(by, bz)
+                            )
+                            if _within_weight(g, weight_bound):
+                                seeds.append(g)
+    return seeds
+
+
 def ideal_I_span(n_max, weight_bound):
     """Per-degree reduced bases of the reassociation ideal on undecorated
     weighted trees: generated by (x v y) v a(z) - a(x) v (y v z)."""
@@ -327,25 +350,7 @@ def ideal_I_span(n_max, weight_bound):
     basis_by_degree = {
         n: ops.basis_keys(n, weight_bound) for n in range(1, n_max + 1)
     }
-    seeds = []
-    for d1 in range(1, n_max - 1):
-        for d2 in range(1, n_max - d1):
-            for d3 in range(1, n_max - d1 - d2 + 1):
-                for x in basis_by_degree[d1]:
-                    bx = LinComb.basis(x)
-                    for y in basis_by_degree[d2]:
-                        by = LinComb.basis(y)
-                        xy = ops.graft(bx, by)
-                        for z in basis_by_degree[d3]:
-                            bz = LinComb.basis(z)
-                            try:
-                                g = ops.graft(xy, ops.a_shift(bz)) - ops.graft(
-                                    ops.a_shift(bx), ops.graft(by, bz)
-                                )
-                            except NotInvertible:
-                                continue
-                            if _within_weight(g, weight_bound):
-                                seeds.append(g)
+    seeds = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
     rs = RowSpace(order=pivot_order)
     _close_under_ops(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
     return _rows_by_degree(rs.basis_rows(), n_max)
@@ -358,45 +363,34 @@ def _rows_by_degree(rows, n_max):
     return out
 
 
-def _decorated_ideal_generators(g, ops, basis_by_degree, n_max, weight_bound):
-    """Generator instances on decorated trees, as two lists: the
-    reassociation relations, and the enveloping relations (weight
-    absorption plus commutators)."""
-    reassoc = []
-    # reassociation: (x v y) v a(z) - a(x) v (y v z)
-    for d1 in range(1, max(0, n_max - 1)):
-        for d2 in range(1, n_max - d1):
-            for d3 in range(1, n_max - d1 - d2 + 1):
-                for x in basis_by_degree[d1]:
-                    bx = LinComb.basis(x)
-                    ax = ops.a_shift(bx)
-                    for y in basis_by_degree[d2]:
-                        by = LinComb.basis(y)
-                        xy = ops.graft(bx, by)
-                        for z in basis_by_degree[d3]:
-                            bz = LinComb.basis(z)
-                            reassoc.append(
-                                ops.graft(xy, ops.a_shift(bz))
-                                - ops.graft(ax, ops.graft(by, bz))
-                            )
-    envelope = []
-    # weight absorption: (s, xi) - (0, phi^s(xi))
-    for s in range(1, weight_bound + 1):
-        for xi in range(g.dim):
-            envelope.append(
-                LinComb.basis((LEAF, (s,), (xi,)))
-                - leaves(g.phi_pow(s, LinComb.basis(xi)))
-            )
-    # commutators: (xi1 xi2) - (xi2 xi1) - leaf([xi1, xi2])
+def _enveloping_ideal(g, n_max, weight_bound):
+    """The closure of the reassociation and enveloping relations on trees
+    decorated by g, as (ops, basis_by_degree, reassociation seeds, row
+    space).  The enveloping relations are weight absorption
+    (s, xi) - (0, phi^s(xi)) and the commutators
+    (xi1 xi2) - (xi2 xi1) - leaf([xi1, xi2])."""
+    ops = TreeOps(g.phi)
+    basis_by_degree = {
+        n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
+    }
+    reassoc = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
+    envelope = [
+        LinComb.basis((LEAF, (s,), (xi,))) - leaves(g.phi_pow(s, LinComb.basis(xi)))
+        for s in range(1, weight_bound + 1)
+        for xi in range(g.dim)
+    ]
     if n_max >= 2:
         t2 = (LEAF, LEAF)
         for x1 in range(g.dim):
             for x2 in range(x1 + 1, g.dim):
-                v = LinComb.basis((t2, (0, 0), (x1, x2))) - LinComb.basis(
-                    (t2, (0, 0), (x2, x1))
+                envelope.append(
+                    LinComb.basis((t2, (0, 0), (x1, x2)))
+                    - LinComb.basis((t2, (0, 0), (x2, x1)))
+                    - leaves(g.bracket(x1, x2))
                 )
-                envelope.append(v - leaves(g.bracket(x1, x2)))
-    return reassoc, envelope
+    rs = RowSpace(order=pivot_order)
+    _close_under_ops(rs, reassoc + envelope, ops, basis_by_degree, n_max, weight_bound)
+    return ops, basis_by_degree, reassoc, rs
 
 
 def ideal_J_span(g, n_max, weight_bound=3):
@@ -407,19 +401,11 @@ def ideal_J_span(g, n_max, weight_bound=3):
     pivot is not a pivot of I: with P the projection whose kernel is I,
     the leading terms of P(S) are those of S + I minus those of I.
     """
-    ops = TreeOps(g.phi)
-    basis_by_degree = {
-        n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
-    }
-    reassoc_seeds, envelope_seeds = _decorated_ideal_generators(
-        g, ops, basis_by_degree, n_max, weight_bound
+    ops, basis_by_degree, reassoc_seeds, both = _enveloping_ideal(
+        g, n_max, weight_bound
     )
     reassoc = RowSpace(order=pivot_order)
     _close_under_ops(reassoc, reassoc_seeds, ops, basis_by_degree, n_max, weight_bound)
-    both = RowSpace(order=pivot_order)
-    _close_under_ops(
-        both, reassoc_seeds + envelope_seeds, ops, basis_by_degree, n_max, weight_bound
-    )
     rows = [both.rows[p] for p in both.pivots() if p not in reassoc.rows]
     return _rows_by_degree(rows, n_max)
 
@@ -565,30 +551,14 @@ class TruncatedUEA:
         return rep
 
 
-def build_truncated_uea(g, truncation_degree, weight_bound=3, check=True):
+def build_truncated_uea(g, truncation_degree, weight_bound=3):
     """Construct the truncated universal enveloping Hom-Hopf algebra."""
-    if check and not check_hom_lie(g).passed:
+    if not check_hom_lie(g).passed:
         raise NotHomLie("structure constants fail the Hom-Lie axioms")
-    ops = TreeOps(g.phi)
-    basis_by_degree = {
-        n: ops.basis_keys(n, weight_bound, g.dim)
-        for n in range(1, truncation_degree + 1)
-    }
+    ops, basis_by_degree, _, rs = _enveloping_ideal(g, truncation_degree, weight_bound)
     ambient = [UNIT]
     for n in range(1, truncation_degree + 1):
         ambient.extend(basis_by_degree[n])
-    reassoc_seeds, envelope_seeds = _decorated_ideal_generators(
-        g, ops, basis_by_degree, truncation_degree, weight_bound
-    )
-    rs = RowSpace(order=pivot_order)
-    _close_under_ops(
-        rs,
-        reassoc_seeds + envelope_seeds,
-        ops,
-        basis_by_degree,
-        truncation_degree,
-        weight_bound,
-    )
     return TruncatedUEA(g, truncation_degree, weight_bound, ops, rs, ambient)
 
 
@@ -758,35 +728,34 @@ def act_h_on_U(pair, eta, u, ctx=None):
     return ctx.eta_left(eta, u)
 
 
-def lift_to_Uh_action(pair, truncation_degree, weight_bound=3, check=True):
+def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     """Lift the matched-pair actions to the truncated enveloping algebras.
 
     Returns (left, right): the U(h)-action on U(g) and the U(g)-action on
-    U(h), as tables over normal-form bases.  With check on, both ideals are
-    verified to be stable under the actions, so the tables are well defined
-    on the quotients.
+    U(h), as tables over normal-form bases.  Both ideals are first verified
+    to be stable under the actions, so the tables are well defined on the
+    quotients; NotHomLie is raised otherwise.
     """
     ug = build_truncated_uea(pair.g, truncation_degree, weight_bound)
     uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
     ctx = UEAActionContext(pair)
 
-    if check:
-        for i in range(pair.h.dim):
-            for row in ug.rowspace.basis_rows():
-                if ug.project(ctx.eta_left(LinComb.basis(i), row)):
-                    raise NotHomLie("h-action does not preserve the g-ideal")
-        for vkey in uh.basis_keys():
-            for row in ug.rowspace.basis_rows():
-                if ug.project(ctx.omega_left(LinComb.basis(vkey), row)):
-                    raise NotHomLie("lifted action does not preserve the g-ideal")
-                if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
-                    raise NotHomLie("right action does not preserve the g-ideal")
-        for row in uh.rowspace.basis_rows():
-            for ukey in ug.basis_keys():
-                if ug.project(ctx.omega_left(row, LinComb.basis(ukey))):
-                    raise NotHomLie("lifted action does not kill the h-ideal")
-                if uh.project(ctx.omega_right(row, LinComb.basis(ukey))):
-                    raise NotHomLie("right action does not kill the h-ideal")
+    for i in range(pair.h.dim):
+        for row in ug.rowspace.basis_rows():
+            if ug.project(ctx.eta_left(LinComb.basis(i), row)):
+                raise NotHomLie("h-action does not preserve the g-ideal")
+    for vkey in uh.basis_keys():
+        for row in ug.rowspace.basis_rows():
+            if ug.project(ctx.omega_left(LinComb.basis(vkey), row)):
+                raise NotHomLie("lifted action does not preserve the g-ideal")
+            if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
+                raise NotHomLie("right action does not preserve the g-ideal")
+    for row in uh.rowspace.basis_rows():
+        for ukey in ug.basis_keys():
+            if ug.project(ctx.omega_left(row, LinComb.basis(ukey))):
+                raise NotHomLie("lifted action does not kill the h-ideal")
+            if uh.project(ctx.omega_right(row, LinComb.basis(ukey))):
+                raise NotHomLie("right action does not kill the h-ideal")
 
     left_table = {}
     right_table = {}
