@@ -184,7 +184,9 @@ def check_outcome(rep):
             "id": eq.eq_id,
             "checked": eq.checked,
             "skipped": eq.skipped,
-            "violations": [[repr(v.witness), lc(v.lhs), lc(v.rhs)] for v in eq.violations],
+            "violations": [
+                [repr(v.witness), lc(v.lhs), lc(v.rhs)] for v in eq.violations
+            ],
         }
         for eq in rep.equations
     ]
@@ -201,9 +203,8 @@ def failing_matched_pairs():
     one constant of each action changed, and the lifted fixture-B pair
     (N=2, W=1) with one entry of the right action changed."""
     mp = _sample_matched_pair()
-    kz4 = MatchedPairHopf(
-        mp.u, mp.v, _perturbed(mp.left, (1, 1), e(0)), _perturbed(mp.right, (2, 1), e(3))
-    )
+    left, right = _perturbed(mp.left, (1, 1), e(0)), _perturbed(mp.right, (2, 1), e(3))
+    kz4 = MatchedPairHopf(mp.u, mp.v, left, right)
     mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
     y = [k for k in mp.u.basis_keys() if mp.u.degree(k) == 1][0]
     x = [k for k in mp.v.basis_keys() if mp.v.degree(k) == 1][0]
