@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
@@ -20,13 +21,16 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 from homhopf.cli import emit_report, parse_input, run  # noqa: E402
 from homhopf.cross_products import DoubleCrossProduct  # noqa: E402
+from homhopf.duality import coregular_actions  # noqa: E402
 from homhopf.errors import TruncationOverflow  # noqa: E402
 from homhopf.fixtures import (  # noqa: E402
     abelian_lie,
     fixture_b_lie_pair,
     sl2,
+    sweedler_hopf,
 )
 from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
+from homhopf.hom_core import ActionData, check_hom_module  # noqa: E402
 from homhopf.semidual import (  # noqa: E402
     SemidualConfig,
     lifted_matched_pair,
@@ -34,8 +38,12 @@ from homhopf.semidual import (  # noqa: E402
 )
 from homhopf.cross_products import (  # noqa: E402
     Bicrossproduct,
+    GradedMutualPair,
     MatchedPairHopf,
+    MutualPairHopf,
     check_matched_pair_hopf,
+    check_module_coalgebra,
+    check_mutual_pair,
 )
 from homhopf.uea_trees import (  # noqa: E402
     build_truncated_uea,
@@ -215,6 +223,61 @@ def failing_matched_pairs():
     }
 
 
+def _with_side(action, side, act=None):
+    return ActionData(
+        action.algebra, action.carrier_keys, action.act if act is None else act,
+        action.gamma, side=side,
+    )
+
+
+def failing_module_checks():
+    """Module-compatibility checkers on broken inputs:
+    - check_mutual_pair on the trivial Z/4 mutual pair with one action
+      constant changed, and on the fixture-B semidual (N=2, W=1) with two;
+    - check_module_coalgebra on the kz4 sample pair's left action with one
+      constant changed;
+    - check_matched_pair_hopf on that pair with the constants changed that
+      the unit laws read;
+    - check_hom_module on Sweedler's coregular actions with one constant
+      changed, and with their side flipped."""
+    from test_cross_products import trivial_mutual_pair
+
+    out = {}
+    m = trivial_mutual_pair()
+    for key, delta in (((0, 0), e(1)), ((2, 3), e(0))):
+        act = _perturbed(m.action, key, delta)
+        rep = check_mutual_pair(MutualPairHopf(m.f, m.u, act, m.coaction))
+        out["z4_mutual_action_%d_%d" % key] = check_outcome(rep)
+    mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
+    g = semidualize(mp, SemidualConfig(2, 1))
+    u1 = [k for k in g.u.basis_keys() if g.u.degree(k) == 1][0]
+    f1 = [k for k in g.f.basis_keys() if g.f.degree(k) == 1][0]
+    act = _perturbed(_perturbed(g.action, (u1, "1"), e(f1)), ("1", f1), e(f1))
+    rep = check_mutual_pair(GradedMutualPair(g.f, g.u, act, mp))
+    out["fixture_b_n2_w1_graded_action"] = check_outcome(rep)
+    kz4 = _sample_matched_pair()
+    broken = MatchedPairHopf(
+        kz4.u, kz4.v, _perturbed(kz4.left, (1, 1), e(0)), kz4.right
+    )
+    rep = check_module_coalgebra(kz4.v, kz4.u, SimpleNamespace(apply=broken.lt))
+    out["kz4_module_coalgebra_left"] = check_outcome(rep)
+    right = _perturbed(_perturbed(kz4.right, (0, 1), e(2)), (1, 0), e(2))
+    left = _perturbed(_perturbed(kz4.left, (0, 1), e(2)), (1, 0), e(2))
+    units = MatchedPairHopf(kz4.u, kz4.v, left, right)
+    out["kz4_matched_pair_units"] = check_outcome(check_matched_pair_hopf(units))
+    h = sweedler_hopf()
+    for action in coregular_actions(h):
+        flipped = "right" if action.side == "left" else "left"
+        act = _perturbed(action.act, (0, 3), e(0))
+        out["sweedler_coregular_%s" % action.side] = check_outcome(
+            check_hom_module(h, _with_side(action, action.side, act))
+        )
+        out["sweedler_coregular_%s_as_%s" % (action.side, flipped)] = check_outcome(
+            check_hom_module(h, _with_side(action, flipped))
+        )
+    return out
+
+
 def _neg1():
     return abelian_lie(1, LinearOperator.from_matrix([[-1]], inverse=[[-1]]))
 
@@ -233,6 +296,7 @@ TABLE_CASES = {
     "doublecross_kz4_hopf_data": doublecross_hopf,
     "bicross_trivial_mutual_hopf_data": bicross_hopf,
     "matched_pair_violations": failing_matched_pairs,
+    "module_check_violations": failing_module_checks,
 }
 
 

@@ -127,6 +127,21 @@ def test_coregular_actions():
     assert check_hom_module(k, l2).passed and check_hom_module(k, r2).passed
 
 
+def test_coregular_actions_of_sweedler_depend_on_side():
+    """Sweedler's algebra is not commutative, so each coregular action is a
+    Hom-module only for its own side: read with the other side's
+    associativity law, it fails."""
+    h = sweedler_hopf()
+    for action in coregular_actions(h):
+        assert check_hom_module(h, action).passed
+        flipped = "right" if action.side == "left" else "left"
+        action.side = flipped
+        rep = check_hom_module(h, action)
+        assert [eq.eq_id for eq in rep.equations if not eq.passed] == [
+            "hom-module-assoc"
+        ]
+
+
 def test_graded_dual_dimensions():
     from homhopf.duality import graded_dual
     from homhopf.fixtures import abelian_lie
