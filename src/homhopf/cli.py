@@ -19,10 +19,10 @@ from .foundation import LinComb, LinearOperator
 from .hom_core import HomHopfData, check_hom_hopf
 from .hom_lie import HomLieData, LieActionData, MatchedPairLie, check_hom_lie
 from .cross_products import (
+    Bicrossproduct,
+    DoubleCrossProduct,
     MatchedPairHopf,
     MutualPairHopf,
-    build_bicrossproduct,
-    build_double_cross_product,
     check_matched_pair_hopf,
     check_mutual_pair,
 )
@@ -32,7 +32,7 @@ from .semidual import (
     lifted_matched_pair,
     semidualize,
 )
-from .uea_trees import build_truncated_uea, tree_label
+from .uea_trees import build_truncated_uea, leaf_count, tree_label
 
 COMMANDS = (
     "verify-hopf",
@@ -72,11 +72,9 @@ def _matrix(data, dim, where):
     return [[_scalar(x, where) for x in row] for row in data]
 
 
-def _operator(section, name, dim, where, required=True):
+def _operator(section, name, dim, where):
     if name not in section:
-        if required:
-            raise SchemaError("%s: missing matrix %r" % (where, name))
-        return None
+        raise SchemaError("%s: missing matrix %r" % (where, name))
     mat = _matrix(section[name], dim, "%s/%s" % (where, name))
     inv_name = name + "_inv"
     inverse = None
@@ -217,11 +215,14 @@ def parse_input(path):
         for row, item in enumerate(rows):
             if not isinstance(item, list) or len(item) != 3:
                 raise SchemaError("%s/bracket: expected [i, j, vector] rows" % where)
-            i, j, vec = item
             at = "%s/bracket/%d" % (where, row)
-            bracket[(_index(i, dim, at), _index(j, dim, at))] = _sparse_vector(
-                vec, dim, at + "/2"
-            )
+            i, j = _index(item[0], dim, at), _index(item[1], dim, at)
+            vec = _sparse_vector(item[2], dim, at + "/2")
+            if i > j:
+                i, j, vec = j, i, -vec
+            # a nonzero [i, i], or a row that disagrees with an earlier one
+            if (i == j and vec) or bracket.setdefault((i, j), vec) != vec:
+                raise SchemaError("%s: contradicts the antisymmetry of the bracket" % at)
         phi = _operator(entry, "phi", dim, where)
         doc.hom_lie[name] = HomLieData(dim, bracket, phi)
 
@@ -266,13 +267,25 @@ def parse_input(path):
 # report construction
 
 
+def _is_shape(shape):
+    return shape == () or (
+        isinstance(shape, tuple) and len(shape) == 2 and all(map(_is_shape, shape))
+    )
+
+
 def _is_tree_key(key):
+    """The unit "1", or (shape, weights[, decorations]) with one int per
+    leaf in each tuple; a pair of pair keys is not a tree key."""
     return key == "1" or (
         isinstance(key, tuple)
         and len(key) in (2, 3)
-        and isinstance(key[0], tuple)
-        and isinstance(key[1], tuple)
-        and all(isinstance(w, int) for w in key[1])
+        and _is_shape(key[0])
+        and all(
+            isinstance(part, tuple)
+            and len(part) == leaf_count(key[0])
+            and all(isinstance(w, int) for w in part)
+            for part in key[1:]
+        )
     )
 
 
@@ -386,14 +399,14 @@ def run(command, doc, args):
         rep = check_matched_pair_hopf(mp)
         checks.append(_report_block("matched-pair", rep))
         if command == "doublecross" and rep.passed:
-            dcp = build_double_cross_product(mp, check=False)
+            dcp = DoubleCrossProduct(mp)
             checks.append(_report_block("double-cross-suite", check_hom_hopf(dcp)))
     elif command == "bicross":
         m = need(doc.mutual_pairs, "mutual pair")
         rep = check_mutual_pair(m)
         checks.append(_report_block("mutual-pair", rep))
         if rep.passed:
-            bi = build_bicrossproduct(m, check=False)
+            bi = Bicrossproduct(m)
             checks.append(_report_block("bicross-suite", check_hom_hopf(bi)))
     elif command == "semidualize":
         cfg = SemidualConfig(degree, weight, enforce)
@@ -517,10 +530,6 @@ def main(argv=None):
             "violations_total": 0,
             "error": "%s: %s" % (type(exc).__name__, exc),
         }
-        if args.timing:
-            report["timing_ms"] = int((time.monotonic() - started) * 1000)
-        sys.stdout.buffer.write(emit_report(report, args.format))
-        return 1
     if args.timing:
         report["timing_ms"] = int((time.monotonic() - started) * 1000)
     sys.stdout.buffer.write(emit_report(report, args.format))

@@ -22,10 +22,86 @@ from .foundation import (
     extend,
     pair_apply,
 )
-from .hom_core import CheckReport, CoactionData, HomHopfData, check_hom_comodule
+from .hom_core import (
+    CheckReport,
+    CoactionData,
+    HomHopfData,
+    check_hom_comodule,
+    module_axioms,
+)
 
 ZERO = Fraction(0)
 e = LinComb.basis
+
+
+# ---------------------------------------------------------------------------
+# the equations shared by the module checkers: act(x, y) is x acting on y,
+# and every pair equation runs over (x key, y key) in that order
+
+
+def _pairs(x, y):
+    return [(i, k) for i in x.basis_keys() for k in y.basis_keys()]
+
+
+def _twist_compat(rep, eq_id, x, y, act, out, tx, ty):
+    """out(act(x, y)) = act(tx(x), ty(y))."""
+    rep.run(
+        eq_id,
+        _pairs(x, y),
+        lambda i, k: (out(act(e(i), e(k))), act(tx(e(i)), ty(e(k)))),
+    )
+
+
+def _counit_compat(rep, eq_id, x, y, target, act):
+    """eps(act(x, y)) = eps(x) eps(y), with act valued in target."""
+    rep.run(
+        eq_id,
+        _pairs(x, y),
+        lambda i, k: (
+            e("k", target.counit_map(act(e(i), e(k)))),
+            e("k", x.counit_map(e(i)) * y.counit_map(e(k))),
+        ),
+    )
+
+
+def _comult_compat(rep, eq_id, x, y, target, act):
+    """Delta(act(x, y)) = act(x_(1), y_(1)) x act(x_(2), y_(2)), with act
+    valued in target."""
+    rep.run(
+        eq_id,
+        _pairs(x, y),
+        lambda i, k: (
+            target.comult_map(act(e(i), e(k))),
+            bilinear(
+                lambda s, t: act(e(s[0]), e(t[0])) @ act(e(s[1]), e(t[1])),
+                x.comult_map(e(i)),
+                y.comult_map(e(k)),
+            ),
+        ),
+    )
+
+
+def _unit_compat(rep, eq_id, x, target, act):
+    """act(x, 1) = eps(x) 1, with 1 the unit of target."""
+    rep.run(
+        eq_id,
+        [(i,) for i in x.basis_keys()],
+        lambda i: (
+            act(e(i), target.unit_elem()),
+            x.counit_map(e(i)) * target.unit_elem(),
+        ),
+    )
+
+
+def _module_coalgebra(rep, prefix, x, y, target, act):
+    """Hom-module coalgebra conditions of act: x on y, valued in target:
+    beta-compatibility, diagonal coproduct, counit kill."""
+    _twist_compat(
+        rep, prefix + "Hom-mod-coalg-00", x, y, act,
+        target.beta_map, x.beta_map, y.beta_map,
+    )
+    _comult_compat(rep, prefix + "Hom-mod-coalg-I", x, y, target, act)
+    _counit_compat(rep, prefix + "Hom-mod-coalg-II", x, y, target, act)
 
 
 # ---------------------------------------------------------------------------
@@ -40,14 +116,8 @@ def check_module_algebra(h, a, action):
     rep = CheckReport()
     hk = h.basis_keys()
     ak = a.basis_keys()
-
-    rep.run(
-        "Hom-mod-alg-00",
-        [(i, j) for i in hk for j in ak],
-        lambda i, j: (
-            a.alpha_map(action.apply(LinComb.basis(i), LinComb.basis(j))),
-            action.apply(h.beta_map(LinComb.basis(i)), a.alpha_map(LinComb.basis(j))),
-        ),
+    _twist_compat(
+        rep, "Hom-mod-alg-00", h, a, action.apply, a.alpha_map, h.beta_map, a.alpha_map
     )
 
     def diag(i, j, k):
@@ -60,14 +130,7 @@ def check_module_algebra(h, a, action):
         return lhs, rhs
 
     rep.run("Hom-mod-alg-I", [(i, j, k) for i in hk for j in ak for k in ak], diag)
-    rep.run(
-        "Hom-mod-alg-II",
-        [(i,) for i in hk],
-        lambda i: (
-            action.apply(LinComb.basis(i), a.unit_elem()),
-            h.counit_map(LinComb.basis(i)) * a.unit_elem(),
-        ),
-    )
+    _unit_compat(rep, "Hom-mod-alg-II", h, a, action.apply)
     return rep
 
 
@@ -75,42 +138,7 @@ def check_module_coalgebra(h, c, action):
     """Hom-module coalgebra conditions for a left action of h on the
     coalgebra c: beta-compatibility, diagonal coproduct, counit kill."""
     rep = CheckReport()
-    hk = h.basis_keys()
-    ck = c.basis_keys()
-
-    rep.run(
-        "Hom-mod-coalg-00",
-        [(i, j) for i in hk for j in ck],
-        lambda i, j: (
-            c.beta_map(action.apply(LinComb.basis(i), LinComb.basis(j))),
-            action.apply(h.beta_map(LinComb.basis(i)), c.beta_map(LinComb.basis(j))),
-        ),
-    )
-
-    def diag(i, j):
-        lhs = c.comult_map(action.apply(e(i), e(j)))
-        rhs = bilinear(
-            lambda s, t: action.apply(e(s[0]), e(t[0]))
-            @ action.apply(e(s[1]), e(t[1])),
-            h.comult_map(e(i)),
-            c.comult_map(e(j)),
-        )
-        return lhs, rhs
-
-    rep.run("Hom-mod-coalg-I", [(i, j) for i in hk for j in ck], diag)
-    rep.run(
-        "Hom-mod-coalg-II",
-        [(i, j) for i in hk for j in ck],
-        lambda i, j: (
-            LinComb.basis(
-                "k", c.counit_map(action.apply(LinComb.basis(i), LinComb.basis(j)))
-            ),
-            LinComb.basis(
-                "k",
-                h.counit_map(LinComb.basis(i)) * c.counit_map(LinComb.basis(j)),
-            ),
-        ),
-    )
+    _module_coalgebra(rep, "", h, c, c, action.apply)
     return rep
 
 
@@ -212,106 +240,51 @@ class MatchedPairHopf:
         return bilinear(lambda i, j: self.right[(i, j)], v, u)
 
 
-def _check_left_module(rep, a, carrier_keys, act, gamma):
-    """Hom-module axioms of a left action act of a on a carrier with twist
-    gamma: act(x . y, gamma(m)) = act(alpha(x), act(y, m)), act(1, m) =
-    gamma(m)."""
-    ak = a.basis_keys()
-    rep.run(
-        "left-module-assoc",
-        [(i, j, k) for i in ak for j in ak for k in carrier_keys],
-        lambda i, j, k: (
-            act(a.product(e(i), e(j)), gamma(e(k))),
-            act(a.alpha_map(e(i)), act(e(j), e(k))),
-        ),
-    )
-    rep.run(
-        "left-module-unit",
-        [(k,) for k in carrier_keys],
-        lambda k: (act(a.unit_elem(), e(k)), gamma(e(k))),
-    )
-
-
 def check_matched_pair_hopf(p):
     """Module axioms, module-coalgebra conditions, the two twist
     compatibilities, and the four mixed equations."""
     rep = CheckReport()
     U, V = p.u, p.v
     uk, vk = U.basis_keys(), V.basis_keys()
-    eU, eV = LinComb.basis, LinComb.basis
-    vu = [(i, k) for i in vk for k in uk]
 
-    # Hom-module axioms
-    _check_left_module(rep, V, uk, p.lt, U.alpha_map)
+    # Hom-module axioms; the right ones are written out because their
+    # tuples put the carrier first
+    module_axioms(rep, "left", V, uk, p.lt, U.alpha_map)
     rep.run(
         "right-module-assoc",
         [(i, j, k) for i in vk for j in uk for k in uk],
         lambda i, j, k: (
-            p.rt(V.alpha_map(eV(i)), U.product(eU(j), eU(k))),
-            p.rt(p.rt(eV(i), eU(j)), U.alpha_map(eU(k))),
+            p.rt(V.alpha_map(e(i)), U.product(e(j), e(k))),
+            p.rt(p.rt(e(i), e(j)), U.alpha_map(e(k))),
         ),
     )
     rep.run(
         "right-module-unit",
         [(i,) for i in vk],
-        lambda i: (p.rt(eV(i), U.unit_elem()), V.alpha_map(eV(i))),
+        lambda i: (p.rt(e(i), U.unit_elem()), V.alpha_map(e(i))),
     )
 
     # module-coalgebra conditions and twist compatibility of |> (values in
-    # U), then of <| (values in V); each lambda is consumed by its run
-    # before the loop moves on
+    # U), then of <| (values in V)
     for side, act, target, compat in (
         ("lt", p.lt, U, "rt-phi-compatibility"),
         ("rt", p.rt, V, "lt-a-compatibility"),
     ):
-        rep.run(
-            side + "/Hom-mod-coalg-00",
-            vu,
-            lambda i, k: (
-                target.beta_map(act(eV(i), eU(k))),
-                act(V.beta_map(eV(i)), U.beta_map(eU(k))),
-            ),
-        )
-        # Delta(v . u) = (v_(1) . u_(1)) x (v_(2) . u_(2))
-        rep.run(
-            side + "/Hom-mod-coalg-I",
-            vu,
-            lambda i, k: (
-                target.comult_map(act(eV(i), eU(k))),
-                bilinear(
-                    lambda s, t: act(eV(s[0]), eU(t[0])) @ act(eV(s[1]), eU(t[1])),
-                    V.comult_map(eV(i)),
-                    U.comult_map(eU(k)),
-                ),
-            ),
-        )
-        rep.run(
-            side + "/Hom-mod-coalg-II",
-            vu,
-            lambda i, k: (
-                LinComb.basis("k", target.counit_map(act(eV(i), eU(k)))),
-                LinComb.basis("k", V.counit_map(eV(i)) * U.counit_map(eU(k))),
-            ),
-        )
-        rep.run(
-            compat,
-            vu,
-            lambda i, k: (
-                target.alpha_map(act(eV(i), eU(k))),
-                act(V.alpha_map(eV(i)), U.alpha_map(eU(k))),
-            ),
+        _module_coalgebra(rep, side + "/", V, U, target, act)
+        _twist_compat(
+            rep, compat, V, U, act, target.alpha_map, V.alpha_map, U.alpha_map
         )
 
     # the four mixed equations
     def v_rt_uu(i, j, k):
-        v, u, u2 = eV(i), eU(j), eU(k)
+        v, u, u2 = e(i), e(j), e(k)
         lhs = p.lt(v, U.product(u, u2))
 
         def term(vs, us):
-            first = p.lt(V.alpha_inv(V.beta_inv(eV(vs[0]))), U.beta_inv(eU(us[0])))
+            first = p.lt(V.alpha_inv(V.beta_inv(e(vs[0]))), U.beta_inv(e(us[0])))
             inner = p.rt(
-                V.alpha_pow(-2, V.beta_inv(eV(vs[1]))),
-                U.alpha_inv(U.beta_inv(eU(us[1]))),
+                V.alpha_pow(-2, V.beta_inv(e(vs[1]))),
+                U.alpha_inv(U.beta_inv(e(us[1]))),
             )
             return U.product(first, p.lt(inner, u2))
 
@@ -320,15 +293,15 @@ def check_matched_pair_hopf(p):
     rep.run("v-rt-uu'", [(i, j, k) for i in vk for j in uk for k in uk], v_rt_uu)
 
     def vv_rt_u(i, j, k):
-        v, v2, u = eV(i), eV(j), eU(k)
+        v, v2, u = e(i), e(j), e(k)
         lhs = p.rt(V.product(v, v2), u)
 
         def term(ws, us):
             inner = p.lt(
-                V.alpha_inv(V.beta_inv(eV(ws[0]))),
-                U.alpha_pow(-2, U.beta_inv(eU(us[0]))),
+                V.alpha_inv(V.beta_inv(e(ws[0]))),
+                U.alpha_pow(-2, U.beta_inv(e(us[0]))),
             )
-            second = p.rt(V.beta_inv(eV(ws[1])), U.alpha_inv(U.beta_inv(eU(us[1]))))
+            second = p.rt(V.beta_inv(e(ws[1])), U.alpha_inv(U.beta_inv(e(us[1]))))
             return V.product(p.rt(v, inner), second)
 
         return lhs, bilinear(term, V.comult_map(v2), U.comult_map(u))
@@ -336,32 +309,18 @@ def check_matched_pair_hopf(p):
     rep.run("vv'-lt-u", [(i, j, k) for i in vk for j in vk for k in uk], vv_rt_u)
 
     def switch(i, k):
-        dv, du = V.comult_map(eV(i)), U.comult_map(eU(k))
+        dv, du = V.comult_map(e(i)), U.comult_map(e(k))
         lhs = bilinear(
-            lambda s, t: p.rt(eV(s[0]), eU(t[0])) @ p.lt(eV(s[1]), eU(t[1])), dv, du
+            lambda s, t: p.rt(e(s[0]), e(t[0])) @ p.lt(e(s[1]), e(t[1])), dv, du
         )
         rhs = bilinear(
-            lambda s, t: p.rt(eV(s[1]), eU(t[1])) @ p.lt(eV(s[0]), eU(t[0])), dv, du
+            lambda s, t: p.rt(e(s[1]), e(t[1])) @ p.lt(e(s[0]), e(t[0])), dv, du
         )
         return lhs, rhs
 
-    rep.run("v-lt-u-ot-v-rt-u-switch", vu, switch)
-    rep.run(
-        "actions-on-1",
-        [(i,) for i in vk],
-        lambda i: (
-            p.lt(eV(i), U.unit_elem()),
-            V.counit_map(eV(i)) * U.unit_elem(),
-        ),
-    )
-    rep.run(
-        "actions-on-1-right",
-        [(k,) for k in uk],
-        lambda k: (
-            p.rt(V.unit_elem(), eU(k)),
-            U.counit_map(eU(k)) * V.unit_elem(),
-        ),
-    )
+    rep.run("v-lt-u-ot-v-rt-u-switch", _pairs(V, U), switch)
+    _unit_compat(rep, "actions-on-1", V, U, p.lt)
+    _unit_compat(rep, "actions-on-1-right", U, V, lambda u, v: p.rt(v, u))
     return rep
 
 
@@ -528,14 +487,13 @@ class DoubleCrossProduct(_TensorHopf):
         return extend(antipode_key, x)
 
 
-def build_double_cross_product(p, check=True):
-    if check:
-        rep = check_matched_pair_hopf(p)
-        if not rep.passed:
-            raise NotMatchedPair(
-                "matched-pair equations fail: "
-                + ", ".join(eq.eq_id for eq in rep.equations if not eq.passed)
-            )
+def build_double_cross_product(p):
+    rep = check_matched_pair_hopf(p)
+    if not rep.passed:
+        raise NotMatchedPair(
+            "matched-pair equations fail: "
+            + ", ".join(eq.eq_id for eq in rep.equations if not eq.passed)
+        )
     return DoubleCrossProduct(p)
 
 
@@ -580,7 +538,7 @@ class MutualPairHopf:
     coaction_legs_truncated = coaction_legs
 
 
-class GradedMutualPair:
+class GradedMutualPair(MutualPairHopf):
     """Mutual-pair data where F is the degreewise dual of a truncated
     factor; the coaction exists only through its pairings.
 
@@ -607,9 +565,6 @@ class GradedMutualPair:
             if val != eps * self.u.alpha_map(e(ukey)):
                 return False
         return True
-
-    def act(self, u, f):
-        return bilinear(lambda i, j: self.action[(i, j)], u, f)
 
     def nabla_pair(self, u, w):
         """The defining pairing of the coaction: u_(0) <u_(1), w>."""
@@ -640,31 +595,10 @@ def _check_action_side(m):
     compatibility of the action with the twists."""
     rep = CheckReport()
     F, U = m.f, m.u
-    fk, uk = F.basis_keys(), U.basis_keys()
-    _check_left_module(rep, U, fk, m.act, F.beta_map)
+    module_axioms(rep, "left", U, F.basis_keys(), m.act, F.beta_map)
     rep.merge(check_module_algebra(U, F, SimpleNamespace(apply=m.act)))
-    rep.run(
-        "rt-f-comp",
-        [(i, k) for i in uk for k in fk],
-        lambda i, k: (
-            F.beta_map(m.act(e(i), e(k))),
-            m.act(U.alpha_map(e(i)), F.beta_map(e(k))),
-        ),
-    )
+    _twist_compat(rep, "rt-f-comp", U, F, m.act, F.beta_map, U.alpha_map, F.beta_map)
     return rep
-
-
-def _check_comp_II(rep, m):
-    """eps_F(u |> f) = eps_U(u) eps_F(f), the same in both checkers."""
-    F, U = m.f, m.u
-    rep.run(
-        "comp-II",
-        [(i, k) for i in U.basis_keys() for k in F.basis_keys()],
-        lambda i, k: (
-            LinComb.basis("k", F.counit_map(m.act(e(i), e(k)))),
-            LinComb.basis("k", U.counit_map(e(i)) * F.counit_map(e(k))),
-        ),
-    )
 
 
 def _check_mutual_pair_finite(m):
@@ -672,7 +606,7 @@ def _check_mutual_pair_finite(m):
     fk, uk = F.basis_keys(), U.basis_keys()
     rep = _check_action_side(m)
 
-    coact = CoactionData(F, uk, m.coaction, FuncOperator(U.alpha_map), carrier=U)
+    coact = CoactionData(F, uk, m.coaction, FuncOperator(U.alpha_map))
     rep.merge(check_hom_comodule(F, coact), prefix="coaction/")
     rep.merge(check_comodule_coalgebra(F, U, coact))
     rep.run(
@@ -705,7 +639,7 @@ def _check_mutual_pair_finite(m):
         return lhs, extend(over_u, U.comult_map(u))
 
     rep.run("comp-I", [(i, k) for i in uk for k in fk], comp1)
-    _check_comp_II(rep, m)
+    _counit_compat(rep, "comp-II", U, F, F, m.act)
 
     def comp3(i, j):
         u, u2 = e(i), e(j)
@@ -797,26 +731,11 @@ def _check_mutual_pair_graded(m):
         ),
     )
 
-    def comod_coalg_1(i, w):
-        u = e(i)
-        lhs = U.comult_map(m.nabla_pair(u, V.beta_pow(-2, e(w))))
-        rhs = bilinear(
-            lambda us, xs: m.nabla_pair(e(us[0]), V.beta_pow(-2, e(xs[0])))
-            @ m.nabla_pair(e(us[1]), V.beta_pow(-2, e(xs[1]))),
-            U.comult_map(u),
-            V.comult_map(e(w)),
-        )
-        return lhs, rhs
-
-    rep.run("Hom-comod-coalg-I", [(i, w) for i in uk for w in vk], comod_coalg_1)
-    rep.run(
-        "Hom-comod-coalg-II",
-        [(i, w) for i in uk for w in vk],
-        lambda i, w: (
-            LinComb.basis("k", U.counit_map(m.nabla_pair(e(i), e(w)))),
-            LinComb.basis("k", U.counit_map(e(i)) * V.counit_map(e(w))),
-        ),
+    _comult_compat(
+        rep, "Hom-comod-coalg-I", U, V, U,
+        lambda u, w: m.nabla_pair(u, V.beta_pow(-2, w)),
     )
+    _counit_compat(rep, "Hom-comod-coalg-II", U, V, U, m.nabla_pair)
     rep.run(
         "lt-f-comp",
         [(i, w) for i in uk for w in vk],
@@ -856,7 +775,7 @@ def _check_mutual_pair_graded(m):
         ],
         comp1,
     )
-    _check_comp_II(rep, m)
+    _counit_compat(rep, "comp-II", U, F, F, m.act)
 
     def comp3(i, j, w):
         u, u2 = e(i), e(j)
@@ -984,12 +903,11 @@ class Bicrossproduct(_TensorHopf):
         return self.antipode_map(x, truncated=True)
 
 
-def build_bicrossproduct(m, check=True):
-    if check:
-        rep = check_mutual_pair(m)
-        if not rep.passed:
-            raise NotMutualPair(
-                "mutual-pair equations fail: "
-                + ", ".join(eq.eq_id for eq in rep.equations if not eq.passed)
-            )
+def build_bicrossproduct(m):
+    rep = check_mutual_pair(m)
+    if not rep.passed:
+        raise NotMutualPair(
+            "mutual-pair equations fail: "
+            + ", ".join(eq.eq_id for eq in rep.equations if not eq.passed)
+        )
     return Bicrossproduct(m)

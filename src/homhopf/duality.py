@@ -359,9 +359,3 @@ class TruncatedDual:
         if table is None:
             table = self._tables[name] = build()
         return table
-
-
-def graded_dual(u):
-    """Degreewise dual of a truncated enveloping algebra, with the
-    identity pairing against its normal-form basis."""
-    return TruncatedDual(u)

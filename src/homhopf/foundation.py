@@ -139,16 +139,6 @@ class LinComb:
         return " + ".join(bits)
 
 
-def lincomb_arith(a, b, c):
-    """Return a + c*b."""
-    return a.add_scaled(b, c)
-
-
-def tensor(a, b):
-    """Bilinear tensor of two combinations over the pair basis."""
-    return a @ b
-
-
 # ---------------------------------------------------------------------------
 # the accumulator: every linear and bilinear extension goes through here.
 # Each call sums into one fresh dict and wraps it once, so neither the
@@ -234,9 +224,6 @@ class LinearOperator:
                 inv_cols[kj] = LinComb({keys[i]: inverse[i][j] for i in range(n)})
         return cls(cols, inv_cols)
 
-    def domain(self):
-        return self.columns.keys()
-
     def apply(self, x):
         return extend(lambda k: _column(self.columns, k), x)
 
@@ -251,11 +238,6 @@ class LinearOperator:
             x = self.apply(x) if n > 0 else self.apply_inverse(x)
         return x
 
-    def compose(self, other):
-        """self after other."""
-        cols = {k: self.apply(col) for k, col in other.columns.items()}
-        return LinearOperator(cols, check=False)
-
     def inverted(self):
         """Return the inverse operator (with self stored as its inverse)."""
         if self.inverse_columns is None:
@@ -264,9 +246,6 @@ class LinearOperator:
 
     def is_identity(self):
         return all(col == LinComb.basis(k) for k, col in self.columns.items())
-
-    def matrix(self, keys):
-        return [[self.columns[kj].get(ki) for kj in keys] for ki in keys]
 
     def _compute_inverse(self):
         keys = sorted(self.columns.keys(), key=repr)
@@ -332,15 +311,6 @@ class FuncOperator:
         for _ in range(abs(n)):
             x = self.apply(x) if n > 0 else self.apply_inverse(x)
         return x
-
-
-def invert(m):
-    """Invert a square LinearOperator; raises NotInvertible."""
-    return m.inverted()
-
-
-def apply(m, x):
-    return m.apply(x)
 
 
 def _default_order(key):

@@ -120,7 +120,7 @@ class CheckReport:
                 res.violations.append(Violation(eq_id, tup, lhs, rhs))
         return res
 
-    def summary_lines(self, label=None):
+    def summary_lines(self):
         lines = []
         for eq in self.equations:
             status = "ok  " if eq.passed else "FAIL"
@@ -253,12 +253,11 @@ class ActionData:
 class CoactionData:
     """A coalgebra coaction on a carrier: table m -> LinComb over (m', h) pairs."""
 
-    def __init__(self, coalgebra, carrier_keys, coact, theta, carrier=None):
+    def __init__(self, coalgebra, carrier_keys, coact, theta):
         self.coalgebra = coalgebra
         self.carrier_keys = list(carrier_keys)
         self.coact = dict(coact)
         self.theta = theta
-        self.carrier = carrier
 
     def apply(self, m):
         return extend(self.coact.__getitem__, m)
@@ -441,12 +440,9 @@ def _comult_product(b, x, y):
     )
 
 
-def check_hom_bialgebra(b, include_components=True):
+def check_hom_bialgebra(b):
     """The nine compatibility conditions between tables, twists, unit, counit."""
-    rep = CheckReport()
-    if include_components:
-        rep.merge(check_hom_algebra(b))
-        rep.merge(check_hom_coalgebra(b))
+    rep = check_hom_algebra(b).merge(check_hom_coalgebra(b))
     keys = b.basis_keys()
     bas = [LinComb.basis(k) for k in keys]
     unit = b.unit_elem()
@@ -503,11 +499,9 @@ def check_hom_bialgebra(b, include_components=True):
     return rep
 
 
-def check_hom_hopf(h, include_components=True):
+def check_hom_hopf(h):
     """Antipode axioms plus the derived antipode properties as line items."""
-    rep = CheckReport()
-    if include_components:
-        rep.merge(check_hom_bialgebra(h))
+    rep = check_hom_bialgebra(h)
     keys = h.basis_keys()
     bas = [LinComb.basis(k) for k in keys]
     unit = h.unit_elem()
@@ -564,39 +558,39 @@ def check_hom_hopf(h, include_components=True):
     return rep
 
 
-def check_hom_module(a, m):
-    """Hom-module axioms for an action with carrier map gamma.
+def module_axioms(rep, prefix, a, carrier_keys, act, gamma, side="left"):
+    """Hom-module axioms of an action act(x, v) of a on a carrier with twist
+    gamma, run into rep as <prefix>-module-assoc and <prefix>-module-unit.
 
     Left:  (p*q) |> gamma(v) = alpha(p) |> (q |> v)  and  1 |> v = gamma(v).
-    Right: gamma(v) <| (p*q) = (v <| p) <| alpha(q)  and  v <| 1 = gamma(v).
+    Right: gamma(v) <| (p*q) = (v <| p) <| alpha(q)  and  v <| 1 = gamma(v),
+    where act(p, v) stands for v <| p.
     """
-    rep = CheckReport()
+    e = LinComb.basis
     akeys = a.basis_keys()
-    ckeys = m.carrier_keys
-    unit = a.unit_elem()
 
-    def assoc_left(i, j, k):
-        p, q = LinComb.basis(i), LinComb.basis(j)
-        v = LinComb.basis(k)
-        lhs = m.apply(a.product(p, q), m.gamma.apply(v))
-        rhs = m.apply(a.alpha_map(p), m.apply(q, v))
-        return lhs, rhs
+    def assoc(i, j, k):
+        outer, inner = (i, j) if side == "left" else (j, i)
+        lhs = act(a.product(e(i), e(j)), gamma(e(k)))
+        return lhs, act(a.alpha_map(e(outer)), act(e(inner), e(k)))
 
-    def assoc_right(i, j, k):
-        # act(h, v) stores v <| h; gamma(v) <| (p*q) = (v <| p) <| alpha(q)
-        p, q = LinComb.basis(i), LinComb.basis(j)
-        v = LinComb.basis(k)
-        lhs = m.apply(a.product(p, q), m.gamma.apply(v))
-        rhs = m.apply(a.alpha_map(q), m.apply(p, v))
-        return lhs, rhs
-
-    triples = [(i, j, k) for i in akeys for j in akeys for k in ckeys]
-    rep.run("hom-module-assoc", triples, assoc_left if m.side == "left" else assoc_right)
     rep.run(
-        "hom-module-unit",
-        [(k,) for k in ckeys],
-        lambda k: (m.apply(unit, LinComb.basis(k)), m.gamma.apply(LinComb.basis(k))),
+        prefix + "-module-assoc",
+        [(i, j, k) for i in akeys for j in akeys for k in carrier_keys],
+        assoc,
     )
+    rep.run(
+        prefix + "-module-unit",
+        [(k,) for k in carrier_keys],
+        lambda k: (act(a.unit_elem(), e(k)), gamma(e(k))),
+    )
+
+
+def check_hom_module(a, m):
+    """Hom-module axioms for an action with carrier map gamma, on the side
+    the action declares."""
+    rep = CheckReport()
+    module_axioms(rep, "hom", a, m.carrier_keys, m.apply, m.gamma.apply, m.side)
     return rep
 
 

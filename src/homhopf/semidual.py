@@ -13,15 +13,15 @@ semidualize, check the mutual pair, and build the bicrossproduct.
 """
 
 from .cross_products import (
+    Bicrossproduct,
     GradedMutualPair,
     MatchedPairHopf,
     MutualPairHopf,
-    build_bicrossproduct,
     check_matched_pair_hopf,
     check_mutual_pair,
     coaction_column,
 )
-from .duality import dual_hom_hopf, graded_dual, transpose_operator
+from .duality import TruncatedDual, dual_hom_hopf, transpose_operator
 from .errors import OrderConstraintViolated
 from .foundation import FuncOperator, LinComb, bilinear, extend
 from .hom_core import ActionData, CoactionData, check_hom_hopf
@@ -81,12 +81,6 @@ def action_from_coaction(v, coaction):
     return table
 
 
-def comodule_coalgebra_from_module_coalgebra(v, carrier_keys, left_table, gamma):
-    """Same dualization; named for the module-coalgebra to comodule-coalgebra
-    upgrade, which the mutual-pair checker then verifies."""
-    return coaction_from_action(v, carrier_keys, left_table, gamma)
-
-
 def dual_left_action_from_right_action(u, v, right_table, gamma=None):
     """Left action of u on the dual of v from a right action of u on v:
     (u |>* f)(w) = f(gamma^-2(w) <| phi^-2(u)), carrier map (gamma^-1)*."""
@@ -131,7 +125,7 @@ def semidualize(p, cfg):
     _check_order(U, "first factor", cfg.enforce_order_constraint)
 
     if getattr(V, "is_truncated", False):
-        return GradedMutualPair(graded_dual(V), U, _dual_action_table(U, V, p.rt), p)
+        return GradedMutualPair(TruncatedDual(V), U, _dual_action_table(U, V, p.rt), p)
     # the dual Hopf algebra is built once, inside coaction_from_action
     coaction = coaction_from_action(
         V, U.basis_keys(), p.left, FuncOperator(U.alpha_map, U.alpha_inv)
@@ -178,7 +172,7 @@ def build_hom_lie_hopf(g, h, pair, cfg):
     matched_report = check_matched_pair_hopf(mp)
     mutual = semidualize(mp, cfg)
     mutual_report = check_mutual_pair(mutual)
-    bicross = build_bicrossproduct(mutual, check=False)
+    bicross = Bicrossproduct(mutual)
     suite_report = check_hom_hopf(bicross)
     return HomLieHopfResult(
         ug, uh, mp, matched_report, mutual, mutual_report, bicross, suite_report

@@ -258,27 +258,6 @@ class TreeOps:
 
 
 # ---------------------------------------------------------------------------
-# spec-level convenience wrappers
-
-
-def graft(x, y, phi=None):
-    return TreeOps(phi).graft(x, y)
-
-
-def a_shift(x, phi=None):
-    return TreeOps(phi).a_shift(x)
-
-
-def tree_coproduct(x, phi=None):
-    return TreeOps(phi).coproduct(x)
-
-
-def tree_counit_antipode(x, phi=None):
-    ops = TreeOps(phi)
-    return ops.counit(x), ops.antipode(x)
-
-
-# ---------------------------------------------------------------------------
 # ideals
 
 
@@ -714,18 +693,6 @@ class UEAActionContext:
 
     def omega_right(self, v, u):
         return bilinear(self.omega_right_key, v, u)
-
-
-def act_U_on_h(pair, eta, u, ctx=None):
-    """Right action of trees over g on the Lie algebra h: eta <| u."""
-    ctx = ctx or UEAActionContext(pair)
-    return ctx.eta_right(eta, u)
-
-
-def act_h_on_U(pair, eta, u, ctx=None):
-    """Left action of the Lie algebra h on trees over g: eta |> u."""
-    ctx = ctx or UEAActionContext(pair)
-    return ctx.eta_left(eta, u)
 
 
 def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):

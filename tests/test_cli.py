@@ -430,3 +430,62 @@ def test_target_that_is_not_a_string_exits_two(tmp_path, capsys):
     path = write(tmp_path, doc)
     argv = ["matched-pair-check", "--input", path]
     assert_input_error(capsys, argv, "/matched_pairs/trivial/u")
+
+
+def pair_of_pairs_violation(block):
+    """The first antipode-anticomultiplicative violation: its lhs and rhs
+    are over the pair-of-pairs keys of a tensor-product coproduct."""
+    eq = next(q for q in block["equations"] if q["id"] == "antipode-anticomultiplicative")
+    v = eq["violations"][0]
+    return v["witness"], v["lhs"], v["rhs"]
+
+
+def test_failing_double_cross_suite_reports_pair_witnesses(tmp_path, capsys):
+    # pair-of-pairs keys such as ((0, 0), (0, 0)) are labelled as pairs,
+    # not read as trees
+    doc = sample_doc("kz4_trivial_doublecross")
+    doc["hopf"]["v"]["antipode"][0][0] = "-1"
+    path = write(tmp_path, doc)
+    assert main(["doublecross", "--input", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [b["id"] for b in report["checks"]] == ["matched-pair", "double-cross-suite"]
+    assert pair_of_pairs_violation(report["checks"][1]) == (
+        ["0"], [["((0, 0), (0, 0))", "-1"]], [["((0, 0), (0, 0))", "1"]]
+    )
+
+
+def test_failing_bicross_suite_reports_pair_witnesses(tmp_path, capsys):
+    doc = trivial_mutual_doc()
+    doc["hopf"]["f"]["antipode"][0][0] = "-1"
+    path = write(tmp_path, doc)
+    assert main(["bicross", "--input", path, "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [b["id"] for b in report["checks"]] == ["mutual-pair", "bicross-suite"]
+    assert pair_of_pairs_violation(report["checks"][1]) == (
+        ["0"], [["((0, 0), (0, 0))", "-1"]], [["((0, 0), (0, 0))", "1"]]
+    )
+
+
+@pytest.mark.parametrize(
+    "rows,bad",
+    [
+        ([[0, 0, ["1", "0"]]], 0),
+        ([[0, 1, ["1", "0"]], [1, 0, ["1", "0"]]], 1),
+        ([[0, 1, ["1", "0"]], [0, 1, ["0", "1"]]], 1),
+    ],
+)
+def test_contradictory_bracket_rows_exit_two(tmp_path, capsys, rows, bad):
+    doc = a2_doc()
+    doc["hom_lie"]["a2"]["bracket"] = rows
+    path = write(tmp_path, doc)
+    where = "/hom_lie/a2/bracket/%d" % bad
+    assert_input_error(capsys, ["build-uea", "--input", path], where)
+
+
+def test_consistent_bracket_rows_are_accepted(tmp_path):
+    doc = a2_doc()
+    doc["hom_lie"]["a2"]["bracket"] = [
+        [0, 0, ["0", "0"]], [0, 1, ["1", "0"]], [1, 0, ["-1", "0"]],
+    ]
+    g = parse_input(write(tmp_path, doc)).hom_lie["a2"]
+    assert g.bracket(0, 1) == e(0) and g.bracket(1, 0) == -1 * e(0)

@@ -271,7 +271,7 @@ def test_double_cross_product_antipode_is_convolution_inverse():
 def test_bicross_product_of_fiber_elements():
     # (f, 1)(f', 1) = (a^-1 b(f) * a^-1 b(f'), 1)
     m = trivial_mutual_pair()
-    bi = build_bicrossproduct(m, check=False)
+    bi = Bicrossproduct(m)
     F, U = m.f, m.u
     one_u = U.unit_elem()
     for kf in F.basis_keys():

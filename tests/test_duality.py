@@ -143,18 +143,18 @@ def test_coregular_actions_of_sweedler_depend_on_side():
 
 
 def test_graded_dual_dimensions():
-    from homhopf.duality import graded_dual
+    from homhopf.duality import TruncatedDual
     from homhopf.fixtures import abelian_lie
     from homhopf.uea_trees import build_truncated_uea
 
     u1 = build_truncated_uea(abelian_lie(1), 3, 2)
-    d1 = graded_dual(u1)
+    d1 = TruncatedDual(u1)
     assert d1.dims_per_degree() == [1, 1, 1, 1]
     assert d1.dims_per_degree()[0] == 1  # degree zero pairs with the unit
     assert d1.counit_map(d1.unit_elem()) == 1
 
     u2 = build_truncated_uea(abelian_lie(2), 2, 1)
-    d2 = graded_dual(u2)
+    d2 = TruncatedDual(u2)
     assert d2.dims_per_degree() == [1, 2, 3]
     # identity pairing matrices per degree
     for deg in range(3):
@@ -167,14 +167,14 @@ def test_graded_dual_dimensions():
 
 
 def test_graded_dual_product_respects_budget():
-    from homhopf.duality import graded_dual
+    from homhopf.duality import TruncatedDual
     from homhopf.fixtures import abelian_lie
     from homhopf.uea_trees import build_truncated_uea
     from homhopf.errors import TruncationOverflow
     import pytest as _pytest
 
     u = build_truncated_uea(abelian_lie(1), 2, 1)
-    d = graded_dual(u)
+    d = TruncatedDual(u)
     keys = sorted(d.basis_keys(), key=d.degree)
     one, y1, y2 = keys
     # (y1)* . (y1)* picks out the coefficient of the split in Delta(y^2)
@@ -201,7 +201,7 @@ def test_dual_algebra_of_cotwist_coalgebra():
 
 
 def _dual_case(name):
-    from homhopf.duality import graded_dual
+    from homhopf.duality import TruncatedDual
     from homhopf.fixtures import (
         abelian_lie,
         fixture_a_prime_lie_pair,
@@ -221,7 +221,7 @@ def _dual_case(name):
         "sl2_twisted": lambda: lie_twist(sl2(), sl2_involution()),
         "abelian2_quarter_turn": lambda: abelian_lie(2, quarter_turn),
     }[name]()
-    return graded_dual(build_truncated_uea(lie, 3, 1))
+    return TruncatedDual(build_truncated_uea(lie, 3, 1))
 
 
 @pytest.mark.parametrize(
@@ -278,12 +278,12 @@ def test_truncated_dual_tables_match_pairing(name):
 
 
 def test_truncated_dual_tables_are_lazy_and_per_instance():
-    from homhopf.duality import graded_dual
+    from homhopf.duality import TruncatedDual
     from homhopf.fixtures import abelian_lie
     from homhopf.uea_trees import build_truncated_uea
 
-    d2 = graded_dual(build_truncated_uea(abelian_lie(1), 2, 1))
-    d3 = graded_dual(build_truncated_uea(abelian_lie(1), 3, 1))
+    d2 = TruncatedDual(build_truncated_uea(abelian_lie(1), 2, 1))
+    d3 = TruncatedDual(build_truncated_uea(abelian_lie(1), 3, 1))
     assert d2._tables == {} and d3._tables == {}
 
     _, y1, y2, y3 = (e(k) for k in sorted(d3.basis_keys(), key=d3.degree))

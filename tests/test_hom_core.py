@@ -155,7 +155,7 @@ def test_bialgebra_beta_alpha_commutation_failure_detected():
     broken = HomHopfData(
         4, h.mult, h.unit, h.alpha, h.comult, h.counit, shift, h.antipode
     )
-    rep = check_hom_bialgebra(broken, include_components=False)
+    rep = check_hom_bialgebra(broken)
     bad = {eq.eq_id for eq in rep.equations if not eq.passed}
     assert "bialg-9" in bad
 
@@ -194,7 +194,7 @@ def test_antipode_axiom_failure_witness():
         4, h.mult, h.unit, h.alpha, h.comult, h.counit, h.beta,
         LinearOperator.identity(range(4)),
     )
-    rep = check_hom_hopf(broken, include_components=False)
+    rep = check_hom_hopf(broken)
     failed = {eq.eq_id for eq in rep.equations if not eq.passed}
     assert "antipode-left" in failed or "antipode-right" in failed
 

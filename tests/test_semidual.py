@@ -236,7 +236,7 @@ def test_hom_lie_hopf_fixture_b_matches_classical_oracle():
 
 def test_comodule_coalgebra_from_module_coalgebra_round_trip():
     from homhopf.cross_products import check_comodule_coalgebra, check_module_coalgebra
-    from homhopf.semidual import comodule_coalgebra_from_module_coalgebra
+    from homhopf.semidual import coaction_from_action
 
     mp = trivial_hopf_matched_pair()
     U, V = mp.u, mp.v
@@ -247,7 +247,7 @@ def test_comodule_coalgebra_from_module_coalgebra_round_trip():
             return mp.lt(h, x)
 
     assert check_module_coalgebra(V, U, _Act).passed
-    coact = comodule_coalgebra_from_module_coalgebra(
+    coact = coaction_from_action(
         V, U.basis_keys(), mp.left, FuncOperator(U.alpha_map, U.alpha_inv)
     )
     rep = check_comodule_coalgebra(coact.coalgebra, U, coact)
@@ -267,7 +267,7 @@ def test_comodule_coalgebra_from_module_coalgebra_round_trip():
     assert any(
         eq.eq_id == "Hom-mod-coalg-I" and eq.violations for eq in rep_in.equations
     )
-    coact2 = comodule_coalgebra_from_module_coalgebra(
+    coact2 = coaction_from_action(
         V, U.basis_keys(), broken, FuncOperator(U.alpha_map, U.alpha_inv)
     )
     rep_out = check_comodule_coalgebra(coact2.coalgebra, U, coact2)

@@ -19,17 +19,11 @@ from homhopf.uea_trees import (
     LEAF,
     UNIT,
     TreeOps,
-    act_h_on_U,
-    act_U_on_h,
-    a_shift,
     build_truncated_uea,
-    graft,
     ideal_I_span,
     ideal_J_span,
     lift_to_Uh_action,
     shapes,
-    tree_coproduct,
-    tree_counit_antipode,
     UEAActionContext,
 )
 
@@ -49,24 +43,24 @@ def test_shape_enumeration_is_catalan():
 
 def test_graft_conventions():
     one = e(UNIT)
-    assert graft(one, one) == one
+    assert TreeOps().graft(one, one) == one
     # t v 1 = a(t): undecorated shift adds one to every weight
     t = e((LEAF, (2,)))
-    assert graft(t, one) == e((LEAF, (3,)))
-    assert graft(one, t) == e((LEAF, (3,)))
+    assert TreeOps().graft(t, one) == e((LEAF, (3,)))
+    assert TreeOps().graft(one, t) == e((LEAF, (3,)))
     # decorated grafting concatenates weights and decorations
     phi = swap_phi()
     l0 = e((LEAF, (0,), (0,)))
     l1 = e((LEAF, (0,), (1,)))
-    assert graft(l0, l1, phi) == e(((LEAF, LEAF), (0, 0), (0, 1)))
+    assert TreeOps(phi).graft(l0, l1) == e(((LEAF, LEAF), (0, 0), (0, 1)))
 
 
 def test_a_shift():
     one = e(UNIT)
-    assert a_shift(one) == one
-    assert a_shift(e((LEAF, (2,)))) == e((LEAF, (3,)))
+    assert TreeOps().a_shift(one) == one
+    assert TreeOps().a_shift(e((LEAF, (2,)))) == e((LEAF, (3,)))
     neg = LinearOperator.from_matrix([[-1]], inverse=[[-1]])
-    assert a_shift(e((LEAF, (0,), (0,))), neg) == -1 * e((LEAF, (0,), (0,)))
+    assert TreeOps(neg).a_shift(e((LEAF, (0,), (0,)))) == -1 * e((LEAF, (0,), (0,)))
     # multiplicative over grafting
     phi = swap_phi()
     ops = TreeOps(phi)
@@ -77,16 +71,16 @@ def test_a_shift():
 
 def test_tree_coproduct_examples():
     one = e(UNIT)
-    assert tree_coproduct(one) == LinComb({(UNIT, UNIT): 1})
+    assert TreeOps().coproduct(one) == LinComb({(UNIT, UNIT): 1})
     # single decorated leaf is primitive
     phi = LinearOperator.identity(range(1))
     leaf = (LEAF, (2,), (0,))
-    d = tree_coproduct(e(leaf), phi)
+    d = TreeOps(phi).coproduct(e(leaf))
     assert d == LinComb({(leaf, UNIT): 1, (UNIT, leaf): 1})
     # two-leaf tree: full x 1 + 1 x full + the two shifted single-leaf splits
     phi = swap_phi()
     t = ((LEAF, LEAF), (0, 0), (0, 1))
-    d = tree_coproduct(e(t), phi)
+    d = TreeOps(phi).coproduct(e(t))
     shifted0 = (LEAF, (0,), (1,))  # phi applied to decoration 0
     shifted1 = (LEAF, (0,), (0,))
     assert d == LinComb(
@@ -101,16 +95,14 @@ def test_tree_coproduct_examples():
 
 def test_tree_counit_antipode():
     one = e(UNIT)
-    eps, s = tree_counit_antipode(one)
-    assert eps == 1 and s == one
-    leaf = (LEAF, (1,), (0,))
-    eps, s = tree_counit_antipode(e(leaf), LinearOperator.identity(range(1)))
-    assert eps == 0 and s == -1 * e(leaf)
+    ops = TreeOps()
+    assert ops.counit(one) == 1 and ops.antipode(one) == one
+    leaf = e((LEAF, (1,), (0,)))
+    ops = TreeOps(LinearOperator.identity(range(1)))
+    assert ops.counit(leaf) == 0 and ops.antipode(leaf) == -1 * leaf
     # S(t v t') = S(t') v S(t): two leaves pick up sign (+1)
-    phi = swap_phi()
     t = ((LEAF, LEAF), (0, 1), (0, 1))
-    eps, s = tree_counit_antipode(e(t), phi)
-    assert s == e(((LEAF, LEAF), (1, 0), (1, 0)))
+    assert TreeOps(swap_phi()).antipode(e(t)) == e(((LEAF, LEAF), (1, 0), (1, 0)))
 
 
 def test_coassociativity_on_all_trees_up_to_degree_four():
@@ -335,25 +327,25 @@ def test_act_U_on_h_examples():
     ctx = UEAActionContext(pair)
     x = e(0)
     # eta <| 1 = alpha(eta)
-    assert act_U_on_h(pair, x, e(UNIT), ctx) == x
+    assert ctx.eta_right(x, e(UNIT)) == x
     # x <| y = 0 so x <| (y v y) = 0
     y2 = ((LEAF, LEAF), (0, 0), (0, 0))
-    assert act_U_on_h(pair, x, e(y2), ctx) == LinComb.zero()
+    assert ctx.eta_right(x, e(y2)) == LinComb.zero()
     # weight powers collapse through the identity twist
-    assert act_U_on_h(pair, x, e((LEAF, (2,), (0,))), ctx) == pair.right(x, e(0))
+    assert ctx.eta_right(x, e((LEAF, (2,), (0,)))) == pair.right(x, e(0))
 
 
 def test_act_h_on_U_examples():
     pair = fixture_b_lie_pair()
     ctx = UEAActionContext(pair)
     x = e(0)
-    assert act_h_on_U(pair, x, e(UNIT), ctx) == LinComb.zero()
+    assert ctx.eta_left(x, e(UNIT)) == LinComb.zero()
     y2 = ((LEAF, LEAF), (0, 0), (0, 0))
-    assert act_h_on_U(pair, x, e(y2), ctx) == 2 * e(y2)
+    assert ctx.eta_left(x, e(y2)) == 2 * e(y2)
     # trivial left action: everything of degree >= 1 acts to zero
     triv = fixture_a_prime_lie_pair()
     ctx2 = UEAActionContext(triv)
-    assert act_h_on_U(triv, e(0), e((LEAF, (0,), (0,))), ctx2) == LinComb.zero()
+    assert ctx2.eta_left(e(0), e((LEAF, (0,), (0,)))) == LinComb.zero()
 
 
 def test_lift_to_Uh_action():
