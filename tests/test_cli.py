@@ -440,7 +440,7 @@ def pair_of_pairs_violation(block):
     return v["witness"], v["lhs"], v["rhs"]
 
 
-def test_failing_double_cross_suite_reports_pair_witnesses(tmp_path, capsys):
+def test_failing_double_cross_suite_labels_pair_keys(tmp_path, capsys):
     # pair-of-pairs keys such as ((0, 0), (0, 0)) are labelled as pairs,
     # not read as trees
     doc = sample_doc("kz4_trivial_doublecross")
@@ -454,7 +454,7 @@ def test_failing_double_cross_suite_reports_pair_witnesses(tmp_path, capsys):
     )
 
 
-def test_failing_bicross_suite_reports_pair_witnesses(tmp_path, capsys):
+def test_failing_bicross_suite_labels_pair_keys(tmp_path, capsys):
     doc = trivial_mutual_doc()
     doc["hopf"]["f"]["antipode"][0][0] = "-1"
     path = write(tmp_path, doc)
