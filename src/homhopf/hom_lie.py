@@ -14,7 +14,8 @@ class HomLieData:
     """Hom-Lie algebra: sparse antisymmetric bracket plus invertible twist phi.
 
     The bracket table stores (i, j) -> LinComb for i < j only; the accessor
-    fills in antisymmetry and the diagonal.
+    fills in antisymmetry and the diagonal.  Entries given for both (i, j)
+    and (j, i) must be negatives of each other.
     """
 
     def __init__(self, dim, bracket, phi):
@@ -27,7 +28,8 @@ class HomLieData:
                 continue
             if i > j:
                 i, j, v = j, i, -1 * v
-            self.table[(i, j)] = v
+            if self.table.setdefault((i, j), v) != v:
+                raise NotHomLie("bracket(%d,%d) is not -bracket(%d,%d)" % (j, i, i, j))
         self.phi = phi
 
     def basis_keys(self):

@@ -1,6 +1,6 @@
 import pytest
 
-from homhopf.errors import NotLieEndomorphism, NotMatchedPair
+from homhopf.errors import NotHomLie, NotLieEndomorphism, NotMatchedPair
 from homhopf.fixtures import (
     abelian_lie,
     fixture_a_prime_lie_pair,
@@ -42,6 +42,21 @@ def test_check_hom_lie_basics():
     rep = check_hom_lie(bad)
     assert not rep.passed
     assert any(eq.eq_id == "hom-jacobi" and eq.violations for eq in rep.equations)
+
+
+def test_mirrored_bracket_entries_must_be_antisymmetric():
+    ident = LinearOperator.identity(range(2))
+    with pytest.raises(NotHomLie, match=r"bracket\(1,0\) is not -bracket\(0,1\)"):
+        HomLieData(2, {(0, 1): e(0), (1, 0): e(0)}, ident)
+    with pytest.raises(NotHomLie):
+        HomLieData(2, {(1, 0): e(1), (0, 1): e(0)}, ident)
+
+
+def test_consistent_mirrored_bracket_entries_are_accepted():
+    g = HomLieData(2, {(0, 1): e(1), (1, 0): -1 * e(1)}, LinearOperator.identity(range(2)))
+    assert g.bracket(0, 1) == e(1)
+    assert g.bracket(1, 0) == -1 * e(1)
+    assert g.table == solvable2_lie().table
 
 
 def test_lie_twist():
