@@ -369,7 +369,8 @@ class RowSpace:
         if not v:
             return False
         piv = min(v.terms, key=self.order)
-        v = (ONE / v.terms[piv]) * v
+        if v.terms[piv] != ONE:
+            v = (ONE / v.terms[piv]) * v
         rows, columns = self.rows, self.columns
         # keep the rows that hold the new pivot fully reduced against it
         holders = [p for p in columns.pop(piv, ()) if rows[p].get(piv)]

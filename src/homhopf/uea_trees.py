@@ -17,11 +17,17 @@ Quotients are computed by linear closure and row reduction per degree,
 never by rewriting.  Row-reduction pivots prefer high degree and high
 weight, so normal forms concentrate in low filtration levels and weight
 zero, matching the classical picture when the twist is the identity.
+For decorated trees only the weight-0 relations are closed, giving the
+reduction P0; each weighted tree t then has the row t - P0(sigma(t)),
+where sigma replaces each leaf (s, xi) by (0, phi^s(xi)).  This is exact
+because sigma fixes weight-0 trees, commutes with grafting and the shift
+map, and sends every relation into the weight-0 ideal.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 from .errors import NotHomLie, NotInvertible, TruncationOverflow
 from .foundation import (
@@ -137,6 +143,7 @@ class TreeOps:
     def __init__(self, phi=None):
         self.phi = phi
         self._shift_cache = {}
+        self._phi_powers = {}
         self._coproduct_cache = {}
         self._antipode_cache = {}
 
@@ -155,22 +162,24 @@ class TreeOps:
                 raise NotInvertible("negative weight under inverse shift")
             out = LinComb.basis((shape, shifted))
         else:
-            shape, weights, decs = key
-            per_leaf = []
-            for d in decs:
-                img = self.phi.power(power, LinComb.basis(d))
-                per_leaf.append(list(img.items()))
-            terms = {}
-            for combo in iproduct(*per_leaf):
-                newdecs = tuple(d for d, _ in combo)
-                coeff = Fraction(1)
-                for _, c in combo:
-                    coeff *= c
-                k2 = (shape, weights, newdecs)
-                terms[k2] = terms.get(k2, Fraction(0)) + coeff
-            out = LinComb(terms)
+            out = self.phi_leafwise(key, (power,) * len(key[1]), key[1])
         self._shift_cache[(key, power)] = out
         return out
+
+    def phi_leafwise(self, key, powers, weights):
+        """The decorated tree of the shape of key with the given weights
+        and phi^powers[i] applied to the decoration of leaf i,
+        multilinearly."""
+        per_leaf = []
+        for d, p in zip(key[2], powers):
+            img = self._phi_powers.get((d, p))
+            if img is None:
+                img = self._phi_powers[(d, p)] = self.phi.power(p, LinComb.basis(d))
+            per_leaf.append(img.items())
+        return LinComb({
+            (key[0], weights, tuple(d for d, _ in combo)): prod(c for _, c in combo)
+            for combo in iproduct(*per_leaf)
+        })
 
     def a_shift(self, x, power=1):
         return extend(lambda k: self.a_shift_key(k, power), x)
@@ -343,33 +352,43 @@ def _rows_by_degree(rows, n_max):
 
 
 def _enveloping_ideal(g, n_max, weight_bound):
-    """The closure of the reassociation and enveloping relations on trees
-    decorated by g, as (ops, basis_by_degree, reassociation seeds, row
-    space).  The enveloping relations are weight absorption
-    (s, xi) - (0, phi^s(xi)) and the commutators
-    (xi1 xi2) - (xi2 xi1) - leaf([xi1, xi2])."""
+    """The reassociation and enveloping ideal on trees decorated by g, as
+    (ops, basis_by_degree, row space).
+
+    The enveloping relations are the commutators
+    (xi1 xi2) - (xi2 xi1) - leaf([xi1, xi2]) and weight absorption
+    (s, xi) - (0, phi^s(xi)).  Only weight 0 is closed: the reassociation
+    and commutator seeds on weight-0 trees, under grafting by weight-0
+    trees and the shift map, span J0 with reduction P0.  Let sigma replace
+    each leaf (s, xi) by (0, phi^s(xi)).  Then v lies in the ideal exactly
+    when sigma(v) lies in J0, because sigma fixes weight-0 trees, commutes
+    with grafting and the shift map, and sends every seed into J0.  Every
+    weighted tree t sorts before the weight-0 trees of its degree, so t is
+    a pivot and its reduced row is t - P0(sigma(t)), which RowSpace.add
+    makes of t - sigma(t).
+    """
     ops = TreeOps(g.phi)
     basis_by_degree = {
         n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
     }
-    reassoc = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
-    envelope = [
-        LinComb.basis((LEAF, (s,), (xi,))) - leaves(g.phi_pow(s, LinComb.basis(xi)))
-        for s in range(1, weight_bound + 1)
-        for xi in range(g.dim)
+    weight0 = {n: ops.basis_keys(n, 0, g.dim) for n in range(1, n_max + 1)}
+    t2 = (LEAF, LEAF)
+    seeds = _reassociation_seeds(ops, weight0, n_max, 0) + [
+        LinComb.basis((t2, (0, 0), (x1, x2)))
+        - LinComb.basis((t2, (0, 0), (x2, x1)))
+        - leaves(g.bracket(x1, x2))
+        for x1 in range(g.dim)
+        for x2 in range(x1 + 1, g.dim)
+        if n_max >= 2
     ]
-    if n_max >= 2:
-        t2 = (LEAF, LEAF)
-        for x1 in range(g.dim):
-            for x2 in range(x1 + 1, g.dim):
-                envelope.append(
-                    LinComb.basis((t2, (0, 0), (x1, x2)))
-                    - LinComb.basis((t2, (0, 0), (x2, x1)))
-                    - leaves(g.bracket(x1, x2))
-                )
     rs = RowSpace(order=pivot_order)
-    _close_under_ops(rs, reassoc + envelope, ops, basis_by_degree, n_max, weight_bound)
-    return ops, basis_by_degree, reassoc, rs
+    _close_under_ops(rs, seeds, ops, weight0, n_max, 0)
+    for n in range(1, n_max + 1):
+        zeros = (0,) * n
+        for t in basis_by_degree[n]:
+            if t[1] != zeros:
+                rs.add(LinComb.basis(t) - ops.phi_leafwise(t, t[1], zeros))
+    return ops, basis_by_degree, rs
 
 
 def ideal_J_span(g, n_max, weight_bound=3):
@@ -380,11 +399,10 @@ def ideal_J_span(g, n_max, weight_bound=3):
     pivot is not a pivot of I: with P the projection whose kernel is I,
     the leading terms of P(S) are those of S + I minus those of I.
     """
-    ops, basis_by_degree, reassoc_seeds, both = _enveloping_ideal(
-        g, n_max, weight_bound
-    )
+    ops, basis_by_degree, both = _enveloping_ideal(g, n_max, weight_bound)
     reassoc = RowSpace(order=pivot_order)
-    _close_under_ops(reassoc, reassoc_seeds, ops, basis_by_degree, n_max, weight_bound)
+    seeds = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
+    _close_under_ops(reassoc, seeds, ops, basis_by_degree, n_max, weight_bound)
     rows = [both.rows[p] for p in both.pivots() if p not in reassoc.rows]
     return _rows_by_degree(rows, n_max)
 
@@ -534,7 +552,7 @@ def build_truncated_uea(g, truncation_degree, weight_bound=3):
     """Construct the truncated universal enveloping Hom-Hopf algebra."""
     if not check_hom_lie(g).passed:
         raise NotHomLie("structure constants fail the Hom-Lie axioms")
-    ops, basis_by_degree, _, rs = _enveloping_ideal(g, truncation_degree, weight_bound)
+    ops, basis_by_degree, rs = _enveloping_ideal(g, truncation_degree, weight_bound)
     ambient = [UNIT]
     for n in range(1, truncation_degree + 1):
         ambient.extend(basis_by_degree[n])

@@ -10,14 +10,26 @@ the same maps into tables, and the tests require equal results.
 `FullScanRowSpace` and `coproduct_by_leaf_subsets` are the row reduction
 without a column index and the tree coproduct as a sum over leaf subsets,
 which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
+`enveloping_ideal_by_closure` closes every weighted tree under grafting and
+shifts, where `uea_trees._enveloping_ideal` closes weight 0 only and writes
+each weighted row directly.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from homhopf.foundation import LinComb
-from homhopf.uea_trees import LEAF, UNIT, leaf_count
+from homhopf.foundation import LinComb, RowSpace
+from homhopf.uea_trees import (
+    LEAF,
+    UNIT,
+    TreeOps,
+    _close_under_ops,
+    _reassociation_seeds,
+    leaf_count,
+    leaves,
+    pivot_order,
+)
 
 
 def sym_algebra_dims(generators, n_max):
@@ -222,3 +234,37 @@ def coproduct_by_leaf_subsets(ops, key):
         other = _restrict(ops, key[0], key, set(range(n)) - keep, 0)
         out = out + (rest @ other)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the enveloping ideal as one closure over all weights
+
+
+def enveloping_ideal_by_closure(g, n_max, weight_bound):
+    """The row space of the reassociation, weight-absorption
+    (s, xi) - (0, phi^s(xi)) and commutator
+    (xi1 xi2) - (xi2 xi1) - leaf([xi1, xi2]) seeds on trees decorated by
+    g, closed under grafting by every basis tree within the weight bound
+    and under the shift map."""
+    ops = TreeOps(g.phi)
+    basis_by_degree = {
+        n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
+    }
+    seeds = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
+    seeds += [
+        LinComb.basis((LEAF, (s,), (xi,))) - leaves(g.phi_pow(s, LinComb.basis(xi)))
+        for s in range(1, weight_bound + 1)
+        for xi in range(g.dim)
+    ]
+    t2 = (LEAF, LEAF)
+    seeds += [
+        LinComb.basis((t2, (0, 0), (x1, x2)))
+        - LinComb.basis((t2, (0, 0), (x2, x1)))
+        - leaves(g.bracket(x1, x2))
+        for x1 in range(g.dim)
+        for x2 in range(x1 + 1, g.dim)
+        if n_max >= 2
+    ]
+    rs = RowSpace(order=pivot_order)
+    _close_under_ops(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
+    return rs

@@ -19,6 +19,7 @@ from homhopf.uea_trees import (
     LEAF,
     UNIT,
     TreeOps,
+    _enveloping_ideal,
     build_truncated_uea,
     ideal_I_span,
     ideal_J_span,
@@ -27,7 +28,7 @@ from homhopf.uea_trees import (
     UEAActionContext,
 )
 
-from oracles import coproduct_by_leaf_subsets
+from oracles import coproduct_by_leaf_subsets, enveloping_ideal_by_closure
 
 e = LinComb.basis
 
@@ -237,6 +238,63 @@ def test_ideal_J_span_examples():
     # zero bracket, identity twist, W=0: only symmetrization relations
     spans = ideal_J_span(abelian_lie(2), 2, 0)
     assert len(spans[1]) == 0 and len(spans[2]) == 1
+
+
+def diag23():
+    return LinearOperator.from_matrix(
+        [[2, 0], [0, 3]], inverse=[[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
+    )
+
+
+ENVELOPING_ALGEBRAS = {
+    "sl2": sl2,
+    "sl2_twisted": lambda: lie_twist(sl2(), sl2_involution()),
+    "solvable2": solvable2_lie,
+    "abelian2": lambda: abelian_lie(2),
+    "fixture_b_g": lambda: fixture_b_lie_pair().g,
+    "fixture_b_h": lambda: fixture_b_lie_pair().h,
+    "fixture_a_prime_g": lambda: fixture_a_prime_lie_pair().g,
+    "fixture_a_prime_h": lambda: fixture_a_prime_lie_pair().h,
+    "abelian2_quarter_turn": lambda: abelian_lie(2, quarter_turn()),
+    "abelian2_diag23": lambda: abelian_lie(2, diag23()),
+}
+
+# under these twists phi^s differs from phi for every weight s > 1
+POWER_TWISTS = ("abelian2_quarter_turn", "abelian2_diag23")
+
+# (algebra, N, W)
+ENVELOPING_CASES = (
+    [
+        (name, 3, w)
+        for name in ENVELOPING_ALGEBRAS
+        if name not in POWER_TWISTS
+        for w in (1, 3)
+    ]
+    + [(name, n, 3) for name in POWER_TWISTS for n in (2, 3)]
+    + [(name, 4, 1) for name in ("sl2", "sl2_twisted", "solvable2")]
+)
+
+
+@pytest.mark.parametrize(
+    "name,n,w", ENVELOPING_CASES, ids=["%s_n%d_w%d" % c for c in ENVELOPING_CASES]
+)
+def test_enveloping_ideal_matches_closure_over_weighted_trees(name, n, w):
+    g = ENVELOPING_ALGEBRAS[name]()
+    _, _, rs = _enveloping_ideal(g, n, w)
+    ref = enveloping_ideal_by_closure(g, n, w)
+    assert rs.pivots() == ref.pivots()
+    for p, row in ref.rows.items():
+        assert rs.rows[p] == row, p
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2_twisted"])
+def test_rowspace_invariants_hold_after_build(name):
+    rs = build_truncated_uea(ENVELOPING_ALGEBRAS[name](), 3, 3).rowspace
+    for p, row in rs.rows.items():
+        assert row.get(p) == 1 and min(row, key=rs.order) == p, p
+        assert not any(k in rs.rows for k in row if k != p), p
+        for k in row:
+            assert p in rs.columns.get(k, ()), (k, p)
 
 
 def test_build_truncated_uea_dimensions():
