@@ -283,7 +283,7 @@ def _neg1():
     return abelian_lie(1, LinearOperator.from_matrix([[-1]], inverse=[[-1]]))
 
 
-def _diag23():
+def diag23():
     """diag(2, 3): the weight-s rows hold phi^s, so W=3 pins 2^3 and 3^3."""
     return LinearOperator.from_matrix(
         [[2, 0], [0, 3]], inverse=[[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
@@ -299,7 +299,7 @@ TABLE_CASES = {
     "ideal_J_abelian2_n2_w0_again": lambda: spans(ideal_J_span(abelian_lie(2), 2, 0)),
     "ideal_J_sl2_n3_w1": lambda: spans(ideal_J_span(sl2(), 3, 1)),
     "ideal_J_abelian2_diag23_n2_w3": lambda: spans(
-        ideal_J_span(abelian_lie(2, _diag23()), 2, 3)
+        ideal_J_span(abelian_lie(2, diag23()), 2, 3)
     ),
     "lift_fixture_b_n3_w1": lifted_actions,
     "semidual_kz4": semidual_finite,

@@ -29,6 +29,7 @@ from homhopf.uea_trees import (
 )
 
 from oracles import coproduct_by_leaf_subsets, enveloping_ideal_by_closure
+from record_golden import diag23
 
 e = LinComb.basis
 
@@ -238,12 +239,6 @@ def test_ideal_J_span_examples():
     # zero bracket, identity twist, W=0: only symmetrization relations
     spans = ideal_J_span(abelian_lie(2), 2, 0)
     assert len(spans[1]) == 0 and len(spans[2]) == 1
-
-
-def diag23():
-    return LinearOperator.from_matrix(
-        [[2, 0], [0, 3]], inverse=[[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-    )
 
 
 ENVELOPING_ALGEBRAS = {
