@@ -26,12 +26,7 @@ from .cross_products import (
     check_matched_pair_hopf,
     check_mutual_pair,
 )
-from .semidual import (
-    SemidualConfig,
-    build_hom_lie_hopf,
-    lifted_matched_pair,
-    semidualize,
-)
+from .semidual import build_hom_lie_hopf, lifted_matched_pair, semidualize
 from .uea_trees import build_truncated_uea, leaf_count, tree_label
 
 COMMANDS = (
@@ -409,19 +404,17 @@ def run(command, doc, args):
             bi = Bicrossproduct(m)
             checks.append(_report_block("bicross-suite", check_hom_hopf(bi)))
     elif command == "semidualize":
-        cfg = SemidualConfig(degree, weight, enforce)
         if target in doc.matched_pairs:
             mp = doc.matched_pairs[target]
         else:
             pair = need(doc.lie_matched_pairs, "matched pair")
             mp = lifted_matched_pair(pair, degree, weight)
         checks.append(_report_block("matched-pair", check_matched_pair_hopf(mp)))
-        mutual = semidualize(mp, cfg)
+        mutual = semidualize(mp, enforce)
         checks.append(_report_block("mutual-pair", check_mutual_pair(mutual)))
     elif command == "hom-lie-hopf":
         pair = need(doc.lie_matched_pairs, "matched pair of Hom-Lie algebras")
-        cfg = SemidualConfig(degree, weight, enforce)
-        res = build_hom_lie_hopf(pair.g, pair.h, pair, cfg)
+        res = build_hom_lie_hopf(pair, degree, weight, enforce)
         report["dimensions"] = {
             "u_per_degree": res.ug.dims_per_degree(),
             "v_per_degree": res.uh.dims_per_degree(),

@@ -373,10 +373,6 @@ class _TensorHopf:
     def basis_keys(self):
         return list(self.keys)
 
-    def degree(self, key):
-        a, b = self._factors
-        return a.degree(key[0]) + b.degree(key[1])
-
     def unit_elem(self):
         a, b = self._factors
         return a.unit_elem() @ b.unit_elem()
@@ -393,16 +389,6 @@ class _TensorHopf:
     def beta_inv(self, x):
         return self._twist("beta_inv", x)
 
-    def alpha_pow(self, n, x):
-        for _ in range(abs(n)):
-            x = self.alpha_map(x) if n > 0 else self.alpha_inv(x)
-        return x
-
-    def beta_pow(self, n, x):
-        for _ in range(abs(n)):
-            x = self.beta_map(x) if n > 0 else self.beta_inv(x)
-        return x
-
     def counit_map(self, x):
         a, b = self._factors
         out = ZERO
@@ -415,7 +401,7 @@ class _TensorHopf:
         keys = self.keys
 
         def op(fn):
-            return LinearOperator({k: fn(e(k)) for k in keys}, check=False)
+            return LinearOperator({k: fn(e(k)) for k in keys})
 
         mult = {(k1, k2): self._product_key(k1, k2) for k1 in keys for k2 in keys}
         comult = {k: self.comult_map(e(k)) for k in keys}
@@ -874,11 +860,6 @@ class Bicrossproduct(_TensorHopf):
 
         return extend(comult_key, x)
 
-    def comult_truncated(self, x):
-        """Coproduct with the coaction legs truncated to retained degrees;
-        comparable table-for-table against an equally truncated oracle."""
-        return self.comult_map(x, truncated=True)
-
     def antipode_map(self, x, truncated=False):
         F, U, m = self.f, self.u, self.m
         legs_of = m.coaction_legs_truncated if truncated else m.coaction_legs
@@ -898,9 +879,6 @@ class Bicrossproduct(_TensorHopf):
             return extend(term, legs_of(e(k[1])))
 
         return extend(antipode_key, x)
-
-    def antipode_truncated(self, x):
-        return self.antipode_map(x, truncated=True)
 
 
 def build_bicrossproduct(m):

@@ -44,7 +44,7 @@ def transpose_table(images, keys=()):
 def transpose_operator(op, keys):
     """Dual operator on the dual basis: column i is sum_k [op e_k]_i e_k."""
     images = ((k, op.apply(LinComb.basis(k))) for k in keys)
-    return LinearOperator(transpose_table(images, keys), check=False)
+    return LinearOperator(transpose_table(images, keys))
 
 
 def _require_inverse(op, err):
@@ -119,7 +119,7 @@ def convolution_algebra(c, a):
         for (i, j) in pair_keys
     }
     return HomAlgebraData(
-        len(pair_keys), mult, unit, LinearOperator(alpha_cols, check=False), keys=pair_keys
+        len(pair_keys), mult, unit, LinearOperator(alpha_cols), keys=pair_keys
     )
 
 

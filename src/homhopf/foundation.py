@@ -15,12 +15,10 @@ ONE = Fraction(1)
 
 
 def scalar(c):
-    """Coerce ints (and int-valued strings "p/q") to Fraction."""
+    """Coerce ints to Fraction."""
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
         return Fraction(c)
     raise TypeError("not an exact scalar: %r" % (c,))
 
@@ -56,9 +54,6 @@ class LinComb:
     def __bool__(self):
         return bool(self.terms)
 
-    def __len__(self):
-        return len(self.terms)
-
     def __iter__(self):
         return iter(self.terms)
 
@@ -72,9 +67,6 @@ class LinComb:
         if not isinstance(other, LinComb):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -197,16 +189,16 @@ class LinearOperator:
     present, both round trips are verified on every basis index.
     """
 
-    def __init__(self, columns, inverse_columns=None, check=True):
+    def __init__(self, columns, inverse_columns=None):
         self.columns = dict(columns)
         self.inverse_columns = dict(inverse_columns) if inverse_columns else None
-        if check and self.inverse_columns is not None:
+        if self.inverse_columns is not None:
             self._verify_inverse()
 
     @classmethod
     def identity(cls, keys):
         cols = {k: LinComb.basis(k) for k in keys}
-        return cls(cols, dict(cols), check=False)
+        return cls(cols, dict(cols))
 
     @classmethod
     def from_matrix(cls, mat, keys=None, inverse=None):
@@ -242,38 +234,28 @@ class LinearOperator:
         """Return the inverse operator (with self stored as its inverse)."""
         if self.inverse_columns is None:
             self._compute_inverse()
-        return LinearOperator(self.inverse_columns, self.columns, check=False)
+        return LinearOperator(self.inverse_columns, self.columns)
 
     def is_identity(self):
         return all(col == LinComb.basis(k) for k, col in self.columns.items())
 
     def _compute_inverse(self):
-        keys = sorted(self.columns.keys(), key=repr)
-        index = {k: i for i, k in enumerate(keys)}
-        n = len(keys)
-        # Gauss-Jordan on [M | I] over the fixed key order.
-        rows = []
+        """Row-reduce [M | I], M's columns first in the repr order of the
+        keys.  M is invertible exactly when each of its columns is a pivot;
+        the row of pivot (0, j) is then row j of M^-1 on the I side."""
+        keys = sorted(self.columns, key=repr)
+        rs = RowSpace(order=lambda c: c)
         for i, ki in enumerate(keys):
-            row = [ZERO] * (2 * n)
-            for j, kj in enumerate(keys):
-                row[j] = self.columns[kj].get(ki)
-            row[n + i] = ONE
-            rows.append(row)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col]), None)
-            if piv is None:
-                raise NotInvertible("singular operator (column %r)" % (keys[col],))
-            rows[col], rows[piv] = rows[piv], rows[col]
-            inv = ONE / rows[col][col]
-            rows[col] = [x * inv for x in rows[col]]
-            for r in range(n):
-                if r != col and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        inv_cols = {}
+            row = {(0, j): self.columns[kj].get(ki) for j, kj in enumerate(keys)}
+            row[(1, i)] = ONE
+            rs.add(LinComb(row))
         for j, kj in enumerate(keys):
-            inv_cols[kj] = LinComb({keys[i]: rows[i][n + j] for i in range(n)})
-        self.inverse_columns = inv_cols
+            if (0, j) not in rs.rows:
+                raise NotInvertible("singular operator (column %r)" % (kj,))
+        self.inverse_columns = {
+            ki: LinComb({kj: rs.rows[(0, j)].get((1, i)) for j, kj in enumerate(keys)})
+            for i, ki in enumerate(keys)
+        }
         self._verify_inverse()
 
     def _verify_inverse(self):
@@ -293,24 +275,13 @@ def _column(columns, k):
 
 
 class FuncOperator:
-    """Operator given by callables; used for maps on tree bases."""
+    """Operator given by a callable; used for maps on tree bases."""
 
-    def __init__(self, fn, inv_fn=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.inv_fn = inv_fn
 
     def apply(self, x):
         return self.fn(x)
-
-    def apply_inverse(self, x):
-        if self.inv_fn is None:
-            raise NotInvertible("no inverse available")
-        return self.inv_fn(x)
-
-    def power(self, n, x):
-        for _ in range(abs(n)):
-            x = self.apply(x) if n > 0 else self.apply_inverse(x)
-        return x
 
 
 def _default_order(key):
@@ -413,7 +384,7 @@ def quotient_projection(keys, rowspace):
         cols[k] = img
         if k not in rowspace.rows:
             survivors.append(k)
-    op = LinearOperator(cols, check=False)
+    op = LinearOperator(cols)
     op.survivors = survivors
     return op
 

@@ -1,4 +1,4 @@
-"""Hom-algebra, Hom-coalgebra, Hom-bialgebra and Hom-Hopf structure records,
+"""Hom-algebra, Hom-coalgebra and Hom-Hopf structure records,
 twisting constructors, and exhaustive axiom checkers that scan every basis
 tuple and report witnesses for each failed equation.
 
@@ -120,22 +120,6 @@ class CheckReport:
                 res.violations.append(Violation(eq_id, tup, lhs, rhs))
         return res
 
-    def summary_lines(self):
-        lines = []
-        for eq in self.equations:
-            status = "ok  " if eq.passed else "FAIL"
-            extra = ""
-            if eq.skipped:
-                extra = ", %d skipped" % eq.skipped
-            lines.append(
-                "%s %-28s (%d tuples%s)" % (status, eq.eq_id, eq.checked, extra)
-            )
-            for v in eq.violations[:3]:
-                lines.append(
-                    "      witness %r: lhs=%r rhs=%r" % (v.witness, v.lhs, v.rhs)
-                )
-        return lines
-
 
 # ---------------------------------------------------------------------------
 # structure records
@@ -159,9 +143,6 @@ class HomAlgebraData:
 
     def basis_keys(self):
         return list(self.keys)
-
-    def degree(self, key):
-        return 0
 
     def unit_elem(self):
         return self.unit
@@ -194,9 +175,6 @@ class HomCoalgebraData:
     def basis_keys(self):
         return list(self.keys)
 
-    def degree(self, key):
-        return 0
-
     def comult_map(self, x):
         return extend(self.comult.__getitem__, x)
 
@@ -213,21 +191,13 @@ class HomCoalgebraData:
         return self.beta.power(n, x)
 
 
-class HomBialgebraData(HomAlgebraData, HomCoalgebraData):
-    """Hom-bialgebra of (alpha, beta)-type on one table basis."""
-
-    def __init__(self, dim, mult, unit, alpha, comult, counit, beta, keys=None):
-        HomAlgebraData.__init__(self, dim, mult, unit, alpha, keys=keys)
-        HomCoalgebraData.__init__(self, dim, comult, counit, beta, keys=keys)
-
-
-class HomHopfData(HomBialgebraData):
-    """Hom-Hopf algebra: a Hom-bialgebra plus an antipode operator."""
+class HomHopfData(HomAlgebraData, HomCoalgebraData):
+    """Hom-Hopf algebra of (alpha, beta)-type on one table basis: a
+    Hom-algebra and a Hom-coalgebra plus an antipode operator."""
 
     def __init__(self, dim, mult, unit, alpha, comult, counit, beta, antipode, keys=None):
-        HomBialgebraData.__init__(
-            self, dim, mult, unit, alpha, comult, counit, beta, keys=keys
-        )
+        HomAlgebraData.__init__(self, dim, mult, unit, alpha, keys=keys)
+        HomCoalgebraData.__init__(self, dim, comult, counit, beta, keys=keys)
         self.antipode = antipode
 
     def antipode_map(self, x):
@@ -681,4 +651,4 @@ def antipode_from_convolution(h):
     cols = {}
     for i in keys:
         cols[i] = LinComb({j: sol[(i, j)] for j in keys})
-    return LinearOperator(cols, check=False)
+    return LinearOperator(cols)

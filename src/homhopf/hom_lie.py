@@ -267,5 +267,5 @@ def build_double_sum_lie(p, check=True):
         phi_cols[i] = g.phi_map(LinComb.basis(i))
     for i in range(h.dim):
         phi_cols[dg + i] = embed_h(h.phi_map(LinComb.basis(i)))
-    phi = LinearOperator(phi_cols, check=False)
+    phi = LinearOperator(phi_cols)
     return HomLieData(dim, bracket, phi)

@@ -28,22 +28,6 @@ from .hom_core import ActionData, CoactionData, check_hom_hopf
 from .uea_trees import lift_to_Uh_action
 
 
-class SemidualConfig:
-    """Truncation degree, weight bound, and the finite-order enforcement flag."""
-
-    def __init__(
-        self,
-        truncation_degree=2,
-        weight_bound=3,
-        enforce_order_constraint=True,
-    ):
-        if truncation_degree < 1:
-            raise ValueError("truncation degree must be at least 1")
-        self.truncation_degree = truncation_degree
-        self.weight_bound = weight_bound
-        self.enforce_order_constraint = enforce_order_constraint
-
-
 def _check_order(obj, label, enforce):
     """alpha^4 beta^-2 must be the identity on every basis vector."""
     if not enforce:
@@ -117,19 +101,17 @@ def lifted_matched_pair(pair, truncation_degree, weight_bound):
     return MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
 
 
-def semidualize(p, cfg):
+def semidualize(p, enforce_order_constraint=True):
     """Replace the second factor of a matched pair by its dual, producing
     mutual-pair data (dual action and pairing coaction)."""
     U, V = p.u, p.v
-    _check_order(V, "second factor", cfg.enforce_order_constraint)
-    _check_order(U, "first factor", cfg.enforce_order_constraint)
+    _check_order(V, "second factor", enforce_order_constraint)
+    _check_order(U, "first factor", enforce_order_constraint)
 
     if getattr(V, "is_truncated", False):
         return GradedMutualPair(TruncatedDual(V), U, _dual_action_table(U, V, p.rt), p)
     # the dual Hopf algebra is built once, inside coaction_from_action
-    coaction = coaction_from_action(
-        V, U.basis_keys(), p.left, FuncOperator(U.alpha_map, U.alpha_inv)
-    )
+    coaction = coaction_from_action(V, U.basis_keys(), p.left, FuncOperator(U.alpha_map))
     act = _dual_action_table(U, V, p.rt)
     return MutualPairHopf(coaction.coalgebra, U, act, coaction.coact)
 
@@ -155,22 +137,25 @@ class HomLieHopfResult:
         )
 
 
-def build_hom_lie_hopf(g, h, pair, cfg):
+def build_hom_lie_hopf(pair, truncation_degree, weight_bound,
+                       enforce_order_constraint=True):
     """Full pipeline from a matched pair of Hom-Lie algebras to the
     bicrossproduct of the dual enveloping algebra with the enveloping
     algebra, carrying every intermediate check report."""
-    if cfg.enforce_order_constraint:
-        for lie, label in ((g, "g"), (h, "h")):
+    if truncation_degree < 1:
+        raise ValueError("truncation degree must be at least 1")
+    if enforce_order_constraint:
+        for lie, label in ((pair.g, "g"), (pair.h, "h")):
             for k in range(lie.dim):
                 x = LinComb.basis(k)
                 if lie.phi_pow(4, x) != x:
                     raise OrderConstraintViolated(
                         "twist of %s is not of order dividing 4" % label
                     )
-    mp = lifted_matched_pair(pair, cfg.truncation_degree, cfg.weight_bound)
+    mp = lifted_matched_pair(pair, truncation_degree, weight_bound)
     ug, uh = mp.u, mp.v
     matched_report = check_matched_pair_hopf(mp)
-    mutual = semidualize(mp, cfg)
+    mutual = semidualize(mp, enforce_order_constraint)
     mutual_report = check_mutual_pair(mutual)
     bicross = Bicrossproduct(mutual)
     suite_report = check_hom_hopf(bicross)

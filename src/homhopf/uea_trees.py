@@ -752,20 +752,8 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
             right_table[(ukey, vkey)] = uh.project(
                 ctx.omega_right_key(vkey, ukey)
             )
-    left = ActionData(
-        uh,
-        ug.basis_keys(),
-        left_table,
-        FuncOperator(ug.alpha_map, ug.alpha_inv),
-        side="left",
-        carrier=ug,
-    )
-    right = ActionData(
-        ug,
-        uh.basis_keys(),
-        right_table,
-        FuncOperator(uh.alpha_map, uh.alpha_inv),
-        side="right",
-        carrier=uh,
-    )
+    left = ActionData(uh, ug.basis_keys(), left_table, FuncOperator(ug.alpha_map),
+                      side="left", carrier=ug)
+    right = ActionData(ug, uh.basis_keys(), right_table, FuncOperator(uh.alpha_map),
+                       side="right", carrier=uh)
     return left, right

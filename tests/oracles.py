@@ -12,13 +12,16 @@ without a column index and the tree coproduct as a sum over leaf subsets,
 which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
 `enveloping_ideal_by_closure` closes every weighted tree under grafting and
 shifts, where `uea_trees._enveloping_ideal` closes weight 0 only and writes
-each weighted row directly.
+each weighted row directly.  `gauss_jordan_inverse` is the dense
+Gauss-Jordan elimination that `LinearOperator` used before it row-reduced
+[M | I] in a `RowSpace`.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from homhopf.errors import NotInvertible
 from homhopf.foundation import LinComb, RowSpace
 from homhopf.uea_trees import (
     LEAF,
@@ -169,6 +172,36 @@ def dual_comult_basis_by_pairing(d, k):
 
 # ---------------------------------------------------------------------------
 # row reduction by full scans
+
+
+def gauss_jordan_inverse(columns):
+    """Inverse columns of the operator with the given columns, by
+    Gauss-Jordan on [M | I] over the keys in repr order; raises
+    NotInvertible naming the first column without a pivot."""
+    keys = sorted(columns, key=repr)
+    n = len(keys)
+    rows = []
+    for i, ki in enumerate(keys):
+        row = [Fraction(0)] * (2 * n)
+        for j, kj in enumerate(keys):
+            row[j] = columns[kj].get(ki)
+        row[n + i] = Fraction(1)
+        rows.append(row)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            raise NotInvertible("singular operator (column %r)" % (keys[col],))
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return {
+        kj: LinComb({keys[i]: rows[i][n + j] for i in range(n)})
+        for j, kj in enumerate(keys)
+    }
 
 
 class FullScanRowSpace:

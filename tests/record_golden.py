@@ -33,7 +33,6 @@ from homhopf.fixtures import (  # noqa: E402
 from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
 from homhopf.hom_core import ActionData, check_hom_module  # noqa: E402
 from homhopf.semidual import (  # noqa: E402
-    SemidualConfig,
     lifted_matched_pair,
     semidualize,
 )
@@ -159,13 +158,13 @@ def _sample_matched_pair():
 
 
 def semidual_finite():
-    m = semidualize(_sample_matched_pair(), SemidualConfig())
+    m = semidualize(_sample_matched_pair())
     return {"action": table(m.action), "coaction": table(m.coaction)}
 
 
 def semidual_graded():
     mp = lifted_matched_pair(fixture_b_lie_pair(), 3, 1)
-    m = semidualize(mp, SemidualConfig(3, 1))
+    m = semidualize(mp)
     return {
         "action": table(m.action),
         "coaction_complete": m.coaction_complete,
@@ -250,7 +249,7 @@ def failing_module_checks():
         rep = check_mutual_pair(MutualPairHopf(m.f, m.u, act, m.coaction))
         out["z4_mutual_action_%d_%d" % key] = check_outcome(rep)
     mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
-    g = semidualize(mp, SemidualConfig(2, 1))
+    g = semidualize(mp)
     u1 = [k for k in g.u.basis_keys() if g.u.degree(k) == 1][0]
     f1 = [k for k in g.f.basis_keys() if g.f.degree(k) == 1][0]
     act = _perturbed(_perturbed(g.action, (u1, "1"), e(f1)), ("1", f1), e(f1))

@@ -28,7 +28,6 @@ from homhopf.cross_products import (
     check_mutual_pair,
 )
 from homhopf.semidual import (
-    SemidualConfig,
     build_hom_lie_hopf,
     lifted_matched_pair,
     semidualize,
@@ -60,7 +59,7 @@ def test_criterion_1_hom_hopf_axiom_suite():
     t0 = time.monotonic()
     h = kz4_twisted_hopf()
     rep = check_hom_hopf(h)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
     ids = {eq.eq_id for eq in rep.equations}
     assert {"bialg-%d" % i for i in range(1, 10)} <= ids
     assert {"antipode-left", "antipode-right"} <= ids
@@ -133,7 +132,7 @@ def test_criterion_4_tree_hopf_structure():
     for g, n, w in budgets:
         u = build_truncated_uea(g, n, w)
         rep = u.well_definedness_report()
-        assert rep.passed, rep.summary_lines()
+        assert rep.passed, rep.violations
         assert rep.total_checked() > 0
     dt = _elapsed_ok(t0, 60.0, "criterion 4")
     print(
@@ -146,7 +145,7 @@ def test_criterion_5_matched_pair_lift():
     t0 = time.monotonic()
     mp = lifted_matched_pair(fixture_b_lie_pair(), 3, 3)
     rep = check_matched_pair_hopf(mp)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
     for eq_id in (
         "v-rt-uu'",
         "vv'-lt-u",
@@ -175,7 +174,7 @@ def test_criterion_6_double_cross_product():
     mp = lifted_matched_pair(fixture_b_lie_pair(), 3, 3)
     dcp = build_double_cross_product(mp)
     rep = check_hom_hopf(dcp)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
 
     U, V = mp.u, mp.v
     onev = V.unit_elem()
@@ -209,7 +208,7 @@ def test_criterion_7_bicrossproduct():
     assert check_mutual_pair(m).passed
     bi = build_bicrossproduct(m)
     rep = check_hom_hopf(bi)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
     for k1 in bi.basis_keys():
         for k2 in bi.basis_keys():
             assert bi.counit_map(bi.product(e(k1), e(k2))) == bi.counit_map(
@@ -221,7 +220,6 @@ def test_criterion_7_bicrossproduct():
 
 def test_criterion_8_semidualization_iff():
     t0 = time.monotonic()
-    cfg = SemidualConfig(2)
     cases = [("base", None, None)]
     cases += [
         ("perturb-left-1-1", "left", (1, 1)),
@@ -235,7 +233,7 @@ def test_criterion_8_semidualization_iff():
             table = p.left if side == "left" else p.right
             table[key] = table[key] + e(0)
         matched = check_matched_pair_hopf(p).passed
-        mutual = check_mutual_pair(semidualize(p, cfg)).passed
+        mutual = check_mutual_pair(semidualize(p)).passed
         agreements.append((name, matched, mutual))
         assert matched == mutual, name
     assert agreements[0][1] is True
@@ -248,15 +246,15 @@ def test_criterion_9_hom_lie_hopf_pipeline():
     t0 = time.monotonic()
     # Fixture A': twists of order two, trivial actions, N = 2
     pa = fixture_a_prime_lie_pair()
-    res_a = build_hom_lie_hopf(pa.g, pa.h, pa, SemidualConfig(2, 1))
+    res_a = build_hom_lie_hopf(pa, 2, 1)
     assert res_a.matched_report.passed
-    assert res_a.mutual_report.passed, res_a.mutual_report.summary_lines()
-    assert res_a.suite_report.passed, res_a.suite_report.summary_lines()
+    assert res_a.mutual_report.passed, res_a.mutual_report.violations
+    assert res_a.suite_report.passed, res_a.suite_report.violations
 
     # Fixture B at N = 3: tables agree with the classical oracle
     pb = fixture_b_lie_pair()
     n = 3
-    res_b = build_hom_lie_hopf(pb.g, pb.h, pb, SemidualConfig(n, 3))
+    res_b = build_hom_lie_hopf(pb, n, 3)
     assert res_b.matched_report.passed
     assert res_b.mutual_report.passed
     bi, U, F = res_b.bicross, res_b.ug, res_b.mutual.f
@@ -280,7 +278,7 @@ def test_criterion_9_hom_lie_hopf_pipeline():
             entries += 1
     for k in oracle.keys:
         got = {}
-        for (p1, p2), c in bi.comult_truncated(e(ours[k])).items():
+        for (p1, p2), c in bi.comult_map(e(ours[k]), truncated=True).items():
             got[(back[p1], back[p2])] = c
         assert got == oracle.comult(k), k
         assert bi.counit_map(e(ours[k])) == oracle.counit(k)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from homhopf.fixtures import kz4_twisted_hopf, abelian_lie, fixture_b_lie_pair
 from homhopf.foundation import LinComb
 
 from jsonize import hopf_to_json, lie_to_json, lie_pair_to_json, mutual_pair_to_json
+from record_golden import GOLDEN, SAMPLES
 from test_cross_products import trivial_mutual_pair
 
 e = LinComb.basis
@@ -100,6 +102,24 @@ def test_json_report_deterministic(tmp_path, capsys):
     assert report["passed"] is True
     assert report["command"] == "verify-hopf"
     assert "timing_ms" not in report
+
+
+def test_timing_adds_one_line_or_key_to_the_golden_report(capsysbinary):
+    sample = str(SAMPLES / "kz4_verify.json")
+    golden = GOLDEN / "reports" / "kz4_verify__verify-hopf"
+    assert main(["verify-hopf", "--input", sample, "--timing"]) == 0
+    lines = capsysbinary.readouterr().out.splitlines(keepends=True)
+    timed = [i for i, line in enumerate(lines) if line.startswith(b"timing: ")]
+    assert timed == [len(lines) - 2]  # just before the verdict line
+    assert re.fullmatch(rb"timing: \d+ ms\n", lines.pop(timed[0]))
+    assert b"".join(lines) == golden.with_suffix(".txt").read_bytes()
+
+    assert main(["verify-hopf", "--input", sample, "--timing", "--format", "json"]) == 0
+    report = json.loads(capsysbinary.readouterr().out)
+    timing = report.pop("timing_ms")
+    assert type(timing) is int and timing >= 0
+    redone = (json.dumps(report, indent=2) + "\n").encode("utf-8")
+    assert redone == golden.with_suffix(".json").read_bytes()
 
 
 def test_build_uea_dims_in_report(tmp_path, capsys):

@@ -17,7 +17,7 @@ from homhopf.foundation import (
     subspace_basis,
 )
 
-from oracles import FullScanRowSpace
+from oracles import FullScanRowSpace, gauss_jordan_inverse
 
 e = LinComb.basis
 
@@ -81,6 +81,38 @@ def test_operator_apply_and_invert():
         proj.inverted()
     with pytest.raises(UnknownBasisIndex):
         ident.apply(e(7))
+
+
+@st.composite
+def keyed_square_matrices(draw):
+    """Columns of an integer matrix of dimension 1-5, singular ones
+    included, on distinct int keys or on tuple keys (repr order differs
+    from numeric order for both)."""
+    n = draw(st.integers(1, 5))
+    ints = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    keys = ints if draw(st.booleans()) else [(k % 3, k) for k in ints]
+    mat = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    return {
+        kj: LinComb({ki: mat[i][j] for i, ki in enumerate(keys)})
+        for j, kj in enumerate(keys)
+    }
+
+
+@given(keyed_square_matrices())
+@settings(max_examples=300, deadline=None)
+@example({0: LinComb.zero()})
+@example({(0, 3): e((0, 3)) + e((1, 1)), (1, 1): 2 * e((0, 3)) + 2 * e((1, 1))})
+def test_operator_inverse_matches_gauss_jordan(columns):
+    try:
+        want = gauss_jordan_inverse(columns)
+    except NotInvertible as exc:
+        with pytest.raises(NotInvertible) as got:
+            LinearOperator(columns).inverted()
+        assert str(got.value) == str(exc)
+        return
+    assert LinearOperator(columns).inverted().columns == want
 
 
 def test_operator_declared_inverse_is_checked():
@@ -264,8 +296,8 @@ def test_bilinear_matches_add_scaled_loop(cols, x, y):
 @given(tables, tables, pair_sparse)
 @settings(max_examples=80, deadline=None)
 def test_pair_apply_matches_add_scaled_loop(fcols, gcols, t):
-    f = LinearOperator(dict(enumerate(fcols)), check=False).apply
-    g = LinearOperator(dict(enumerate(gcols)), check=False).apply
+    f = LinearOperator(dict(enumerate(fcols))).apply
+    g = LinearOperator(dict(enumerate(gcols))).apply
     before = snapshot(t, *fcols, *gcols)
     got = pair_apply(f, g, t)
     assert got == ref_pair_apply(f, g, t)

@@ -108,7 +108,7 @@ def test_perturbed_mult_fails_with_witness():
 def test_kz4_twist_passes_full_suite():
     h = kz4_twisted_hopf()
     rep = check_hom_hopf(h)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
     ids = {eq.eq_id for eq in rep.equations}
     assert {"bialg-%d" % i for i in range(1, 10)} <= ids
     assert {

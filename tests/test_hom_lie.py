@@ -52,6 +52,12 @@ def test_mirrored_bracket_entries_must_be_antisymmetric():
         HomLieData(2, {(1, 0): e(1), (0, 1): e(0)}, ident)
 
 
+def test_nonzero_diagonal_bracket_entry_is_rejected():
+    ident = LinearOperator.identity(range(2))
+    with pytest.raises(NotHomLie, match=r"bracket\(0,0\) must vanish"):
+        HomLieData(2, {(0, 0): e(0)}, ident)
+
+
 def test_consistent_mirrored_bracket_entries_are_accepted():
     g = HomLieData(2, {(0, 1): e(1), (1, 0): -1 * e(1)}, LinearOperator.identity(range(2)))
     assert g.bracket(0, 1) == e(1)

@@ -17,7 +17,6 @@ from homhopf.cross_products import (
     check_mutual_pair,
 )
 from homhopf.semidual import (
-    SemidualConfig,
     action_from_coaction,
     build_hom_lie_hopf,
     coaction_from_action,
@@ -45,7 +44,7 @@ def test_coaction_from_action_trivial():
     mp = trivial_hopf_matched_pair()
     U, V = mp.u, mp.v
     coact = coaction_from_action(
-        V, U.basis_keys(), mp.left, FuncOperator(U.alpha_map, U.alpha_inv)
+        V, U.basis_keys(), mp.left, FuncOperator(U.alpha_map)
     )
     # trivial action dualizes to u -> phi(u) x eps
     dual_unit = dual_hom_hopf(V).unit
@@ -62,7 +61,7 @@ def test_action_coaction_round_trip():
     mp = trivial_hopf_matched_pair()
     U, V = mp.u, mp.v
     coact = coaction_from_action(
-        V, U.basis_keys(), mp.left, FuncOperator(U.alpha_map, U.alpha_inv)
+        V, U.basis_keys(), mp.left, FuncOperator(U.alpha_map)
     )
     recovered = action_from_coaction(V, coact)
     assert recovered == mp.left
@@ -83,21 +82,19 @@ def test_dual_left_action_from_right_action():
 
 def test_semidualize_trivial_pair_is_mutual():
     mp = trivial_hopf_matched_pair()
-    cfg = SemidualConfig(2)
-    m = semidualize(mp, cfg)
+    m = semidualize(mp)
     rep = check_mutual_pair(m)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
     bi = build_bicrossproduct(m)
     assert check_hom_hopf(bi).passed
 
 
 def test_semidualize_iff_under_perturbations():
-    cfg = SemidualConfig(2)
     outcomes = []
     base = trivial_hopf_matched_pair()
     outcomes.append(
         (check_matched_pair_hopf(base).passed,
-         check_mutual_pair(semidualize(base, cfg)).passed)
+         check_mutual_pair(semidualize(base)).passed)
     )
     perturbations = [("left", (1, 1)), ("right", (2, 3)), ("left", (3, 0))]
     for side, key in perturbations:
@@ -106,7 +103,7 @@ def test_semidualize_iff_under_perturbations():
         table[key] = table[key] + e(0)
         outcomes.append(
             (check_matched_pair_hopf(p).passed,
-             check_mutual_pair(semidualize(p, cfg)).passed)
+             check_mutual_pair(semidualize(p)).passed)
         )
     assert outcomes[0] == (True, True)
     for matched, mutual in outcomes[1:]:
@@ -134,28 +131,27 @@ def test_order_constraint_enforcement():
             right[(i, j)] = u.counit_map(e(j)) * v_bad.alpha_map(e(i))
     mp = MatchedPairHopf(u, v_bad, left, right)
     with pytest.raises(OrderConstraintViolated):
-        semidualize(mp, SemidualConfig(2))
+        semidualize(mp)
     # the override lets the pipeline continue
-    m = semidualize(mp, SemidualConfig(2, enforce_order_constraint=False))
+    m = semidualize(mp, enforce_order_constraint=False)
     assert m is not None
 
 
 def test_graded_semidual_fixture_a_prime():
     pair = fixture_a_prime_lie_pair()
-    res = build_hom_lie_hopf(pair.g, pair.h, pair, SemidualConfig(2, 1))
+    res = build_hom_lie_hopf(pair, 2, 1)
     assert res.matched_report.passed
-    assert res.mutual_report.passed, res.mutual_report.summary_lines()
+    assert res.mutual_report.passed, res.mutual_report.violations
     assert res.mutual.coaction_complete
-    assert res.suite_report.passed, res.suite_report.summary_lines()
+    assert res.suite_report.passed, res.suite_report.violations
     assert res.passed
 
 
 def test_graded_semidual_iff_perturbation():
     good = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
     U, V = good.u, good.v
-    cfg = SemidualConfig(2, 1)
     assert check_matched_pair_hopf(good).passed
-    assert check_mutual_pair(semidualize(good, cfg)).passed
+    assert check_mutual_pair(semidualize(good)).passed
 
     y = [k for k in U.basis_keys() if U.degree(k) == 1][0]
     x = [k for k in V.basis_keys() if V.degree(k) == 1][0]
@@ -163,7 +159,7 @@ def test_graded_semidual_iff_perturbation():
     pert[(x, y)] = pert[(x, y)] + e(x)
     bad = MatchedPairHopf(U, V, good.left, pert)
     assert not check_matched_pair_hopf(bad).passed
-    rep = check_mutual_pair(semidualize(bad, cfg))
+    rep = check_mutual_pair(semidualize(bad))
     assert not rep.passed
     failed = {eq.eq_id for eq in rep.equations if not eq.passed}
     assert failed & {"comp-I", "comp-III", "comp-IV"}
@@ -184,15 +180,20 @@ def test_hom_lie_hopf_order_constraint():
         LieActionData(g, [0], {}, h.phi),
     )
     with pytest.raises(OrderConstraintViolated):
-        build_hom_lie_hopf(g, h, pair, SemidualConfig(2, 0))
+        build_hom_lie_hopf(pair, 2, 0)
+
+
+def test_hom_lie_hopf_rejects_truncation_degree_zero():
+    with pytest.raises(ValueError, match="truncation degree must be at least 1"):
+        build_hom_lie_hopf(fixture_b_lie_pair(), 0, 0)
 
 
 def test_hom_lie_hopf_fixture_b_matches_classical_oracle():
     pair = fixture_b_lie_pair()
     n = 3
-    res = build_hom_lie_hopf(pair.g, pair.h, pair, SemidualConfig(n, 3))
+    res = build_hom_lie_hopf(pair, n, 3)
     assert res.matched_report.passed
-    assert res.mutual_report.passed, res.mutual_report.summary_lines()
+    assert res.mutual_report.passed, res.mutual_report.violations
     bi = res.bicross
     U, F = res.ug, res.mutual.f
 
@@ -217,7 +218,7 @@ def test_hom_lie_hopf_fixture_b_matches_classical_oracle():
             assert got == want, (k1, k2)
 
     for k in oracle.keys:
-        got = bi.comult_truncated(e(ours[k]))
+        got = bi.comult_map(e(ours[k]), truncated=True)
         flat = {}
         for (p1, p2), c in got.items():
             back1 = next(ab for ab, kk in ours.items() if kk == p1)
@@ -248,10 +249,10 @@ def test_comodule_coalgebra_from_module_coalgebra_round_trip():
 
     assert check_module_coalgebra(V, U, _Act).passed
     coact = coaction_from_action(
-        V, U.basis_keys(), mp.left, FuncOperator(U.alpha_map, U.alpha_inv)
+        V, U.basis_keys(), mp.left, FuncOperator(U.alpha_map)
     )
     rep = check_comodule_coalgebra(coact.coalgebra, U, coact)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
 
     # a broken diagonal compatibility dualizes to a broken coaction diagonal
     broken = dict(mp.left)
@@ -268,7 +269,7 @@ def test_comodule_coalgebra_from_module_coalgebra_round_trip():
         eq.eq_id == "Hom-mod-coalg-I" and eq.violations for eq in rep_in.equations
     )
     coact2 = coaction_from_action(
-        V, U.basis_keys(), broken, FuncOperator(U.alpha_map, U.alpha_inv)
+        V, U.basis_keys(), broken, FuncOperator(U.alpha_map)
     )
     rep_out = check_comodule_coalgebra(coact2.coalgebra, U, coact2)
     assert any(
@@ -290,9 +291,9 @@ def test_swap_twisted_pair_with_nontrivial_action():
     g_on_h = LieActionData(g, [0], {}, h.phi)
     pair = MatchedPairLie(g, h, h_on_g, g_on_h)
     assert check_matched_pair_lie(pair).passed
-    res = build_hom_lie_hopf(g, h, pair, SemidualConfig(2, 1))
-    assert res.matched_report.passed, res.matched_report.summary_lines()
-    assert res.mutual_report.passed, res.mutual_report.summary_lines()
+    res = build_hom_lie_hopf(pair, 2, 1)
+    assert res.matched_report.passed, res.matched_report.violations
+    assert res.mutual_report.passed, res.mutual_report.violations
     assert res.ug.dims_per_degree() == [1, 2, 3]
     # nontrivial action: the coaction support exceeds the budget, so the
     # bicross coproduct is only reported through its truncated tables
@@ -301,7 +302,7 @@ def test_swap_twisted_pair_with_nontrivial_action():
 
 def test_fixture_a_prime_depth_three():
     pa = fixture_a_prime_lie_pair()
-    res = build_hom_lie_hopf(pa.g, pa.h, pa, SemidualConfig(3, 2))
+    res = build_hom_lie_hopf(pa, 3, 2)
     assert res.matched_report.passed
     assert res.mutual_report.passed
     assert res.suite_report.passed
@@ -311,7 +312,7 @@ def test_fixture_a_prime_depth_three():
 def test_fixture_b_oracle_depth_four():
     pb = fixture_b_lie_pair()
     n = 4
-    res = build_hom_lie_hopf(pb.g, pb.h, pb, SemidualConfig(n, 1))
+    res = build_hom_lie_hopf(pb, n, 1)
     assert res.matched_report.passed and res.mutual_report.passed
     bi, U, F = res.bicross, res.ug, res.mutual.f
     u_by_deg = {U.degree(k): k for k in U.basis_keys()}
@@ -336,7 +337,7 @@ def test_fixture_b_oracle_depth_four():
     for k in oracle.keys:
         got = {
             (back[p1], back[p2]): c
-            for (p1, p2), c in bi.comult_truncated(e(ours[k])).items()
+            for (p1, p2), c in bi.comult_map(e(ours[k]), truncated=True).items()
         }
         assert got == oracle.comult(k), k
         gs = {
@@ -367,7 +368,7 @@ def test_nontrivial_finite_pair_full_cycle():
     assert check_matched_pair_hopf(mp).passed
     dcp = build_double_cross_product(mp)
     assert suite(dcp).passed
-    m = semidualize(mp, SemidualConfig(2))
+    m = semidualize(mp)
     assert check_mutual_pair(m).passed
     bi = build_bicrossproduct(m)
     assert suite(bi).passed
@@ -390,7 +391,7 @@ def test_anticommuting_action_pipeline():
     g_on_h = LieActionData(g, [0], {}, neg)
     pair = MatchedPairLie(g, h, h_on_g, g_on_h)
     assert check_matched_pair_lie(pair).passed
-    res = build_hom_lie_hopf(g, h, pair, SemidualConfig(2, 1))
-    assert res.matched_report.passed, res.matched_report.summary_lines()
-    assert res.mutual_report.passed, res.mutual_report.summary_lines()
+    res = build_hom_lie_hopf(pair, 2, 1)
+    assert res.matched_report.passed, res.matched_report.violations
+    assert res.mutual_report.passed, res.mutual_report.violations
     assert res.ug.dims_per_degree() == [1, 2, 3]

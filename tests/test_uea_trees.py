@@ -333,7 +333,7 @@ def test_sl2_truncation_pbw_dimensions_and_cocommutativity():
 def test_truncated_uea_hopf_suite_and_overflow():
     u = build_truncated_uea(abelian_lie(1), 3, 2)
     rep = check_hom_hopf(u)
-    assert rep.passed, rep.summary_lines()
+    assert rep.passed, rep.violations
     assert rep.total_skipped() > 0  # deep products leave the budget
     y = [k for k in u.basis_keys() if u.degree(k) == 1][0]
     y3 = [k for k in u.basis_keys() if u.degree(k) == 3][0]
@@ -362,7 +362,7 @@ def test_well_definedness_report():
         n, w = (2, 1) if g.dim > 1 else (3, 2)
         u = build_truncated_uea(g, n, w)
         rep = u.well_definedness_report()
-        assert rep.passed, (g.dim, rep.summary_lines())
+        assert rep.passed, (g.dim, rep.violations)
 
 
 def test_weighted_normal_forms_collapse_for_finite_order_twist():
@@ -439,6 +439,41 @@ def test_lift_accepts_a_derivation():
     # Dx = 0, Dy = y is a derivation of [x, y] = y
     left, right = lift_to_Uh_action(_solvable_on_line((0, 1)), 3, 0)
     assert check_hom_module(right.carrier, left).passed
+
+
+def _untwisted_pair(g, h, h_on_g, g_on_h):
+    return MatchedPairLie(
+        g, h, LieActionData(h, range(g.dim), h_on_g, g.phi),
+        LieActionData(g, range(h.dim), g_on_h, h.phi),
+    )
+
+
+def test_lift_rejects_a_right_action_that_moves_the_g_ideal():
+    # eta <| x = eta <| y = eta for g = solvable2: eta <| [x, y] should be
+    # eta <| y = eta, but the commutator of two identical actions is 0
+    pair = _untwisted_pair(
+        solvable2_lie(), abelian_lie(1), {}, {(0, 0): e(0), (1, 0): e(0)}
+    )
+    with pytest.raises(NotHomLie, match="right action does not preserve the g-ideal"):
+        lift_to_Uh_action(pair, 2, 0)
+
+
+def test_lift_rejects_a_left_action_that_misses_the_h_ideal():
+    # x |> xi = y |> xi = xi for h = solvable2 acting on a 1-dim g
+    pair = _untwisted_pair(
+        abelian_lie(1), solvable2_lie(), {(0, 0): e(0), (1, 0): e(0)}, {}
+    )
+    with pytest.raises(NotHomLie, match="lifted action does not kill the h-ideal"):
+        lift_to_Uh_action(pair, 2, 0)
+
+
+def test_lift_rejects_a_right_action_that_misses_the_h_ideal():
+    # x <| xi = y <| xi = x for h = solvable2 (basis x, y) and a 1-dim g
+    pair = _untwisted_pair(
+        abelian_lie(1), solvable2_lie(), {}, {(0, 0): e(0), (0, 1): e(0)}
+    )
+    with pytest.raises(NotHomLie, match="right action does not kill the h-ideal"):
+        lift_to_Uh_action(pair, 2, 0)
 
 
 def test_trivial_pair_lift_unrolls_to_counit_pattern():
