@@ -32,6 +32,7 @@ from homhopf.fixtures import (  # noqa: E402
 )
 from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
 from homhopf.hom_core import ActionData, check_hom_module  # noqa: E402
+from homhopf.hom_lie import HomLieData, LieActionData, MatchedPairLie  # noqa: E402
 from homhopf.semidual import (  # noqa: E402
     lifted_matched_pair,
     semidualize,
@@ -106,6 +107,7 @@ REPORT_RUNS = [
     ("abelian2_build_uea", "build-uea"),
     ("fixture_a_prime_hom_lie_hopf", "hom-lie-hopf"),
     ("fixture_b_hom_lie_hopf", "hom-lie-hopf"),
+    ("sl2_borel_hom_lie_hopf", "hom-lie-hopf"),
 ]
 
 
@@ -147,8 +149,8 @@ def spans(rows_by_degree):
     return {str(d): [lc(r) for r in rows] for d, rows in sorted(rows_by_degree.items())}
 
 
-def lifted_actions():
-    left, right = lift_to_Uh_action(fixture_b_lie_pair(), 3, 1)
+def lifted_actions(pair):
+    left, right = lift_to_Uh_action(pair, 3, 1)
     return {"left": table(left.act), "right": table(right.act)}
 
 
@@ -289,6 +291,31 @@ def diag23():
     )
 
 
+def anticommuting_pair():
+    """phi_g = swap, alpha_h = -1, action diag(1, -1): swap A = -A swap.
+    The right action is zero."""
+    g = abelian_lie(2, _swap())
+    h = abelian_lie(1, LinearOperator.from_matrix([[-1]], inverse=[[-1]]))
+    h_on_g = LieActionData(h, [0, 1], {(0, 0): e(0), (0, 1): -1 * e(1)}, g.phi)
+    g_on_h = LieActionData(g, [0], {}, h.phi)
+    return MatchedPairLie(g, h, h_on_g, g_on_h)
+
+
+def sl2_split_pair(twisted=False):
+    """sl2 split as g = <e> and h = <h, f>: h |> e = 2e, f <| e = -h and
+    [h, f] = -2f, so both actions are nonzero.  twisted=True deforms every
+    bracket and action along the Chevalley involution e -> -e, f -> -f,
+    which becomes the twist of g and h (order 2)."""
+    s = -1 if twisted else 1
+    phi = LinearOperator.from_matrix([[s]], inverse=[[s]])
+    alpha = LinearOperator.from_matrix([[1, 0], [0, s]], inverse=[[1, 0], [0, s]])
+    g = HomLieData(1, {}, phi)
+    h = HomLieData(2, {(0, 1): -2 * s * e(1)}, alpha)
+    h_on_g = LieActionData(h, [0], {(0, 0): 2 * s * e(0)}, phi)
+    g_on_h = LieActionData(g, [0, 1], {(0, 1): -1 * e(0)}, alpha)
+    return MatchedPairLie(g, h, h_on_g, g_on_h)
+
+
 TABLE_CASES = {
     "uea_sl2_n3_w1": lambda: uea_tables(sl2(), 3, 1),
     "uea_abelian2_swap_n3_w1": lambda: uea_tables(abelian_lie(2, _swap()), 3, 1),
@@ -300,7 +327,10 @@ TABLE_CASES = {
     "ideal_J_abelian2_diag23_n2_w3": lambda: spans(
         ideal_J_span(abelian_lie(2, diag23()), 2, 3)
     ),
-    "lift_fixture_b_n3_w1": lifted_actions,
+    "lift_fixture_b_n3_w1": lambda: lifted_actions(fixture_b_lie_pair()),
+    "lift_anticommuting_n3_w1": lambda: lifted_actions(anticommuting_pair()),
+    "lift_sl2_split_n3_w1": lambda: lifted_actions(sl2_split_pair()),
+    "lift_sl2_split_twisted_n3_w1": lambda: lifted_actions(sl2_split_pair(True)),
     "semidual_kz4": semidual_finite,
     "semidual_fixture_b_n3_w1": semidual_graded,
     "doublecross_kz4_hopf_data": doublecross_hopf,

@@ -6,6 +6,7 @@ from homhopf.fixtures import (
     fixture_a_prime_lie_pair,
     fixture_b_lie_pair,
     kz4_twisted_hopf,
+    sl2,
 )
 from homhopf.foundation import FuncOperator, LinComb, LinearOperator
 from homhopf.hom_core import check_hom_comodule, check_hom_hopf, check_hom_module
@@ -25,6 +26,7 @@ from homhopf.semidual import (
     semidualize,
 )
 from oracles import ClassicalBicrossOracle
+from record_golden import sl2_split_pair
 
 e = LinComb.basis
 
@@ -395,3 +397,21 @@ def test_anticommuting_action_pipeline():
     assert res.matched_report.passed, res.matched_report.violations
     assert res.mutual_report.passed, res.mutual_report.violations
     assert res.ug.dims_per_degree() == [1, 2, 3]
+
+
+def test_sl2_borel_split_pipeline():
+    # a matched pair with a nonzero right action: f <| e = -h
+    from homhopf.hom_lie import build_double_sum_lie, check_hom_lie
+
+    for twisted in (False, True):
+        res = build_hom_lie_hopf(sl2_split_pair(twisted), 2, 1)
+        assert res.matched_report.passed, (twisted, res.matched_report.violations)
+        assert res.mutual_report.passed, (twisted, res.mutual_report.violations)
+    # the double sum over the basis (e, h, f) is sl2 over its basis (e, f, h)
+    d = build_double_sum_lie(sl2_split_pair())
+    assert check_hom_lie(d).passed
+    to_sl2 = {0: 0, 1: 2, 2: 1}
+    for i in range(3):
+        for j in range(3):
+            got = LinComb({to_sl2[k]: c for k, c in d.bracket(i, j).items()})
+            assert got == sl2().bracket(to_sl2[i], to_sl2[j]), (i, j)
