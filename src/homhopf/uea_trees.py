@@ -567,16 +567,18 @@ class UEAActionContext:
     """Recursions defining the mutual actions between U(g) and U(h) for a
     matched pair of Hom-Lie algebras, memoized at the raw-tree level.
 
-    The right action of trees over g on elements of h:
-        eta <| 1 = alpha(eta)
-        eta <| (s, xi) = eta <| phi^s(xi)
-        eta <| (t v t') = (alpha^-1(eta) <| t) <| a(t')
-    The left action of h on trees over g:
+    A weighted leaf (s, eta) of U(h) acts as sigma of itself, the weight-0
+    leaf of phi^s(eta).  A weight-0 leaf eta acts on trees over g by
         eta |> 1 = 0
         eta |> (s, xi) = (s, alpha^-s(eta) |> xi)
         eta |> (t v t') = (alpha^-1(eta) |> t) v a(t')
             + a(t_(1)) v [(alpha^-2(eta) <| a^-1(t_(2))) |> t']
-    and the degreewise lifts to U(h) acting on U(g) and back.
+        eta <| 1 = alpha(eta)
+        eta <| (s, xi) = eta <| phi^s(xi)
+        eta <| (t v t') = (alpha^-1(eta) <| t) <| a(t')
+    where eta <| t is a combination of weight-0 leaves.  Joins of U(h)
+    act through the unit and join rules of omega_left_key and
+    omega_right_key.
     """
 
     def __init__(self, pair):
@@ -585,69 +587,11 @@ class UEAActionContext:
         self.h = pair.h
         self.gops = TreeOps(pair.g.phi)
         self.hops = TreeOps(pair.h.phi)
-        self._right = {}
-        self._left = {}
         self._omega_left = {}
         self._omega_right = {}
 
-    # eta <| tree  (value in h)
-
-    def eta_right_key(self, i, key):
-        memo = self._right.get((i, key))
-        if memo is not None:
-            return memo
-        eta = LinComb.basis(i)
-        if key == UNIT:
-            out = self.h.phi_map(eta)
-        elif key[0] == LEAF:
-            s, xi = key[1][0], key[2][0]
-            out = self.pair.right(eta, self.g.phi_pow(s, LinComb.basis(xi)))
-        else:
-            kl, kr = split(key)
-            inner = self.eta_right(self.h.phi_pow(-1, eta), LinComb.basis(kl))
-            out = self.eta_right(inner, self.gops.a_shift_key(kr))
-        self._right[(i, key)] = out
-        return out
-
-    def eta_right(self, eta, u):
-        return bilinear(self.eta_right_key, eta, u)
-
-    # eta |> tree  (value among trees over g)
-
-    def eta_left_key(self, i, key):
-        memo = self._left.get((i, key))
-        if memo is not None:
-            return memo
-        eta = LinComb.basis(i)
-        if key == UNIT:
-            out = LinComb.zero()
-        elif key[0] == LEAF:
-            s = key[1][0]
-            acted = self.pair.left(
-                self.h.phi_pow(-s, eta), LinComb.basis(key[2][0])
-            )
-            out = leaves(acted, s)
-        else:
-            kl, kr = split(key)
-            head = self.gops.graft(
-                self.eta_left(self.h.phi_pow(-1, eta), LinComb.basis(kl)),
-                self.gops.a_shift_key(kr),
-            )
-
-            def term(t):
-                actor = self.eta_right(
-                    self.h.phi_pow(-2, eta), self.gops.a_shift_key(t[1], -1)
-                )
-                return self.gops.graft(
-                    self.gops.a_shift_key(t[0]), self.eta_left(actor, LinComb.basis(kr))
-                )
-
-            out = head + extend(term, self.gops.coproduct_key(kl))
-        self._left[(i, key)] = out
-        return out
-
-    def eta_left(self, eta, u):
-        return bilinear(self.eta_left_key, eta, u)
+    def _sigma(self, vkey):
+        return self.hops.phi_leafwise(vkey, vkey[1], (0,))
 
     # Omega |> u : U(h)-tree acting on U(g)-trees
 
@@ -657,17 +601,36 @@ class UEAActionContext:
             return memo
         if vkey == UNIT:
             out = self.gops.a_shift_key(ukey)
-        elif vkey[0] == LEAF:
-            s, eta = vkey[1][0], vkey[2][0]
-            out = self.eta_left(
-                self.h.phi_pow(s, LinComb.basis(eta)), LinComb.basis(ukey)
-            )
-        else:
+        elif vkey[0] != LEAF:
             vl, vr = split(vkey)
             inner = self.omega_left(
                 LinComb.basis(vr), self.gops.a_shift_key(ukey, -1)
             )
             out = self.omega_left(self.hops.a_shift_key(vl), inner)
+        elif vkey[1] != (0,):
+            out = self.omega_left(self._sigma(vkey), LinComb.basis(ukey))
+        elif ukey == UNIT:
+            out = LinComb.zero()
+        elif ukey[0] == LEAF:
+            s = ukey[1][0]
+            eta = self.h.phi_pow(-s, LinComb.basis(vkey[2][0]))
+            out = leaves(self.pair.left(eta, LinComb.basis(ukey[2][0])), s)
+        else:
+            kl, kr = split(ukey)
+            head = self.gops.graft(
+                self.omega_left(self.hops.a_shift_key(vkey, -1), LinComb.basis(kl)),
+                self.gops.a_shift_key(kr),
+            )
+
+            def term(t):
+                actor = self.omega_right(
+                    self.hops.a_shift_key(vkey, -2), self.gops.a_shift_key(t[1], -1)
+                )
+                return self.gops.graft(
+                    self.gops.a_shift_key(t[0]), self.omega_left(actor, LinComb.basis(kr))
+                )
+
+            out = head + extend(term, self.gops.coproduct_key(kl))
         self._omega_left[(vkey, ukey)] = out
         return out
 
@@ -684,13 +647,7 @@ class UEAActionContext:
             out = self.hops.a_shift_key(vkey)
         elif vkey == UNIT:
             out = LinComb.zero()  # 1 <| u = eps(u) 1 and deg(u) >= 1 here
-        elif vkey[0] == LEAF:
-            s, eta = vkey[1][0], vkey[2][0]
-            acted = self.eta_right(
-                self.h.phi_pow(s, LinComb.basis(eta)), LinComb.basis(ukey)
-            )
-            out = leaves(acted)
-        else:
+        elif vkey[0] != LEAF:
             vl, vr = split(vkey)
 
             def term(o, t):
@@ -706,6 +663,16 @@ class UEAActionContext:
             out = bilinear(
                 term, self.hops.coproduct_key(vr), self.gops.coproduct_key(ukey)
             )
+        elif vkey[1] != (0,):
+            out = self.omega_right(self._sigma(vkey), LinComb.basis(ukey))
+        elif ukey[0] == LEAF:
+            s, xi = ukey[1][0], ukey[2][0]
+            eta = LinComb.basis(vkey[2][0])
+            out = leaves(self.pair.right(eta, self.g.phi_pow(s, LinComb.basis(xi))))
+        else:
+            kl, kr = split(ukey)
+            inner = self.omega_right(self.hops.a_shift_key(vkey, -1), LinComb.basis(kl))
+            out = self.omega_right(inner, self.gops.a_shift_key(kr))
         self._omega_right[(vkey, ukey)] = out
         return out
 
@@ -725,14 +692,10 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
     ctx = UEAActionContext(pair)
 
-    for i in range(pair.h.dim):
-        for row in ug.rowspace.basis_rows():
-            if ug.project(ctx.eta_left(LinComb.basis(i), row)):
-                raise NotHomLie("h-action does not preserve the g-ideal")
     for vkey in uh.basis_keys():
         for row in ug.rowspace.basis_rows():
             if ug.project(ctx.omega_left(LinComb.basis(vkey), row)):
-                raise NotHomLie("lifted action does not preserve the g-ideal")
+                raise NotHomLie("h-action does not preserve the g-ideal")
             if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
                 raise NotHomLie("right action does not preserve the g-ideal")
     for row in uh.rowspace.basis_rows():

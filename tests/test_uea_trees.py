@@ -23,6 +23,7 @@ from homhopf.uea_trees import (
     build_truncated_uea,
     ideal_I_span,
     ideal_J_span,
+    leaves,
     lift_to_Uh_action,
     shapes,
     UEAActionContext,
@@ -378,27 +379,27 @@ def test_weighted_normal_forms_collapse_for_finite_order_twist():
 def test_act_U_on_h_examples():
     pair = fixture_b_lie_pair()
     ctx = UEAActionContext(pair)
-    x = e(0)
+    x = leaves(e(0))
     # eta <| 1 = alpha(eta)
-    assert ctx.eta_right(x, e(UNIT)) == x
+    assert ctx.omega_right(x, e(UNIT)) == x
     # x <| y = 0 so x <| (y v y) = 0
     y2 = ((LEAF, LEAF), (0, 0), (0, 0))
-    assert ctx.eta_right(x, e(y2)) == LinComb.zero()
+    assert ctx.omega_right(x, e(y2)) == LinComb.zero()
     # weight powers collapse through the identity twist
-    assert ctx.eta_right(x, e((LEAF, (2,), (0,)))) == pair.right(x, e(0))
+    assert ctx.omega_right(x, e((LEAF, (2,), (0,)))) == leaves(pair.right(e(0), e(0)))
 
 
 def test_act_h_on_U_examples():
     pair = fixture_b_lie_pair()
     ctx = UEAActionContext(pair)
-    x = e(0)
-    assert ctx.eta_left(x, e(UNIT)) == LinComb.zero()
+    x = leaves(e(0))
+    assert ctx.omega_left(x, e(UNIT)) == LinComb.zero()
     y2 = ((LEAF, LEAF), (0, 0), (0, 0))
-    assert ctx.eta_left(x, e(y2)) == 2 * e(y2)
+    assert ctx.omega_left(x, e(y2)) == 2 * e(y2)
     # trivial left action: everything of degree >= 1 acts to zero
     triv = fixture_a_prime_lie_pair()
     ctx2 = UEAActionContext(triv)
-    assert ctx2.eta_left(e(0), e((LEAF, (0,), (0,)))) == LinComb.zero()
+    assert ctx2.omega_left(leaves(e(0)), e((LEAF, (0,), (0,)))) == LinComb.zero()
 
 
 def test_lift_to_Uh_action():
