@@ -18,7 +18,9 @@ from .errors import (
     NotInvertibleBeta,
     TruncationOverflow,
 )
-from .foundation import LinComb, LinearOperator, RowSpace, bilinear, extend, pair_apply
+from .foundation import (
+    LinComb, LinearOperator, RowSpace, bilinear, extend, pair_apply, scalar,
+)
 
 ZERO = Fraction(0)
 _EMPTY = LinComb()
@@ -60,7 +62,7 @@ class Pairing:
     def __init__(self, left_keys, right_keys, eval_table):
         self.left_keys = list(left_keys)
         self.right_keys = list(right_keys)
-        self.eval_table = {k: Fraction(v) for k, v in dict(eval_table).items() if v}
+        self.eval_table = {k: scalar(v) for k, v in dict(eval_table).items() if v}
 
     @classmethod
     def canonical(cls, keys):

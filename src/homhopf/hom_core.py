@@ -24,6 +24,7 @@ from .foundation import (
     bilinear,
     extend,
     pair_apply,
+    scalar,
     solve_linear,
     swap_pairs,
 )
@@ -169,7 +170,7 @@ class HomCoalgebraData:
         self.dim = dim
         self.keys = list(keys) if keys is not None else list(range(dim))
         self.comult = dict(comult)
-        self.counit = {i: Fraction(c) for i, c in dict(counit).items()}
+        self.counit = {i: scalar(c) for i, c in dict(counit).items()}
         self.beta = beta
 
     def basis_keys(self):

@@ -42,6 +42,15 @@ def test_pairing_canonical():
     assert not degenerate.is_nondegenerate()
 
 
+def test_float_scalars_raise():
+    # a float is not exact: 0.1 would be stored as a binary fraction
+    ident = LinearOperator.identity([0])
+    with pytest.raises(TypeError):
+        HomCoalgebraData(1, {0: LinComb({(0, 0): 1})}, {0: 0.1}, ident)
+    with pytest.raises(TypeError):
+        Pairing([0], [0], {(0, 0): 0.1})
+
+
 def test_convolution_trivial():
     k = trivial_hopf()
     conv = convolution_algebra(k, k)
