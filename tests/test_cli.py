@@ -394,6 +394,17 @@ def test_out_of_range_sparse_vector_index_exits_two(tmp_path, capsys):
     assert_input_error(capsys, ["verify-hopf", "--input", path], "/hopf/kz4/counit")
 
 
+@pytest.mark.parametrize("unit", [[[0, "1"]], [[0, "1/2"], [0, "1/2"]]])
+def test_sparse_vector_pairs_give_the_golden_report(tmp_path, capsysbinary, unit):
+    # [index, scalar] pairs instead of a dense list; a repeated index sums
+    doc = sample_doc("kz4_verify")
+    (name,) = doc["hopf"]
+    doc["hopf"][name]["unit"] = unit
+    assert main(["verify-hopf", "--input", write(tmp_path, doc)]) == 0
+    golden = GOLDEN / "reports" / "kz4_verify__verify-hopf.txt"
+    assert capsysbinary.readouterr().out == golden.read_bytes()
+
+
 SECTIONS = {
     "hopf": ("kz4_verify", "verify-hopf"),
     "hom_lie": ("abelian2_build_uea", "build-uea"),
