@@ -567,18 +567,21 @@ class UEAActionContext:
     """Recursions defining the mutual actions between U(g) and U(h) for a
     matched pair of Hom-Lie algebras, memoized at the raw-tree level.
 
-    A weighted leaf (s, eta) of U(h) acts as sigma of itself, the weight-0
-    leaf of phi^s(eta).  A weight-0 leaf eta acts on trees over g by
+    For trees v, v' over h and u over g (sums over coproduct legs implied):
+        1 |> u = a(u)
+        (v v v') |> u = a(v) |> (v' |> a^-1(u))
+        v <| 1 = a(v);  1 <| u = 0 for deg(u) >= 1
+        (v v v') <| u = [v <| (a^-1(v'_(1)) |> a^-2(u_(1)))] v [v'_(2) <| a^-1(u_(2))]
+    A weighted leaf (s, eta) acts as sigma of itself, the weight-0 leaf of
+    phi^s(eta).  A weight-0 leaf eta recurses over the tree of g:
         eta |> 1 = 0
         eta |> (s, xi) = (s, alpha^-s(eta) |> xi)
         eta |> (t v t') = (alpha^-1(eta) |> t) v a(t')
             + a(t_(1)) v [(alpha^-2(eta) <| a^-1(t_(2))) |> t']
-        eta <| 1 = alpha(eta)
         eta <| (s, xi) = eta <| phi^s(xi)
         eta <| (t v t') = (alpha^-1(eta) <| t) <| a(t')
-    where eta <| t is a combination of weight-0 leaves.  Joins of U(h)
-    act through the unit and join rules of omega_left_key and
-    omega_right_key.
+    where alpha^-k(eta) is the shifted leaf and eta <| t is a combination
+    of weight-0 leaves.
     """
 
     def __init__(self, pair):
