@@ -10,11 +10,11 @@ functional leg is paired against the normal-form test vectors of each
 degree, which reduces each equation to exact rational arithmetic.
 """
 
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import NotMatchedPair, NotMutualPair, TruncationOverflow
 from .foundation import (
+    ZERO,
     FuncOperator,
     LinComb,
     LinearOperator,
@@ -30,7 +30,6 @@ from .hom_core import (
     module_axioms,
 )
 
-ZERO = Fraction(0)
 e = LinComb.basis
 
 

@@ -10,8 +10,6 @@ and the dual of an algebra comultiplies through
 delta(f)(a x a') = f(alpha^-2(a.a')) with twist f -> f o alpha^-1.
 """
 
-from fractions import Fraction
-
 from .errors import (
     NotInvertible,
     NotInvertibleAlpha,
@@ -19,10 +17,9 @@ from .errors import (
     TruncationOverflow,
 )
 from .foundation import (
-    LinComb, LinearOperator, RowSpace, bilinear, extend, pair_apply, scalar,
+    ZERO, LinComb, LinearOperator, RowSpace, bilinear, extend, pair_apply, scalar,
 )
 
-ZERO = Fraction(0)
 _EMPTY = LinComb()
 
 

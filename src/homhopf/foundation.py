@@ -2,24 +2,39 @@
 
 Everything downstream (structure tables, ideals, quotients, dual bases)
 is built from three primitives defined here: sparse linear combinations
-with Fraction coefficients, linear operators given by their columns, and
+with rational coefficients, linear operators given by their columns, and
 incremental reduced row echelon spaces with deterministic pivoting.
+
+A coefficient is stored in one canonical exact form: an `int` when its
+value is an integer, a `Fraction` only when it is not (see `scalar`);
+`float` and `bool` never get in.  This is exact because
+- `int` and `Fraction` arithmetic is exact, and mixing them stays in Q;
+- `int == Fraction` and `hash(int) == hash(Fraction)` hold for equal
+  values, so dict keys, `LinComb` equality and printed reports do not
+  depend on which of the two forms a value takes;
+- `/` (and `**` with a negative exponent) is the only way out of Q, into
+  float.  The one such site is the pivot normalisation in `RowSpace.add`,
+  which divides a `Fraction` and goes back through `scalar`.  A test walks
+  the syntax tree of the package and pins that list.
 """
 
 from fractions import Fraction
 
 from .errors import NotInvertible, UnknownBasisIndex
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 def scalar(c):
-    """Coerce ints to Fraction."""
-    if isinstance(c, Fraction):
+    """The canonical form of an exact scalar: an int when the value is an
+    integer (bool included), else a Fraction; anything else is a TypeError."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError("not an exact scalar: %r" % (c,))
 
 
@@ -69,33 +84,16 @@ class LinComb:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return LinComb._wrap(out)
+        return self.add_scaled(other, ONE)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, ZERO) - v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return LinComb._wrap(out)
+        return self.add_scaled(other, -ONE)
 
     def __neg__(self):
         return LinComb._wrap({k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
-        c = scalar(c)
-        if not c:
-            return LinComb()
-        return LinComb._wrap({k: c * v for k, v in self.terms.items()})
+        return LinComb().add_scaled(self, c)
 
     __mul__ = __rmul__
 
@@ -113,7 +111,7 @@ class LinComb:
         out = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                out[(k1, k2)] = v1 * v2
+                out[(k1, k2)] = scalar(v1 * v2)
         return LinComb._wrap(out)
 
     @classmethod
@@ -138,20 +136,19 @@ class LinComb:
 
 
 def _accumulate(out, vec, c):
-    """out += c * vec in place (c nonzero), dropping cancelled terms."""
+    """out += c * vec in place (c nonzero), dropping cancelled terms and
+    storing each new value in its canonical form."""
     scale = c != ONE
     for k, v in vec.terms.items():
         if scale:
             v = c * v
         w = out.get(k)
-        if w is None:
-            out[k] = v
-        else:
-            w = w + v
-            if w:
-                out[k] = w
-            else:
+        if w is not None:
+            v = w + v
+            if not v:
                 del out[k]
+                continue
+        out[k] = v if type(v) is int else scalar(v)
 
 
 def extend(fn, x):
@@ -341,7 +338,7 @@ class RowSpace:
             return False
         piv = min(v.terms, key=self.order)
         if v.terms[piv] != ONE:
-            v = (ONE / v.terms[piv]) * v
+            v = (Fraction(ONE) / v.terms[piv]) * v
         rows, columns = self.rows, self.columns
         # keep the rows that hold the new pivot fully reduced against it
         holders = [p for p in columns.pop(piv, ()) if rows[p].get(piv)]

@@ -19,6 +19,8 @@ from .errors import (
     TruncationOverflow,
 )
 from .foundation import (
+    ONE,
+    ZERO,
     LinComb,
     LinearOperator,
     bilinear,
@@ -28,9 +30,6 @@ from .foundation import (
     solve_linear,
     swap_pairs,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------

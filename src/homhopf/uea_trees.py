@@ -25,12 +25,12 @@ map, and sends every relation into the weight-0 ideal.
 """
 
 from collections import deque
-from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
 
 from .errors import NotHomLie, NotInvertible, TruncationOverflow
 from .foundation import (
+    ZERO,
     FuncOperator,
     LinComb,
     RowSpace,
@@ -230,7 +230,7 @@ class TreeOps:
         return extend(self.coproduct_key, x)
 
     def counit(self, x):
-        return sum((a for k, a in x.items() if k == UNIT), Fraction(0))
+        return sum((a for k, a in x.items() if k == UNIT), ZERO)
 
     # -- antipode: signed mirror
 

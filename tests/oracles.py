@@ -192,7 +192,7 @@ def gauss_jordan_inverse(columns):
         if piv is None:
             raise NotInvertible("singular operator (column %r)" % (keys[col],))
         rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
+        inv = Fraction(1) / rows[col][col]
         rows[col] = [x * inv for x in rows[col]]
         for r in range(n):
             if r != col and rows[r][col]:

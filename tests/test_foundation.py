@@ -36,15 +36,19 @@ def test_lincomb_arith_examples():
 
 
 def test_basis_coefficients():
-    # the default coefficient skips coercion and stores the Fraction 1
+    # the default coefficient skips coercion and stores the int 1
     v = LinComb.basis("x")
-    assert v.terms == {"x": 1} and type(v.terms["x"]) is Fraction
-    # an explicit coefficient is coerced as before
+    assert v.terms == {"x": 1} and type(v.terms["x"]) is int
+    # an explicit coefficient is coerced to its canonical form
     assert not LinComb.basis("x", 0)
     t = LinComb.basis("x", True)
-    assert t.terms == {"x": 1} and type(t.terms["x"]) is Fraction
+    assert t.terms == {"x": 1} and type(t.terms["x"]) is int
     with pytest.raises(TypeError):
         LinComb.basis("x", 1.0)
+    two = LinComb({"x": Fraction(4, 2)})
+    assert two.terms == {"x": 2} and type(two.terms["x"]) is int
+    half = LinComb({"x": Fraction(1, 2)})
+    assert half.terms == {"x": Fraction(1, 2)} and type(half.terms["x"]) is Fraction
 
 
 def test_tensor_examples():
@@ -221,9 +225,11 @@ def test_solve_linear_recovers_known_solution(mat, x):
 # the accumulator helpers against the add_scaled loops they replace
 
 # few keys and coefficients that are negatives of each other, so that
-# sums cancel often
+# sums cancel often; each integer value comes both as an int and as a
+# Fraction
 cancelling = st.sampled_from(
-    [Fraction(c) for c in (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)]
+    [-2, -1, 1, 2]
+    + [Fraction(c) for c in (-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2)]
 )
 sparse = st.dictionaries(st.integers(0, 3), cancelling, max_size=4).map(LinComb)
 tables = st.lists(sparse, min_size=4, max_size=4)
@@ -369,3 +375,101 @@ def test_rowspace_matches_full_scan(steps, order, probes):
             assert all(p in fast.columns[k] for k in row)
     for v in probes + drawn:
         assert same_terms(fast.reduce(v), ref.reduce(v))
+
+
+# ---------------------------------------------------------------------------
+# canonical scalars: the same values held as ints or as Fractions
+
+
+def canonical_scalar(c):
+    """An int (not a bool) or a non-integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def canonical(v):
+    return all(canonical_scalar(c) for c in v.terms.values())
+
+
+def fraction_image(v):
+    """v with every coefficient a Fraction, wrapped as is so that scalar
+    does not turn the integral ones back into ints."""
+    return LinComb._wrap({k: Fraction(c) for k, c in v.items()})
+
+
+def test_scalar_canonical_forms():
+    assert canonical(LinComb({0: 2, 1: Fraction(6, 3), 2: True, 3: Fraction(1, 3)}))
+    assert not canonical(fraction_image(e(0)))
+    for bad in (1.0, 0.5, "1", None):
+        with pytest.raises(TypeError):
+            LinComb({0: bad})
+        with pytest.raises(TypeError):
+            bad * e(0)
+
+
+@given(sparse, sparse, cancelling)
+@settings(max_examples=100, deadline=None)
+def test_mixed_arithmetic_matches_fractions(x, y, c):
+    fx, fy, fc = fraction_image(x), fraction_image(y), Fraction(c)
+    pairs = [
+        (x + y, fx + fy),
+        (x - y, fx - fy),
+        (-x, -fx),
+        (c * x, fc * fx),
+        (x * c, fx * fc),
+        (x.add_scaled(y, c), fx.add_scaled(fy, fc)),
+        (x @ y, fx @ fy),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert canonical(got)
+
+
+@given(tables, sparse, sparse)
+@settings(max_examples=80, deadline=None)
+def test_mixed_extensions_match_fractions(cols, x, y):
+    fcols = [fraction_image(col) for col in cols]
+
+    def fn(i, j):
+        return cols[(i + 2 * j) % 4]
+
+    def ffn(i, j):
+        return fcols[(i + 2 * j) % 4]
+
+    got = extend(lambda k: cols[k], x)
+    assert got == extend(lambda k: fcols[k], fraction_image(x))
+    assert canonical(got)
+    got = bilinear(fn, x, y)
+    assert got == bilinear(ffn, fraction_image(x), fraction_image(y))
+    assert canonical(got)
+
+
+@given(steps, st.lists(vectors, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_mixed_rowspace_matches_fraction_full_scan(steps, probes):
+    fast = RowSpace()
+    ref = FullScanRowSpace(fast.order)
+    for v in drawn_vectors(steps):
+        assert fast.add(v) == ref.add(fraction_image(v))
+        assert fast.rows == ref.rows
+        assert all(canonical(row) for row in fast.rows.values())
+    for v in probes:
+        got = fast.reduce(v)
+        assert got == ref.reduce(fraction_image(v))
+        assert canonical(got)
+
+
+@given(keyed_square_matrices(), st.lists(cancelling, min_size=5, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_mixed_inverse_matches_fractions(columns, scales):
+    # scale the columns, so that fractional entries occur
+    columns = {k: c * col for (k, col), c in zip(columns.items(), scales)}
+    image = {k: fraction_image(col) for k, col in columns.items()}
+    try:
+        got = LinearOperator(columns).inverted().columns
+    except NotInvertible as exc:
+        with pytest.raises(NotInvertible) as other:
+            LinearOperator(image).inverted()
+        assert str(other.value) == str(exc)
+        return
+    assert got == LinearOperator(image).inverted().columns
+    assert all(canonical(col) for col in got.values())

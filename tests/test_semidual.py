@@ -26,7 +26,7 @@ from homhopf.semidual import (
     semidualize,
 )
 from oracles import ClassicalBicrossOracle
-from record_golden import sl2_split_pair
+from record_golden import anticommuting_pair, sl2_split_pair
 
 e = LinComb.basis
 
@@ -381,17 +381,11 @@ def test_nontrivial_finite_pair_full_cycle():
 
 
 def test_anticommuting_action_pipeline():
-    # phi_g = swap, alpha_h = -1, action diag(1, -1): swap A = -A swap,
-    # a matched pair whose lifted actions interact with both twists
-    from homhopf.hom_lie import LieActionData, MatchedPairLie, check_matched_pair_lie
+    # the pair of the golden lift table: a matched pair whose lifted
+    # actions interact with both twists
+    from homhopf.hom_lie import check_matched_pair_lie
 
-    swap = LinearOperator.from_matrix([[0, 1], [1, 0]], inverse=[[0, 1], [1, 0]])
-    neg = LinearOperator.from_matrix([[-1]], inverse=[[-1]])
-    g = abelian_lie(2, swap)
-    h = abelian_lie(1, neg)
-    h_on_g = LieActionData(h, [0, 1], {(0, 0): e(0), (0, 1): -1 * e(1)}, swap)
-    g_on_h = LieActionData(g, [0], {}, neg)
-    pair = MatchedPairLie(g, h, h_on_g, g_on_h)
+    pair = anticommuting_pair()
     assert check_matched_pair_lie(pair).passed
     res = build_hom_lie_hopf(pair, 2, 1)
     assert res.matched_report.passed, res.matched_report.violations
