@@ -389,7 +389,7 @@ def quotient_projection(keys, rowspace):
 def solve_linear(equations, unknowns):
     """Solve a linear system over Q.
 
-    equations: iterable of (coeffs: dict unknown -> Fraction, rhs: Fraction).
+    equations: iterable of (coeffs: dict unknown -> scalar, rhs: scalar).
     Returns one solution as a dict (free unknowns set to 0), or None when
     the system is inconsistent.
     """
