@@ -316,6 +316,22 @@ def sl2_split_pair(twisted=False):
     return MatchedPairLie(g, h, h_on_g, g_on_h)
 
 
+def sl2_reverse_split_pair(twisted=False):
+    """sl2 split the other way, as g = <e, h> and h = <f>: f |> e = -h,
+    f <| h = 2f and [e, h] = -2e.  (f <| h) <| h = 4f, so the right action
+    iterates.  twisted=True deforms the bracket and both actions along the
+    Chevalley involution e -> -e, f -> -f, which becomes the twist of g and
+    h (order 2)."""
+    s = -1 if twisted else 1
+    phi = LinearOperator.from_matrix([[s, 0], [0, 1]], inverse=[[s, 0], [0, 1]])
+    alpha = LinearOperator.from_matrix([[s]], inverse=[[s]])
+    g = HomLieData(2, {(0, 1): -2 * s * e(0)}, phi)
+    h = HomLieData(1, {}, alpha)
+    h_on_g = LieActionData(h, [0, 1], {(0, 0): -1 * e(1)}, phi)
+    g_on_h = LieActionData(g, [0], {(1, 0): 2 * s * e(0)}, alpha)
+    return MatchedPairLie(g, h, h_on_g, g_on_h)
+
+
 TABLE_CASES = {
     "uea_sl2_n3_w1": lambda: uea_tables(sl2(), 3, 1),
     "uea_abelian2_swap_n3_w1": lambda: uea_tables(abelian_lie(2, _swap()), 3, 1),
@@ -331,6 +347,9 @@ TABLE_CASES = {
     "lift_anticommuting_n3_w1": lambda: lifted_actions(anticommuting_pair()),
     "lift_sl2_split_n3_w1": lambda: lifted_actions(sl2_split_pair()),
     "lift_sl2_split_twisted_n3_w1": lambda: lifted_actions(sl2_split_pair(True)),
+    "lift_sl2_reverse_split_twisted_n3_w1": lambda: lifted_actions(
+        sl2_reverse_split_pair(True)
+    ),
     "semidual_kz4": semidual_finite,
     "semidual_fixture_b_n3_w1": semidual_graded,
     "doublecross_kz4_hopf_data": doublecross_hopf,

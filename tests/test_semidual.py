@@ -26,7 +26,11 @@ from homhopf.semidual import (
     semidualize,
 )
 from oracles import ClassicalBicrossOracle
-from record_golden import anticommuting_pair, sl2_split_pair
+from record_golden import (
+    anticommuting_pair,
+    sl2_reverse_split_pair,
+    sl2_split_pair,
+)
 
 e = LinComb.basis
 
@@ -403,6 +407,24 @@ def test_sl2_borel_split_pipeline():
         assert res.mutual_report.passed, (twisted, res.mutual_report.violations)
     # the double sum over the basis (e, h, f) is sl2 over its basis (e, f, h)
     d = build_double_sum_lie(sl2_split_pair())
+    assert check_hom_lie(d).passed
+    to_sl2 = {0: 0, 1: 2, 2: 1}
+    for i in range(3):
+        for j in range(3):
+            got = LinComb({to_sl2[k]: c for k, c in d.bracket(i, j).items()})
+            assert got == sl2().bracket(to_sl2[i], to_sl2[j]), (i, j)
+
+
+def test_sl2_reverse_split_pipeline():
+    # the right action iterates: (f <| h) <| h = 4f
+    from homhopf.hom_lie import build_double_sum_lie, check_hom_lie
+
+    for twisted in (False, True):
+        res = build_hom_lie_hopf(sl2_reverse_split_pair(twisted), 2, 1)
+        assert res.matched_report.passed, (twisted, res.matched_report.violations)
+        assert res.mutual_report.passed, (twisted, res.mutual_report.violations)
+    # the double sum over the basis (e, h, f) is sl2 over its basis (e, f, h)
+    d = build_double_sum_lie(sl2_reverse_split_pair())
     assert check_hom_lie(d).passed
     to_sl2 = {0: 0, 1: 2, 2: 1}
     for i in range(3):
