@@ -151,6 +151,23 @@ def _accumulate(out, vec, c):
         out[k] = v if type(v) is int else scalar(v)
 
 
+def _accumulate_tensor(out, x, y, c):
+    """out += c * (x @ y) in place (c nonzero), as _accumulate does it,
+    without building x @ y."""
+    for k1, v1 in x.terms.items():
+        v1 = c * v1
+        for k2, v2 in y.terms.items():
+            k = (k1, k2)
+            v = v1 * v2
+            w = out.get(k)
+            if w is not None:
+                v = w + v
+                if not v:
+                    del out[k]
+                    continue
+            out[k] = v if type(v) is int else scalar(v)
+
+
 def extend(fn, x):
     """Linear extension of a basis map fn: key -> LinComb."""
     out = {}
@@ -168,10 +185,21 @@ def bilinear(fn, x, y):
     return LinComb._wrap(out)
 
 
+def pair_extend(f, g, terms):
+    """sum c * f(k1) @ g(k2) over the terms ((k1, k2), c), which may repeat
+    a pair; f and g map keys to LinComb."""
+    out = {}
+    for (k1, k2), c in terms:
+        _accumulate_tensor(out, f(k1), g(k2), c)
+    return LinComb._wrap(out)
+
+
 def pair_apply(f, g, t):
     """(f x g)(t): f on left legs and g on right legs of a pair-basis
     combination; f and g map LinComb -> LinComb."""
-    return extend(lambda k: f(LinComb.basis(k[0])) @ g(LinComb.basis(k[1])), t)
+    return pair_extend(
+        lambda k: f(LinComb.basis(k)), lambda k: g(LinComb.basis(k)), t.items()
+    )
 
 
 def swap_pairs(t):

@@ -36,6 +36,7 @@ from .foundation import (
     RowSpace,
     bilinear,
     extend,
+    pair_extend,
 )
 from .hom_core import ActionData, CheckReport
 from .hom_lie import check_hom_lie
@@ -114,6 +115,13 @@ def leaves(x, weight=0):
     return extend(lambda j: LinComb.basis((LEAF, (weight,), (j,))), x)
 
 
+def _relabel(leg, weights):
+    """A coproduct template leg with leaf position i read as weights[i]."""
+    if leg == UNIT:
+        return UNIT
+    return (leg[0], tuple([weights[i] for i in leg[1]]), leg[2])
+
+
 def tree_label(key):
     if key == UNIT:
         return "1"
@@ -145,6 +153,7 @@ class TreeOps:
         self._shift_cache = {}
         self._phi_powers = {}
         self._coproduct_cache = {}
+        self._template_cache = {}
         self._antipode_cache = {}
 
     # -- shift map
@@ -206,25 +215,63 @@ class TreeOps:
     # over a x b in Delta(t) and c x d in Delta(t').  Unrolled, this is
     # the sum over leaf subsets S of (t with the leaves outside S replaced
     # by the unit) x (t with the leaves in S replaced by the unit).
+    #
+    # On decorated trees the recursion reads weights only by position:
+    # grafting concatenates them and the shift map leaves them alone.  So
+    # it runs once per (shape, decorations), on the template key whose leaf
+    # i has weight i, reading the coproducts of the subtrees off their own
+    # templates.  coproduct_terms(t) is the template of t with each leg's
+    # weights read through the weights of t; distinct template terms meet
+    # when t repeats a weight.  TruncatedUEA projects these terms as they
+    # come, so it never builds Delta of an ideal pivot; coproduct_key sums
+    # them and memoizes per tree, for the lifted actions, which reuse whole
+    # trees.  Undecorated trees, whose shift changes weights, run the
+    # recursion per tree.
 
     def _graft_legs(self, p, q):
         return self.graft_keys(p[0], q[0]) @ self.graft_keys(p[1], q[1])
+
+    def _coproduct_recursion(self, key, child):
+        if key[0] == LEAF:
+            return LinComb({(UNIT, key): 1, (key, UNIT): 1})
+        kl, kr = split(key)
+        return bilinear(self._graft_legs, child(kl), child(kr))
+
+    def coproduct_terms(self, key):
+        """The terms ((a, b), c) of Delta(key) = sum c a x b; on a
+        decorated tree that repeats a weight, a pair of legs (a, b) may
+        occur more than once."""
+        if key == UNIT or self.phi is None:
+            return self.coproduct_key(key).items()
+        template = self._template_cache.get((key[0], key[2]))
+        if template is None:
+            marked = (key[0], tuple(range(len(key[1]))), key[2])
+            template = self._coproduct_recursion(marked, self._summed_terms)
+            self._template_cache[(key[0], key[2])] = template
+        weights = key[1]
+        return [
+            ((_relabel(a, weights), _relabel(b, weights)), c)
+            for (a, b), c in template.items()
+        ]
+
+    def _summed_terms(self, key):
+        """Delta(key) summed from coproduct_terms, not memoized."""
+        out = {}
+        for legs, c in self.coproduct_terms(key):
+            out[legs] = out.get(legs, ZERO) + c
+        return LinComb(out)
 
     def coproduct_key(self, key):
         if key == UNIT:
             return LinComb.basis((UNIT, UNIT))
         cached = self._coproduct_cache.get(key)
-        if cached is not None:
-            return cached
-        if key[0] == LEAF:
-            out = LinComb({(UNIT, key): 1, (key, UNIT): 1})
-        else:
-            kl, kr = split(key)
-            out = bilinear(
-                self._graft_legs, self.coproduct_key(kl), self.coproduct_key(kr)
-            )
-        self._coproduct_cache[key] = out
-        return out
+        if cached is None:
+            if self.phi is None:
+                cached = self._coproduct_recursion(key, self.coproduct_key)
+            else:
+                cached = self._summed_terms(key)
+            self._coproduct_cache[key] = cached
+        return cached
 
     def coproduct(self, x):
         return extend(self.coproduct_key, x)
@@ -435,6 +482,7 @@ class TruncatedUEA:
         )
         self._product_cache = {}
         self._comult_cache = {}
+        self._projected = {}
 
     # -- bookkeeping
 
@@ -488,20 +536,17 @@ class TruncatedUEA:
     def _comult_key(self, k):
         val = self._comult_cache.get(k)
         if val is None:
-            # each distinct leg key is projected once per call; the memo is
-            # local because one kept on the instance slowed other callers
-            legs = {}
-
-            def leg(t):
-                v = legs.get(t)
-                if v is None:
-                    v = legs[t] = self.project(LinComb.basis(t))
-                return v
-
-            val = extend(lambda t: leg(t[0]) @ leg(t[1]), self.ops.coproduct_key(k))
+            leg = self._projected_key
+            val = pair_extend(leg, leg, self.ops.coproduct_terms(k))
             # a pivot occurs in one ideal row only: caching it buys nothing
             if k not in self.rowspace.rows:
                 self._comult_cache[k] = val
+        return val
+
+    def _projected_key(self, key):
+        val = self._projected.get(key)
+        if val is None:
+            val = self._projected[key] = self.project(LinComb.basis(key))
         return val
 
     def counit_map(self, x):

@@ -11,7 +11,10 @@ from homhopf.foundation import (
     RowSpace,
     bilinear,
     extend,
+    _accumulate,
+    _accumulate_tensor,
     pair_apply,
+    pair_extend,
     quotient_projection,
     solve_linear,
     subspace_basis,
@@ -440,6 +443,43 @@ def test_mixed_extensions_match_fractions(cols, x, y):
     assert canonical(got)
     got = bilinear(fn, x, y)
     assert got == bilinear(ffn, fraction_image(x), fraction_image(y))
+    assert canonical(got)
+
+
+@given(pair_sparse, sparse, sparse, cancelling, st.tuples(*[st.booleans()] * 4))
+@settings(max_examples=100, deadline=None)
+def test_mixed_tensor_accumulation_matches_accumulate(start, x, y, c, as_fractions):
+    # any input may hold its integral values as Fractions
+    start, x, y = [
+        fraction_image(v) if flag else v
+        for v, flag in zip((start, x, y), as_fractions)
+    ]
+    if as_fractions[3]:
+        c = Fraction(c)
+    want = dict(start.terms)
+    _accumulate(want, x @ y, c)
+    got = dict(start.terms)
+    _accumulate_tensor(got, x, y, c)
+    assert list(got.items()) == list(want.items())
+    # every value the helper writes is canonical; none is a float
+    assert all(canonical_scalar(got[k]) for k in (x @ y).terms if k in got)
+    assert not any(isinstance(v, float) for v in got.values())
+
+
+@given(tables, tables, st.lists(st.tuples(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), cancelling), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_mixed_pair_extend_matches_pair_apply(fcols, gcols, terms):
+    # terms may repeat a pair; pair_apply sees them summed first
+    summed = LinComb()
+    for legs, c in terms:
+        summed = summed + LinComb.basis(legs, c)
+    got = pair_extend(fcols.__getitem__, gcols.__getitem__, terms)
+    assert got == pair_apply(
+        lambda x: extend(fcols.__getitem__, x),
+        lambda x: extend(gcols.__getitem__, x),
+        summed,
+    )
     assert canonical(got)
 
 

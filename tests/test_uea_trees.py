@@ -12,7 +12,7 @@ from homhopf.fixtures import (
     sl2_involution,
     solvable2_lie,
 )
-from homhopf.foundation import LinComb, LinearOperator
+from homhopf.foundation import LinComb, LinearOperator, extend, pair_apply
 from homhopf.hom_core import check_hom_hopf, check_hom_module
 from homhopf.hom_lie import HomLieData, LieActionData, MatchedPairLie, lie_twist
 from homhopf.uea_trees import (
@@ -136,31 +136,57 @@ def quarter_turn():
     return LinearOperator.from_matrix([[0, -1], [1, 0]], inverse=[[0, 1], [-1, 0]])
 
 
-# (Lie algebra or None for undecorated trees, weight bound); the quarter
-# turn is not an involution, so a wrong twist power shows
+# (Lie algebra or None for undecorated trees, weight bound, degree bound);
+# the quarter turn is not an involution, so a wrong twist power shows, and
+# under diag(2, 3) phi^s has coefficients 2^s and 3^s.  At W=2 the
+# decorated trees of degree 3 both repeat a weight and have three distinct
+# ones, so a slip in relabelling the weight-free template shows too.
 COPRODUCT_CASES = {
-    "undecorated_w1": (lambda: None, 1),
-    "sl2_w0": (sl2, 0),
-    "sl2_twisted_w0": (lambda: lie_twist(sl2(), sl2_involution()), 0),
-    "abelian2_quarter_turn_w1": (lambda: abelian_lie(2, quarter_turn()), 1),
+    "undecorated_w1": (lambda: None, 1, 4),
+    "sl2_w0": (sl2, 0, 4),
+    "sl2_twisted_w0": (lambda: lie_twist(sl2(), sl2_involution()), 0, 4),
+    "abelian2_quarter_turn_w1": (lambda: abelian_lie(2, quarter_turn()), 1, 4),
+    "sl2_twisted_w2": (lambda: lie_twist(sl2(), sl2_involution()), 2, 3),
+    "abelian2_diag23_w2": (lambda: abelian_lie(2, diag23()), 2, 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COPRODUCT_CASES))
 def test_recursive_coproduct_matches_leaf_subsets(name):
-    make, weight_bound = COPRODUCT_CASES[name]
+    make, weight_bound, n_max = COPRODUCT_CASES[name]
     g = make()
     phi, dim = (None, None) if g is None else (g.phi, g.dim)
     ops, ref = TreeOps(phi), TreeOps(phi)
-    for n in range(1, 5):
+    for n in range(1, n_max + 1):
         for key in ops.basis_keys(n, weight_bound, dim):
             assert ops.coproduct_key(key) == coproduct_by_leaf_subsets(ref, key), key
     assert ops.coproduct_key(UNIT) == coproduct_by_leaf_subsets(ref, UNIT)
 
 
+@pytest.mark.parametrize("name", ["sl2_twisted_w2", "abelian2_diag23_w2"])
+def test_projected_coproduct_of_ideal_rows_matches_leaf_subsets(name):
+    u = build_truncated_uea(COPRODUCT_CASES[name][0](), 3, 2)
+    ref = TreeOps(u.lie.phi)
+
+    def projected(k):
+        return pair_apply(u.project, u.project, coproduct_by_leaf_subsets(ref, k))
+
+    for row in u.rowspace.basis_rows():
+        for k in row:
+            assert u.comult_map(e(k)) == projected(k), k
+        assert u.comult_map(row) == extend(projected, row)
+
+
 def test_comult_cache_holds_normal_forms_only():
     u = build_truncated_uea(lie_twist(sl2(), sl2_involution()), 3, 1)
     assert u.well_definedness_report().passed
+    # Delta of a pivot is neither kept nor built: the coproducts come from
+    # the weight-free templates, their legs from one projection per key
+    assert u.ops._template_cache
+    assert not any(p in u.ops._coproduct_cache for p in u.rowspace.rows)
+    assert u._projected and set(u._projected) <= set(u.ambient)
+    for key, val in u._projected.items():
+        assert val == u.project(e(key)), key
     assert check_hom_hopf(u).passed
     assert u._comult_cache
     assert set(u._comult_cache) <= set(u.basis_keys())
