@@ -108,6 +108,9 @@ REPORT_RUNS = [
     ("fixture_a_prime_hom_lie_hopf", "hom-lie-hopf"),
     ("fixture_b_hom_lie_hopf", "hom-lie-hopf"),
     ("sl2_borel_hom_lie_hopf", "hom-lie-hopf"),
+    # kz4 with e1 . e1 = 2 e2: a failing report whose hom-assoc witnesses,
+    # lhs and rhs are pinned byte for byte
+    ("kz4_perturbed_verify", "verify-hopf"),
 ]
 
 
