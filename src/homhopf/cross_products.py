@@ -27,6 +27,7 @@ from .hom_core import (
     CoactionData,
     HomHopfData,
     check_hom_comodule,
+    memo_lookup,
     module_axioms,
 )
 
@@ -330,8 +331,9 @@ class _TensorHopf:
     make up its twists in `_twists`: name -> (map on A, map on B), and
     computes one product of basis keys in `product_keys`.
 
-    The product and the twists are compiled lazily, one key pair or key at
-    a time, once per instance; every later call reads the stored value.
+    The product, the twists, the coproduct and the antipode are compiled
+    lazily, one key pair or key at a time, once per instance; every later
+    call reads the stored value.
     """
 
     def __init__(self, a, b):
@@ -340,34 +342,24 @@ class _TensorHopf:
             b, "is_truncated", False
         )
         self.keys = [(ka, kb) for ka in a.basis_keys() for kb in b.basis_keys()]
-        # (k1, k2) -> product, (twist name, k) -> twist image; a basis key is
-        # a pair of factor keys, so the two kinds of entry never collide
+        # (k1, k2) -> product, (map name, k) -> image of k under a twist,
+        # the coproduct or the antipode; a basis key is a pair of factor
+        # keys, never a name, so the two kinds of entry never collide
         self._memo = {}
 
-    def _cached(self, key, build, *args):
-        """build(*args), stored under key on first use.  An overflow is
-        stored as its message and raised afresh on every lookup: the
-        exception object would pin the frames of the failed evaluation."""
-        val = self._memo.get(key)
-        if val is None:
-            try:
-                val = build(*args)
-            except TruncationOverflow as exc:
-                val = str(exc)
-            self._memo[key] = val
-        if type(val) is str:
-            raise TruncationOverflow(val)
-        return val
-
     def _product_key(self, k1, k2):
-        return self._cached((k1, k2), self.product_keys, k1, k2)
+        return memo_lookup(self._memo, (k1, k2), self.product_keys, k1, k2)
+
+    def _keywise(self, name, build, x):
+        """Linear extension of the basis map build, stored under (name, k)."""
+        return extend(lambda k: memo_lookup(self._memo, (name, k), build, k), x)
 
     def _twist_image(self, name, k):
         f, g = self._twists[name]
         return f(e(k[0])) @ g(e(k[1]))
 
     def _twist(self, name, x):
-        return extend(lambda k: self._cached((name, k), self._twist_image, name, k), x)
+        return self._keywise(name, lambda k: self._twist_image(name, k), x)
 
     def basis_keys(self):
         return list(self.keys)
@@ -459,7 +451,7 @@ class DoubleCrossProduct(_TensorHopf):
                 V.comult_map(e(k[1])),
             )
 
-        return extend(comult_key, x)
+        return self._keywise("comult", comult_key, x)
 
     def antipode_map(self, x):
         U, V = self.u, self.v
@@ -469,7 +461,7 @@ class DoubleCrossProduct(_TensorHopf):
             right = U.antipode_map(U.alpha_inv(e(k[0]))) @ V.unit_elem()
             return self.product(left, right)
 
-        return extend(antipode_key, x)
+        return self._keywise("antipode", antipode_key, x)
 
 
 def build_double_cross_product(p):
@@ -838,6 +830,10 @@ class Bicrossproduct(_TensorHopf):
             return self.f.product_dropped(a, b)
         return self.f.product(a, b)
 
+    # the truncated=True variants are stored under names of their own, apart
+    # from the default maps, which overflow where the coaction is not
+    # complete
+
     def comult_map(self, x, truncated=False):
         F, U, m = self.f, self.u, self.m
         legs_of = m.coaction_legs_truncated if truncated else m.coaction_legs
@@ -857,7 +853,8 @@ class Bicrossproduct(_TensorHopf):
 
             return extend(over_u, U.comult_map(e(k[1])))
 
-        return extend(comult_key, x)
+        name = "truncated_comult" if truncated else "comult"
+        return self._keywise(name, comult_key, x)
 
     def antipode_map(self, x, truncated=False):
         F, U, m = self.f, self.u, self.m
@@ -877,7 +874,8 @@ class Bicrossproduct(_TensorHopf):
 
             return extend(term, legs_of(e(k[1])))
 
-        return extend(antipode_key, x)
+        name = "truncated_antipode" if truncated else "antipode"
+        return self._keywise(name, antipode_key, x)
 
 
 def build_bicrossproduct(m):

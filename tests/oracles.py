@@ -15,14 +15,20 @@ shifts, where `uea_trees._enveloping_ideal` closes weight 0 only and writes
 each weighted row directly.  `gauss_jordan_inverse` is the dense
 Gauss-Jordan elimination that `LinearOperator` used before it row-reduced
 [M | I] in a `RowSpace`.
+`check_hom_algebra_untabulated` is the Hom-algebra check before it tabulated
+twist images and products once per check, and `FreshPerKey` evaluates the
+coproduct and antipode of a double cross product or bicrossproduct on a
+fresh copy for every basis key, where the objects now keep them per key.
 """
 
+import copy
 import itertools
 import math
 from fractions import Fraction
 
 from homhopf.errors import NotInvertible
-from homhopf.foundation import LinComb, RowSpace
+from homhopf.foundation import LinComb, RowSpace, extend
+from homhopf.hom_core import CheckReport
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -301,3 +307,74 @@ def enveloping_ideal_by_closure(g, n_max, weight_bound):
     rs = RowSpace(order=pivot_order)
     _close_under_ops(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
     return rs
+
+
+# ---------------------------------------------------------------------------
+# checks and tensor-product maps without per-key tables
+
+
+def check_hom_algebra_untabulated(a):
+    """`hom_core.check_hom_algebra` as every tuple evaluating its own twist
+    images and products: e_j e_k, e_i e_j and alpha(e_i) are computed
+    afresh for each of the n^3 hom-assoc tuples, skipped or not."""
+    rep = CheckReport()
+    keys = a.basis_keys()
+    unit = a.unit_elem()
+    bas = [LinComb.basis(k) for k in keys]
+
+    rep.run(
+        "hom-assoc",
+        [(i, j, k) for i in range(len(keys)) for j in range(len(keys)) for k in range(len(keys))],
+        lambda i, j, k: (
+            a.product(a.alpha_map(bas[i]), a.product(bas[j], bas[k])),
+            a.product(a.product(bas[i], bas[j]), a.alpha_map(bas[k])),
+        ),
+    )
+    rep.run(
+        "hom-unit",
+        [(i,) for i in range(len(keys))],
+        lambda i: (a.product(unit, bas[i]), a.alpha_map(bas[i])),
+    )
+    rep.run(
+        "hom-unit-right",
+        [(i,) for i in range(len(keys))],
+        lambda i: (a.product(bas[i], unit), a.alpha_map(bas[i])),
+    )
+    rep.run(
+        "alpha-multiplicative",
+        [(i, j) for i in range(len(keys)) for j in range(len(keys))],
+        lambda i, j: (
+            a.alpha_map(a.product(bas[i], bas[j])),
+            a.product(a.alpha_map(bas[i]), a.alpha_map(bas[j])),
+        ),
+    )
+    rep.run("alpha-unit", [()], lambda: (a.alpha_map(unit), unit))
+    return rep
+
+
+def fresh_copy(t):
+    """A copy of a tensor-product Hopf object (`DoubleCrossProduct`,
+    `Bicrossproduct`) with an empty memo: it shares the factors, and
+    every map it is asked for is computed from them."""
+    out = copy.copy(t)
+    out._memo = {}
+    return out
+
+
+class FreshPerKey:
+    """A tensor-product Hopf object whose coproduct and antipode are
+    evaluated for each basis key on a fresh copy of it, so that no
+    coproduct or antipode image is ever read from a table; every other
+    attribute is the wrapped object's."""
+
+    def __init__(self, t):
+        self.inner = t
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def comult_map(self, x, **kw):
+        return extend(lambda k: fresh_copy(self.inner).comult_map(LinComb.basis(k), **kw), x)
+
+    def antipode_map(self, x, **kw):
+        return extend(lambda k: fresh_copy(self.inner).antipode_map(LinComb.basis(k), **kw), x)

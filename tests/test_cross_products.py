@@ -26,6 +26,8 @@ from homhopf.cross_products import (
 from homhopf.semidual import lifted_matched_pair, semidualize
 from homhopf.uea_trees import UNIT
 
+from oracles import fresh_copy
+
 e = LinComb.basis
 
 
@@ -284,8 +286,8 @@ def test_bicross_product_of_fiber_elements():
 
 
 # ---------------------------------------------------------------------------
-# the tabulated product and twists of the tensor-product Hopf objects
-# against the uncached maps they replace
+# the tabulated product, twists, coproduct and antipode of the
+# tensor-product Hopf objects against the uncached maps they replace
 
 TWIST_METHODS = {
     "alpha": "alpha_map",
@@ -341,6 +343,18 @@ def test_tabulated_tensor_maps_match_uncached(case):
         for k in keys:
             for _ in range(2):
                 assert terms(method(e(k))) == terms(pair_apply(f, g, e(k))), (name, k)
+    # the coproduct and the antipode against a fresh copy for every key
+    for name in ("comult_map", "antipode_map"):
+        for k in keys:
+            try:
+                want = getattr(fresh_copy(t), name)(e(k))
+            except TruncationOverflow:
+                for _ in range(2):
+                    with pytest.raises(TruncationOverflow):
+                        getattr(t, name)(e(k))
+                continue
+            for _ in range(2):
+                assert terms(getattr(t, name)(e(k))) == terms(want), (name, k)
     assert not any(isinstance(v, BaseException) for v in t._memo.values())
 
     # the tables hand out shared instances: a full suite must leave them as is
