@@ -238,7 +238,9 @@ def _with_side(action, side, act=None):
 def failing_module_checks():
     """Module-compatibility checkers on broken inputs:
     - check_mutual_pair on the trivial Z/4 mutual pair with one action
-      constant changed, and on the fixture-B semidual (N=2, W=1) with two;
+      constant changed, and on the fixture-B semidual (N=2, W=1) with two
+      action constants changed, or with one constant of the left action
+      that defines its coaction changed;
     - check_module_coalgebra on the kz4 sample pair's left action with one
       constant changed;
     - check_matched_pair_hopf on that pair with the constants changed that
@@ -260,6 +262,10 @@ def failing_module_checks():
     act = _perturbed(_perturbed(g.action, (u1, "1"), e(f1)), ("1", f1), e(f1))
     rep = check_mutual_pair(GradedMutualPair(g.f, g.u, act, mp))
     out["fixture_b_n2_w1_graded_action"] = check_outcome(rep)
+    v1 = [k for k in mp.v.basis_keys() if mp.v.degree(k) == 1][0]
+    broken = MatchedPairHopf(mp.u, mp.v, _perturbed(mp.left, (v1, u1), e(u1)), mp.right)
+    rep = check_mutual_pair(GradedMutualPair(g.f, g.u, g.action, broken))
+    out["fixture_b_n2_w1_graded_coaction"] = check_outcome(rep)
     kz4 = _sample_matched_pair()
     broken = MatchedPairHopf(
         kz4.u, kz4.v, _perturbed(kz4.left, (1, 1), e(0)), kz4.right
