@@ -535,6 +535,7 @@ class GradedMutualPair(MutualPairHopf):
         self.action = dict(action)
         self.mp = matched_pair
         self.coaction_complete = self._counital_pattern()
+        self._nabla = {}  # (U key, V key) -> nabla(e_u) paired with e_w
 
     def _counital_pattern(self):
         for (vkey, ukey), val in self.mp.left.items():
@@ -543,9 +544,16 @@ class GradedMutualPair(MutualPairHopf):
                 return False
         return True
 
+    def _nabla_key(self, i, w):
+        return memo_lookup(
+            self._nabla, (i, w), lambda: self.mp.lt(self.v.alpha_pow(-2, e(w)), e(i))
+        )
+
     def nabla_pair(self, u, w):
-        """The defining pairing of the coaction: u_(0) <u_(1), w>."""
-        return self.mp.lt(self.v.alpha_pow(-2, w), u)
+        """The defining pairing of the coaction, u_(0) <u_(1), w> =
+        alpha^-2(w) |> u, extended bilinearly from a table of basis pairs
+        filled on first use."""
+        return bilinear(self._nabla_key, u, w)
 
     def coaction_legs(self, x):
         if not self.coaction_complete:
@@ -557,7 +565,13 @@ class GradedMutualPair(MutualPairHopf):
     def coaction_legs_truncated(self, x):
         """Coaction with dual legs restricted to the retained degrees; exact
         when coaction_complete, a declared truncation otherwise."""
-        return extend(lambda k: coaction_column(self.mp.lt, self.v, k), x)
+        vk = self.v.basis_keys()
+        return extend(
+            lambda k: LinComb._wrap(
+                {(k2, w): c for w in vk for k2, c in self._nabla_key(k, w).items()}
+            ),
+            x,
+        )
 
 
 def check_mutual_pair(m):
@@ -667,12 +681,24 @@ def _check_mutual_pair_finite(m):
 
 def _check_mutual_pair_graded(m):
     """Pairing-wise evaluation of the mutual-pair equations: every dual leg
-    is contracted against normal-form test vectors within the budget."""
+    is contracted against normal-form test vectors within the budget.
+
+    The image of each coproduct leg is computed once per check (`once`),
+    and comp-I pairs with f only at the end, so its right side is built once
+    per (u, w1, w2).  An overflow raises on every lookup, so a tuple is
+    skipped exactly when its direct evaluation would be.  comp-IV cannot
+    fail on a pair of enveloping algebras: its two sides swap the legs of
+    Delta(u) and Delta(w), and both coproducts are cocommutative."""
     F, U, V = m.f, m.u, m.v
     n = V.truncation_degree
     fk, uk, vk = F.basis_keys(), U.basis_keys(), V.basis_keys()
     rep = _check_action_side(m)
     kone = LinComb.basis("k")
+    memo = {}
+
+    def once(build, *args):
+        """build(*args), computed once per check."""
+        return memo_lookup(memo, (build, args), build, *args)
 
     pair_tests = [
         (w1, w2)
@@ -722,25 +748,30 @@ def _check_mutual_pair_graded(m):
         ),
     )
 
-    def comp1(i, k, w1, w2):
-        u, f = e(i), e(k)
-        lhs = F.pair(m.act(u, f), V.alpha_pow(-2, V.product(e(w1), e(w2))))
+    def carried(xs0, us0):
+        # alpha^-2 beta^-1 of beta^2 alpha^-5(w2_(1)) |> u_(1)
+        lt = m.mp.lt(V.beta_pow(2, V.alpha_pow(-5, e(xs0))), e(us0))
+        return U.alpha_pow(-2, U.beta_inv(lt))
+
+    def bvec(xs1, us1):
+        x = V.alpha_pow(-2, V.beta_pow(-2, e(xs1)))
+        return V.beta_map(m.mp.rt(x, U.alpha_inv(U.beta_pow(-2, e(us1)))))
+
+    def comp1_rhs(i, w1, w2):
+        # the right side of comp-I before f pairs with it
+        a1 = V.alpha_pow(-2, e(w1))
 
         def term(us, xs):
-            carried = m.mp.lt(V.beta_pow(2, V.alpha_pow(-5, e(xs[0]))), e(us[0]))
-            avec = m.mp.rt(
-                V.alpha_pow(-2, e(w1)), U.alpha_pow(-2, U.beta_inv(carried))
-            )
-            bvec = V.beta_map(
-                m.mp.rt(
-                    V.alpha_pow(-2, V.beta_pow(-2, e(xs[1]))),
-                    U.alpha_inv(U.beta_pow(-2, e(us[1]))),
-                )
-            )
-            return F.pair(f, V.alpha_pow(-2, V.product(avec, bvec))) * kone
+            avec = m.mp.rt(a1, once(carried, xs[0], us[0]))
+            return V.alpha_pow(-2, V.product(avec, once(bvec, xs[1], us[1])))
 
-        rhs = bilinear(term, U.comult_map(u), V.comult_map(e(w2)))
-        return LinComb.basis("k", lhs), rhs
+        return bilinear(term, U.comult_map(e(i)), V.comult_map(e(w2)))
+
+    def comp1(i, k, w1, w2):
+        f = e(k)
+        lhs = F.pair(m.act(e(i), f), V.alpha_pow(-2, V.product(e(w1), e(w2))))
+        rhs = F.pair(f, once(comp1_rhs, i, w1, w2))
+        return LinComb.basis("k", lhs), rhs * kone
 
     rep.run(
         "comp-I",
@@ -754,19 +785,21 @@ def _check_mutual_pair_graded(m):
     )
     _counit_compat(rep, "comp-II", U, F, F, m.act)
 
+    def first(us0, xs0):
+        return U.beta_inv(m.nabla_pair(e(us0), V.alpha_inv(e(xs0))))
+
+    def z(xs1, us1):
+        x = V.alpha_pow(-2, V.beta_pow(-2, e(xs1)))
+        return V.beta_map(m.mp.rt(x, U.alpha_pow(-3, e(us1))))
+
     def comp3(i, j, w):
         u, u2 = e(i), e(j)
         lhs = m.nabla_pair(U.product(u, u2), e(w))
 
         def term(us, xs):
-            first = U.beta_inv(m.nabla_pair(e(us[0]), V.alpha_inv(e(xs[0]))))
-            z = V.beta_map(
-                m.mp.rt(
-                    V.alpha_pow(-2, V.beta_pow(-2, e(xs[1]))),
-                    U.alpha_pow(-3, e(us[1])),
-                )
+            return U.product(
+                once(first, us[0], xs[0]), m.nabla_pair(u2, once(z, xs[1], us[1]))
             )
-            return U.product(first, m.nabla_pair(u2, z))
 
         return lhs, bilinear(term, U.comult_map(u), V.comult_map(e(w)))
 
@@ -774,15 +807,19 @@ def _check_mutual_pair_graded(m):
         "comp-III", [(i, j, w) for i in uk for j in uk for w in vk], comp3
     )
 
+    def paired(ub, k, xb):
+        return F.pair(m.act(e(ub), e(k)), V.beta_pow(-2, e(xb)))
+
+    def nabla_leg(ua, xa):
+        return m.nabla_pair(e(ua), V.alpha_pow(-2, e(xa)))
+
     def comp4(i, k, w):
-        f = e(k)
         du, dw = U.comult_map(e(i)), V.comult_map(e(w))
 
         def side(a, b):
             # <u_(b) |> f, beta^-2 w_(b)> times nabla(u_(a)) paired with w_(a)
             def term(us, xs):
-                s = F.pair(m.act(e(us[b]), f), V.beta_pow(-2, e(xs[b])))
-                return s * m.nabla_pair(e(us[a]), V.alpha_pow(-2, e(xs[a])))
+                return once(paired, us[b], k, xs[b]) * once(nabla_leg, us[a], xs[a])
 
             return bilinear(term, du, dw)
 

@@ -19,6 +19,9 @@ Gauss-Jordan elimination that `LinearOperator` used before it row-reduced
 twist images and products once per check, and `FreshPerKey` evaluates the
 coproduct and antipode of a double cross product or bicrossproduct on a
 fresh copy for every basis key, where the objects now keep them per key.
+`check_mutual_pair_graded_untabulated` is the graded mutual-pair check
+before it kept a coaction table per pair and one table per check for the
+images of coproduct legs.
 """
 
 import copy
@@ -26,8 +29,9 @@ import itertools
 import math
 from fractions import Fraction
 
+from homhopf.cross_products import _check_action_side, _comult_compat, _counit_compat
 from homhopf.errors import NotInvertible
-from homhopf.foundation import LinComb, RowSpace, extend
+from homhopf.foundation import LinComb, RowSpace, bilinear, extend
 from homhopf.hom_core import CheckReport
 from homhopf.uea_trees import (
     LEAF,
@@ -378,3 +382,124 @@ class FreshPerKey:
 
     def antipode_map(self, x, **kw):
         return extend(lambda k: fresh_copy(self.inner).antipode_map(LinComb.basis(k), **kw), x)
+
+
+e = LinComb.basis
+
+
+def check_mutual_pair_graded_untabulated(m):
+    """`cross_products._check_mutual_pair_graded` as every tuple evaluating
+    its own leg images: the coaction is paired through the left action on
+    each call, nabla(u)(w) = alpha^-2(w) |> u, and comp-I pairs f with each
+    term of its right side."""
+    F, U, V = m.f, m.u, m.v
+    n = V.truncation_degree
+    fk, uk, vk = F.basis_keys(), U.basis_keys(), V.basis_keys()
+    rep = _check_action_side(m)
+    kone = e("k")
+
+    def nabla_pair(u, w):
+        return m.mp.lt(V.alpha_pow(-2, w), u)
+
+    pair_tests = [
+        (w1, w2) for w1 in vk for w2 in vk if V.degree(w1) + V.degree(w2) <= n
+    ]
+
+    def comod_coassoc(i, w1, w2):
+        u = e(i)
+        lhs = U.alpha_map(nabla_pair(u, V.alpha_pow(-2, V.product(e(w1), e(w2)))))
+        rhs = nabla_pair(nabla_pair(u, V.alpha_inv(e(w2))), e(w1))
+        return lhs, rhs
+
+    rep.run(
+        "coaction/hom-comodule-coassoc",
+        [(i, w1, w2) for i in uk for (w1, w2) in pair_tests],
+        comod_coassoc,
+    )
+    rep.run(
+        "coaction/hom-comodule-counit",
+        [(i,) for i in uk],
+        lambda i: (nabla_pair(e(i), V.unit_elem()), U.alpha_map(e(i))),
+    )
+    rep.run(
+        "Hom-comod-coalg-00",
+        [(i, w) for i in uk for w in vk],
+        lambda i, w: (
+            nabla_pair(U.beta_map(e(i)), e(w)),
+            U.beta_map(nabla_pair(e(i), V.beta_inv(e(w)))),
+        ),
+    )
+    _comult_compat(
+        rep, "Hom-comod-coalg-I", U, V, U,
+        lambda u, w: nabla_pair(u, V.beta_pow(-2, w)),
+    )
+    _counit_compat(rep, "Hom-comod-coalg-II", U, V, U, nabla_pair)
+    rep.run(
+        "lt-f-comp",
+        [(i, w) for i in uk for w in vk],
+        lambda i, w: (
+            nabla_pair(U.alpha_map(e(i)), e(w)),
+            U.alpha_map(nabla_pair(e(i), V.alpha_inv(e(w)))),
+        ),
+    )
+
+    def comp1(i, k, w1, w2):
+        u, f = e(i), e(k)
+        lhs = F.pair(m.act(u, f), V.alpha_pow(-2, V.product(e(w1), e(w2))))
+
+        def term(us, xs):
+            carried = m.mp.lt(V.beta_pow(2, V.alpha_pow(-5, e(xs[0]))), e(us[0]))
+            avec = m.mp.rt(
+                V.alpha_pow(-2, e(w1)), U.alpha_pow(-2, U.beta_inv(carried))
+            )
+            bvec = V.beta_map(
+                m.mp.rt(
+                    V.alpha_pow(-2, V.beta_pow(-2, e(xs[1]))),
+                    U.alpha_inv(U.beta_pow(-2, e(us[1]))),
+                )
+            )
+            return F.pair(f, V.alpha_pow(-2, V.product(avec, bvec))) * kone
+
+        rhs = bilinear(term, U.comult_map(u), V.comult_map(e(w2)))
+        return e("k", lhs), rhs
+
+    rep.run(
+        "comp-I",
+        [(i, k, w1, w2) for i in uk for k in fk for (w1, w2) in pair_tests],
+        comp1,
+    )
+    _counit_compat(rep, "comp-II", U, F, F, m.act)
+
+    def comp3(i, j, w):
+        u, u2 = e(i), e(j)
+        lhs = nabla_pair(U.product(u, u2), e(w))
+
+        def term(us, xs):
+            first = U.beta_inv(nabla_pair(e(us[0]), V.alpha_inv(e(xs[0]))))
+            z = V.beta_map(
+                m.mp.rt(
+                    V.alpha_pow(-2, V.beta_pow(-2, e(xs[1]))),
+                    U.alpha_pow(-3, e(us[1])),
+                )
+            )
+            return U.product(first, nabla_pair(u2, z))
+
+        return lhs, bilinear(term, U.comult_map(u), V.comult_map(e(w)))
+
+    rep.run("comp-III", [(i, j, w) for i in uk for j in uk for w in vk], comp3)
+
+    def comp4(i, k, w):
+        f = e(k)
+        du, dw = U.comult_map(e(i)), V.comult_map(e(w))
+
+        def side(a, b):
+            def term(us, xs):
+                s = F.pair(m.act(e(us[b]), f), V.beta_pow(-2, e(xs[b])))
+                return s * nabla_pair(e(us[a]), V.alpha_pow(-2, e(xs[a])))
+
+            return bilinear(term, du, dw)
+
+        return side(0, 1), side(1, 0)
+
+    rep.run("comp-IV", [(i, k, w) for i in uk for k in fk for w in vk], comp4)
+    return rep

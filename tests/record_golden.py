@@ -235,6 +235,25 @@ def _with_side(action, side, act=None):
     )
 
 
+def perturbed_graded_mutual_pairs():
+    """The fixture-B semidual (N=2, W=1) with two constants of its action
+    changed, and with one constant of the left action that defines its
+    coaction changed: v1 |> u1 gains u1 on the degree-1 keys."""
+    mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
+    g = semidualize(mp)
+    u1 = [k for k in g.u.basis_keys() if g.u.degree(k) == 1][0]
+    f1 = [k for k in g.f.basis_keys() if g.f.degree(k) == 1][0]
+    v1 = [k for k in mp.v.basis_keys() if mp.v.degree(k) == 1][0]
+    act = _perturbed(_perturbed(g.action, (u1, "1"), e(f1)), ("1", f1), e(f1))
+    left = _perturbed(mp.left, (v1, u1), e(u1))
+    return {
+        "fixture_b_n2_w1_graded_action": GradedMutualPair(g.f, g.u, act, mp),
+        "fixture_b_n2_w1_graded_coaction": GradedMutualPair(
+            g.f, g.u, g.action, MatchedPairHopf(mp.u, mp.v, left, mp.right)
+        ),
+    }
+
+
 def failing_module_checks():
     """Module-compatibility checkers on broken inputs:
     - check_mutual_pair on the trivial Z/4 mutual pair with one action
@@ -255,17 +274,8 @@ def failing_module_checks():
         act = _perturbed(m.action, key, delta)
         rep = check_mutual_pair(MutualPairHopf(m.f, m.u, act, m.coaction))
         out["z4_mutual_action_%d_%d" % key] = check_outcome(rep)
-    mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
-    g = semidualize(mp)
-    u1 = [k for k in g.u.basis_keys() if g.u.degree(k) == 1][0]
-    f1 = [k for k in g.f.basis_keys() if g.f.degree(k) == 1][0]
-    act = _perturbed(_perturbed(g.action, (u1, "1"), e(f1)), ("1", f1), e(f1))
-    rep = check_mutual_pair(GradedMutualPair(g.f, g.u, act, mp))
-    out["fixture_b_n2_w1_graded_action"] = check_outcome(rep)
-    v1 = [k for k in mp.v.basis_keys() if mp.v.degree(k) == 1][0]
-    broken = MatchedPairHopf(mp.u, mp.v, _perturbed(mp.left, (v1, u1), e(u1)), mp.right)
-    rep = check_mutual_pair(GradedMutualPair(g.f, g.u, g.action, broken))
-    out["fixture_b_n2_w1_graded_coaction"] = check_outcome(rep)
+    for name, pair in perturbed_graded_mutual_pairs().items():
+        out[name] = check_outcome(check_mutual_pair(pair))
     kz4 = _sample_matched_pair()
     broken = MatchedPairHopf(
         kz4.u, kz4.v, _perturbed(kz4.left, (1, 1), e(0)), kz4.right

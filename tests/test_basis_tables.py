@@ -1,10 +1,13 @@
 """Basis images computed once: the per-key coproduct and antipode of the
-double cross product and the bicrossproduct, and the twist and product
-tables of one `check_hom_algebra` run, against the paths they replace
-(`oracles.FreshPerKey`, `oracles.check_hom_algebra_untabulated`).
+double cross product and the bicrossproduct, the twist and product tables
+of one `check_hom_algebra` run, and the coaction table and coproduct-leg
+tables of the graded mutual-pair check, against the paths they replace
+(`oracles.FreshPerKey`, `oracles.check_hom_algebra_untabulated`,
+`oracles.check_mutual_pair_graded_untabulated`).
 
 Reports are compared in full: per equation the checked and skipped
-counts, and per violation its witness, lhs and rhs with their term order.
+counts, and per violation its witness, lhs and rhs, with their term order
+except in the mutual-pair check, whose coaction table pairs u before w.
 """
 
 import importlib.util
@@ -16,7 +19,14 @@ import pytest
 
 from homhopf import hom_core
 from homhopf.cli import parse_input
-from homhopf.cross_products import Bicrossproduct, DoubleCrossProduct
+from homhopf.cross_products import (
+    Bicrossproduct,
+    DoubleCrossProduct,
+    GradedMutualPair,
+    MatchedPairHopf,
+    check_mutual_pair,
+    coaction_column,
+)
 from homhopf.errors import TruncationOverflow, UnknownBasisIndex
 from homhopf.fixtures import (
     fixture_a_prime_lie_pair,
@@ -25,12 +35,28 @@ from homhopf.fixtures import (
     sl2,
 )
 from homhopf.foundation import LinComb, LinearOperator
-from homhopf.hom_core import HomAlgebraData, check_hom_algebra, check_hom_hopf
+from homhopf.hom_core import (
+    CheckReport,
+    HomAlgebraData,
+    check_hom_algebra,
+    check_hom_hopf,
+)
 from homhopf.semidual import lifted_matched_pair, semidualize
 from homhopf.uea_trees import build_truncated_uea
 
-from oracles import FreshPerKey, check_hom_algebra_untabulated, fresh_copy
-from record_golden import SAMPLES
+from oracles import (
+    FreshPerKey,
+    check_hom_algebra_untabulated,
+    check_mutual_pair_graded_untabulated,
+    fresh_copy,
+)
+from record_golden import (
+    SAMPLES,
+    anticommuting_pair,
+    perturbed_graded_mutual_pairs,
+    sl2_reverse_split_pair,
+    sl2_split_pair,
+)
 from test_cross_products import trivial_hopf_matched_pair
 
 e = LinComb.basis
@@ -52,8 +78,12 @@ def parsed(doc):
         return parse_input(str(path))
 
 
+def lie_semidual(pair, n, w=1):
+    return semidualize(lifted_matched_pair(pair, n, w))
+
+
 def lie_bicross(pair, n, w):
-    return Bicrossproduct(semidualize(lifted_matched_pair(pair, n, w)))
+    return Bicrossproduct(lie_semidual(pair, n, w))
 
 
 def terms(x):
@@ -172,3 +202,136 @@ def test_suite_report_is_the_same_on_a_cold_and_a_warm_memo():
         bi.antipode_map(e(k), truncated=True)
     assert report_terms(check_hom_hopf(bi)) == cold
     assert report_terms(check_hom_hopf(fixture_b_bicross())) == cold
+
+
+# ---------------------------------------------------------------------------
+# the graded mutual-pair check reads the coaction from one table per pair
+# and each coproduct-leg image from one table per check
+
+
+def report_values(rep):
+    """report_terms without term order: lhs and rhs compare as LinComb."""
+    return [
+        (q.eq_id, q.checked, q.skipped, [(v.witness, v.lhs, v.rhs) for v in q.violations])
+        for q in rep.equations
+    ]
+
+
+def _perturbed_case(name):
+    return lambda: perturbed_graded_mutual_pairs()[name]
+
+
+GRADED_CASES = {
+    "fixture_b_n3_w1": lambda: lie_semidual(fixture_b_lie_pair(), 3),
+    "fixture_b_n4_w1": lambda: lie_semidual(fixture_b_lie_pair(), 4),
+    "fixture_a_prime_n3_w1": lambda: lie_semidual(fixture_a_prime_lie_pair(), 3),
+    "anticommuting_n3_w1": lambda: lie_semidual(anticommuting_pair(), 3),
+    "sl2_split_n3_w1": lambda: lie_semidual(sl2_split_pair(), 3),
+    "sl2_split_twisted_n3_w1": lambda: lie_semidual(sl2_split_pair(True), 3),
+    "sl2_reverse_split_n2_w1": lambda: lie_semidual(sl2_reverse_split_pair(), 2),
+    "sl2_reverse_split_twisted_n2_w1": lambda: lie_semidual(
+        sl2_reverse_split_pair(True), 2
+    ),
+    "fixture_b_n2_w1_graded_action": _perturbed_case("fixture_b_n2_w1_graded_action"),
+    "fixture_b_n2_w1_graded_coaction": _perturbed_case(
+        "fixture_b_n2_w1_graded_coaction"
+    ),
+}
+
+# equations with witnesses on the perturbed pairs, so that the comparison
+# covers violations on both the action and the coaction side
+FAILING = {
+    "fixture_b_n2_w1_graded_action": {"comp-I": 4},
+    "fixture_b_n2_w1_graded_coaction": {
+        "coaction/hom-comodule-coassoc": 1,
+        "Hom-comod-coalg-I": 2,
+        "comp-III": 2,
+    },
+}
+
+
+def traced_check(check, m, monkeypatch):
+    """check(m) and every tuple it evaluates, with its (lhs, rhs), or None
+    where the tuple is skipped.  Passing tuples are compared too, so an
+    equation that cannot fail on these pairs (comp-IV) is still compared."""
+    seen = []
+    run = CheckReport.run
+
+    def recording(rep, eq_id, tuples, fn):
+        def traced(*tup):
+            try:
+                val = fn(*tup)
+            except TruncationOverflow:
+                seen.append((eq_id, tup, None))
+                raise
+            seen.append((eq_id, tup, val))
+            return val
+
+        return run(rep, eq_id, tuples, traced)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CheckReport, "run", recording)
+        rep = check(m)
+    return rep, seen
+
+
+@pytest.mark.parametrize("case", sorted(GRADED_CASES))
+def test_graded_mutual_pair_report_matches_replaced_path(case, monkeypatch):
+    got, got_seen = traced_check(check_mutual_pair, GRADED_CASES[case](), monkeypatch)
+    want, want_seen = traced_check(
+        check_mutual_pair_graded_untabulated, GRADED_CASES[case](), monkeypatch
+    )
+    assert report_values(got) == report_values(want)
+    assert got_seen == want_seen
+    found = {q.eq_id: len(q.violations) for q in got.equations}
+    for eq_id, count in FAILING.get(case, {}).items():
+        assert found[eq_id] == count
+    # comp-III reads its leg tables on checked and on skipped tuples
+    comp3 = [q for q in got.equations if q.eq_id == "comp-III"][0]
+    assert comp3.checked and comp3.skipped
+
+
+@pytest.mark.parametrize("case", ["fixture_b_n3_w1", "sl2_split_twisted_n3_w1"])
+def test_coaction_legs_read_the_coaction_table(case):
+    m = GRADED_CASES[case]()
+
+    def same_columns():
+        for k in m.u.basis_keys():
+            want = coaction_column(m.mp.lt, m.v, k)
+            assert terms(m.coaction_legs_truncated(e(k))) == terms(want), k
+
+    same_columns()
+    check_mutual_pair(m)
+    same_columns()
+
+
+def test_graded_check_is_the_same_on_a_cold_and_a_warm_table():
+    m = lie_semidual(fixture_b_lie_pair(), 2)
+    cold = report_values(check_mutual_pair(m))
+    assert report_values(check_mutual_pair(m)) == cold
+    # the same factors and action with a perturbed left action: the pair
+    # must read its coaction from that action, not from m's warm table
+    mp = perturbed_graded_mutual_pairs()["fixture_b_n2_w1_graded_coaction"].mp
+    broken = GradedMutualPair(m.f, m.u, m.action, mp)
+    got = check_mutual_pair(broken)
+    assert not got.passed
+    want = check_mutual_pair_graded_untabulated(
+        GradedMutualPair(m.f, m.u, m.action, mp)
+    )
+    assert report_values(got) == report_values(want)
+    assert report_values(check_mutual_pair(m)) == cold
+
+
+class RightActionFails(MatchedPairHopf):
+    """A matched pair whose right action raises UnknownBasisIndex."""
+
+    def rt(self, v, u):
+        raise UnknownBasisIndex("right action")
+
+
+def test_other_errors_escape_the_leg_tables():
+    m = lie_semidual(fixture_b_lie_pair(), 2)
+    mp = RightActionFails(m.mp.u, m.mp.v, m.mp.left, m.mp.right)
+    for check in (check_mutual_pair, check_mutual_pair_graded_untabulated):
+        with pytest.raises(UnknownBasisIndex):
+            check(GradedMutualPair(m.f, m.u, m.action, mp))
