@@ -42,7 +42,10 @@ class LinComb:
     """A finite formal linear combination of basis indices over Q.
 
     Zero coefficients are never stored, so equality is term-by-term
-    dictionary equality.  Instances are treated as immutable.
+    dictionary equality.  Instances are immutable and shared: caches and
+    `extend`/`bilinear` hand out the same object, and nothing in the
+    package writes to `terms` after construction (a lint in
+    tests/test_exactness.py enforces this).
     """
 
     __slots__ = ("terms",)
@@ -130,9 +133,10 @@ class LinComb:
 
 
 # ---------------------------------------------------------------------------
-# the accumulator: every linear and bilinear extension goes through here.
-# Each call sums into one fresh dict and wraps it once, so neither the
-# inputs nor the LinComb values handed out by caches are ever mutated.
+# the accumulator: every linear and bilinear extension goes through here,
+# except a single term with coefficient 1, whose image is returned as it is.
+# `out` is always a dict the caller made for this sum; inputs and cached
+# values are never written to, so they can be shared.
 
 
 def _accumulate(out, vec, c):
@@ -169,7 +173,12 @@ def _accumulate_tensor(out, x, y, c):
 
 
 def extend(fn, x):
-    """Linear extension of a basis map fn: key -> LinComb."""
+    """Linear extension of a basis map fn: key -> LinComb; on a single
+    term with coefficient 1 this is fn's value itself."""
+    if len(x.terms) == 1:
+        for k, c in x.terms.items():
+            if c == ONE:
+                return fn(k)
     out = {}
     for k, c in x.terms.items():
         _accumulate(out, fn(k), c)
@@ -177,7 +186,12 @@ def extend(fn, x):
 
 
 def bilinear(fn, x, y):
-    """Bilinear extension of fn: (key of x, key of y) -> LinComb."""
+    """Bilinear extension of fn: (key of x, key of y) -> LinComb; on single
+    terms whose coefficients multiply to 1 this is fn's value itself."""
+    if len(x.terms) == 1 == len(y.terms):
+        for (i, a), (j, b) in zip(x.terms.items(), y.terms.items()):
+            if a * b == ONE:
+                return fn(i, j)
     out = {}
     for i, a in x.terms.items():
         for j, b in y.terms.items():

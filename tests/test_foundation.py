@@ -267,8 +267,18 @@ def snapshot(*vecs):
     return [dict(v.terms) for v in vecs]
 
 
-def no_alias(result, vecs):
-    return all(result.terms is not v.terms for v in vecs)
+def aliased(result, vecs):
+    """The vecs whose terms dict the result shares."""
+    return [v for v in vecs if result.terms is v.terms]
+
+
+def unit_key(x):
+    """k when x is the single term 1*e_k, else None."""
+    if len(x.terms) == 1:
+        ((k, c),) = x.items()
+        if c == 1:
+            return k
+    return None
 
 
 @given(sparse, sparse, cancelling)
@@ -277,7 +287,11 @@ def test_add_scaled_matches_add_and_scale(x, y, c):
     assert x.add_scaled(y, c) == x + c * y
 
 
+# a stored image is shared, never copied: the unit single-term input returns
+# the table entry itself, and every other input a fresh combination
 @given(tables, sparse)
+@example([e(0), e(1, 2), LinComb({0: 1, 3: -1}), LinComb()], e(2))
+@example([e(0), e(1, 2), LinComb({0: 1, 3: -1}), LinComb()], e(2, 2))
 @settings(max_examples=80, deadline=None)
 def test_extend_matches_add_scaled_loop(cols, x):
     before = snapshot(x, *cols)
@@ -285,10 +299,18 @@ def test_extend_matches_add_scaled_loop(cols, x):
     assert got == ref_extend(lambda k: cols[k], x)
     assert 0 not in got.terms.values()
     assert snapshot(x, *cols) == before
-    assert no_alias(got, [x, *cols])
+    k = unit_key(x)
+    assert aliased(got, [x, *cols]) == ([] if k is None else [cols[k]])
 
 
 @given(tables, sparse, sparse)
+@example([e(0), e(1, 2), LinComb({0: 1, 3: -1}), LinComb()], e(1), e(1))
+@example([e(0), e(1, 2), LinComb({0: 1, 3: -1}), LinComb()], e(1, 2), e(1, -1))
+@example(
+    [e(0), e(1, 2), LinComb({0: 1, 3: -1}), LinComb()],
+    e(1, Fraction(1, 2)),
+    e(1, 2),
+)
 @settings(max_examples=80, deadline=None)
 def test_bilinear_matches_add_scaled_loop(cols, x, y):
     def fn(i, j):
@@ -299,7 +321,11 @@ def test_bilinear_matches_add_scaled_loop(cols, x, y):
     assert got == ref_bilinear(fn, x, y)
     assert 0 not in got.terms.values()
     assert snapshot(x, y, *cols) == before
-    assert no_alias(got, [x, y, *cols])
+    unit = len(x.terms) == len(y.terms) == 1
+    if unit:
+        ((i, a),), ((j, b),) = x.items(), y.items()
+        unit = a * b == 1
+    assert aliased(got, [x, y, *cols]) == ([fn(i, j)] if unit else [])
 
 
 @given(tables, tables, pair_sparse)
@@ -312,16 +338,19 @@ def test_pair_apply_matches_add_scaled_loop(fcols, gcols, t):
     assert got == ref_pair_apply(f, g, t)
     assert 0 not in got.terms.values()
     assert snapshot(t, *fcols, *gcols) == before
-    assert no_alias(got, [t, *fcols, *gcols])
+    assert aliased(got, [t, *fcols, *gcols]) == []
 
 
-def test_single_term_result_is_a_fresh_combination():
-    # a cache hands out one shared LinComb; scaling by 1 must still copy
-    cached = LinComb({0: 1, 1: -1})
-    got = extend(lambda k: cached, e(5))
-    assert got == cached and got.terms is not cached.terms
-    got.terms[0] = Fraction(7)
-    assert cached == LinComb({0: 1, 1: -1})
+def test_unit_input_returns_the_stored_value_unchanged():
+    # a cache hands out one shared LinComb; a unit input returns that very
+    # object, and neither extension writes to it
+    cached = LinComb({0: 1, 1: Fraction(-1, 2)})
+    before = snapshot(cached)
+    assert extend(lambda k: cached, e(5)) is cached
+    assert bilinear(lambda i, j: cached, e(5), e(6)) is cached
+    assert bilinear(lambda i, j: cached, e(5, 2), e(6, Fraction(1, 2))) is cached
+    assert snapshot(cached) == before
+    assert list(cached.terms) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
