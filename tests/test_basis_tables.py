@@ -17,13 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from homhopf import hom_core
+from homhopf import hom_core, uea_trees
 from homhopf.cli import parse_input
 from homhopf.cross_products import (
     Bicrossproduct,
     DoubleCrossProduct,
     GradedMutualPair,
     MatchedPairHopf,
+    check_matched_pair_hopf,
     check_mutual_pair,
     coaction_column,
 )
@@ -335,3 +336,136 @@ def test_other_errors_escape_the_leg_tables():
     for check in (check_mutual_pair, check_mutual_pair_graded_untabulated):
         with pytest.raises(UnknownBasisIndex):
             check(GradedMutualPair(m.f, m.u, m.action, mp))
+
+
+def overflowing_right_side_case(monkeypatch):
+    """The reverse sl2 split at N=2 with V.product overflowing on f . 1 (f
+    the degree-1 key of U(h)).  comp-I's left side multiplies e_w1 e_w2
+    and so overflows only at (w1, w2) = (f, 1); its right side multiplies
+    legs carried through both actions, and overflows on more tuples."""
+    m = GRADED_CASES["sl2_reverse_split_n2_w1"]()
+    V = m.v
+    f = next(k for k in V.basis_keys() if V.degree(k) == 1)
+    (one,) = V.unit_elem()
+    product = V.product
+
+    def overflowing(x, y):
+        if f in x.terms and one in y.terms:
+            raise TruncationOverflow("patched product f . 1")
+        return product(x, y)
+
+    monkeypatch.setattr(V, "product", overflowing)
+    return m, (f, one)
+
+
+def test_comp1_right_side_overflow_is_stored_and_raised(monkeypatch):
+    m, lhs_overflow = overflowing_right_side_case(monkeypatch)
+    want_m, _ = overflowing_right_side_case(monkeypatch)
+    got, got_seen = traced_check(check_mutual_pair, m, monkeypatch)
+    want, want_seen = traced_check(
+        check_mutual_pair_graded_untabulated, want_m, monkeypatch
+    )
+    assert report_values(got) == report_values(want)
+    assert got_seen == want_seen
+    comp1 = [q for q in got.equations if q.eq_id == "comp-I"][0]
+    assert comp1.skipped and comp1.checked
+    # the tuples whose right side alone overflows: for each such (u, w1, w2)
+    # the stored overflow is raised again for every f
+    skipped = {}
+    for eq_id, tup, val in got_seen:
+        if eq_id == "comp-I" and val is None and tup[2:] != lhs_overflow:
+            i, k, w1, w2 = tup
+            skipped.setdefault((i, w1, w2), set()).add(k)
+    assert skipped
+    assert all(ks == set(m.f.basis_keys()) for ks in skipped.values())
+
+
+# ---------------------------------------------------------------------------
+# stored values are shared, not copied: a check that wrote to a value it
+# read from a table would change that table and the next report
+
+# every per-instance table of the checked objects, by attribute name
+SHARED_TABLES = {
+    "_product_cache", "_comult_cache", "_projected",  # TruncatedUEA
+    "_shift_cache", "_phi_powers", "_coproduct_cache",  # TreeOps
+    "_template_cache", "_antipode_cache",
+    "_memo",  # DoubleCrossProduct, Bicrossproduct
+    "_nabla",  # GradedMutualPair
+    "_tables",  # TruncatedDual
+    "_omega_left", "_omega_right",  # UEAActionContext
+}
+
+
+def frozen(val):
+    """A copy of a table value that shares nothing with it."""
+    if isinstance(val, LinComb):
+        return list(val.terms.items())
+    if isinstance(val, dict):
+        return {k: frozen(v) for k, v in val.items()}
+    assert isinstance(val, str), type(val)  # a stored overflow
+    return val
+
+
+def shared_tables(objects):
+    return {
+        (label, attr): val
+        for label, obj in objects.items()
+        for attr, val in vars(obj).items()
+        if attr in SHARED_TABLES
+    }
+
+
+def checked_objects(monkeypatch):
+    """Fixture B's semidual and its bicrossproduct, the sl2 split lift and
+    its U(h), the kz4 double cross product and the Z/4 bicrossproduct, each
+    with its checks; every UEAActionContext the lifts build is kept."""
+    contexts = []
+
+    class Kept(uea_trees.UEAActionContext):
+        def __init__(self, pair):
+            super().__init__(pair)
+            contexts.append(self)
+
+    monkeypatch.setattr(uea_trees, "UEAActionContext", Kept)
+    semi = lie_semidual(fixture_b_lie_pair(), 3)
+    semi_bi = Bicrossproduct(semi)
+    lift = lifted_matched_pair(sl2_split_pair(), 3, 1)
+    double = DoubleCrossProduct(trivial_hopf_matched_pair())
+    z4 = Bicrossproduct(parsed(perfbench_doc("z4_mutual")).mutual_pairs["z4"])
+    objects = {
+        "semidual": semi, "semidual.F": semi.f,
+        "semidual.U": semi.u, "semidual.V": semi.v,
+        "semidual.U.ops": semi.u.ops, "semidual.V.ops": semi.v.ops,
+        "semidual.bicross": semi_bi,
+        "lift.U": lift.u, "lift.V": lift.v,
+        "lift.U.ops": lift.u.ops, "lift.V.ops": lift.v.ops,
+        "double": double, "z4": z4,
+    }
+    for n, ctx in enumerate(contexts):
+        objects.update({
+            "ctx%d" % n: ctx, "ctx%d.g" % n: ctx.gops, "ctx%d.h" % n: ctx.hops
+        })
+    checks = [
+        lambda: check_mutual_pair(semi),
+        lambda: check_hom_hopf(semi_bi),
+        lambda: check_matched_pair_hopf(lift),
+        lambda: check_hom_hopf(lift.v),
+        lambda: check_hom_hopf(double),
+        lambda: check_mutual_pair(z4.m),
+        lambda: check_hom_hopf(z4),
+    ]
+    return objects, checks
+
+
+def test_checks_leave_every_shared_table_as_stored(monkeypatch):
+    objects, checks = checked_objects(monkeypatch)
+    tables = shared_tables(objects)
+    built = frozen({key: table for key, table in tables.items()})
+    reports = [report_terms(check()) for check in checks]
+    first = frozen(tables)
+    # each kind of table in SHARED_TABLES is filled by some check
+    assert {attr for (_, attr), t in first.items() if t} == SHARED_TABLES
+    for key, table in built.items():
+        assert {k: first[key][k] for k in table} == table, key
+    assert [report_terms(check()) for check in checks] == reports
+    assert frozen(tables) == first
