@@ -119,11 +119,10 @@ def _writes_terms(node, where, fn):
     if _is_terms(node) and isinstance(node.ctx, (ast.Store, ast.Del)):
         if where not in TERMS_OWNERS:
             return "terms binding"
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in DICT_MUTATORS and _is_terms(node.func.value):
-            return "terms." + node.func.attr
     if isinstance(node, ast.Call):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in DICT_MUTATORS and _is_terms(getattr(node.func, "value", None)):
+            return "terms." + name
         if name in ACCUMULATORS:
             out = node.args[0] if node.args else None
             if not (
