@@ -12,7 +12,6 @@ report byte fails it.  Re-record only when such a change is intended.
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,7 +31,6 @@ from homhopf.fixtures import (  # noqa: E402
 )
 from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
 from homhopf.hom_core import ActionData, check_hom_module  # noqa: E402
-from homhopf.hom_lie import HomLieData, LieActionData, MatchedPairLie  # noqa: E402
 from homhopf.semidual import (  # noqa: E402
     lifted_matched_pair,
     semidualize,
@@ -51,6 +49,13 @@ from homhopf.uea_trees import (  # noqa: E402
     ideal_I_span,
     ideal_J_span,
     lift_to_Uh_action,
+)
+from lie_pairs import (  # noqa: E402
+    anticommuting_pair,
+    diag23,
+    sl2_reverse_split_pair,
+    sl2_split_pair,
+    swap_phi,
 )
 
 GOLDEN = HERE / "golden"
@@ -121,10 +126,6 @@ def report_bytes(sample, command):
     report = run(command, doc, _Args())
     code = 0 if report["passed"] else 1
     return code, emit_report(report, "text"), emit_report(report, "json")
-
-
-def _swap():
-    return LinearOperator.from_matrix([[0, 1], [1, 0]], inverse=[[0, 1], [1, 0]])
 
 
 def uea_tables(g, n, w):
@@ -303,57 +304,9 @@ def _neg1():
     return abelian_lie(1, LinearOperator.from_matrix([[-1]], inverse=[[-1]]))
 
 
-def diag23():
-    """diag(2, 3): the weight-s rows hold phi^s, so W=3 pins 2^3 and 3^3."""
-    return LinearOperator.from_matrix(
-        [[2, 0], [0, 3]], inverse=[[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-    )
-
-
-def anticommuting_pair():
-    """phi_g = swap, alpha_h = -1, action diag(1, -1): swap A = -A swap.
-    The right action is zero."""
-    g = abelian_lie(2, _swap())
-    h = abelian_lie(1, LinearOperator.from_matrix([[-1]], inverse=[[-1]]))
-    h_on_g = LieActionData(h, [0, 1], {(0, 0): e(0), (0, 1): -1 * e(1)}, g.phi)
-    g_on_h = LieActionData(g, [0], {}, h.phi)
-    return MatchedPairLie(g, h, h_on_g, g_on_h)
-
-
-def sl2_split_pair(twisted=False):
-    """sl2 split as g = <e> and h = <h, f>: h |> e = 2e, f <| e = -h and
-    [h, f] = -2f, so both actions are nonzero.  twisted=True deforms every
-    bracket and action along the Chevalley involution e -> -e, f -> -f,
-    which becomes the twist of g and h (order 2)."""
-    s = -1 if twisted else 1
-    phi = LinearOperator.from_matrix([[s]], inverse=[[s]])
-    alpha = LinearOperator.from_matrix([[1, 0], [0, s]], inverse=[[1, 0], [0, s]])
-    g = HomLieData(1, {}, phi)
-    h = HomLieData(2, {(0, 1): -2 * s * e(1)}, alpha)
-    h_on_g = LieActionData(h, [0], {(0, 0): 2 * s * e(0)}, phi)
-    g_on_h = LieActionData(g, [0, 1], {(0, 1): -1 * e(0)}, alpha)
-    return MatchedPairLie(g, h, h_on_g, g_on_h)
-
-
-def sl2_reverse_split_pair(twisted=False):
-    """sl2 split the other way, as g = <e, h> and h = <f>: f |> e = -h,
-    f <| h = 2f and [e, h] = -2e.  (f <| h) <| h = 4f, so the right action
-    iterates.  twisted=True deforms the bracket and both actions along the
-    Chevalley involution e -> -e, f -> -f, which becomes the twist of g and
-    h (order 2)."""
-    s = -1 if twisted else 1
-    phi = LinearOperator.from_matrix([[s, 0], [0, 1]], inverse=[[s, 0], [0, 1]])
-    alpha = LinearOperator.from_matrix([[s]], inverse=[[s]])
-    g = HomLieData(2, {(0, 1): -2 * s * e(0)}, phi)
-    h = HomLieData(1, {}, alpha)
-    h_on_g = LieActionData(h, [0, 1], {(0, 0): -1 * e(1)}, phi)
-    g_on_h = LieActionData(g, [0], {(1, 0): 2 * s * e(0)}, alpha)
-    return MatchedPairLie(g, h, h_on_g, g_on_h)
-
-
 TABLE_CASES = {
     "uea_sl2_n3_w1": lambda: uea_tables(sl2(), 3, 1),
-    "uea_abelian2_swap_n3_w1": lambda: uea_tables(abelian_lie(2, _swap()), 3, 1),
+    "uea_abelian2_swap_n3_w1": lambda: uea_tables(abelian_lie(2, swap_phi()), 3, 1),
     "ideal_I_n3_w1": lambda: spans(ideal_I_span(3, 1)),
     "ideal_J_abelian2_n2_w0": lambda: spans(ideal_J_span(abelian_lie(2), 2, 0)),
     "ideal_J_neg1_n1_w1": lambda: spans(ideal_J_span(_neg1(), 1, 1)),

@@ -45,19 +45,14 @@ from homhopf.hom_core import (
 from homhopf.semidual import lifted_matched_pair, semidualize
 from homhopf.uea_trees import build_truncated_uea
 
+from lie_pairs import anticommuting_pair, sl2_reverse_split_pair, sl2_split_pair
 from oracles import (
     FreshPerKey,
     check_hom_algebra_untabulated,
     check_mutual_pair_graded_untabulated,
     fresh_copy,
 )
-from record_golden import (
-    SAMPLES,
-    anticommuting_pair,
-    perturbed_graded_mutual_pairs,
-    sl2_reverse_split_pair,
-    sl2_split_pair,
-)
+from record_golden import SAMPLES, perturbed_graded_mutual_pairs
 from test_cross_products import trivial_hopf_matched_pair
 
 e = LinComb.basis

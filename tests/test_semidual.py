@@ -25,12 +25,12 @@ from homhopf.semidual import (
     lifted_matched_pair,
     semidualize,
 )
-from oracles import ClassicalBicrossOracle
-from record_golden import (
+from lie_pairs import (
     anticommuting_pair,
     sl2_reverse_split_pair,
     sl2_split_pair,
 )
+from oracles import ClassicalBicrossOracle
 
 e = LinComb.basis
 

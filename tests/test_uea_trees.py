@@ -14,7 +14,7 @@ from homhopf.fixtures import (
 )
 from homhopf.foundation import LinComb, LinearOperator, extend, pair_apply
 from homhopf.hom_core import check_hom_hopf, check_hom_module
-from homhopf.hom_lie import HomLieData, LieActionData, MatchedPairLie, lie_twist
+from homhopf.hom_lie import HomLieData, lie_twist
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -29,14 +29,17 @@ from homhopf.uea_trees import (
     UEAActionContext,
 )
 
+from lie_pairs import (
+    diag23,
+    left_action_missing_h_ideal,
+    right_action_missing_h_ideal,
+    right_action_moving_g_ideal,
+    solvable_on_line,
+    swap_phi,
+)
 from oracles import coproduct_by_leaf_subsets, enveloping_ideal_by_closure
-from record_golden import diag23
 
 e = LinComb.basis
-
-
-def swap_phi():
-    return LinearOperator.from_matrix([[0, 1], [1, 0]], inverse=[[0, 1], [1, 0]])
 
 
 def test_shape_enumeration_is_catalan():
@@ -444,63 +447,33 @@ def test_lift_to_Uh_action():
     assert check_hom_module(ug, right).passed
 
 
-def _solvable_on_line(diag):
-    """g = solvable2 ([x, y] = y) with the 1-dim abelian h acting on g by
-    diag(diag) and g acting on h by zero."""
-    g, h = solvable2_lie(), abelian_lie(1)
-    h_on_g = LieActionData(
-        h, range(2), {(0, j): c * e(j) for j, c in enumerate(diag)}, g.phi
-    )
-    return MatchedPairLie(g, h, h_on_g, LieActionData(g, [0], {}, h.phi))
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_lift_rejects_an_action_that_is_not_a_derivation(n):
     # the identity on g is not a derivation of [x, y] = y, so the lifted
     # action moves the commutator relation out of the enveloping ideal
     with pytest.raises(NotHomLie, match="h-action does not preserve the g-ideal"):
-        lift_to_Uh_action(_solvable_on_line((1, 1)), n, 0)
+        lift_to_Uh_action(solvable_on_line((1, 1)), n, 0)
 
 
 def test_lift_accepts_a_derivation():
     # Dx = 0, Dy = y is a derivation of [x, y] = y
-    left, right = lift_to_Uh_action(_solvable_on_line((0, 1)), 3, 0)
+    left, right = lift_to_Uh_action(solvable_on_line((0, 1)), 3, 0)
     assert check_hom_module(right.carrier, left).passed
 
 
-def _untwisted_pair(g, h, h_on_g, g_on_h):
-    return MatchedPairLie(
-        g, h, LieActionData(h, range(g.dim), h_on_g, g.phi),
-        LieActionData(g, range(h.dim), g_on_h, h.phi),
-    )
-
-
 def test_lift_rejects_a_right_action_that_moves_the_g_ideal():
-    # eta <| x = eta <| y = eta for g = solvable2: eta <| [x, y] should be
-    # eta <| y = eta, but the commutator of two identical actions is 0
-    pair = _untwisted_pair(
-        solvable2_lie(), abelian_lie(1), {}, {(0, 0): e(0), (1, 0): e(0)}
-    )
     with pytest.raises(NotHomLie, match="right action does not preserve the g-ideal"):
-        lift_to_Uh_action(pair, 2, 0)
+        lift_to_Uh_action(right_action_moving_g_ideal(), 2, 0)
 
 
 def test_lift_rejects_a_left_action_that_misses_the_h_ideal():
-    # x |> xi = y |> xi = xi for h = solvable2 acting on a 1-dim g
-    pair = _untwisted_pair(
-        abelian_lie(1), solvable2_lie(), {(0, 0): e(0), (1, 0): e(0)}, {}
-    )
     with pytest.raises(NotHomLie, match="lifted action does not kill the h-ideal"):
-        lift_to_Uh_action(pair, 2, 0)
+        lift_to_Uh_action(left_action_missing_h_ideal(), 2, 0)
 
 
 def test_lift_rejects_a_right_action_that_misses_the_h_ideal():
-    # x <| xi = y <| xi = x for h = solvable2 (basis x, y) and a 1-dim g
-    pair = _untwisted_pair(
-        abelian_lie(1), solvable2_lie(), {}, {(0, 0): e(0), (0, 1): e(0)}
-    )
     with pytest.raises(NotHomLie, match="right action does not kill the h-ideal"):
-        lift_to_Uh_action(pair, 2, 0)
+        lift_to_Uh_action(right_action_missing_h_ideal(), 2, 0)
 
 
 def test_trivial_pair_lift_unrolls_to_counit_pattern():
