@@ -22,6 +22,11 @@ fresh copy for every basis key, where the objects now keep them per key.
 `check_mutual_pair_graded_untabulated` is the graded mutual-pair check
 before it kept a coaction table per pair and one table per check for the
 images of coproduct legs.
+`UEAActionContextFullJoin` evaluates both factors of every term of the two
+join rules of the lifted actions, where `UEAActionContext` returns a term
+once its zero factor is known, and `lift_to_Uh_action_full_walk` walks
+every row of both ideals, where `lift_to_Uh_action` accepts the h-ideal
+through its weight-0 rows.
 """
 
 import copy
@@ -30,18 +35,21 @@ import math
 from fractions import Fraction
 
 from homhopf.cross_products import _check_action_side, _comult_compat, _counit_compat
-from homhopf.errors import NotInvertible
-from homhopf.foundation import LinComb, RowSpace, bilinear, extend
-from homhopf.hom_core import CheckReport
+from homhopf.errors import NotHomLie, NotInvertible
+from homhopf.foundation import FuncOperator, LinComb, RowSpace, bilinear, extend
+from homhopf.hom_core import ActionData, CheckReport
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
     TreeOps,
+    UEAActionContext,
     _close_under_ops,
     _reassociation_seeds,
+    build_truncated_uea,
     leaf_count,
     leaves,
     pivot_order,
+    split,
 )
 
 
@@ -311,6 +319,126 @@ def enveloping_ideal_by_closure(g, n_max, weight_bound):
     rs = RowSpace(order=pivot_order)
     _close_under_ops(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
     return rs
+
+
+# ---------------------------------------------------------------------------
+# the lifted actions with every join term evaluated and every ideal row walked
+
+
+class UEAActionContextFullJoin(UEAActionContext):
+    """The recursions of `UEAActionContext` with both join rules computing
+    both factors of every term: the |> rule grafts its zero actors, and the
+    <| rule evaluates its left factor before its right one."""
+
+    def omega_left_key(self, vkey, ukey):
+        memo = self._omega_left.get((vkey, ukey))
+        if memo is not None:
+            return memo
+        if vkey == UNIT:
+            out = self.gops.a_shift_key(ukey)
+        elif vkey[0] != LEAF:
+            vl, vr = split(vkey)
+            inner = self.omega_left(
+                LinComb.basis(vr), self.gops.a_shift_key(ukey, -1)
+            )
+            out = self.omega_left(self.hops.a_shift_key(vl), inner)
+        elif vkey[1] != (0,):
+            out = self.omega_left(self._sigma(vkey), LinComb.basis(ukey))
+        elif ukey == UNIT:
+            out = LinComb.zero()
+        elif ukey[0] == LEAF:
+            s = ukey[1][0]
+            eta = self.h.phi_pow(-s, LinComb.basis(vkey[2][0]))
+            out = leaves(self.pair.left(eta, LinComb.basis(ukey[2][0])), s)
+        else:
+            kl, kr = split(ukey)
+            head = self.gops.graft(
+                self.omega_left(self.hops.a_shift_key(vkey, -1), LinComb.basis(kl)),
+                self.gops.a_shift_key(kr),
+            )
+
+            def term(t):
+                actor = self.omega_right(
+                    self.hops.a_shift_key(vkey, -2), self.gops.a_shift_key(t[1], -1)
+                )
+                return self.gops.graft(
+                    self.gops.a_shift_key(t[0]), self.omega_left(actor, LinComb.basis(kr))
+                )
+
+            out = head + extend(term, self.gops.coproduct_key(kl))
+        self._omega_left[(vkey, ukey)] = out
+        return out
+
+    def omega_right_key(self, vkey, ukey):
+        memo = self._omega_right.get((vkey, ukey))
+        if memo is not None:
+            return memo
+        if ukey == UNIT:
+            out = self.hops.a_shift_key(vkey)
+        elif vkey == UNIT:
+            out = LinComb.zero()
+        elif vkey[0] != LEAF:
+            vl, vr = split(vkey)
+
+            def term(o, t):
+                inner = self.omega_left(
+                    self.hops.a_shift_key(o[0], -1), self.gops.a_shift_key(t[0], -2)
+                )
+                left = self.omega_right(LinComb.basis(vl), inner)
+                right = self.omega_right(
+                    LinComb.basis(o[1]), self.gops.a_shift_key(t[1], -1)
+                )
+                return self.hops.graft(left, right)
+
+            out = bilinear(
+                term, self.hops.coproduct_key(vr), self.gops.coproduct_key(ukey)
+            )
+        elif vkey[1] != (0,):
+            out = self.omega_right(self._sigma(vkey), LinComb.basis(ukey))
+        elif ukey[0] == LEAF:
+            s, xi = ukey[1][0], ukey[2][0]
+            eta = LinComb.basis(vkey[2][0])
+            out = leaves(self.pair.right(eta, self.g.phi_pow(s, LinComb.basis(xi))))
+        else:
+            kl, kr = split(ukey)
+            inner = self.omega_right(self.hops.a_shift_key(vkey, -1), LinComb.basis(kl))
+            out = self.omega_right(inner, self.gops.a_shift_key(kr))
+        self._omega_right[(vkey, ukey)] = out
+        return out
+
+
+def lift_to_Uh_action_full_walk(pair, truncation_degree, weight_bound=3):
+    """`lift_to_Uh_action` on `UEAActionContextFullJoin`, checking every
+    row of both ideals on every normal form of the other algebra, under
+    both actions."""
+    ug = build_truncated_uea(pair.g, truncation_degree, weight_bound)
+    uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
+    ctx = UEAActionContextFullJoin(pair)
+
+    for vkey in uh.basis_keys():
+        for row in ug.rowspace.basis_rows():
+            if ug.project(ctx.omega_left(LinComb.basis(vkey), row)):
+                raise NotHomLie("h-action does not preserve the g-ideal")
+            if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
+                raise NotHomLie("right action does not preserve the g-ideal")
+    for row in uh.rowspace.basis_rows():
+        for ukey in ug.basis_keys():
+            if ug.project(ctx.omega_left(row, LinComb.basis(ukey))):
+                raise NotHomLie("lifted action does not kill the h-ideal")
+            if uh.project(ctx.omega_right(row, LinComb.basis(ukey))):
+                raise NotHomLie("right action does not kill the h-ideal")
+
+    left_table = {}
+    right_table = {}
+    for vkey in uh.basis_keys():
+        for ukey in ug.basis_keys():
+            left_table[(vkey, ukey)] = ug.project(ctx.omega_left_key(vkey, ukey))
+            right_table[(ukey, vkey)] = uh.project(ctx.omega_right_key(vkey, ukey))
+    left = ActionData(uh, ug.basis_keys(), left_table, FuncOperator(ug.alpha_map),
+                      side="left", carrier=ug)
+    right = ActionData(ug, uh.basis_keys(), right_table, FuncOperator(uh.alpha_map),
+                       side="right", carrier=uh)
+    return left, right
 
 
 # ---------------------------------------------------------------------------
