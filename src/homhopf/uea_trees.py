@@ -626,7 +626,15 @@ class UEAActionContext:
         eta <| (s, xi) = eta <| phi^s(xi)
         eta <| (t v t') = (alpha^-1(eta) <| t) <| a(t')
     where alpha^-k(eta) is the shifted leaf and eta <| t is a combination
-    of weight-0 leaves.
+    of weight-0 leaves.  Each join rule returns a term as soon as the
+    factor it computes first is zero: the actor of a |> term, the right
+    factor v'_(2) <| a^-1(u_(2)) of a <| term.
+
+    Since sigma commutes with alpha and grafting, two identities hold for
+    every weighted h-tree t and every g-tree u, whatever the input:
+        omega|>(t, u) = omega|>(sigma t, u)    as combinations,
+        sigma(omega<|(t, u)) = omega<|(sigma t, u),
+    where the raw <| images differ, because v <| 1 = a(v) keeps weights.
     """
 
     def __init__(self, pair):
@@ -674,6 +682,8 @@ class UEAActionContext:
                 actor = self.omega_right(
                     self.hops.a_shift_key(vkey, -2), self.gops.a_shift_key(t[1], -1)
                 )
+                if not actor:
+                    return actor
                 return self.gops.graft(
                     self.gops.a_shift_key(t[0]), self.omega_left(actor, LinComb.basis(kr))
                 )
@@ -699,13 +709,15 @@ class UEAActionContext:
             vl, vr = split(vkey)
 
             def term(o, t):
+                right = self.omega_right(
+                    LinComb.basis(o[1]), self.gops.a_shift_key(t[1], -1)
+                )
+                if not right:
+                    return right
                 inner = self.omega_left(
                     self.hops.a_shift_key(o[0], -1), self.gops.a_shift_key(t[0], -2)
                 )
                 left = self.omega_right(LinComb.basis(vl), inner)
-                right = self.omega_right(
-                    LinComb.basis(o[1]), self.gops.a_shift_key(t[1], -1)
-                )
                 return self.hops.graft(left, right)
 
             out = bilinear(
@@ -728,6 +740,18 @@ class UEAActionContext:
         return bilinear(self.omega_right_key, v, u)
 
 
+def _h_ideal_failure(ctx, ug, uh, rows):
+    """Why the first of rows that some U(g) normal form does not kill,
+    under either lifted action, is refused; None if there is none."""
+    for row in rows:
+        for ukey in ug.basis_keys():
+            if ug.project(ctx.omega_left(row, LinComb.basis(ukey))):
+                return "lifted action does not kill the h-ideal"
+            if uh.project(ctx.omega_right(row, LinComb.basis(ukey))):
+                return "right action does not kill the h-ideal"
+    return None
+
+
 def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     """Lift the matched-pair actions to the truncated enveloping algebras.
 
@@ -735,6 +759,16 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     U(h), as tables over normal-form bases.  Both ideals are first verified
     to be stable under the actions, so the tables are well defined on the
     quotients; NotHomLie is raised otherwise.
+
+    Every row of the g-ideal is checked on every U(h) normal form: its
+    weighted rows test that the actions commute with the twist.  The
+    h-ideal is accepted through its weight-0 rows J0, on every U(g) normal
+    form.  That suffices: every weighted row is t - P0(sigma t), so the
+    projection P_h of U(h) satisfies P_h(sigma x) = P_h(x), and by the
+    identities of UEAActionContext the row acts, after projection, as
+    sigma t - P0(sigma t) does, which is a combination of J0 rows.  When a
+    J0 row is not killed, every row is walked in pivot order, so that the
+    refusal is that of the first row that fails.
     """
     ug = build_truncated_uea(pair.g, truncation_degree, weight_bound)
     uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
@@ -746,12 +780,11 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
                 raise NotHomLie("h-action does not preserve the g-ideal")
             if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
                 raise NotHomLie("right action does not preserve the g-ideal")
-    for row in uh.rowspace.basis_rows():
-        for ukey in ug.basis_keys():
-            if ug.project(ctx.omega_left(row, LinComb.basis(ukey))):
-                raise NotHomLie("lifted action does not kill the h-ideal")
-            if uh.project(ctx.omega_right(row, LinComb.basis(ukey))):
-                raise NotHomLie("right action does not kill the h-ideal")
+    rs = uh.rowspace
+    # a row is weighted exactly when its pivot is
+    weight0 = [rs.rows[p] for p in rs.pivots() if not any(p[1])]
+    if _h_ideal_failure(ctx, ug, uh, weight0):
+        raise NotHomLie(_h_ideal_failure(ctx, ug, uh, rs.basis_rows()))
 
     left_table = {}
     right_table = {}
