@@ -10,7 +10,8 @@ shown to take a Fraction operand and is added to DIVISIONS.
 A LinComb is shared, not copied: caches hand out their stored values and
 `extend`/`bilinear` return a table entry itself on a unit input.  The
 immutability lint fails on any code that writes to a LinComb's `terms`
-after construction.
+after construction, directly or through a name bound to them, or that
+hands them to a function it does not know to only read them.
 """
 
 import ast
@@ -80,10 +81,26 @@ def test_lint_sees_every_way_out_of_q():
 TERMS_OWNERS = {"LinComb.__init__", "LinComb._wrap"}
 DICT_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
 ACCUMULATORS = {"_accumulate", "_accumulate_tensor"}
+# the functions and methods that `.terms` may be passed to: they only read it
+READ_ONLY_CALLS = {"bool", "dict", "iter", "len", "min", "isdisjoint"}
 
 
-def _is_terms(node):
+def _is_terms(node, aliases=frozenset()):
+    """node is `<expr>.terms` or a name bound to one."""
+    if isinstance(node, ast.Name):
+        return node.id in aliases
     return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _terms_aliases(fn):
+    """The names that fn binds to `<expr>.terms`, by `=` or `:=`."""
+    out = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and _is_terms(node.value):
+            out.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.NamedExpr) and _is_terms(node.value):
+            out.add(node.target.id)
+    return out
 
 
 def _fresh_dict(node):
@@ -111,17 +128,21 @@ def _fresh_names(fn):
     return fresh - other
 
 
-def _writes_terms(node, where, fn):
-    """What node does to a LinComb's terms that it may not, or None."""
+def _writes_terms(node, where, fn, aliases):
+    """What node does to a LinComb's terms that it may not, or None;
+    aliases are the names bound to `.terms` in scope."""
     if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-        if _is_terms(node.value):
+        if _is_terms(node.value, aliases):
             return "terms item"
     if _is_terms(node) and isinstance(node.ctx, (ast.Store, ast.Del)):
         if where not in TERMS_OWNERS:
             return "terms binding"
+    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+        if node.target.id in aliases:
+            return "terms in place"
     if isinstance(node, ast.Call):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name in DICT_MUTATORS and _is_terms(getattr(node.func, "value", None)):
+        if name in DICT_MUTATORS and _is_terms(getattr(node.func, "value", None), aliases):
             return "terms." + name
         if name in ACCUMULATORS:
             out = node.args[0] if node.args else None
@@ -131,21 +152,27 @@ def _writes_terms(node, where, fn):
                 and out.id in _fresh_names(fn)
             ):
                 return name + " into a dict from elsewhere"
+        args = node.args + [kw.value for kw in node.keywords]
+        args = [a.value if isinstance(a, ast.Starred) else a for a in args]
+        if name not in READ_ONLY_CALLS and any(_is_terms(a, aliases) for a in args):
+            return "terms passed to %s" % (name or "a call")
     return None
 
 
-def _terms_writes(tree, scope=(), fn=None):
+def _terms_writes(tree, scope=(), fn=None, aliases=frozenset()):
     for node in ast.iter_child_nodes(tree):
-        inner, inner_fn = scope, fn
+        inner, inner_fn, inner_aliases = scope, fn, aliases
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = scope + (node.name,)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             inner_fn = node
+            # a nested function sees the aliases of the functions around it
+            inner_aliases = aliases | _terms_aliases(node)
         where = ".".join(scope) or "<module>"
-        kind = _writes_terms(node, where, fn)
+        kind = _writes_terms(node, where, fn, aliases)
         if kind:
             yield where, node.lineno, kind
-        yield from _terms_writes(node, inner, inner_fn)
+        yield from _terms_writes(node, inner, inner_fn, inner_aliases)
 
 
 def terms_write_sites():
@@ -186,6 +213,20 @@ def test_immutability_lint_sees_every_write():
         "    both = {}\n    both = cache[x]\n    foundation._accumulate(both, x, 1)\n"
         "    fn = lambda: _accumulate(mine, x, 1)\n"  # 31: not made in the lambda
         "    return x.terms.get(1), dict(x.terms), x.terms.items()\n"
+        "def h(x, y):\n"
+        "    t = x.terms\n"
+        "    t[1] = 2\n"  # 35
+        "    del t[1]\n"
+        "    t.update({})\n"
+        "    t |= {}\n"
+        "    if (u := y.terms):\n        u.pop(1)\n"  # 40
+        "    keep(x.terms)\n"
+        "    keep(key=t)\n"
+        "    x.merge(*y.terms)\n"
+        "    fns[0](x.terms)\n"
+        "    fn = lambda: t.setdefault(1, 0)\n"  # 45: an alias of the enclosing function
+        "    def inner():\n        t[2] = 0\n"
+        "    return len(t), bool(x.terms), iter(t), min(t), dict(t), rows.keys().isdisjoint(t)\n"
     )
     found = sorted(_terms_writes(ast.parse(src)))
     assert found == [
@@ -205,4 +246,15 @@ def test_immutability_lint_sees_every_write():
         ("g", 27, "_accumulate into a dict from elsewhere"),
         ("g", 30, "_accumulate into a dict from elsewhere"),
         ("g", 31, "_accumulate into a dict from elsewhere"),
+        ("h", 35, "terms item"),
+        ("h", 36, "terms item"),
+        ("h", 37, "terms.update"),
+        ("h", 38, "terms in place"),
+        ("h", 40, "terms.pop"),
+        ("h", 41, "terms passed to keep"),
+        ("h", 42, "terms passed to keep"),
+        ("h", 43, "terms passed to merge"),
+        ("h", 44, "terms passed to a call"),
+        ("h", 45, "terms.setdefault"),
+        ("h.inner", 47, "terms item"),
     ], found
