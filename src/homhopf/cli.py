@@ -269,11 +269,12 @@ def _is_shape(shape):
 
 
 def _is_tree_key(key):
-    """The unit "1", or (shape, weights[, decorations]) with one int per
-    leaf in each tuple; a pair of pair keys is not a tree key."""
+    """The unit "1", or a decorated tree (shape, weights, decorations) with
+    one int per leaf in each of weights and decorations; a tuple of tensor
+    legs is not a tree key."""
     return key == "1" or (
         isinstance(key, tuple)
-        and len(key) in (2, 3)
+        and len(key) == 3
         and _is_shape(key[0])
         and all(
             isinstance(part, tuple)

@@ -15,7 +15,8 @@ class HomLieData:
 
     The bracket table stores (i, j) -> LinComb for i < j only; the accessor
     fills in antisymmetry and the diagonal.  Entries given for both (i, j)
-    and (j, i) must be negatives of each other.
+    and (j, i) must be negatives of each other.  A singular phi raises
+    NotInvertible.
     """
 
     def __init__(self, dim, bracket, phi):
@@ -30,6 +31,7 @@ class HomLieData:
                 i, j, v = j, i, -1 * v
             if self.table.setdefault((i, j), v) != v:
                 raise NotHomLie("bracket(%d,%d) is not -bracket(%d,%d)" % (j, i, i, j))
+        phi.inverted()
         self.phi = phi
 
     def basis_keys(self):

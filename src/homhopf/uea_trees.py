@@ -7,28 +7,28 @@ Hom-Lie algebra together with the lifted matched-pair actions.
 
 Tree keys
 ---------
-The unit is the string key "1".  An undecorated weighted tree is
-(shape, weights); a decorated tree is (shape, weights, decorations) where
-shape is a nested tuple (() for a leaf, (left, right) for a join), weights
-are naturals, and decorations index the Lie algebra basis.  Linear
-combinations of decorated trees realize multilinearity of decorations.
+The unit is the string key "1".  Every other key is a decorated tree
+(shape, weights, decorations): shape is a nested tuple (() for a leaf,
+(left, right) for a join), weights are naturals and decorations index the
+Lie algebra basis, one of each per leaf from left to right.  Linear
+combinations of trees realize multilinearity of decorations.
 
 Quotients are computed by linear closure and row reduction per degree,
 never by rewriting.  Row-reduction pivots prefer high degree and high
 weight, so normal forms concentrate in low filtration levels and weight
 zero, matching the classical picture when the twist is the identity.
-For decorated trees only the weight-0 relations are closed, giving the
-reduction P0; each weighted tree t then has the row t - P0(sigma(t)),
-where sigma replaces each leaf (s, xi) by (0, phi^s(xi)).  This is exact
-because sigma fixes weight-0 trees, commutes with grafting and the shift
-map, and sends every relation into the weight-0 ideal.
+Only the weight-0 relations are closed, giving the reduction P0; each
+weighted tree t then has the row t - P0(sigma(t)), where sigma replaces
+each leaf (s, xi) by (0, phi^s(xi)).  This is exact because sigma fixes
+weight-0 trees, commutes with grafting and the shift map, and sends every
+relation into the weight-0 ideal.
 """
 
 from collections import deque
 from itertools import product as iproduct
 from math import prod
 
-from .errors import NotHomLie, NotInvertible, TruncationOverflow
+from .errors import NotHomLie, TruncationOverflow
 from .foundation import (
     ZERO,
     FuncOperator,
@@ -96,8 +96,7 @@ def pivot_order(key):
     """Sort key for row reduction: high degree and high weight first."""
     if key == UNIT:
         return (1,)
-    shape, weights = key[0], key[1]
-    decs = key[2] if len(key) == 3 else ()
+    shape, weights, decs = key
     return (0, -len(weights), tuple(-w for w in weights), shape_code(shape), decs)
 
 
@@ -105,8 +104,7 @@ def display_order(key):
     """Sort key for listings: unit first, then by degree, weight, shape."""
     if key == UNIT:
         return (0,)
-    shape, weights = key[0], key[1]
-    decs = key[2] if len(key) == 3 else ()
+    shape, weights, decs = key
     return (1, len(weights), weights, shape_code(shape), decs)
 
 
@@ -125,15 +123,12 @@ def _relabel(leg, weights):
 def tree_label(key):
     if key == UNIT:
         return "1"
-    shape, weights = key[0], key[1]
-    decs = key[2] if len(key) == 3 else None
+    shape, weights, decs = key
 
     def render(sh, pos):
         if sh == LEAF:
             i = pos[0]
             pos[0] += 1
-            if decs is None:
-                return str(weights[i])
             return "%d;g%d" % (weights[i], decs[i])
         return "(%s v %s)" % (render(sh[0], pos), render(sh[1], pos))
 
@@ -141,14 +136,12 @@ def tree_label(key):
 
 
 class TreeOps:
-    """Grafting, shift map, coproduct, counit and antipode on tree keys.
-
-    phi = None selects undecorated weighted trees, where the shift map adds
-    one to every weight.  With a twist operator phi, trees are decorated and
-    the shift map applies phi to every decoration, leaving weights alone.
+    """Grafting, shift map, coproduct, counit and antipode on the trees
+    decorated by a Lie algebra with invertible twist phi.  The shift map
+    applies phi to every decoration and leaves the weights alone.
     """
 
-    def __init__(self, phi=None):
+    def __init__(self, phi):
         self.phi = phi
         self._shift_cache = {}
         self._phi_powers = {}
@@ -164,14 +157,7 @@ class TreeOps:
         cached = self._shift_cache.get((key, power))
         if cached is not None:
             return cached
-        if self.phi is None:
-            shape, weights = key
-            shifted = tuple(w + power for w in weights)
-            if any(w < 0 for w in shifted):
-                raise NotInvertible("negative weight under inverse shift")
-            out = LinComb.basis((shape, shifted))
-        else:
-            out = self.phi_leafwise(key, (power,) * len(key[1]), key[1])
+        out = self.phi_leafwise(key, (power,) * len(key[1]), key[1])
         self._shift_cache[(key, power)] = out
         return out
 
@@ -202,8 +188,6 @@ class TreeOps:
             return self.a_shift_key(k1)
         if k1 == UNIT:
             return self.a_shift_key(k2)
-        if self.phi is None:
-            return LinComb.basis(((k1[0], k2[0]), k1[1] + k2[1]))
         return LinComb.basis(((k1[0], k2[0]), k1[1] + k2[1], k1[2] + k2[2]))
 
     def graft(self, x, y):
@@ -216,37 +200,36 @@ class TreeOps:
     # the sum over leaf subsets S of (t with the leaves outside S replaced
     # by the unit) x (t with the leaves in S replaced by the unit).
     #
-    # On decorated trees the recursion reads weights only by position:
-    # grafting concatenates them and the shift map leaves them alone.  So
-    # it runs once per (shape, decorations), on the template key whose leaf
-    # i has weight i, reading the coproducts of the subtrees off their own
-    # templates.  coproduct_terms(t) is the template of t with each leg's
-    # weights read through the weights of t; distinct template terms meet
-    # when t repeats a weight.  TruncatedUEA projects these terms as they
-    # come, so it never builds Delta of an ideal pivot; coproduct_key sums
-    # them and memoizes per tree, for the lifted actions, which reuse whole
-    # trees.  Undecorated trees, whose shift changes weights, run the
-    # recursion per tree.
+    # The recursion reads weights only by position: grafting concatenates
+    # them and the shift map leaves them alone.  So it runs once per
+    # (shape, decorations), on the template key whose leaf i has weight i,
+    # reading the coproducts of the subtrees off their own templates.
+    # coproduct_terms(t) is the template of t with each leg's weights read
+    # through the weights of t; distinct template terms meet when t repeats
+    # a weight.  TruncatedUEA projects these terms as they come, so it never
+    # builds Delta of an ideal pivot; coproduct_key sums them and memoizes
+    # per tree, for the lifted actions, which reuse whole trees.
 
     def _graft_legs(self, p, q):
         return self.graft_keys(p[0], q[0]) @ self.graft_keys(p[1], q[1])
 
-    def _coproduct_recursion(self, key, child):
-        if key[0] == LEAF:
-            return LinComb({(UNIT, key): 1, (key, UNIT): 1})
-        kl, kr = split(key)
+    def _template(self, marked):
+        if marked[0] == LEAF:
+            return LinComb({(UNIT, marked): 1, (marked, UNIT): 1})
+        kl, kr = split(marked)
+        child = self._summed_terms
         return bilinear(self._graft_legs, child(kl), child(kr))
 
     def coproduct_terms(self, key):
-        """The terms ((a, b), c) of Delta(key) = sum c a x b; on a
-        decorated tree that repeats a weight, a pair of legs (a, b) may
-        occur more than once."""
-        if key == UNIT or self.phi is None:
+        """The terms ((a, b), c) of Delta(key) = sum c a x b; on a tree
+        that repeats a weight, a pair of legs (a, b) may occur more than
+        once."""
+        if key == UNIT:
             return self.coproduct_key(key).items()
         template = self._template_cache.get((key[0], key[2]))
         if template is None:
             marked = (key[0], tuple(range(len(key[1]))), key[2])
-            template = self._coproduct_recursion(marked, self._summed_terms)
+            template = self._template(marked)
             self._template_cache[(key[0], key[2])] = template
         weights = key[1]
         return [
@@ -266,11 +249,7 @@ class TreeOps:
             return LinComb.basis((UNIT, UNIT))
         cached = self._coproduct_cache.get(key)
         if cached is None:
-            if self.phi is None:
-                cached = self._coproduct_recursion(key, self.coproduct_key)
-            else:
-                cached = self._summed_terms(key)
-            self._coproduct_cache[key] = cached
+            cached = self._coproduct_cache[key] = self._summed_terms(key)
         return cached
 
     def coproduct(self, x):
@@ -300,15 +279,13 @@ class TreeOps:
 
     # -- basis enumeration
 
-    def basis_keys(self, degree, weight_bound, lie_dim=None):
-        out = []
-        for shape in shapes(degree):
-            for weights in iproduct(range(weight_bound + 1), repeat=degree):
-                if self.phi is None:
-                    out.append((shape, weights))
-                else:
-                    for decs in iproduct(range(lie_dim), repeat=degree):
-                        out.append((shape, weights, decs))
+    def basis_keys(self, degree, weight_bound, lie_dim):
+        out = [
+            (shape, weights, decs)
+            for shape in shapes(degree)
+            for weights in iproduct(range(weight_bound + 1), repeat=degree)
+            for decs in iproduct(range(lie_dim), repeat=degree)
+        ]
         out.sort(key=display_order)
         return out
 
@@ -317,14 +294,14 @@ class TreeOps:
 # ideals
 
 
-def _close_under_ops(rowspace, seeds, ops, basis_by_degree, n_max, weight_bound):
+def _close_under_ops(rowspace, seeds, ops, basis_by_degree, n_max):
     """Span closure under grafting by basis trees and the shift map.
 
     Every inserted vector that enlarges the span is grafted against all
     basis trees within the degree budget and shifted both ways; linearity
-    makes applying the closure maps to generators sufficient.  Shifts that
-    leave the weight bound (undecorated trees) or do not exist (negative
-    weights) are dropped.
+    makes applying the closure maps to generators sufficient.  The shift
+    map keeps weights and degrees, so the closure stays within the basis
+    lists; it is invertible because the twist is.
     """
     queue = deque(seeds)
     while queue:
@@ -338,26 +315,12 @@ def _close_under_ops(rowspace, seeds, ops, basis_by_degree, n_max, weight_bound)
                 queue.append(ops.graft(v, tb))
                 queue.append(ops.graft(tb, v))
         for power in (1, -1):
-            try:
-                w = ops.a_shift(v, power)
-            except NotInvertible:
-                continue
-            if _within_weight(w, weight_bound):
-                queue.append(w)
+            queue.append(ops.a_shift(v, power))
 
 
-def _within_weight(x, weight_bound):
-    for k in x:
-        if k != UNIT and any(w > weight_bound for w in k[1]):
-            return False
-    return True
-
-
-def _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound):
+def _reassociation_seeds(ops, basis_by_degree, n_max):
     """Instances of the reassociation relation (x v y) v a(z) - a(x) v (y v z)
-    on basis trees within the degree budget.  Instances that leave the
-    weight bound are dropped; only undecorated trees have any, since a
-    decorated shift leaves the weights alone."""
+    on basis trees within the degree budget."""
     seeds = []
     for d1 in range(1, n_max - 1):
         for d2 in range(1, n_max - d1):
@@ -370,32 +333,11 @@ def _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound):
                         xy = ops.graft(bx, by)
                         for z in basis_by_degree[d3]:
                             bz = LinComb.basis(z)
-                            g = ops.graft(xy, ops.a_shift(bz)) - ops.graft(
-                                ax, ops.graft(by, bz)
+                            seeds.append(
+                                ops.graft(xy, ops.a_shift(bz))
+                                - ops.graft(ax, ops.graft(by, bz))
                             )
-                            if _within_weight(g, weight_bound):
-                                seeds.append(g)
     return seeds
-
-
-def ideal_I_span(n_max, weight_bound):
-    """Per-degree reduced bases of the reassociation ideal on undecorated
-    weighted trees: generated by (x v y) v a(z) - a(x) v (y v z)."""
-    ops = TreeOps(None)
-    basis_by_degree = {
-        n: ops.basis_keys(n, weight_bound) for n in range(1, n_max + 1)
-    }
-    seeds = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
-    rs = RowSpace(order=pivot_order)
-    _close_under_ops(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
-    return _rows_by_degree(rs.basis_rows(), n_max)
-
-
-def _rows_by_degree(rows, n_max):
-    out = {n: [] for n in range(n_max + 1)}
-    for row in rows:
-        out[max_degree(row)].append(row)
-    return out
 
 
 def _enveloping_ideal(g, n_max, weight_bound):
@@ -420,7 +362,7 @@ def _enveloping_ideal(g, n_max, weight_bound):
     }
     weight0 = {n: ops.basis_keys(n, 0, g.dim) for n in range(1, n_max + 1)}
     t2 = (LEAF, LEAF)
-    seeds = _reassociation_seeds(ops, weight0, n_max, 0) + [
+    seeds = _reassociation_seeds(ops, weight0, n_max) + [
         LinComb.basis((t2, (0, 0), (x1, x2)))
         - LinComb.basis((t2, (0, 0), (x2, x1)))
         - leaves(g.bracket(x1, x2))
@@ -429,29 +371,13 @@ def _enveloping_ideal(g, n_max, weight_bound):
         if n_max >= 2
     ]
     rs = RowSpace(order=pivot_order)
-    _close_under_ops(rs, seeds, ops, weight0, n_max, 0)
+    _close_under_ops(rs, seeds, ops, weight0, n_max)
     for n in range(1, n_max + 1):
         zeros = (0,) * n
         for t in basis_by_degree[n]:
             if t[1] != zeros:
                 rs.add(LinComb.basis(t) - ops.phi_leafwise(t, t[1], zeros))
     return ops, basis_by_degree, rs
-
-
-def ideal_J_span(g, n_max, weight_bound=3):
-    """Per-degree reduced span of the enveloping relations, closed under
-    grafting and the shift map, reduced modulo the reassociation ideal I.
-
-    These are the rows of the combined closure of both relation sets whose
-    pivot is not a pivot of I: with P the projection whose kernel is I,
-    the leading terms of P(S) are those of S + I minus those of I.
-    """
-    ops, basis_by_degree, both = _enveloping_ideal(g, n_max, weight_bound)
-    reassoc = RowSpace(order=pivot_order)
-    seeds = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
-    _close_under_ops(reassoc, seeds, ops, basis_by_degree, n_max, weight_bound)
-    rows = [both.rows[p] for p in both.pivots() if p not in reassoc.rows]
-    return _rows_by_degree(rows, n_max)
 
 
 class TruncatedUEA:
@@ -466,10 +392,9 @@ class TruncatedUEA:
 
     is_truncated = True
 
-    def __init__(self, lie, truncation_degree, weight_bound, ops, rowspace, ambient):
+    def __init__(self, lie, truncation_degree, ops, rowspace, ambient):
         self.lie = lie
         self.truncation_degree = truncation_degree
-        self.weight_bound = weight_bound
         self.ops = ops
         self.rowspace = rowspace
         self.ambient = ambient
@@ -601,7 +526,7 @@ def build_truncated_uea(g, truncation_degree, weight_bound=3):
     ambient = [UNIT]
     for n in range(1, truncation_degree + 1):
         ambient.extend(basis_by_degree[n])
-    return TruncatedUEA(g, truncation_degree, weight_bound, ops, rs, ambient)
+    return TruncatedUEA(g, truncation_degree, ops, rs, ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ without a column index and the tree coproduct as a sum over leaf subsets,
 which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
 `enveloping_ideal_by_closure` closes every weighted tree under grafting and
 shifts, where `uea_trees._enveloping_ideal` closes weight 0 only and writes
-each weighted row directly.  `gauss_jordan_inverse` is the dense
+each weighted row directly; `ideal_J_span` reads the enveloping relations
+modulo the reassociation ideal off the two closures, for the golden
+tables.  `gauss_jordan_inverse` is the dense
 Gauss-Jordan elimination that `LinearOperator` used before it row-reduced
 [M | I] in a `RowSpace`.
 `check_hom_algebra_untabulated` is the Hom-algebra check before it tabulated
@@ -44,10 +46,12 @@ from homhopf.uea_trees import (
     TreeOps,
     UEAActionContext,
     _close_under_ops,
+    _enveloping_ideal,
     _reassociation_seeds,
     build_truncated_uea,
     leaf_count,
     leaves,
+    max_degree,
     pivot_order,
     split,
 )
@@ -301,7 +305,7 @@ def enveloping_ideal_by_closure(g, n_max, weight_bound):
     basis_by_degree = {
         n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
     }
-    seeds = _reassociation_seeds(ops, basis_by_degree, n_max, weight_bound)
+    seeds = _reassociation_seeds(ops, basis_by_degree, n_max)
     seeds += [
         LinComb.basis((LEAF, (s,), (xi,))) - leaves(g.phi_pow(s, LinComb.basis(xi)))
         for s in range(1, weight_bound + 1)
@@ -317,8 +321,32 @@ def enveloping_ideal_by_closure(g, n_max, weight_bound):
         if n_max >= 2
     ]
     rs = RowSpace(order=pivot_order)
-    _close_under_ops(rs, seeds, ops, basis_by_degree, n_max, weight_bound)
+    _close_under_ops(rs, seeds, ops, basis_by_degree, n_max)
     return rs
+
+
+def rows_by_degree(rows, n_max):
+    """The rows sorted into lists by the largest degree in their support."""
+    out = {n: [] for n in range(n_max + 1)}
+    for row in rows:
+        out[max_degree(row)].append(row)
+    return out
+
+
+def ideal_J_span(g, n_max, weight_bound=3):
+    """Per-degree reduced span of the enveloping relations, closed under
+    grafting and the shift map, reduced modulo the reassociation ideal I.
+
+    These are the rows of the combined closure of both relation sets whose
+    pivot is not a pivot of I: with P the projection whose kernel is I,
+    the leading terms of P(S) are those of S + I minus those of I.
+    """
+    ops, basis_by_degree, both = _enveloping_ideal(g, n_max, weight_bound)
+    reassoc = RowSpace(order=pivot_order)
+    seeds = _reassociation_seeds(ops, basis_by_degree, n_max)
+    _close_under_ops(reassoc, seeds, ops, basis_by_degree, n_max)
+    rows = [both.rows[p] for p in both.pivots() if p not in reassoc.rows]
+    return rows_by_degree(rows, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,7 @@ from homhopf.cross_products import (  # noqa: E402
     check_module_coalgebra,
     check_mutual_pair,
 )
-from homhopf.uea_trees import (  # noqa: E402
-    build_truncated_uea,
-    ideal_I_span,
-    ideal_J_span,
-    lift_to_Uh_action,
-)
+from homhopf.uea_trees import build_truncated_uea, lift_to_Uh_action  # noqa: E402
 from lie_pairs import (  # noqa: E402
     anticommuting_pair,
     diag23,
@@ -57,6 +52,7 @@ from lie_pairs import (  # noqa: E402
     sl2_split_pair,
     swap_phi,
 )
+from oracles import ideal_J_span  # noqa: E402
 
 GOLDEN = HERE / "golden"
 SAMPLES = HERE.parent / "sample_inputs"
@@ -307,7 +303,6 @@ def _neg1():
 TABLE_CASES = {
     "uea_sl2_n3_w1": lambda: uea_tables(sl2(), 3, 1),
     "uea_abelian2_swap_n3_w1": lambda: uea_tables(abelian_lie(2, swap_phi()), 3, 1),
-    "ideal_I_n3_w1": lambda: spans(ideal_I_span(3, 1)),
     "ideal_J_abelian2_n2_w0": lambda: spans(ideal_J_span(abelian_lie(2), 2, 0)),
     "ideal_J_neg1_n1_w1": lambda: spans(ideal_J_span(_neg1(), 1, 1)),
     "ideal_J_abelian2_n2_w0_again": lambda: spans(ideal_J_span(abelian_lie(2), 2, 0)),

@@ -53,3 +53,14 @@ def test_table_coefficients_are_canonical(name, monkeypatch):
     TABLE_CASES[name]()
     assert seen
     assert [(k, c) for x in seen for k, c in x.items() if not canonical_scalar(c)] == []
+
+
+def test_every_golden_file_is_recorded():
+    # a file that no case writes is compared with nothing
+    written = {"reports/exit_codes.json"}
+    written |= {name + ".json" for name in TABLE_CASES}
+    for sample, command in REPORT_RUNS:
+        name = report_name(sample, command)
+        written |= {"reports/%s.txt" % name, "reports/%s.json" % name}
+    on_disk = {p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file()}
+    assert on_disk == written

@@ -1,6 +1,6 @@
 import pytest
 
-from homhopf.errors import NotHomLie, NotLieEndomorphism, NotMatchedPair
+from homhopf.errors import NotHomLie, NotInvertible, NotLieEndomorphism, NotMatchedPair
 from homhopf.fixtures import (
     abelian_lie,
     fixture_a_prime_lie_pair,
@@ -56,6 +56,15 @@ def test_nonzero_diagonal_bracket_entry_is_rejected():
     ident = LinearOperator.identity(range(2))
     with pytest.raises(NotHomLie, match=r"bracket\(0,0\) must vanish"):
         HomLieData(2, {(0, 0): e(0)}, ident)
+
+
+def test_singular_twist_is_rejected():
+    # the enveloping algebra closes its ideal under the inverse shift, and
+    # its well-definedness check applies it, so phi must be invertible
+    with pytest.raises(NotInvertible, match="singular operator"):
+        HomLieData(1, {}, LinearOperator.from_matrix([[0]]))
+    with pytest.raises(NotInvertible):
+        HomLieData(2, {}, LinearOperator.from_matrix([[1, 1], [1, 1]]))
 
 
 def test_consistent_mirrored_bracket_entries_are_accepted():

@@ -11,7 +11,14 @@ included:
 Each perturbation must fail the check, or be listed in SURVIVORS as giving
 another valid structure, with the perturbed table shown to differ from the
 original.  On kz4 and Sweedler's algebra all 2 x 184 perturbations fail.
+
+The sweep also pins, per equation of `check_hom_hopf`, how many
+perturbations fail it.  No perturbation fails exactly one equation, so
+the first assertion alone would still pass with an equation removed from
+the check; the counts do not.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -26,6 +33,34 @@ OPERATORS = ("alpha", "beta", "antipode")
 
 # (structure, constant) -> why the perturbed tables are a valid structure
 SURVIVORS = {}
+
+# structure -> equation -> how many perturbations fail it.  On Sweedler
+# alpha = beta = id, and one constant changed in one of them leaves the
+# other the identity, so alpha beta = beta alpha (bialg-9) always holds.
+FAILURES_PER_EQUATION = {
+    "kz4": {
+        "hom-assoc": 80, "hom-unit": 36, "hom-unit-right": 36,
+        "alpha-multiplicative": 72, "alpha-unit": 6, "hom-coassoc": 72,
+        "hom-counit": 84, "hom-counit-right": 84, "eps-beta": 18,
+        "beta-comultiplicative": 72, "bialg-1": 20, "bialg-2": 128,
+        "bialg-3": 72, "bialg-4": 5, "bialg-5": 68, "bialg-6": 18,
+        "bialg-7": 6, "bialg-8": 72, "bialg-9": 24, "antipode-left": 104,
+        "antipode-right": 104, "antipode-alpha": 24, "antipode-beta": 24,
+        "antipode-unit": 6, "eps-antipode": 18,
+        "antipode-antimultiplicative": 72, "antipode-anticomultiplicative": 72,
+    },
+    "sweedler": {
+        "hom-assoc": 80, "hom-unit": 36, "hom-unit-right": 36,
+        "alpha-multiplicative": 14, "alpha-unit": 4, "hom-coassoc": 78,
+        "hom-counit": 52, "hom-counit-right": 52, "eps-beta": 8,
+        "beta-comultiplicative": 14, "bialg-1": 20, "bialg-2": 128,
+        "bialg-3": 14, "bialg-4": 3, "bialg-5": 36, "bialg-6": 8,
+        "bialg-7": 4, "bialg-8": 14, "bialg-9": 0, "antipode-left": 96,
+        "antipode-right": 96, "antipode-alpha": 12, "antipode-beta": 12,
+        "antipode-unit": 6, "eps-antipode": 10,
+        "antipode-antimultiplicative": 74, "antipode-anticomultiplicative": 74,
+    },
+}
 
 
 def constants(h):
@@ -89,16 +124,22 @@ def tables(h):
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 def test_every_constant_perturbation_fails_or_is_listed(name):
     h = STRUCTURES[name]()
-    assert check_hom_hopf(h).passed
+    rep = check_hom_hopf(h)
+    assert rep.passed
+    equations = [eq.eq_id for eq in rep.equations]
     original = tables(h)
     sweep = list(constants(h))
     n = h.dim
     assert len(sweep) == n**3 + n**3 + n + n + 3 * n * n
     survivors = set()
+    failures = Counter({eq_id: 0 for eq_id in equations})
     for constant in sweep:
         p = perturbed(h, constant)
         assert tables(p) != original, constant
-        if check_hom_hopf(p).passed:
+        rep = check_hom_hopf(p)
+        if rep.passed:
             survivors.add(constant)
+        failures.update(eq.eq_id for eq in rep.equations if eq.violations)
     assert tables(h) == original
     assert survivors == {c for s, c in SURVIVORS if s == name}
+    assert dict(failures) == FAILURES_PER_EQUATION[name]

@@ -12,19 +12,20 @@ from homhopf.fixtures import (
     sl2_involution,
     solvable2_lie,
 )
-from homhopf.foundation import LinComb, LinearOperator, extend, pair_apply
+from homhopf.foundation import LinComb, LinearOperator, RowSpace, extend, pair_apply
 from homhopf.hom_core import check_hom_hopf, check_hom_module
 from homhopf.hom_lie import HomLieData, lie_twist
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
     TreeOps,
+    _close_under_ops,
     _enveloping_ideal,
+    _reassociation_seeds,
     build_truncated_uea,
-    ideal_I_span,
-    ideal_J_span,
     leaves,
     lift_to_Uh_action,
+    pivot_order,
     shapes,
     UEAActionContext,
 )
@@ -37,7 +38,7 @@ from lie_pairs import (
     solvable_on_line,
     swap_phi,
 )
-from oracles import coproduct_by_leaf_subsets, enveloping_ideal_by_closure
+from oracles import coproduct_by_leaf_subsets, enveloping_ideal_by_closure, ideal_J_span
 
 e = LinComb.basis
 
@@ -48,28 +49,37 @@ def test_shape_enumeration_is_catalan():
 
 
 def test_graft_conventions():
+    ops = TreeOps(swap_phi())
     one = e(UNIT)
-    assert TreeOps().graft(one, one) == one
-    # t v 1 = a(t): undecorated shift adds one to every weight
-    t = e((LEAF, (2,)))
-    assert TreeOps().graft(t, one) == e((LEAF, (3,)))
-    assert TreeOps().graft(one, t) == e((LEAF, (3,)))
-    # decorated grafting concatenates weights and decorations
-    phi = swap_phi()
+    assert ops.graft(one, one) == one
+    # t v 1 = 1 v t = a(t): the shift applies phi to the decorations and
+    # keeps the weights
+    t = e((LEAF, (2,), (0,)))
+    assert ops.graft(t, one) == e((LEAF, (2,), (1,)))
+    assert ops.graft(one, t) == e((LEAF, (2,), (1,)))
+    # grafting concatenates weights and decorations
     l0 = e((LEAF, (0,), (0,)))
-    l1 = e((LEAF, (0,), (1,)))
-    assert TreeOps(phi).graft(l0, l1) == e(((LEAF, LEAF), (0, 0), (0, 1)))
+    l1 = e((LEAF, (1,), (1,)))
+    assert ops.graft(l0, l1) == e(((LEAF, LEAF), (0, 1), (0, 1)))
+    assert ops.graft(l1, l0) == e(((LEAF, LEAF), (1, 0), (1, 0)))
 
 
 def test_a_shift():
+    ops = TreeOps(quarter_turn())
     one = e(UNIT)
-    assert TreeOps().a_shift(one) == one
-    assert TreeOps().a_shift(e((LEAF, (2,)))) == e((LEAF, (3,)))
+    assert ops.a_shift(one) == one and ops.a_shift(one, -1) == one
+    # phi on every decoration, multilinearly; weights stay
+    leaf = e((LEAF, (2,), (0,)))
+    assert ops.a_shift(leaf) == e((LEAF, (2,), (1,)))
+    assert ops.a_shift(leaf, -1) == -1 * e((LEAF, (2,), (1,)))
+    assert ops.a_shift(ops.a_shift(leaf), -1) == leaf
+    assert ops.a_shift(leaf, 2) == -1 * leaf
+    t = e(((LEAF, LEAF), (0, 3), (0, 1)))
+    assert ops.a_shift(t) == -1 * e(((LEAF, LEAF), (0, 3), (1, 0)))
     neg = LinearOperator.from_matrix([[-1]], inverse=[[-1]])
     assert TreeOps(neg).a_shift(e((LEAF, (0,), (0,)))) == -1 * e((LEAF, (0,), (0,)))
     # multiplicative over grafting
-    phi = swap_phi()
-    ops = TreeOps(phi)
+    ops = TreeOps(swap_phi())
     x = e((LEAF, (1,), (0,)))
     y = e(((LEAF, LEAF), (0, 2), (1, 0)))
     assert ops.a_shift(ops.graft(x, y)) == ops.graft(ops.a_shift(x), ops.a_shift(y))
@@ -77,7 +87,7 @@ def test_a_shift():
 
 def test_tree_coproduct_examples():
     one = e(UNIT)
-    assert TreeOps().coproduct(one) == LinComb({(UNIT, UNIT): 1})
+    assert TreeOps(swap_phi()).coproduct(one) == LinComb({(UNIT, UNIT): 1})
     # single decorated leaf is primitive
     phi = LinearOperator.identity(range(1))
     leaf = (LEAF, (2,), (0,))
@@ -101,14 +111,14 @@ def test_tree_coproduct_examples():
 
 def test_tree_counit_antipode():
     one = e(UNIT)
-    ops = TreeOps()
+    ops = TreeOps(swap_phi())
     assert ops.counit(one) == 1 and ops.antipode(one) == one
     leaf = e((LEAF, (1,), (0,)))
-    ops = TreeOps(LinearOperator.identity(range(1)))
     assert ops.counit(leaf) == 0 and ops.antipode(leaf) == -1 * leaf
     # S(t v t') = S(t') v S(t): two leaves pick up sign (+1)
     t = ((LEAF, LEAF), (0, 1), (0, 1))
-    assert TreeOps(swap_phi()).antipode(e(t)) == e(((LEAF, LEAF), (1, 0), (1, 0)))
+    assert ops.antipode(e(t)) == e(((LEAF, LEAF), (1, 0), (1, 0)))
+    assert ops.counit(e(t)) == 0
 
 
 def test_coassociativity_on_all_trees_up_to_degree_four():
@@ -139,13 +149,12 @@ def quarter_turn():
     return LinearOperator.from_matrix([[0, -1], [1, 0]], inverse=[[0, 1], [-1, 0]])
 
 
-# (Lie algebra or None for undecorated trees, weight bound, degree bound);
+# (Lie algebra, weight bound, degree bound);
 # the quarter turn is not an involution, so a wrong twist power shows, and
 # under diag(2, 3) phi^s has coefficients 2^s and 3^s.  At W=2 the
 # decorated trees of degree 3 both repeat a weight and have three distinct
 # ones, so a slip in relabelling the weight-free template shows too.
 COPRODUCT_CASES = {
-    "undecorated_w1": (lambda: None, 1, 4),
     "sl2_w0": (sl2, 0, 4),
     "sl2_twisted_w0": (lambda: lie_twist(sl2(), sl2_involution()), 0, 4),
     "abelian2_quarter_turn_w1": (lambda: abelian_lie(2, quarter_turn()), 1, 4),
@@ -158,10 +167,9 @@ COPRODUCT_CASES = {
 def test_recursive_coproduct_matches_leaf_subsets(name):
     make, weight_bound, n_max = COPRODUCT_CASES[name]
     g = make()
-    phi, dim = (None, None) if g is None else (g.phi, g.dim)
-    ops, ref = TreeOps(phi), TreeOps(phi)
+    ops, ref = TreeOps(g.phi), TreeOps(g.phi)
     for n in range(1, n_max + 1):
-        for key in ops.basis_keys(n, weight_bound, dim):
+        for key in ops.basis_keys(n, weight_bound, g.dim):
             assert ops.coproduct_key(key) == coproduct_by_leaf_subsets(ref, key), key
     assert ops.coproduct_key(UNIT) == coproduct_by_leaf_subsets(ref, UNIT)
 
@@ -195,25 +203,19 @@ def test_comult_cache_holds_normal_forms_only():
     assert set(u._comult_cache) <= set(u.basis_keys())
 
 
-def test_ideal_I_span_degrees():
-    spans = ideal_I_span(3, 1)
-    assert not spans[1] and not spans[2]
-    assert len(spans[3]) == 2
-
-
-def brute_force_ideal_I_rank_deg3_w1():
-    """Independent oracle: enumerate generator instances over dense vectors
-    and row-reduce with plain fraction Gaussian elimination."""
-    ops = TreeOps(None)
-    keys = ops.basis_keys(3, 1)
+def dense_reassociation_rank_deg3(g, weight_bound):
+    """Independent oracle: the reassociation instances on single leaves of
+    weight <= weight_bound, as dense vectors over the degree-3 trees,
+    row-reduced by plain fraction Gaussian elimination.  By
+    multilinearity their span is closed under the shift map."""
+    ops = TreeOps(g.phi)
+    keys = ops.basis_keys(3, weight_bound, g.dim)
     index = {k: i for i, k in enumerate(keys)}
     rows = []
-    leaves = [(LEAF, (w,)) for w in (0, 1)]
-    for x in leaves:
-        for y in leaves:
-            for z in leaves:
-                if x[1][0] > 0 or z[1][0] > 0:
-                    continue  # the shifted factors must stay within weight 1
+    leaf_keys = ops.basis_keys(1, weight_bound, g.dim)
+    for x in leaf_keys:
+        for y in leaf_keys:
+            for z in leaf_keys:
                 lhs = ops.graft(ops.graft(e(x), e(y)), ops.a_shift(e(z)))
                 rhs = ops.graft(ops.a_shift(e(x)), ops.graft(e(y), e(z)))
                 vec = [Fraction(0)] * len(keys)
@@ -235,17 +237,35 @@ def brute_force_ideal_I_rank_deg3_w1():
 
 
 def test_ideal_I_span_rank_against_dense_oracle():
-    assert brute_force_ideal_I_rank_deg3_w1() == 2
-    assert len(ideal_I_span(3, 1)[3]) == 2
+    # the reassociation ideal I in degree 3: its closure under grafting and
+    # the shift map, against the dense elimination of its instances
+    neg = LinearOperator.from_matrix([[-1]], inverse=[[-1]])
+    cases = [
+        (abelian_lie(1, neg), 0, 1),
+        (abelian_lie(1, neg), 1, 8),
+        (abelian_lie(2, quarter_turn()), 1, 64),
+    ]
+    for g, w, want in cases:
+        ops = TreeOps(g.phi)
+        basis_by_degree = {n: ops.basis_keys(n, w, g.dim) for n in (1, 2, 3)}
+        rs = RowSpace(order=pivot_order)
+        _close_under_ops(rs, _reassociation_seeds(ops, basis_by_degree, 3), ops,
+                         basis_by_degree, 3)
+        assert len(rs.rows) == dense_reassociation_rank_deg3(g, w) == want, (g.dim, w)
 
 
 def test_ideal_I_unit_instances_vanish():
     # (x v y) v a(1) - a(x) v (y v 1) = a(x v y) - a(x) v a(y) = 0
-    ops = TreeOps(None)
-    x, y = e((LEAF, (0,))), e((LEAF, (1,)))
+    ops = TreeOps(swap_phi())
+    x, y = e((LEAF, (0,), (0,))), e((LEAF, (1,), (0,)))
     one = e(UNIT)
     g = ops.graft(ops.graft(x, y), ops.a_shift(one)) - ops.graft(
         ops.a_shift(x), ops.graft(y, one)
+    )
+    assert g == LinComb.zero()
+    # and with the unit first: (1 v y) v a(z) - a(1) v (y v z) = 0
+    g = ops.graft(ops.graft(one, x), ops.a_shift(y)) - ops.graft(
+        ops.a_shift(one), ops.graft(x, y)
     )
     assert g == LinComb.zero()
 
