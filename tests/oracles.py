@@ -14,9 +14,8 @@ which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
 shifts, where `uea_trees._enveloping_ideal` closes weight 0 only and writes
 each weighted row directly; `ideal_J_span` reads the enveloping relations
 modulo the reassociation ideal off the two closures, for the golden
-tables.  `gauss_jordan_inverse` is the dense
-Gauss-Jordan elimination that `LinearOperator` used before it row-reduced
-[M | I] in a `RowSpace`.
+tables.  `gauss_jordan_inverse` is the dense Gauss-Jordan elimination that
+`LinearOperator` used before it row-reduced [M | I] in a `RowSpace`.
 `check_hom_algebra_untabulated` is the Hom-algebra check before it tabulated
 twist images and products once per check, and `FreshPerKey` evaluates the
 coproduct and antipode of a double cross product or bicrossproduct on a
