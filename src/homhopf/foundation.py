@@ -370,9 +370,6 @@ class RowSpace:
                 _accumulate(out, rows[k], -c)
         return LinComb._wrap(out)
 
-    def contains(self, v):
-        return not self.reduce(v)
-
     def add(self, v):
         """Insert v; returns True when the rank grew."""
         v = self.reduce(v)
@@ -400,14 +397,6 @@ class RowSpace:
     def basis_rows(self):
         """Rows ordered by pivot; the canonical reduced basis."""
         return [self.rows[p] for p in self.pivots()]
-
-
-def subspace_basis(span, order=None):
-    """Reduced echelon basis of the span of the given combinations."""
-    rs = RowSpace(order=order)
-    for v in span:
-        rs.add(v)
-    return rs
 
 
 def quotient_projection(keys, rowspace):

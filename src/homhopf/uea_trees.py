@@ -17,11 +17,12 @@ Quotients are computed by linear closure and row reduction per degree,
 never by rewriting.  Row-reduction pivots prefer high degree and high
 weight, so normal forms concentrate in low filtration levels and weight
 zero, matching the classical picture when the twist is the identity.
-Only the weight-0 relations are closed, giving the reduction P0; each
-weighted tree t then has the row t - P0(sigma(t)), where sigma replaces
+Only the weight-0 relations are closed and stored, as the ideal J0 with
+reduction P0; the projection of U(g) is P0(sigma(x)), where sigma replaces
 each leaf (s, xi) by (0, phi^s(xi)).  This is exact because sigma fixes
 weight-0 trees, commutes with grafting and the shift map, and sends every
-relation into the weight-0 ideal.
+relation into J0.  So each weighted tree t is a pivot whose reduced row
+t - P0(sigma(t)) is derived on demand, never stored.
 """
 
 from collections import deque
@@ -179,6 +180,10 @@ class TreeOps:
     def a_shift(self, x, power=1):
         return extend(lambda k: self.a_shift_key(k, power), x)
 
+    def sigma_key(self, key):
+        """sigma(key): each leaf (s, xi) read as (0, phi^s(xi))."""
+        return self.phi_leafwise(key, key[1], (0,) * len(key[1]))
+
     # -- grafting
 
     def graft_keys(self, k1, k2):
@@ -251,9 +256,6 @@ class TreeOps:
         if cached is None:
             cached = self._coproduct_cache[key] = self._summed_terms(key)
         return cached
-
-    def coproduct(self, x):
-        return extend(self.coproduct_key, x)
 
     def counit(self, x):
         return sum((a for k, a in x.items() if k == UNIT), ZERO)
@@ -340,9 +342,9 @@ def _reassociation_seeds(ops, basis_by_degree, n_max):
     return seeds
 
 
-def _enveloping_ideal(g, n_max, weight_bound):
-    """The reassociation and enveloping ideal on trees decorated by g, as
-    (ops, basis_by_degree, row space).
+def _enveloping_ideal(g, n_max):
+    """The weight-0 part J0 of the reassociation and enveloping ideal on
+    trees decorated by g, as (ops, row space).
 
     The enveloping relations are the commutators
     (xi1 xi2) - (xi2 xi1) - leaf([xi1, xi2]) and weight absorption
@@ -353,13 +355,10 @@ def _enveloping_ideal(g, n_max, weight_bound):
     when sigma(v) lies in J0, because sigma fixes weight-0 trees, commutes
     with grafting and the shift map, and sends every seed into J0.  Every
     weighted tree t sorts before the weight-0 trees of its degree, so t is
-    a pivot and its reduced row is t - P0(sigma(t)), which RowSpace.add
-    makes of t - sigma(t).
+    a pivot of the whole ideal and its reduced row is t - P0(sigma(t));
+    TruncatedUEA derives those rows from J0.
     """
     ops = TreeOps(g.phi)
-    basis_by_degree = {
-        n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
-    }
     weight0 = {n: ops.basis_keys(n, 0, g.dim) for n in range(1, n_max + 1)}
     t2 = (LEAF, LEAF)
     seeds = _reassociation_seeds(ops, weight0, n_max) + [
@@ -372,12 +371,7 @@ def _enveloping_ideal(g, n_max, weight_bound):
     ]
     rs = RowSpace(order=pivot_order)
     _close_under_ops(rs, seeds, ops, weight0, n_max)
-    for n in range(1, n_max + 1):
-        zeros = (0,) * n
-        for t in basis_by_degree[n]:
-            if t[1] != zeros:
-                rs.add(LinComb.basis(t) - ops.phi_leafwise(t, t[1], zeros))
-    return ops, basis_by_degree, rs
+    return ops, rs
 
 
 class TruncatedUEA:
@@ -388,6 +382,9 @@ class TruncatedUEA:
     budgeted tree span by the reassociation and enveloping ideals.  The
     grafting product raises TruncationOverflow past the degree bound; the
     coproduct, counit, antipode and twist are total.
+
+    `ambient` lists every tree within the weight bound; `rowspace` holds
+    J0 only, and `ideal_rows` derives the rows of the weighted trees.
     """
 
     is_truncated = True
@@ -398,10 +395,13 @@ class TruncatedUEA:
         self.ops = ops
         self.rowspace = rowspace
         self.ambient = ambient
-        self.nf_keys = [UNIT] + [
-            k for k in ambient if k != UNIT and k not in rowspace.rows
+        self._weighted = frozenset(k for k in ambient if k != UNIT and any(k[1]))
+        self.nf_keys = [
+            k for k in ambient if k not in self._weighted and k not in rowspace.rows
         ]
         self.nf_keys.sort(key=display_order)
+        # a weighted row t - P0(sigma(t)) has the one degree of t when P0
+        # preserves degree, that is when every row of J0 does
         self.graded = all(
             len({tree_degree(k) for k in row}) == 1 for row in rowspace.rows.values()
         )
@@ -424,7 +424,19 @@ class TruncatedUEA:
         return dims
 
     def project(self, x):
-        return self.rowspace.reduce(x)
+        """P0(sigma(x)); sigma runs only when x holds a weighted tree."""
+        if self._weighted.isdisjoint(x.terms):
+            return self.rowspace.reduce(x)
+        return extend(self._projected_key, x)
+
+    def ideal_rows(self):
+        """Every row of the reduced ideal, in pivot order: the stored rows
+        of J0 and t - P0(sigma(t)) for each weighted tree t."""
+        rows = dict(self.rowspace.rows)
+        for t in self.ambient:
+            if t in self._weighted:
+                rows[t] = LinComb.basis(t) - self._projected_key(t)
+        return [rows[p] for p in sorted(rows, key=pivot_order)]
 
     # -- Hom-Hopf protocol
 
@@ -464,14 +476,15 @@ class TruncatedUEA:
             leg = self._projected_key
             val = pair_extend(leg, leg, self.ops.coproduct_terms(k))
             # a pivot occurs in one ideal row only: caching it buys nothing
-            if k not in self.rowspace.rows:
+            if k not in self.rowspace.rows and k not in self._weighted:
                 self._comult_cache[k] = val
         return val
 
     def _projected_key(self, key):
         val = self._projected.get(key)
         if val is None:
-            val = self._projected[key] = self.project(LinComb.basis(key))
+            x = self.ops.sigma_key(key) if key in self._weighted else LinComb.basis(key)
+            val = self._projected[key] = self.rowspace.reduce(x)
         return val
 
     def counit_map(self, x):
@@ -493,7 +506,7 @@ class TruncatedUEA:
 
     def well_definedness_report(self):
         rep = CheckReport()
-        rows = self.rowspace.basis_rows()
+        rows = self.ideal_rows()
         rep.run(
             "ideal-counit",
             [(i,) for i in range(len(rows))],
@@ -522,10 +535,10 @@ def build_truncated_uea(g, truncation_degree, weight_bound=3):
     """Construct the truncated universal enveloping Hom-Hopf algebra."""
     if not check_hom_lie(g).passed:
         raise NotHomLie("structure constants fail the Hom-Lie axioms")
-    ops, basis_by_degree, rs = _enveloping_ideal(g, truncation_degree, weight_bound)
+    ops, rs = _enveloping_ideal(g, truncation_degree)
     ambient = [UNIT]
     for n in range(1, truncation_degree + 1):
-        ambient.extend(basis_by_degree[n])
+        ambient.extend(ops.basis_keys(n, weight_bound, g.dim))
     return TruncatedUEA(g, truncation_degree, ops, rs, ambient)
 
 
@@ -571,9 +584,6 @@ class UEAActionContext:
         self._omega_left = {}
         self._omega_right = {}
 
-    def _sigma(self, vkey):
-        return self.hops.phi_leafwise(vkey, vkey[1], (0,))
-
     # Omega |> u : U(h)-tree acting on U(g)-trees
 
     def omega_left_key(self, vkey, ukey):
@@ -589,7 +599,7 @@ class UEAActionContext:
             )
             out = self.omega_left(self.hops.a_shift_key(vl), inner)
         elif vkey[1] != (0,):
-            out = self.omega_left(self._sigma(vkey), LinComb.basis(ukey))
+            out = self.omega_left(self.hops.sigma_key(vkey), LinComb.basis(ukey))
         elif ukey == UNIT:
             out = LinComb.zero()
         elif ukey[0] == LEAF:
@@ -649,7 +659,7 @@ class UEAActionContext:
                 term, self.hops.coproduct_key(vr), self.gops.coproduct_key(ukey)
             )
         elif vkey[1] != (0,):
-            out = self.omega_right(self._sigma(vkey), LinComb.basis(ukey))
+            out = self.omega_right(self.hops.sigma_key(vkey), LinComb.basis(ukey))
         elif ukey[0] == LEAF:
             s, xi = ukey[1][0], ukey[2][0]
             eta = LinComb.basis(vkey[2][0])
@@ -685,9 +695,9 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     to be stable under the actions, so the tables are well defined on the
     quotients; NotHomLie is raised otherwise.
 
-    Every row of the g-ideal is checked on every U(h) normal form: its
-    weighted rows test that the actions commute with the twist.  The
-    h-ideal is accepted through its weight-0 rows J0, on every U(g) normal
+    Every row of the g-ideal (`ideal_rows`) is checked on every U(h) normal
+    form: its weighted rows test that the actions commute with the twist.
+    The h-ideal is accepted through the stored rows J0, on every U(g) normal
     form.  That suffices: every weighted row is t - P0(sigma t), so the
     projection P_h of U(h) satisfies P_h(sigma x) = P_h(x), and by the
     identities of UEAActionContext the row acts, after projection, as
@@ -699,17 +709,15 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
     ctx = UEAActionContext(pair)
 
+    g_rows = ug.ideal_rows()
     for vkey in uh.basis_keys():
-        for row in ug.rowspace.basis_rows():
+        for row in g_rows:
             if ug.project(ctx.omega_left(LinComb.basis(vkey), row)):
                 raise NotHomLie("h-action does not preserve the g-ideal")
             if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
                 raise NotHomLie("right action does not preserve the g-ideal")
-    rs = uh.rowspace
-    # a row is weighted exactly when its pivot is
-    weight0 = [rs.rows[p] for p in rs.pivots() if not any(p[1])]
-    if _h_ideal_failure(ctx, ug, uh, weight0):
-        raise NotHomLie(_h_ideal_failure(ctx, ug, uh, rs.basis_rows()))
+    if _h_ideal_failure(ctx, ug, uh, uh.rowspace.basis_rows()):
+        raise NotHomLie(_h_ideal_failure(ctx, ug, uh, uh.ideal_rows()))
 
     left_table = {}
     right_table = {}

@@ -11,10 +11,12 @@ the same maps into tables, and the tests require equal results.
 without a column index and the tree coproduct as a sum over leaf subsets,
 which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
 `enveloping_ideal_by_closure` closes every weighted tree under grafting and
-shifts, where `uea_trees._enveloping_ideal` closes weight 0 only and writes
-each weighted row directly; `ideal_J_span` reads the enveloping relations
-modulo the reassociation ideal off the two closures, for the golden
-tables.  `gauss_jordan_inverse` is the dense Gauss-Jordan elimination that
+shifts, where `uea_trees._enveloping_ideal` closes weight 0 only.
+`build_truncated_uea_with_weighted_rows` is the build that also stored one
+row t - P0(sigma(t)) per weighted tree t and projected by reducing against
+every row, where `TruncatedUEA` stores J0 and derives those rows in
+`ideal_rows`; `ideal_J_span` reads the enveloping relations modulo the
+reassociation ideal off `ideal_rows` and a closure, for the golden tables.  `gauss_jordan_inverse` is the dense Gauss-Jordan elimination that
 `LinearOperator` used before it row-reduced [M | I] in a `RowSpace`.
 `check_hom_algebra_untabulated` is the Hom-algebra check before it tabulated
 twist images and products once per check, and `FreshPerKey` evaluates the
@@ -27,7 +29,7 @@ images of coproduct legs.
 join rules of the lifted actions, where `UEAActionContext` returns a term
 once its zero factor is known, and `lift_to_Uh_action_full_walk` walks
 every row of both ideals, where `lift_to_Uh_action` accepts the h-ideal
-through its weight-0 rows.
+through its stored rows J0.
 """
 
 import copy
@@ -43,9 +45,9 @@ from homhopf.uea_trees import (
     LEAF,
     UNIT,
     TreeOps,
+    TruncatedUEA,
     UEAActionContext,
     _close_under_ops,
-    _enveloping_ideal,
     _reassociation_seeds,
     build_truncated_uea,
     leaf_count,
@@ -332,6 +334,55 @@ def rows_by_degree(rows, n_max):
     return out
 
 
+def enveloping_ideal_with_weighted_rows(g, n_max, weight_bound):
+    """The weight-0 closure J0 of `uea_trees._enveloping_ideal` with one
+    stored row per weighted tree t, added as t - sigma(t), which
+    RowSpace.add reduces to t - P0(sigma(t)): (ops, basis_by_degree, rows)."""
+    ops = TreeOps(g.phi)
+    basis_by_degree = {
+        n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
+    }
+    weight0 = {n: ops.basis_keys(n, 0, g.dim) for n in range(1, n_max + 1)}
+    t2 = (LEAF, LEAF)
+    seeds = _reassociation_seeds(ops, weight0, n_max) + [
+        LinComb.basis((t2, (0, 0), (x1, x2)))
+        - LinComb.basis((t2, (0, 0), (x2, x1)))
+        - leaves(g.bracket(x1, x2))
+        for x1 in range(g.dim)
+        for x2 in range(x1 + 1, g.dim)
+        if n_max >= 2
+    ]
+    rs = RowSpace(order=pivot_order)
+    _close_under_ops(rs, seeds, ops, weight0, n_max)
+    for n in range(1, n_max + 1):
+        zeros = (0,) * n
+        for t in basis_by_degree[n]:
+            if t[1] != zeros:
+                rs.add(LinComb.basis(t) - ops.sigma_key(t))
+    return ops, basis_by_degree, rs
+
+
+class TruncatedUEAWithWeightedRows(TruncatedUEA):
+    """`TruncatedUEA` on the row space of every row, weighted rows stored:
+    it projects, and projects the legs of coproducts, by reducing against
+    all of them."""
+
+    def project(self, x):
+        return self.rowspace.reduce(x)
+
+    def _projected_key(self, key):
+        val = self._projected.get(key)
+        if val is None:
+            val = self._projected[key] = self.project(LinComb.basis(key))
+        return val
+
+
+def build_truncated_uea_with_weighted_rows(g, n_max, weight_bound):
+    ops, basis_by_degree, rs = enveloping_ideal_with_weighted_rows(g, n_max, weight_bound)
+    ambient = [UNIT] + [k for n in range(1, n_max + 1) for k in basis_by_degree[n]]
+    return TruncatedUEAWithWeightedRows(g, n_max, ops, rs, ambient)
+
+
 def ideal_J_span(g, n_max, weight_bound=3):
     """Per-degree reduced span of the enveloping relations, closed under
     grafting and the shift map, reduced modulo the reassociation ideal I.
@@ -340,11 +391,17 @@ def ideal_J_span(g, n_max, weight_bound=3):
     pivot is not a pivot of I: with P the projection whose kernel is I,
     the leading terms of P(S) are those of S + I minus those of I.
     """
-    ops, basis_by_degree, both = _enveloping_ideal(g, n_max, weight_bound)
+    u = build_truncated_uea(g, n_max, weight_bound)
+    ops = u.ops
+    basis_by_degree = {
+        n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
+    }
     reassoc = RowSpace(order=pivot_order)
     seeds = _reassociation_seeds(ops, basis_by_degree, n_max)
     _close_under_ops(reassoc, seeds, ops, basis_by_degree, n_max)
-    rows = [both.rows[p] for p in both.pivots() if p not in reassoc.rows]
+    rows = [
+        row for row in u.ideal_rows() if min(row, key=pivot_order) not in reassoc.rows
+    ]
     return rows_by_degree(rows, n_max)
 
 
@@ -370,7 +427,7 @@ class UEAActionContextFullJoin(UEAActionContext):
             )
             out = self.omega_left(self.hops.a_shift_key(vl), inner)
         elif vkey[1] != (0,):
-            out = self.omega_left(self._sigma(vkey), LinComb.basis(ukey))
+            out = self.omega_left(self.hops.sigma_key(vkey), LinComb.basis(ukey))
         elif ukey == UNIT:
             out = LinComb.zero()
         elif ukey[0] == LEAF:
@@ -421,7 +478,7 @@ class UEAActionContextFullJoin(UEAActionContext):
                 term, self.hops.coproduct_key(vr), self.gops.coproduct_key(ukey)
             )
         elif vkey[1] != (0,):
-            out = self.omega_right(self._sigma(vkey), LinComb.basis(ukey))
+            out = self.omega_right(self.hops.sigma_key(vkey), LinComb.basis(ukey))
         elif ukey[0] == LEAF:
             s, xi = ukey[1][0], ukey[2][0]
             eta = LinComb.basis(vkey[2][0])
@@ -443,12 +500,12 @@ def lift_to_Uh_action_full_walk(pair, truncation_degree, weight_bound=3):
     ctx = UEAActionContextFullJoin(pair)
 
     for vkey in uh.basis_keys():
-        for row in ug.rowspace.basis_rows():
+        for row in ug.ideal_rows():
             if ug.project(ctx.omega_left(LinComb.basis(vkey), row)):
                 raise NotHomLie("h-action does not preserve the g-ideal")
             if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
                 raise NotHomLie("right action does not preserve the g-ideal")
-    for row in uh.rowspace.basis_rows():
+    for row in uh.ideal_rows():
         for ukey in ug.basis_keys():
             if ug.project(ctx.omega_left(row, LinComb.basis(ukey))):
                 raise NotHomLie("lifted action does not kill the h-ideal")

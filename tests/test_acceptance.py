@@ -13,7 +13,7 @@ from homhopf.fixtures import (
     fixture_b_lie_pair,
     kz4_twisted_hopf,
 )
-from homhopf.foundation import LinComb, LinearOperator
+from homhopf.foundation import LinComb, LinearOperator, extend
 from homhopf.hom_core import (
     antipode_from_convolution,
     check_hom_hopf,
@@ -116,8 +116,8 @@ def test_criterion_4_tree_hopf_structure():
             lhs = LinComb()
             rhs = LinComb()
             for (k1, k2), v in d.items():
-                lhs = lhs.add_scaled(e(k1) @ ops.coproduct(e(k2)), v)
-                rhs = rhs.add_scaled(ops.coproduct(e(k1)) @ e(k2), v)
+                lhs = lhs.add_scaled(e(k1) @ extend(ops.coproduct_key, e(k2)), v)
+                rhs = rhs.add_scaled(extend(ops.coproduct_key, e(k1)) @ e(k2), v)
             lhs = LinComb({(a, b, c): w for (a, (b, c)), w in lhs.items()})
             rhs = LinComb({(a, b, c): w for ((a, b), c), w in rhs.items()})
             assert lhs == rhs, key

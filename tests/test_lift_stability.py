@@ -1,9 +1,11 @@
 """The stability loops of the lifted actions against the loops they replace.
 
 `lift_to_Uh_action` returns a join term of the lifted actions as soon as
-its zero factor is known, and accepts the h-ideal through its weight-0
-rows.  `oracles.lift_to_Uh_action_full_walk` evaluates both factors of
-every term and walks every row of both ideals.  On every pair below the
+its zero factor is known, and accepts the h-ideal through the rows of its
+weight-0 part J0, the only rows U(h) stores.
+`oracles.lift_to_Uh_action_full_walk` evaluates both factors of every term
+and walks every row of both ideals, weighted rows derived by `ideal_rows`
+included.  On every pair below the
 two must give the same left and right tables, entry for entry and term for
 term in the same order, or refuse the pair with the same message.
 
@@ -115,7 +117,7 @@ def test_perturbed_lifts_match_full_walk():
 
 def sigma(ops, x):
     """Each leaf (s, eta) of x read as (0, phi^s(eta))."""
-    return extend(lambda k: ops.phi_leafwise(k, k[1], (0,) * len(k[1])), x)
+    return extend(ops.sigma_key, x)
 
 
 def not_a_matched_pair():

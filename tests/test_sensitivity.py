@@ -16,15 +16,22 @@ The sweep also pins, per equation of `check_hom_hopf`, how many
 perturbations fail it.  No perturbation fails exactly one equation, so
 the first assertion alone would still pass with an equation removed from
 the check; the counts do not.
+
+The matched pair of the kz4 doublecross sample gets the same sweep
+through `check_matched_pair_hopf`: +1 on each constant [v |> u]_k and
+[v <| u]_k, zero constants included.
 """
 
 from collections import Counter
 
 import pytest
 
+from homhopf.cross_products import MatchedPairHopf, check_matched_pair_hopf
 from homhopf.fixtures import kz4_twisted_hopf, sweedler_hopf
-from homhopf.foundation import LinComb, LinearOperator
+from homhopf.foundation import LinComb, LinearOperator, swap_pairs
 from homhopf.hom_core import HomHopfData, check_hom_hopf
+
+from record_golden import _sample_matched_pair
 
 e = LinComb.basis
 
@@ -143,3 +150,47 @@ def test_every_constant_perturbation_fails_or_is_listed(name):
     assert tables(h) == original
     assert survivors == {c for s, c in SURVIVORS if s == name}
     assert dict(failures) == FAILURES_PER_EQUATION[name]
+
+
+# equation of check_matched_pair_hopf -> how many of the 128 perturbations
+# of the kz4 matched pair fail it
+MATCHED_PAIR_FAILURES = {
+    "left-module-assoc": 64, "left-module-unit": 16, "right-module-assoc": 64,
+    "right-module-unit": 16, "lt/Hom-mod-coalg-00": 56, "lt/Hom-mod-coalg-I": 64,
+    "lt/Hom-mod-coalg-II": 64, "rt-phi-compatibility": 56,
+    "rt/Hom-mod-coalg-00": 56, "rt/Hom-mod-coalg-I": 64,
+    "rt/Hom-mod-coalg-II": 64, "lt-a-compatibility": 56, "v-rt-uu'": 128,
+    "vv'-lt-u": 128, "v-lt-u-ot-v-rt-u-switch": 0, "actions-on-1": 16,
+    "actions-on-1-right": 16,
+}
+
+
+def test_every_matched_pair_perturbation_fails():
+    """No perturbation fails v-lt-u-ot-v-rt-u-switch, and none can: its
+    sides are sum (v1 <| u1) x (v2 |> u2) and sum (v2 <| u2) x (v1 |> u1)
+    over Delta(v) x Delta(u).  Both factors are cocommutative, so swapping
+    the legs of Delta(v) and of Delta(u) maps one side onto the other
+    whatever the action tables are.  A perturbed pair reaches the equation
+    only through its values, and the equation stays in the check because
+    the argument rests on cocommutativity, which the check does not test."""
+    mp = _sample_matched_pair()
+    rep = check_matched_pair_hopf(mp)
+    assert rep.passed
+    for h in (mp.u, mp.v):
+        for k in h.basis_keys():
+            assert swap_pairs(h.comult_map(e(k))) == h.comult_map(e(k))
+    failures = Counter({eq.eq_id: 0 for eq in rep.equations})
+    swept = 0
+    for side, carrier in (("left", mp.u), ("right", mp.v)):
+        for entry in getattr(mp, side):
+            for k in carrier.basis_keys():
+                tables = {"left": dict(mp.left), "right": dict(mp.right)}
+                tables[side][entry] = tables[side][entry] + e(k)
+                rep = check_matched_pair_hopf(
+                    MatchedPairHopf(mp.u, mp.v, tables["left"], tables["right"])
+                )
+                assert not rep.passed, (side, entry, k)
+                failures.update(eq.eq_id for eq in rep.equations if eq.violations)
+                swept += 1
+    assert swept == 128
+    assert dict(failures) == MATCHED_PAIR_FAILURES

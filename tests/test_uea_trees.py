@@ -20,7 +20,6 @@ from homhopf.uea_trees import (
     UNIT,
     TreeOps,
     _close_under_ops,
-    _enveloping_ideal,
     _reassociation_seeds,
     build_truncated_uea,
     leaves,
@@ -87,16 +86,16 @@ def test_a_shift():
 
 def test_tree_coproduct_examples():
     one = e(UNIT)
-    assert TreeOps(swap_phi()).coproduct(one) == LinComb({(UNIT, UNIT): 1})
+    assert extend(TreeOps(swap_phi()).coproduct_key, one) == LinComb({(UNIT, UNIT): 1})
     # single decorated leaf is primitive
     phi = LinearOperator.identity(range(1))
     leaf = (LEAF, (2,), (0,))
-    d = TreeOps(phi).coproduct(e(leaf))
+    d = extend(TreeOps(phi).coproduct_key, e(leaf))
     assert d == LinComb({(leaf, UNIT): 1, (UNIT, leaf): 1})
     # two-leaf tree: full x 1 + 1 x full + the two shifted single-leaf splits
     phi = swap_phi()
     t = ((LEAF, LEAF), (0, 0), (0, 1))
-    d = TreeOps(phi).coproduct(e(t))
+    d = extend(TreeOps(phi).coproduct_key, e(t))
     shifted0 = (LEAF, (0,), (1,))  # phi applied to decoration 0
     shifted1 = (LEAF, (0,), (0,))
     assert d == LinComb(
@@ -132,10 +131,10 @@ def test_coassociativity_on_all_trees_up_to_degree_four():
             rhs = LinComb()
             for (k1, k2), v in d.items():
                 lhs = lhs.add_scaled(
-                    e(k1) @ ops.coproduct(e(k2)), v
+                    e(k1) @ extend(ops.coproduct_key, e(k2)), v
                 )
                 rhs = rhs.add_scaled(
-                    ops.coproduct(e(k1)) @ e(k2), v
+                    extend(ops.coproduct_key, e(k1)) @ e(k2), v
                 )
             lhs = LinComb({(a, b, c): w for (a, (b, c)), w in lhs.items()})
             rhs = LinComb({(a, b, c): w for ((a, b), c), w in rhs.items()})
@@ -182,10 +181,14 @@ def test_projected_coproduct_of_ideal_rows_matches_leaf_subsets(name):
     def projected(k):
         return pair_apply(u.project, u.project, coproduct_by_leaf_subsets(ref, k))
 
-    for row in u.rowspace.basis_rows():
+    for row in u.ideal_rows():
         for k in row:
             assert u.comult_map(e(k)) == projected(k), k
         assert u.comult_map(row) == extend(projected, row)
+
+
+def ideal_pivots(u):
+    return [min(row, key=pivot_order) for row in u.ideal_rows()]
 
 
 def test_comult_cache_holds_normal_forms_only():
@@ -194,7 +197,7 @@ def test_comult_cache_holds_normal_forms_only():
     # Delta of a pivot is neither kept nor built: the coproducts come from
     # the weight-free templates, their legs from one projection per key
     assert u.ops._template_cache
-    assert not any(p in u.ops._coproduct_cache for p in u.rowspace.rows)
+    assert not any(p in u.ops._coproduct_cache for p in ideal_pivots(u))
     assert u._projected and set(u._projected) <= set(u.ambient)
     for key, val in u._projected.items():
         assert val == u.project(e(key)), key
@@ -325,21 +328,39 @@ ENVELOPING_CASES = (
 )
 def test_enveloping_ideal_matches_closure_over_weighted_trees(name, n, w):
     g = ENVELOPING_ALGEBRAS[name]()
-    _, _, rs = _enveloping_ideal(g, n, w)
+    u = build_truncated_uea(g, n, w)
     ref = enveloping_ideal_by_closure(g, n, w)
-    assert rs.pivots() == ref.pivots()
-    for p, row in ref.rows.items():
-        assert rs.rows[p] == row, p
+    assert ideal_pivots(u) == ref.pivots()
+    assert u.ideal_rows() == ref.basis_rows()
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl2_twisted"])
 def test_rowspace_invariants_hold_after_build(name):
-    rs = build_truncated_uea(ENVELOPING_ALGEBRAS[name](), 3, 3).rowspace
+    u = build_truncated_uea(ENVELOPING_ALGEBRAS[name](), 3, 3)
+    rs = u.rowspace
     for p, row in rs.rows.items():
         assert row.get(p) == 1 and min(row, key=rs.order) == p, p
         assert not any(k in rs.rows for k in row if k != p), p
         for k in row:
             assert p in rs.columns.get(k, ()), (k, p)
+    # the derived rows are the reduced echelon basis of the whole ideal
+    rows = u.ideal_rows()
+    pivots = ideal_pivots(u)
+    assert pivots == sorted(set(pivots), key=pivot_order)
+    for p, row in zip(pivots, rows):
+        assert row.get(p) == 1, p
+        assert not any(k in pivots for k in row if k != p), p
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPING_ALGEBRAS))
+def test_stored_ideal_is_weight_zero(name):
+    u = build_truncated_uea(ENVELOPING_ALGEBRAS[name](), 3, 3)
+    assert u.rowspace.rank
+    assert all(not any(p[1]) for p in u.rowspace.rows)
+    # every weighted tree is a pivot of a derived row
+    weighted = [k for k in u.ambient if k != UNIT and any(k[1])]
+    assert set(weighted) <= set(ideal_pivots(u))
+    assert len(u.ideal_rows()) == u.rowspace.rank + len(weighted)
 
 
 def test_build_truncated_uea_dimensions():
