@@ -432,10 +432,8 @@ class TruncatedUEA:
     def ideal_rows(self):
         """Every row of the reduced ideal, in pivot order: the stored rows
         of J0 and t - P0(sigma(t)) for each weighted tree t."""
-        rows = dict(self.rowspace.rows)
-        for t in self.ambient:
-            if t in self._weighted:
-                rows[t] = LinComb.basis(t) - self._projected_key(t)
+        rows = {t: LinComb.basis(t) - self._projected_key(t) for t in self._weighted}
+        rows.update(self.rowspace.rows)
         return [rows[p] for p in sorted(rows, key=pivot_order)]
 
     # -- Hom-Hopf protocol

@@ -16,7 +16,8 @@ shifts, where `uea_trees._enveloping_ideal` closes weight 0 only.
 row t - P0(sigma(t)) per weighted tree t and projected by reducing against
 every row, where `TruncatedUEA` stores J0 and derives those rows in
 `ideal_rows`; `ideal_J_span` reads the enveloping relations modulo the
-reassociation ideal off `ideal_rows` and a closure, for the golden tables.  `gauss_jordan_inverse` is the dense Gauss-Jordan elimination that
+reassociation ideal off `ideal_rows` and a closure, for the golden tables.
+`gauss_jordan_inverse` is the dense Gauss-Jordan elimination that
 `LinearOperator` used before it row-reduced [M | I] in a `RowSpace`.
 `check_hom_algebra_untabulated` is the Hom-algebra check before it tabulated
 twist images and products once per check, and `FreshPerKey` evaluates the
@@ -48,6 +49,7 @@ from homhopf.uea_trees import (
     TruncatedUEA,
     UEAActionContext,
     _close_under_ops,
+    _enveloping_ideal,
     _reassociation_seeds,
     build_truncated_uea,
     leaf_count,
@@ -335,29 +337,16 @@ def rows_by_degree(rows, n_max):
 
 
 def enveloping_ideal_with_weighted_rows(g, n_max, weight_bound):
-    """The weight-0 closure J0 of `uea_trees._enveloping_ideal` with one
-    stored row per weighted tree t, added as t - sigma(t), which
-    RowSpace.add reduces to t - P0(sigma(t)): (ops, basis_by_degree, rows)."""
-    ops = TreeOps(g.phi)
+    """J0 from `uea_trees._enveloping_ideal` with one stored row per
+    weighted tree t, added as t - sigma(t), which RowSpace.add reduces to
+    t - P0(sigma(t)): (ops, basis_by_degree, row space)."""
+    ops, rs = _enveloping_ideal(g, n_max)
     basis_by_degree = {
         n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
     }
-    weight0 = {n: ops.basis_keys(n, 0, g.dim) for n in range(1, n_max + 1)}
-    t2 = (LEAF, LEAF)
-    seeds = _reassociation_seeds(ops, weight0, n_max) + [
-        LinComb.basis((t2, (0, 0), (x1, x2)))
-        - LinComb.basis((t2, (0, 0), (x2, x1)))
-        - leaves(g.bracket(x1, x2))
-        for x1 in range(g.dim)
-        for x2 in range(x1 + 1, g.dim)
-        if n_max >= 2
-    ]
-    rs = RowSpace(order=pivot_order)
-    _close_under_ops(rs, seeds, ops, weight0, n_max)
     for n in range(1, n_max + 1):
-        zeros = (0,) * n
         for t in basis_by_degree[n]:
-            if t[1] != zeros:
+            if any(t[1]):
                 rs.add(LinComb.basis(t) - ops.sigma_key(t))
     return ops, basis_by_degree, rs
 

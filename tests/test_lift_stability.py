@@ -4,10 +4,10 @@
 its zero factor is known, and accepts the h-ideal through the rows of its
 weight-0 part J0, the only rows U(h) stores.
 `oracles.lift_to_Uh_action_full_walk` evaluates both factors of every term
-and walks every row of both ideals, weighted rows derived by `ideal_rows`
-included.  On every pair below the
-two must give the same left and right tables, entry for entry and term for
-term in the same order, or refuse the pair with the same message.
+and walks every row of both ideals, the weighted rows that `ideal_rows`
+derives included.  On every pair below the two must give the same left
+and right tables, entry for entry and term for term in the same order, or
+refuse the pair with the same message.
 
 The acceptance through the weight-0 rows rests on two identities of the
 recursions, pinned here for every input, matched pair or not:
