@@ -339,15 +339,17 @@ def rows_by_degree(rows, n_max):
 def enveloping_ideal_with_weighted_rows(g, n_max, weight_bound):
     """J0 from `uea_trees._enveloping_ideal` with one stored row per
     weighted tree t, added as t - sigma(t), which RowSpace.add reduces to
-    t - P0(sigma(t)): (ops, basis_by_degree, row space)."""
+    t - P0(sigma(t)): (ops, basis_by_degree, row space).  sigma is written
+    out here, apart from `TreeOps.sigma_key`, so that the two can differ."""
     ops, rs = _enveloping_ideal(g, n_max)
     basis_by_degree = {
         n: ops.basis_keys(n, weight_bound, g.dim) for n in range(1, n_max + 1)
     }
     for n in range(1, n_max + 1):
+        zeros = (0,) * n
         for t in basis_by_degree[n]:
-            if any(t[1]):
-                rs.add(LinComb.basis(t) - ops.sigma_key(t))
+            if t[1] != zeros:
+                rs.add(LinComb.basis(t) - ops.phi_leafwise(t, t[1], zeros))
     return ops, basis_by_degree, rs
 
 

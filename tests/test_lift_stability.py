@@ -117,7 +117,7 @@ def test_perturbed_lifts_match_full_walk():
 
 def sigma(ops, x):
     """Each leaf (s, eta) of x read as (0, phi^s(eta))."""
-    return extend(ops.sigma_key, x)
+    return extend(lambda k: ops.phi_leafwise(k, k[1], (0,) * len(k[1])), x)
 
 
 def not_a_matched_pair():
