@@ -16,9 +16,7 @@ from .errors import (
     NotInvertibleBeta,
     TruncationOverflow,
 )
-from .foundation import (
-    ZERO, LinComb, LinearOperator, RowSpace, bilinear, extend, pair_apply, scalar,
-)
+from .foundation import ZERO, LinComb, LinearOperator, bilinear, extend, pair_apply
 
 _EMPTY = LinComb()
 
@@ -51,32 +49,6 @@ def _require_inverse(op, err):
         op.inverted()
     except NotInvertible as exc:
         raise err(str(exc))
-
-
-class Pairing:
-    """Bilinear pairing given by an evaluation table (f-key, x-key) -> scalar."""
-
-    def __init__(self, left_keys, right_keys, eval_table):
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
-        self.eval_table = {k: scalar(v) for k, v in dict(eval_table).items() if v}
-
-    @classmethod
-    def canonical(cls, keys):
-        return cls(keys, keys, {(k, k): 1 for k in keys})
-
-    def pair(self, f, x):
-        out = ZERO
-        for i, a in f.items():
-            for j, b in x.items():
-                out += a * b * self.eval_table.get((i, j), ZERO)
-        return out
-
-    def is_nondegenerate(self):
-        rows = RowSpace()
-        for i in self.left_keys:
-            rows.add(LinComb({j: self.eval_table.get((i, j), ZERO) for j in self.right_keys}))
-        return rows.rank == len(self.left_keys) == len(self.right_keys)
 
 
 def _unshifted_comult(c):

@@ -399,24 +399,6 @@ class RowSpace:
         return [self.rows[p] for p in self.pivots()]
 
 
-def quotient_projection(keys, rowspace):
-    """Projection of span(keys) onto the non-pivot complement of rowspace.
-
-    Idempotent; kernel is exactly the subspace.  The surviving indices
-    (the section) are the non-pivot keys.
-    """
-    cols = {}
-    survivors = []
-    for k in keys:
-        img = rowspace.reduce(LinComb.basis(k))
-        cols[k] = img
-        if k not in rowspace.rows:
-            survivors.append(k)
-    op = LinearOperator(cols)
-    op.survivors = survivors
-    return op
-
-
 def solve_linear(equations, unknowns):
     """Solve a linear system over Q.
 

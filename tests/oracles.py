@@ -31,6 +31,9 @@ join rules of the lifted actions, where `UEAActionContext` returns a term
 once its zero factor is known, and `lift_to_Uh_action_full_walk` walks
 every row of both ideals, where `lift_to_Uh_action` accepts the h-ideal
 through its stored rows J0.
+`Pairing` (a bilinear pairing by its evaluation table) and
+`quotient_projection` (the projection onto the non-pivot complement of a
+row space) are constructions that only the tests use.
 """
 
 import copy
@@ -40,7 +43,16 @@ from fractions import Fraction
 
 from homhopf.cross_products import _check_action_side, _comult_compat, _counit_compat
 from homhopf.errors import NotHomLie, NotInvertible
-from homhopf.foundation import FuncOperator, LinComb, RowSpace, bilinear, extend
+from homhopf.foundation import (
+    ZERO,
+    FuncOperator,
+    LinComb,
+    LinearOperator,
+    RowSpace,
+    bilinear,
+    extend,
+    scalar,
+)
 from homhopf.hom_core import ActionData, CheckReport
 from homhopf.uea_trees import (
     LEAF,
@@ -706,3 +718,51 @@ def check_mutual_pair_graded_untabulated(m):
 
     rep.run("comp-IV", [(i, k, w) for i in uk for k in fk for w in vk], comp4)
     return rep
+
+
+# ---------------------------------------------------------------------------
+# constructions only the tests use
+
+
+class Pairing:
+    """Bilinear pairing given by an evaluation table (f-key, x-key) -> scalar."""
+
+    def __init__(self, left_keys, right_keys, eval_table):
+        self.left_keys = list(left_keys)
+        self.right_keys = list(right_keys)
+        self.eval_table = {k: scalar(v) for k, v in dict(eval_table).items() if v}
+
+    @classmethod
+    def canonical(cls, keys):
+        return cls(keys, keys, {(k, k): 1 for k in keys})
+
+    def pair(self, f, x):
+        out = ZERO
+        for i, a in f.items():
+            for j, b in x.items():
+                out += a * b * self.eval_table.get((i, j), ZERO)
+        return out
+
+    def is_nondegenerate(self):
+        rows = RowSpace()
+        for i in self.left_keys:
+            rows.add(LinComb({j: self.eval_table.get((i, j), ZERO) for j in self.right_keys}))
+        return rows.rank == len(self.left_keys) == len(self.right_keys)
+
+
+def quotient_projection(keys, rowspace):
+    """Projection of span(keys) onto the non-pivot complement of rowspace.
+
+    Idempotent; kernel is exactly the subspace.  The surviving indices
+    (the section) are the non-pivot keys.
+    """
+    cols = {}
+    survivors = []
+    for k in keys:
+        img = rowspace.reduce(LinComb.basis(k))
+        cols[k] = img
+        if k not in rowspace.rows:
+            survivors.append(k)
+    op = LinearOperator(cols)
+    op.survivors = survivors
+    return op

@@ -3,7 +3,9 @@ double cross product and the bicrossproduct, the twist and product tables
 of one `check_hom_algebra` run, and the coaction table and coproduct-leg
 tables of the graded mutual-pair check, against the paths they replace
 (`oracles.FreshPerKey`, `oracles.check_hom_algebra_untabulated`,
-`oracles.check_mutual_pair_graded_untabulated`).
+`oracles.check_mutual_pair_graded_untabulated`).  The hom-assoc tuples
+that `check_hom_algebra` decides from its table to overflow are compared
+tuple by tuple with the ones the untabulated check skips.
 
 Reports are compared in full: per equation the checked and skipped
 counts, and per violation its witness, lhs and rhs, with their term order
@@ -35,7 +37,7 @@ from homhopf.fixtures import (
     kz4_twisted_hopf,
     sl2,
 )
-from homhopf.foundation import LinComb, LinearOperator
+from homhopf.foundation import LinComb, LinearOperator, bilinear
 from homhopf.hom_core import (
     CheckReport,
     HomAlgebraData,
@@ -43,7 +45,7 @@ from homhopf.hom_core import (
     check_hom_hopf,
 )
 from homhopf.semidual import lifted_matched_pair, semidualize
-from homhopf.uea_trees import build_truncated_uea
+from homhopf.uea_trees import UNIT, TruncatedUEA, build_truncated_uea
 
 from lie_pairs import anticommuting_pair, sl2_reverse_split_pair, sl2_split_pair
 from oracles import (
@@ -99,6 +101,19 @@ def report_terms(rep):
     ]
 
 
+class PerturbedUEA(TruncatedUEA):
+    """U(g) with the unit added to the product of its first two degree-1
+    normal forms; every other product is U(g)'s."""
+
+    def __init__(self, u):
+        TruncatedUEA.__init__(self, u.lie, u.truncation_degree, u.ops, u.rowspace, u.ambient)
+        self.pair = tuple(k for k in self.nf_keys if self.degree(k) == 1)[:2]
+
+    def _product_key(self, k1, k2):
+        val = TruncatedUEA._product_key(self, k1, k2)
+        return val + e(UNIT) if (k1, k2) == self.pair else val
+
+
 CASES = {
     "kz4": kz4_twisted_hopf,
     "kz4_perturbed": lambda: parse_input(
@@ -106,6 +121,9 @@ CASES = {
     ).hopf["kz4_twisted"],
     "sl2_uea_n3_w1": lambda: build_truncated_uea(sl2(), 3, 1),
     "fixture_b_bicross_n3_w1": lambda: lie_bicross(fixture_b_lie_pair(), 3, 1),
+    "fixture_b_bicross_n4_w1": lambda: lie_bicross(fixture_b_lie_pair(), 4, 1),
+    "fixture_b_dual_n3_w1": lambda: lie_semidual(fixture_b_lie_pair(), 3).f,
+    "sl2_uea_n3_w1_perturbed": lambda: PerturbedUEA(build_truncated_uea(sl2(), 3, 1)),
     "fixture_a_prime_bicross_n3_w1": lambda: lie_bicross(fixture_a_prime_lie_pair(), 3, 1),
     "kz4_doublecross": lambda: DoubleCrossProduct(trivial_hopf_matched_pair()),
     "z4_mutual_bicross": lambda: Bicrossproduct(
@@ -132,8 +150,10 @@ def test_hom_hopf_report_matches_replaced_path(case, monkeypatch):
     assert assoc.eq_id == "hom-assoc"
     if case == "kz4_perturbed":
         assert len(assoc.violations) == 12
-    if case == "sl2_uea_n3_w1":
+    if case in ("sl2_uea_n3_w1", "sl2_uea_n3_w1_perturbed"):
         assert assoc.skipped and assoc.checked
+    if case == "sl2_uea_n3_w1_perturbed":
+        assert assoc.violations
 
 
 class ProductFailsOnE1E2(HomAlgebraData):
@@ -373,6 +393,73 @@ def test_comp1_right_side_overflow_is_stored_and_raised(monkeypatch):
             skipped.setdefault((i, w1, w2), set()).add(k)
     assert skipped
     assert all(ks == set(m.f.basis_keys()) for ks in skipped.values())
+
+
+# ---------------------------------------------------------------------------
+# check_hom_algebra counts the hom-assoc tuples whose products overflow as
+# skipped from its table, and evaluates only the others
+
+
+class OuterOverflow(HomAlgebraData):
+    """Five keys; the twist overflows on e_4 and the product on the key
+    pairs (3, 1) and (2, 4) only.  e_2 e_2 = 0 and e_1 e_2 = e_3 + e_4, so
+    that each of the hom-assoc skip reasons (an overflowing alpha(e_i), even
+    with e_j e_k = 0, or alpha(e_k), e_j e_k or e_i e_j, or only an outer
+    product of either side) is the one reason for some tuple."""
+
+    OVER = {(3, 1), (2, 4)}
+
+    def __init__(self):
+        mult = {(p, q): e((p + q) % 5) for p in range(5) for q in range(5)}
+        mult[(2, 2)] = LinComb()
+        mult[(1, 2)] = e(3) + e(4)
+        alpha = LinearOperator({0: e(0), 1: e(2), 2: e(1) + e(3), 3: e(3), 4: e(4)})
+        HomAlgebraData.__init__(self, 5, mult, e(0), alpha)
+
+    def alpha_map(self, x):
+        if 4 in x.terms:
+            raise TruncationOverflow("alpha(e_4)")
+        return HomAlgebraData.alpha_map(self, x)
+
+    def product(self, x, y):
+        def key(p, q):
+            if (p, q) in self.OVER:
+                raise TruncationOverflow("e_%d e_%d" % (p, q))
+            return self.mult[(p, q)]
+
+        return bilinear(key, x, y)
+
+
+ASSOC_CASES = dict(CASES, outer_overflow=OuterOverflow)
+
+
+def assoc_tuples(check, a, monkeypatch):
+    """The hom-assoc tuples that check(a) evaluates, in order, each with
+    the terms of its lhs and rhs, or None where it overflows."""
+    _, seen = traced_check(check, a, monkeypatch)
+    return [
+        (tup, None if val is None else (terms(val[0]), terms(val[1])))
+        for eq_id, tup, val in seen
+        if eq_id == "hom-assoc"
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(ASSOC_CASES))
+def test_hom_assoc_evaluates_exactly_the_checked_tuples(case, monkeypatch):
+    got = assoc_tuples(check_hom_algebra, ASSOC_CASES[case](), monkeypatch)
+    want = assoc_tuples(check_hom_algebra_untabulated, ASSOC_CASES[case](), monkeypatch)
+    # no tuple handed to CheckReport.run overflows: every skip is decided
+    # from the table, and the tuples checked are the untabulated ones
+    assert got == [(tup, val) for tup, val in want if val is not None]
+    assoc = check_hom_algebra(ASSOC_CASES[case]()).equations[0]
+    assert assoc.skipped == len(want) - len(got)
+
+
+def test_outer_overflow_report_matches_replaced_path():
+    got = check_hom_algebra(OuterOverflow())
+    assert report_terms(got) == report_terms(check_hom_algebra_untabulated(OuterOverflow()))
+    assoc = got.equations[0]
+    assert assoc.checked and assoc.skipped and assoc.violations
 
 
 # ---------------------------------------------------------------------------

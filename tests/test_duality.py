@@ -13,13 +13,14 @@ from homhopf.hom_core import (
     check_hom_module,
 )
 from homhopf.duality import (
-    Pairing,
     convolution_algebra,
     coregular_actions,
     dual_algebra_of_coalgebra,
     dual_coalgebra_of_algebra,
     dual_hom_hopf,
 )
+
+from oracles import Pairing
 
 e = LinComb.basis
 

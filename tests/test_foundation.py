@@ -15,11 +15,10 @@ from homhopf.foundation import (
     _accumulate_tensor,
     pair_apply,
     pair_extend,
-    quotient_projection,
     solve_linear,
 )
 
-from oracles import FullScanRowSpace, gauss_jordan_inverse
+from oracles import FullScanRowSpace, gauss_jordan_inverse, quotient_projection
 
 e = LinComb.basis
 
