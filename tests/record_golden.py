@@ -110,6 +110,9 @@ REPORT_RUNS = [
     # kz4 with e1 . e1 = 2 e2: a failing report whose hom-assoc witnesses,
     # lhs and rhs are pinned byte for byte
     ("kz4_perturbed_verify", "verify-hopf"),
+    # the one sample whose input is a finite mutual pair: bicross checks it
+    # and then builds the bicrossproduct
+    ("z4_trivial_bicross", "bicross"),
 ]
 
 
