@@ -26,8 +26,8 @@ from .cross_products import (
     check_matched_pair_hopf,
     check_mutual_pair,
 )
-from .semidual import build_hom_lie_hopf, lifted_matched_pair, semidualize
-from .uea_trees import build_truncated_uea, leaf_count, tree_label
+from .semidual import build_hom_lie_hopf, semidualize
+from .uea_trees import build_truncated_uea, leaf_count, lift_to_Uh_action, tree_label
 
 COMMANDS = (
     "verify-hopf",
@@ -387,7 +387,7 @@ def run(command, doc, args):
             mp = doc.matched_pairs[target]
         else:
             pair = need(doc.lie_matched_pairs, "matched pair")
-            mp = lifted_matched_pair(pair, degree, weight)
+            mp = lift_to_Uh_action(pair, degree, weight)
             report["dimensions"] = {
                 "u_per_degree": mp.u.dims_per_degree(),
                 "v_per_degree": mp.v.dims_per_degree(),
@@ -409,7 +409,7 @@ def run(command, doc, args):
             mp = doc.matched_pairs[target]
         else:
             pair = need(doc.lie_matched_pairs, "matched pair")
-            mp = lifted_matched_pair(pair, degree, weight)
+            mp = lift_to_Uh_action(pair, degree, weight)
         checks.append(_report_block("matched-pair", check_matched_pair_hopf(mp)))
         mutual = semidualize(mp, enforce)
         checks.append(_report_block("mutual-pair", check_mutual_pair(mutual)))

@@ -12,12 +12,11 @@ degree, which reduces each equation to exact rational arithmetic.
 
 from types import SimpleNamespace
 
-from .errors import NotMatchedPair, NotMutualPair, TruncationOverflow
+from .errors import TruncationOverflow
 from .foundation import (
     ZERO,
     FuncOperator,
     LinComb,
-    LinearOperator,
     bilinear,
     extend,
     pair_apply,
@@ -25,7 +24,6 @@ from .foundation import (
 from .hom_core import (
     CheckReport,
     CoactionData,
-    HomHopfData,
     check_hom_comodule,
     memo_lookup,
     module_axioms,
@@ -105,7 +103,7 @@ def _module_coalgebra(rep, prefix, x, y, target, act):
 
 
 # ---------------------------------------------------------------------------
-# the four symmetry checkers
+# the module and comodule symmetry checkers
 
 
 def check_module_algebra(h, a, action):
@@ -131,46 +129,6 @@ def check_module_algebra(h, a, action):
 
     rep.run("Hom-mod-alg-I", [(i, j, k) for i in hk for j in ak for k in ak], diag)
     _unit_compat(rep, "Hom-mod-alg-II", h, a, action.apply)
-    return rep
-
-
-def check_module_coalgebra(h, c, action):
-    """Hom-module coalgebra conditions for a left action of h on the
-    coalgebra c: beta-compatibility, diagonal coproduct, counit kill."""
-    rep = CheckReport()
-    _module_coalgebra(rep, "", h, c, c, action.apply)
-    return rep
-
-
-def check_comodule_algebra(h, a, coaction):
-    """Hom-comodule algebra conditions for a right coaction of h on a."""
-    rep = CheckReport()
-    ak = a.basis_keys()
-
-    rep.run(
-        "Hom-comod-alg-00",
-        [(j,) for j in ak],
-        lambda j: (
-            coaction.apply(a.alpha_map(e(j))),
-            pair_apply(a.alpha_map, h.alpha_map, coaction.apply(e(j))),
-        ),
-    )
-
-    def cond1(i, j):
-        lhs = coaction.apply(a.product(e(i), e(j)))
-        rhs = bilinear(
-            lambda s, t: a.product(e(s[0]), e(t[0])) @ h.product(e(s[1]), e(t[1])),
-            coaction.apply(e(i)),
-            coaction.apply(e(j)),
-        )
-        return lhs, rhs
-
-    rep.run("Hom-comod-alg-I", [(i, j) for i in ak for j in ak], cond1)
-    rep.run(
-        "Hom-comod-alg-II",
-        [()],
-        lambda: (coaction.apply(a.unit_elem()), a.unit_elem() @ h.unit_elem()),
-    )
     return rep
 
 
@@ -326,10 +284,10 @@ def check_matched_pair_hopf(p):
 
 class _TensorHopf:
     """What the double cross product and the bicrossproduct share: the pair
-    basis of A x B, the unit, the counit, twists applied leg by leg, and
-    materialization as tables.  Each subclass names the factor maps that
-    make up its twists in `_twists`: name -> (map on A, map on B), and
-    computes one product of basis keys in `product_keys`.
+    basis of A x B, the unit, the counit and twists applied leg by leg.
+    Each subclass names the factor maps that make up its twists in
+    `_twists`: name -> (map on A, map on B), and computes one product of
+    basis keys in `product_keys`.
 
     The product, the twists, the coproduct and the antipode are compiled
     lazily, one key pair or key at a time, once per instance; every later
@@ -386,21 +344,6 @@ class _TensorHopf:
         for (ka, kb), c in x.items():
             out += c * a.counit_map(e(ka)) * b.counit_map(e(kb))
         return out
-
-    def to_hopf_data(self):
-        """Materialize as explicit tables (finite factors only)."""
-        keys = self.keys
-
-        def op(fn):
-            return LinearOperator({k: fn(e(k)) for k in keys})
-
-        mult = {(k1, k2): self._product_key(k1, k2) for k1 in keys for k2 in keys}
-        comult = {k: self.comult_map(e(k)) for k in keys}
-        counit = {k: self.counit_map(e(k)) for k in keys}
-        return HomHopfData(
-            len(keys), mult, self.unit_elem(), op(self.alpha_map), comult, counit,
-            op(self.beta_map), op(self.antipode_map), keys=keys,
-        )
 
 
 class DoubleCrossProduct(_TensorHopf):
@@ -462,16 +405,6 @@ class DoubleCrossProduct(_TensorHopf):
             return self.product(left, right)
 
         return self._keywise("antipode", antipode_key, x)
-
-
-def build_double_cross_product(p):
-    rep = check_matched_pair_hopf(p)
-    if not rep.passed:
-        raise NotMatchedPair(
-            "matched-pair equations fail: "
-            + ", ".join(eq.eq_id for eq in rep.equations if not eq.passed)
-        )
-    return DoubleCrossProduct(p)
 
 
 # ---------------------------------------------------------------------------
@@ -914,12 +847,3 @@ class Bicrossproduct(_TensorHopf):
         name = "truncated_antipode" if truncated else "antipode"
         return self._keywise(name, antipode_key, x)
 
-
-def build_bicrossproduct(m):
-    rep = check_mutual_pair(m)
-    if not rep.passed:
-        raise NotMutualPair(
-            "mutual-pair equations fail: "
-            + ", ".join(eq.eq_id for eq in rep.equations if not eq.passed)
-        )
-    return Bicrossproduct(m)

@@ -1,8 +1,7 @@
-"""Finite-dimensional duality for Hom-structures: convolution algebras on
-map spaces, the dual Hom-algebra of a Hom-coalgebra, the dual Hom-coalgebra
-of a Hom-algebra (the finite-dimensional case of the restricted dual), the
-dual Hom-Hopf algebra, coregular actions, and the degreewise dual of a
-truncated enveloping algebra.
+"""Finite-dimensional duality for Hom-structures: the dual Hom-algebra of
+a Hom-coalgebra, the dual Hom-coalgebra of a Hom-algebra (the
+finite-dimensional case of the restricted dual), the dual Hom-Hopf
+algebra, and the degreewise dual of a truncated enveloping algebra.
 
 Conventions: the dual of a coalgebra multiplies as
 (f * g)(c) = f(beta^-2 c_(1)) g(beta^-2 c_(2)) with twist f -> f o beta^-1,
@@ -63,37 +62,6 @@ def _unshifted_comult(c):
     }
 
 
-def convolution_algebra(c, a):
-    """The Hom-algebra structure on the space of linear maps c -> a.
-
-    Basis maps are pairs (i, j): send the coalgebra basis vector i to the
-    algebra basis vector j.  Product, twist and unit are
-      (F * G)(x) = F(beta^-2 x_(1)) . G(beta^-2 x_(2)),
-      (alpha* F)(x) = alpha(F(beta^-1 x)),   unit = eta o eps,
-    that is, the tensor product of the dual algebra of c with a.
-    """
-    from .hom_core import HomAlgebraData
-
-    dual = dual_algebra_of_coalgebra(c)
-    ckeys = dual.basis_keys()
-    akeys = a.basis_keys()
-    pair_keys = [(i, j) for i in ckeys for j in akeys]
-    mult = {
-        ((i, j), (i2, j2)): dual.mult[(i, i2)]
-        @ a.product(LinComb.basis(j), LinComb.basis(j2))
-        for (i, j) in pair_keys
-        for (i2, j2) in pair_keys
-    }
-    unit = dual.unit @ a.unit_elem()
-    alpha_cols = {
-        (i, j): dual.alpha.columns[i] @ a.alpha_map(LinComb.basis(j))
-        for (i, j) in pair_keys
-    }
-    return HomAlgebraData(
-        len(pair_keys), mult, unit, LinearOperator(alpha_cols), keys=pair_keys
-    )
-
-
 def dual_algebra_of_coalgebra(c):
     """The dual Hom-algebra of a finite Hom-coalgebra on the dual basis."""
     from .hom_core import HomAlgebraData
@@ -146,39 +114,6 @@ def dual_hom_hopf(h):
     )
 
 
-def coregular_actions(a):
-    """The two coregular actions of a Hom-algebra on its dual.
-
-    Left:  (p |> f)(x) = f(alpha^-2(x . p))
-    Right: (f <| p)(x) = f(alpha^-2(p . x))
-    Both carriers use the structure map f -> f o alpha^-1.
-    """
-    from .hom_core import ActionData
-
-    _require_inverse(a.alpha, NotInvertibleAlpha)
-    keys = a.basis_keys()
-    gamma = transpose_operator(a.alpha.inverted(), keys)
-
-    def table(mirror):
-        act = {}
-        for p in keys:
-            ep = LinComb.basis(p)
-
-            def image(x):
-                ex = LinComb.basis(x)
-                lhs = a.product(ep, ex) if mirror else a.product(ex, ep)
-                return a.alpha_pow(-2, lhs)
-
-            cols = transpose_table(((x, image(x)) for x in keys), keys)
-            for q in keys:
-                act[(p, q)] = cols[q]
-        return act
-
-    left = ActionData(a, keys, table(False), gamma, side="left")
-    right = ActionData(a, keys, table(True), gamma, side="right")
-    return left, right
-
-
 class TruncatedDual:
     """Degreewise dual of a truncated enveloping algebra.
 
@@ -208,13 +143,6 @@ class TruncatedDual:
 
     def degree(self, key):
         return self.v.degree(key)
-
-    def dims_per_degree(self):
-        return self.v.dims_per_degree()
-
-    def pairing_matrix(self, d):
-        keys = [k for k in self.keys if self.degree(k) == d]
-        return [[1 if i == j else 0 for j in keys] for i in keys]
 
     def pair(self, f, x):
         """Evaluate a functional (over dual keys) on a primal combination."""

@@ -21,30 +21,6 @@ class NotInvertibleBeta(NotInvertible):
     """The coalgebra twist has no inverse."""
 
 
-class NotAssociative(HomHopfError):
-    """An input algebra expected to be associative is not."""
-
-
-class NotEndomorphism(HomHopfError):
-    """A twisting map is not an algebra endomorphism."""
-
-
-class NotCommutingPair(HomHopfError):
-    """Two twisting maps that must commute do not."""
-
-
-class NotBialgebraMorphism(HomHopfError):
-    """A twisting map is not a bialgebra endomorphism."""
-
-
-class AntipodeNotInvertible(HomHopfError):
-    """The antipode has no inverse, so opposite variants do not exist."""
-
-
-class NotLieEndomorphism(HomHopfError):
-    """A twisting map does not preserve the Lie bracket."""
-
-
 class NotHomLie(HomHopfError):
     """Structure constants fail the twisted Jacobi identity."""
 
@@ -58,11 +34,7 @@ class TruncationOverflow(HomHopfError):
 
 
 class NotMatchedPair(HomHopfError):
-    """A pair of Hopf-type objects fails the matched-pair equations."""
-
-
-class NotMutualPair(HomHopfError):
-    """An action/coaction pair fails the mutual-pair equations."""
+    """A pair of Hom-Lie algebras fails the matched-pair equations."""
 
 
 class OrderConstraintViolated(HomHopfError):

@@ -398,27 +398,3 @@ class RowSpace:
         """Rows ordered by pivot; the canonical reduced basis."""
         return [self.rows[p] for p in self.pivots()]
 
-
-def solve_linear(equations, unknowns):
-    """Solve a linear system over Q.
-
-    equations: iterable of (coeffs: dict unknown -> scalar, rhs: scalar).
-    Returns one solution as a dict (free unknowns set to 0), or None when
-    the system is inconsistent.
-    """
-    order = {u: i for i, u in enumerate(unknowns)}
-    AUG = "#rhs"
-    rs = RowSpace(order=lambda k: (1, 0) if k == AUG else (0, order[k]))
-    for coeffs, rhs in equations:
-        row = dict(coeffs)
-        rhs = scalar(rhs)
-        if rhs:
-            row[AUG] = -rhs
-        rs.add(LinComb(row))
-    if AUG in rs.rows:
-        return None  # row reduces to 0 = nonzero
-    sol = {u: ZERO for u in unknowns}
-    for piv, row in rs.rows.items():
-        # row reads: pivot + (free terms) + b*AUG = 0 with AUG standing for 1
-        sol[piv] = -row.get(AUG)
-    return sol

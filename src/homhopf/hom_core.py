@@ -1,9 +1,9 @@
-"""Hom-algebra, Hom-coalgebra and Hom-Hopf structure records,
-twisting constructors, and exhaustive axiom checkers that scan every basis
-tuple and report witnesses for each failed equation.  The Hom-algebra check
-computes each twist image alpha(e_i) and product e_i e_j once (`memo_lookup`),
-counts the associativity tuples whose products must overflow as skipped from
-that table, and evaluates only the others.
+"""Hom-algebra, Hom-coalgebra and Hom-Hopf structure records and the
+exhaustive axiom checkers that scan every basis tuple and report witnesses
+for each failed equation.  The Hom-algebra check computes each twist image
+alpha(e_i) and product e_i e_j once (`memo_lookup`), counts the
+associativity tuples whose products must overflow as skipped from that
+table, and evaluates only the others.
 
 Checkers talk to a small duck-typed protocol (product / comult / counit /
 alpha / beta / antipode on LinComb arguments) so that the degree-truncated
@@ -13,24 +13,15 @@ an equation marks that tuple as skipped and feeds the coverage accounting.
 
 from fractions import Fraction
 
-from .errors import (
-    AntipodeNotInvertible,
-    NotAssociative,
-    NotBialgebraMorphism,
-    NotCommutingPair,
-    NotEndomorphism,
-    TruncationOverflow,
-)
+from .errors import TruncationOverflow
 from .foundation import (
     ONE,
     ZERO,
     LinComb,
-    LinearOperator,
     bilinear,
     extend,
     pair_apply,
     scalar,
-    solve_linear,
     swap_pairs,
 )
 
@@ -223,22 +214,6 @@ class HomHopfData(HomAlgebraData, HomCoalgebraData):
         return self.antipode.apply(x)
 
 
-class ActionData:
-    """An algebra action on a carrier: table (h, m) -> LinComb, carrier map gamma."""
-
-    def __init__(self, algebra, carrier_keys, act, gamma, side="left", carrier=None):
-        self.algebra = algebra
-        self.carrier_keys = list(carrier_keys)
-        self.act = dict(act)
-        self.gamma = gamma
-        self.side = side
-        self.carrier = carrier  # optional carrier object (e.g. a truncated algebra)
-
-    def apply(self, h, m):
-        """Bilinear extension; h over algebra keys, m over carrier keys."""
-        return bilinear(lambda i, j: self.act[(i, j)], h, m)
-
-
 class CoactionData:
     """A coalgebra coaction on a carrier: table m -> LinComb over (m', h) pairs."""
 
@@ -250,80 +225,6 @@ class CoactionData:
 
     def apply(self, m):
         return extend(self.coact.__getitem__, m)
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def _is_algebra_endo(a, t):
-    """t(x*y) == t(x)*t(y) on all basis pairs and t fixes the unit."""
-    for i in a.basis_keys():
-        for j in a.basis_keys():
-            lhs = t.apply(a.mult[(i, j)])
-            rhs = a.product(t.apply(LinComb.basis(i)), t.apply(LinComb.basis(j)))
-            if lhs != rhs:
-                return False
-    return t.apply(a.unit) == a.unit
-
-
-def _is_coalgebra_endo(c, t):
-    for i in c.basis_keys():
-        e = LinComb.basis(i)
-        if c.comult_map(t.apply(e)) != pair_apply(t.apply, t.apply, c.comult_map(e)):
-            return False
-        if c.counit_map(t.apply(e)) != c.counit_map(e):
-            return False
-    return True
-
-
-def twist_algebra(assoc, t):
-    """Deform an associative algebra along an algebra endomorphism t.
-
-    Returns the Hom-algebra with multiplication t(x*y) and twist t.
-    """
-    plain = check_hom_algebra(
-        HomAlgebraData(assoc.dim, assoc.mult, assoc.unit, LinearOperator.identity(assoc.basis_keys()))
-    )
-    if not plain.passed:
-        raise NotAssociative("input algebra fails associativity/unit checks")
-    if not _is_algebra_endo(assoc, t):
-        raise NotEndomorphism("t is not a unital algebra endomorphism")
-    mult = {key: t.apply(val) for key, val in assoc.mult.items()}
-    return HomAlgebraData(assoc.dim, mult, assoc.unit, t)
-
-
-def hopf_twist(h, a, b):
-    """Deform a classical Hopf algebra along commuting bialgebra endos a, b.
-
-    Result: multiplication a(x*y), comultiplication (b x b)Delta, twists
-    (a, b), antipode unchanged.
-    """
-    if not (h.alpha.is_identity() and h.beta.is_identity()):
-        raise NotAssociative("hopf_twist expects a classical Hopf algebra input")
-    for t in (a, b):
-        if not _is_algebra_endo(h, t) or not _is_coalgebra_endo(h, t):
-            raise NotBialgebraMorphism("twisting map is not a bialgebra endomorphism")
-    for k in h.basis_keys():
-        e = LinComb.basis(k)
-        if a.apply(b.apply(e)) != b.apply(a.apply(e)):
-            raise NotCommutingPair("twisting maps do not commute on basis %r" % k)
-    mult = {key: a.apply(val) for key, val in h.mult.items()}
-    comult = {i: h.comult_map(b.apply(LinComb.basis(i))) for i in h.basis_keys()}
-    return HomHopfData(h.dim, mult, h.unit, a, comult, h.counit, b, h.antipode)
-
-
-def op_cop_variants(h):
-    """Opposite and coopposite Hom-Hopf algebras, both with antipode S^-1."""
-    try:
-        s_inv = h.antipode.inverted()
-    except Exception as exc:
-        raise AntipodeNotInvertible(str(exc))
-    mult_op = {(i, j): h.mult[(j, i)] for (i, j) in h.mult}
-    comult_op = {i: swap_pairs(h.comult[i]) for i in h.comult}
-    op = HomHopfData(h.dim, mult_op, h.unit, h.alpha, h.comult, h.counit, h.beta, s_inv)
-    cop = HomHopfData(h.dim, h.mult, h.unit, h.alpha, comult_op, h.counit, h.beta, s_inv)
-    return op, cop
 
 
 # ---------------------------------------------------------------------------
@@ -598,40 +499,27 @@ def check_hom_hopf(h):
     return rep
 
 
-def module_axioms(rep, prefix, a, carrier_keys, act, gamma, side="left"):
-    """Hom-module axioms of an action act(x, v) of a on a carrier with twist
-    gamma, run into rep as <prefix>-module-assoc and <prefix>-module-unit.
-
-    Left:  (p*q) |> gamma(v) = alpha(p) |> (q |> v)  and  1 |> v = gamma(v).
-    Right: gamma(v) <| (p*q) = (v <| p) <| alpha(q)  and  v <| 1 = gamma(v),
-    where act(p, v) stands for v <| p.
+def module_axioms(rep, prefix, a, carrier_keys, act, gamma):
+    """Hom-module axioms of a left action act(x, v) of a on a carrier with
+    twist gamma, run into rep as <prefix>-module-assoc and
+    <prefix>-module-unit:
+    (p*q) |> gamma(v) = alpha(p) |> (q |> v)  and  1 |> v = gamma(v).
     """
     e = LinComb.basis
     akeys = a.basis_keys()
-
-    def assoc(i, j, k):
-        outer, inner = (i, j) if side == "left" else (j, i)
-        lhs = act(a.product(e(i), e(j)), gamma(e(k)))
-        return lhs, act(a.alpha_map(e(outer)), act(e(inner), e(k)))
-
     rep.run(
         prefix + "-module-assoc",
         [(i, j, k) for i in akeys for j in akeys for k in carrier_keys],
-        assoc,
+        lambda i, j, k: (
+            act(a.product(e(i), e(j)), gamma(e(k))),
+            act(a.alpha_map(e(i)), act(e(j), e(k))),
+        ),
     )
     rep.run(
         prefix + "-module-unit",
         [(k,) for k in carrier_keys],
         lambda k: (act(a.unit_elem(), e(k)), gamma(e(k))),
     )
-
-
-def check_hom_module(a, m):
-    """Hom-module axioms for an action with carrier map gamma, on the side
-    the action declares."""
-    rep = CheckReport()
-    module_axioms(rep, "hom", a, m.carrier_keys, m.apply, m.gamma.apply, m.side)
-    return rep
 
 
 def check_hom_comodule(c, m):
@@ -660,65 +548,3 @@ def check_hom_comodule(c, m):
     rep.run("hom-comodule-counit", [(k,) for k in m.carrier_keys], counit)
     return rep
 
-
-def hom_inverse(a, x, n_max=8):
-    """Smallest n <= n_max and y with alpha^n(x*y) = alpha^n(y*x) = unit.
-
-    Returns (y, n) or None.  Solved as a linear system in y for each n.
-    """
-    keys = a.basis_keys()
-    unit = a.unit_elem()
-    for n in range(n_max + 1):
-        eqs = []
-        for mirror in (False, True):
-            # alpha^n(x*e_j) as a column per unknown j
-            cols = {}
-            for j in keys:
-                ej = LinComb.basis(j)
-                prod = a.product(ej, x) if mirror else a.product(x, ej)
-                cols[j] = a.alpha_pow(n, prod)
-            for out_key in keys:
-                coeffs = {j: cols[j].get(out_key) for j in keys if cols[j].get(out_key)}
-                eqs.append((coeffs, unit.get(out_key)))
-        sol = solve_linear(eqs, keys)
-        if sol is not None:
-            return LinComb(sol), n
-    return None
-
-
-def antipode_from_convolution(h):
-    """Solve for the convolution inverse of the identity map.
-
-    Unknown operator S' satisfies mult(S'(b^-2 h1) x b^-2 h2) = eps(h) unit
-    for every basis element; returns the operator or None when no solution
-    exists.  Independent route to the antipode used as a uniqueness oracle.
-    """
-    keys = h.basis_keys()
-    unknowns = [(i, j) for i in keys for j in keys]  # S'(e_i) = sum_j s_ij e_j
-    eqs = []
-    unit = h.unit_elem()
-
-    def unshift(x):
-        return h.beta_pow(-2, x)
-
-    for k in keys:
-        # insert beta^-2 on both legs of Delta(e_k)
-        shifted = pair_apply(unshift, unshift, h.comult_map(LinComb.basis(k)))
-        rhs_vec = h.counit_map(LinComb.basis(k)) * unit
-        coeffs_by_out = {}
-        for (k1, k2), v in shifted.items():
-            # S'(e_k1) * e_k2 = sum_j s_{k1,j} (e_j * e_k2)
-            for j in keys:
-                prod = h.product(LinComb.basis(j), LinComb.basis(k2))
-                for out_key, w in prod.items():
-                    cur = coeffs_by_out.setdefault(out_key, {})
-                    cur[(k1, j)] = cur.get((k1, j), ZERO) + v * w
-        for out_key in keys:
-            eqs.append((coeffs_by_out.get(out_key, {}), rhs_vec.get(out_key)))
-    sol = solve_linear(eqs, unknowns)
-    if sol is None:
-        return None
-    cols = {}
-    for i in keys:
-        cols[i] = LinComb({j: sol[(i, j)] for j in keys})
-    return LinearOperator(cols)

@@ -1,9 +1,9 @@
 """Hom-Lie algebras from antisymmetric structure constants: axiom checking,
-twisting, Lie modules, matched pairs, and the bicrossed-sum algebra on
-g (+) h whose bracket mixes the two actions.
+Lie modules, matched pairs, and the bicrossed-sum algebra on g (+) h whose
+bracket mixes the two actions.
 """
 
-from .errors import NotHomLie, NotLieEndomorphism, NotMatchedPair
+from .errors import NotHomLie, NotMatchedPair
 from .foundation import LinComb, LinearOperator, bilinear
 from .hom_core import CheckReport
 
@@ -118,33 +118,6 @@ def check_hom_lie(g):
         ),
     )
     return rep
-
-
-def lie_twist(g, t):
-    """Deform a Lie algebra along a Lie endomorphism: bracket t([x,y]), twist t."""
-    keys = g.basis_keys()
-    for i in keys:
-        for j in keys:
-            lhs = t.apply(g.bracket(i, j))
-            rhs = g.bracket_lc(t.apply(LinComb.basis(i)), t.apply(LinComb.basis(j)))
-            if lhs != rhs:
-                raise NotLieEndomorphism("t fails on bracket(%d, %d)" % (i, j))
-    bracket = {}
-    for (i, j), v in g.table.items():
-        bracket[(i, j)] = t.apply(v)
-    return HomLieData(g.dim, bracket, t)
-
-
-def commutator_hom_lie(a):
-    """Commutator bracket xy - yx of a multiplicative Hom-algebra; twist alpha."""
-    bracket = {}
-    for i in a.basis_keys():
-        for j in a.basis_keys():
-            if i < j:
-                v = a.mult[(i, j)] - a.mult[(j, i)]
-                if v:
-                    bracket[(i, j)] = v
-    return HomLieData(a.dim, bracket, a.alpha)
 
 
 def check_lie_module(g, m):

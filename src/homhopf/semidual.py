@@ -8,23 +8,23 @@ factor, with the pairing conventions
 Finite factors dualize into honest table data; a truncated enveloping
 factor dualizes degreewise, and the mutual-pair equations are then
 evaluated pairing-wise.  The pipeline entry point composes: build both
-enveloping algebras, lift the actions, check the matched pair,
-semidualize, check the mutual pair, and build the bicrossproduct.
+enveloping algebras and lift the actions into a matched pair
+(`lift_to_Uh_action`), check the matched pair, semidualize, check the
+mutual pair, and build the bicrossproduct.
 """
 
 from .cross_products import (
     Bicrossproduct,
     GradedMutualPair,
-    MatchedPairHopf,
     MutualPairHopf,
     check_matched_pair_hopf,
     check_mutual_pair,
     coaction_column,
 )
-from .duality import TruncatedDual, dual_hom_hopf, transpose_operator
+from .duality import TruncatedDual, dual_hom_hopf
 from .errors import OrderConstraintViolated
-from .foundation import FuncOperator, LinComb, bilinear, extend
-from .hom_core import ActionData, CoactionData, check_hom_hopf
+from .foundation import FuncOperator, LinComb, bilinear
+from .hom_core import CoactionData, check_hom_hopf
 from .uea_trees import lift_to_Uh_action
 
 
@@ -52,32 +52,6 @@ def coaction_from_action(v, carrier_keys, left_table, gamma):
     return CoactionData(dual, carrier_keys, coact, gamma)
 
 
-def action_from_coaction(v, coaction):
-    """Inverse reading of the pairing: v |> u = u_(0) <u_(1), alpha^2(v)>."""
-    table = {}
-    for vkey in v.basis_keys():
-        shifted = v.alpha_pow(2, LinComb.basis(vkey))
-        for ukey in coaction.carrier_keys:
-            table[(vkey, ukey)] = extend(
-                lambda t: shifted.get(t[1]) * LinComb.basis(t[0]),
-                coaction.coact[ukey],
-            )
-    return table
-
-
-def dual_left_action_from_right_action(u, v, right_table, gamma=None):
-    """Left action of u on the dual of v from a right action of u on v:
-    (u |>* f)(w) = f(gamma^-2(w) <| phi^-2(u)), carrier map (gamma^-1)*."""
-    vk = v.basis_keys()
-
-    def rt(vec, uu):
-        return bilinear(lambda i, j: right_table[(i, j)], vec, uu)
-
-    act = _dual_action_table(u, v, rt)
-    carrier = transpose_operator(v.alpha.inverted(), vk) if gamma is None else gamma
-    return ActionData(u, vk, act, carrier, side="left")
-
-
 def _dual_action_table(u, v, rt):
     """Table (u, z) -> u |>* z* of the dual action, read off the right
     action rt of u on v: its w-coefficient is [alpha^-2(w) <| phi^-2(u)]_z."""
@@ -91,14 +65,6 @@ def _dual_action_table(u, v, rt):
                 {w: val.terms[z] for w, val in images if z in val.terms}
             )
     return act
-
-
-def lifted_matched_pair(pair, truncation_degree, weight_bound):
-    """The matched pair of truncated enveloping algebras U(g), U(h) carrying
-    the lifted actions of a matched pair of Hom-Lie algebras."""
-    left, right = lift_to_Uh_action(pair, truncation_degree, weight_bound)
-    right_vu = {(v, u): val for (u, v), val in right.act.items()}
-    return MatchedPairHopf(left.carrier, right.carrier, left.act, right_vu)
 
 
 def semidualize(p, enforce_order_constraint=True):
@@ -152,7 +118,7 @@ def build_hom_lie_hopf(pair, truncation_degree, weight_bound,
                     raise OrderConstraintViolated(
                         "twist of %s is not of order dividing 4" % label
                     )
-    mp = lifted_matched_pair(pair, truncation_degree, weight_bound)
+    mp = lift_to_Uh_action(pair, truncation_degree, weight_bound)
     ug, uh = mp.u, mp.v
     matched_report = check_matched_pair_hopf(mp)
     mutual = semidualize(mp, enforce_order_constraint)

@@ -29,17 +29,17 @@ from collections import deque
 from itertools import product as iproduct
 from math import prod
 
+from .cross_products import MatchedPairHopf
 from .errors import NotHomLie, TruncationOverflow
 from .foundation import (
     ZERO,
-    FuncOperator,
     LinComb,
     RowSpace,
     bilinear,
     extend,
     pair_extend,
 )
-from .hom_core import ActionData, CheckReport
+from .hom_core import CheckReport
 from .hom_lie import check_hom_lie
 
 UNIT = "1"
@@ -688,10 +688,11 @@ def _h_ideal_failure(ctx, ug, uh, rows):
 def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     """Lift the matched-pair actions to the truncated enveloping algebras.
 
-    Returns (left, right): the U(h)-action on U(g) and the U(g)-action on
-    U(h), as tables over normal-form bases.  Both ideals are first verified
-    to be stable under the actions, so the tables are well defined on the
-    quotients; NotHomLie is raised otherwise.
+    Returns the matched pair of U(g) and U(h) whose tables, over
+    normal-form bases, hold v |> u in U(g) and v <| u in U(h), both keyed
+    (v, u) with v a U(h) key and u a U(g) key.  Both ideals are first
+    verified to be stable under the actions, so the tables are well defined
+    on the quotients; NotHomLie is raised otherwise.
 
     Every row of the g-ideal (`ideal_rows`) is checked on every U(h) normal
     form: its weighted rows test that the actions commute with the twist.
@@ -724,11 +725,7 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
             left_table[(vkey, ukey)] = ug.project(
                 ctx.omega_left_key(vkey, ukey)
             )
-            right_table[(ukey, vkey)] = uh.project(
+            right_table[(vkey, ukey)] = uh.project(
                 ctx.omega_right_key(vkey, ukey)
             )
-    left = ActionData(uh, ug.basis_keys(), left_table, FuncOperator(ug.alpha_map),
-                      side="left", carrier=ug)
-    right = ActionData(ug, uh.basis_keys(), right_table, FuncOperator(uh.alpha_map),
-                       side="right", carrier=uh)
-    return left, right
+    return MatchedPairHopf(ug, uh, left_table, right_table)

@@ -7,9 +7,10 @@ constants wherever it is used.
 
 from fractions import Fraction
 
-from homhopf.fixtures import abelian_lie, solvable2_lie
 from homhopf.foundation import LinComb, LinearOperator
 from homhopf.hom_lie import HomLieData, LieActionData, MatchedPairLie
+
+from fixtures import abelian_lie, solvable2_lie
 
 e = LinComb.basis
 

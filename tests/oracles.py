@@ -31,9 +31,16 @@ join rules of the lifted actions, where `UEAActionContext` returns a term
 once its zero factor is known, and `lift_to_Uh_action_full_walk` walks
 every row of both ideals, where `lift_to_Uh_action` accepts the h-ideal
 through its stored rows J0.
-`Pairing` (a bilinear pairing by its evaluation table) and
+`Pairing` (a bilinear pairing by its evaluation table),
 `quotient_projection` (the projection onto the non-pivot complement of a
-row space) are constructions that only the tests use.
+row space), `solve_linear` and `hopf_data` (a tensor-product Hopf object
+of finite factors as explicit tables) are constructions that only the
+tests use.  `antipode_from_convolution` solves for the convolution
+inverse of the identity, a second route to the antipode, and
+`action_from_coaction` reads an action back off the coaction that
+`semidual.coaction_from_action` builds.  `check_hom_module` checks the
+Hom-module axioms of a left or right action given by its table, and
+`check_module_coalgebra` the module-coalgebra conditions of a left action.
 """
 
 import copy
@@ -41,19 +48,25 @@ import itertools
 import math
 from fractions import Fraction
 
-from homhopf.cross_products import _check_action_side, _comult_compat, _counit_compat
+from homhopf.cross_products import (
+    MatchedPairHopf,
+    _check_action_side,
+    _comult_compat,
+    _counit_compat,
+    _module_coalgebra,
+)
 from homhopf.errors import NotHomLie, NotInvertible
 from homhopf.foundation import (
     ZERO,
-    FuncOperator,
     LinComb,
     LinearOperator,
     RowSpace,
     bilinear,
     extend,
+    pair_apply,
     scalar,
 )
-from homhopf.hom_core import ActionData, CheckReport
+from homhopf.hom_core import CheckReport, HomHopfData
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -520,12 +533,8 @@ def lift_to_Uh_action_full_walk(pair, truncation_degree, weight_bound=3):
     for vkey in uh.basis_keys():
         for ukey in ug.basis_keys():
             left_table[(vkey, ukey)] = ug.project(ctx.omega_left_key(vkey, ukey))
-            right_table[(ukey, vkey)] = uh.project(ctx.omega_right_key(vkey, ukey))
-    left = ActionData(uh, ug.basis_keys(), left_table, FuncOperator(ug.alpha_map),
-                      side="left", carrier=ug)
-    right = ActionData(ug, uh.basis_keys(), right_table, FuncOperator(uh.alpha_map),
-                       side="right", carrier=uh)
-    return left, right
+            right_table[(vkey, ukey)] = uh.project(ctx.omega_right_key(vkey, ukey))
+    return MatchedPairHopf(ug, uh, left_table, right_table)
 
 
 # ---------------------------------------------------------------------------
@@ -766,3 +775,139 @@ def quotient_projection(keys, rowspace):
     op = LinearOperator(cols)
     op.survivors = survivors
     return op
+
+
+def solve_linear(equations, unknowns):
+    """Solve a linear system over Q.
+
+    equations: iterable of (coeffs: dict unknown -> scalar, rhs: scalar).
+    Returns one solution as a dict (free unknowns set to 0), or None when
+    the system is inconsistent.
+    """
+    order = {u: i for i, u in enumerate(unknowns)}
+    AUG = "#rhs"
+    rs = RowSpace(order=lambda k: (1, 0) if k == AUG else (0, order[k]))
+    for coeffs, rhs in equations:
+        row = dict(coeffs)
+        rhs = scalar(rhs)
+        if rhs:
+            row[AUG] = -rhs
+        rs.add(LinComb(row))
+    if AUG in rs.rows:
+        return None  # row reduces to 0 = nonzero
+    sol = {u: ZERO for u in unknowns}
+    for piv, row in rs.rows.items():
+        # row reads: pivot + (free terms) + b*AUG = 0 with AUG standing for 1
+        sol[piv] = -row.get(AUG)
+    return sol
+
+
+def antipode_from_convolution(h):
+    """Solve for the convolution inverse of the identity map.
+
+    Unknown operator S' satisfies mult(S'(b^-2 h1) x b^-2 h2) = eps(h) unit
+    for every basis element; returns the operator or None when no solution
+    exists.  Independent route to the antipode used as a uniqueness oracle.
+    """
+    keys = h.basis_keys()
+    unknowns = [(i, j) for i in keys for j in keys]  # S'(e_i) = sum_j s_ij e_j
+    eqs = []
+    unit = h.unit_elem()
+
+    def unshift(x):
+        return h.beta_pow(-2, x)
+
+    for k in keys:
+        # insert beta^-2 on both legs of Delta(e_k)
+        shifted = pair_apply(unshift, unshift, h.comult_map(LinComb.basis(k)))
+        rhs_vec = h.counit_map(LinComb.basis(k)) * unit
+        coeffs_by_out = {}
+        for (k1, k2), v in shifted.items():
+            # S'(e_k1) * e_k2 = sum_j s_{k1,j} (e_j * e_k2)
+            for j in keys:
+                prod = h.product(LinComb.basis(j), LinComb.basis(k2))
+                for out_key, w in prod.items():
+                    cur = coeffs_by_out.setdefault(out_key, {})
+                    cur[(k1, j)] = cur.get((k1, j), ZERO) + v * w
+        for out_key in keys:
+            eqs.append((coeffs_by_out.get(out_key, {}), rhs_vec.get(out_key)))
+    sol = solve_linear(eqs, unknowns)
+    if sol is None:
+        return None
+    cols = {}
+    for i in keys:
+        cols[i] = LinComb({j: sol[(i, j)] for j in keys})
+    return LinearOperator(cols)
+
+
+def action_from_coaction(v, coaction):
+    """Inverse reading of the pairing of `semidual.coaction_from_action`:
+    v |> u = u_(0) <u_(1), alpha^2(v)>."""
+    table = {}
+    for vkey in v.basis_keys():
+        shifted = v.alpha_pow(2, LinComb.basis(vkey))
+        for ukey in coaction.carrier_keys:
+            table[(vkey, ukey)] = extend(
+                lambda t: shifted.get(t[1]) * LinComb.basis(t[0]),
+                coaction.coact[ukey],
+            )
+    return table
+
+
+def hopf_data(t):
+    """A double cross product or bicrossproduct of finite factors
+    materialized as explicit tables."""
+    keys = t.basis_keys()
+    e = LinComb.basis
+
+    def op(fn):
+        return LinearOperator({k: fn(e(k)) for k in keys})
+
+    mult = {(k1, k2): t.product(e(k1), e(k2)) for k1 in keys for k2 in keys}
+    comult = {k: t.comult_map(e(k)) for k in keys}
+    counit = {k: t.counit_map(e(k)) for k in keys}
+    return HomHopfData(
+        len(keys), mult, t.unit_elem(), op(t.alpha_map), comult, counit,
+        op(t.beta_map), op(t.antipode_map), keys=keys,
+    )
+
+
+# ---------------------------------------------------------------------------
+# module checks of an action given by its table
+
+
+def check_hom_module(a, m):
+    """Hom-module axioms of an action m of a with carrier map gamma, on the
+    side m declares:
+    Left:  (p*q) |> gamma(v) = alpha(p) |> (q |> v)  and  1 |> v = gamma(v).
+    Right: gamma(v) <| (p*q) = (v <| p) <| alpha(q)  and  v <| 1 = gamma(v),
+    where m.apply(p, v) stands for v <| p."""
+    rep = CheckReport()
+    e = LinComb.basis
+    akeys = a.basis_keys()
+    act, gamma = m.apply, m.gamma.apply
+
+    def assoc(i, j, k):
+        outer, inner = (i, j) if m.side == "left" else (j, i)
+        lhs = act(a.product(e(i), e(j)), gamma(e(k)))
+        return lhs, act(a.alpha_map(e(outer)), act(e(inner), e(k)))
+
+    rep.run(
+        "hom-module-assoc",
+        [(i, j, k) for i in akeys for j in akeys for k in m.carrier_keys],
+        assoc,
+    )
+    rep.run(
+        "hom-module-unit",
+        [(k,) for k in m.carrier_keys],
+        lambda k: (act(a.unit_elem(), e(k)), gamma(e(k))),
+    )
+    return rep
+
+
+def check_module_coalgebra(h, c, action):
+    """Hom-module coalgebra conditions for a left action of h on the
+    coalgebra c: beta-compatibility, diagonal coproduct, counit kill."""
+    rep = CheckReport()
+    _module_coalgebra(rep, "", h, c, c, action.apply)
+    return rep

@@ -8,7 +8,9 @@ profile hook that records every Python function call.  It then lists each
 `def` in `src/homhopf` whose code never ran, as `file:first-last name`,
 and ends with one summary line: how many of the definitions never ran and
 how many source lines they cover.  A nested definition is listed on its
-own as well; its lines are counted once.  Uses only the standard library.
+own as well; its lines are counted once.  `unreached()` returns the same
+list, and `test_reachability.py` requires it to be a written keep-list.
+Uses only the standard library.
 """
 
 import ast
@@ -55,7 +57,10 @@ def definitions():
     return out
 
 
-def main():
+def run_samples():
+    """Run every REPORT_RUNS sample through cli.main in both formats under
+    a profile hook.  Returns the (file, first line) of every code object
+    that ran, the file as a resolved path, and one exit line per run."""
     sys.path.insert(0, str(ROOT / "src"))
     called = set()
 
@@ -77,9 +82,22 @@ def main():
                     statuses.append("%s %s %s: exit %d" % (sample, command, fmt, cli.main(argv)))
     finally:
         sys.setprofile(None)
+    resolved = {f: str(Path(f).resolve()) for f, _ in called}
+    return {(resolved[f], line) for f, line in called}, statuses
 
+
+def unreached(called=None):
+    """The definitions (path, first line, last line, qualified name) whose
+    code is not in `called`, by default what `run_samples` records."""
+    if called is None:
+        called, _ = run_samples()
+    return [d for d in definitions() if (d[0], d[1]) not in called]
+
+
+def main():
+    called, statuses = run_samples()
     defs = definitions()
-    dead = [d for d in defs if (d[0], d[1]) not in called]
+    dead = unreached(called)
     lines = set()
     for path, first, last, name in dead:
         lines.update((path, n) for n in range(first, last + 1))

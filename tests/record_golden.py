@@ -22,31 +22,28 @@ sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from homhopf.cli import main as cli_main, parse_input  # noqa: E402
-from homhopf.cross_products import DoubleCrossProduct  # noqa: E402
-from homhopf.duality import coregular_actions  # noqa: E402
-from homhopf.errors import TruncationOverflow  # noqa: E402
-from homhopf.fixtures import (  # noqa: E402
-    abelian_lie,
-    fixture_b_lie_pair,
-    sl2,
-    sweedler_hopf,
-)
-from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
-from homhopf.hom_core import ActionData, check_hom_module  # noqa: E402
-from homhopf.semidual import (  # noqa: E402
-    lifted_matched_pair,
-    semidualize,
-)
 from homhopf.cross_products import (  # noqa: E402
     Bicrossproduct,
+    DoubleCrossProduct,
     GradedMutualPair,
     MatchedPairHopf,
     MutualPairHopf,
     check_matched_pair_hopf,
-    check_module_coalgebra,
     check_mutual_pair,
 )
+from homhopf.errors import TruncationOverflow  # noqa: E402
+from homhopf.foundation import LinComb, LinearOperator  # noqa: E402
+from homhopf.semidual import semidualize  # noqa: E402
 from homhopf.uea_trees import build_truncated_uea, lift_to_Uh_action  # noqa: E402
+
+from fixtures import (  # noqa: E402
+    ActionData,
+    abelian_lie,
+    coregular_actions,
+    fixture_b_lie_pair,
+    sl2,
+    sweedler_hopf,
+)
 from lie_pairs import (  # noqa: E402
     anticommuting_pair,
     diag23,
@@ -54,7 +51,12 @@ from lie_pairs import (  # noqa: E402
     sl2_split_pair,
     swap_phi,
 )
-from oracles import ideal_J_span  # noqa: E402
+from oracles import (  # noqa: E402
+    check_hom_module,
+    check_module_coalgebra,
+    hopf_data,
+    ideal_J_span,
+)
 
 GOLDEN = HERE / "golden"
 SAMPLES = HERE.parent / "sample_inputs"
@@ -158,8 +160,10 @@ def spans(rows_by_degree):
 
 
 def lifted_actions(pair):
-    left, right = lift_to_Uh_action(pair, 3, 1)
-    return {"left": table(left.act), "right": table(right.act)}
+    """Both lifted tables, v <| u keyed (u, v) as the files record it."""
+    mp = lift_to_Uh_action(pair, 3, 1)
+    right = {(u, v): val for (v, u), val in mp.right.items()}
+    return {"left": table(mp.left), "right": table(right)}
 
 
 def _sample_matched_pair():
@@ -173,7 +177,7 @@ def semidual_finite():
 
 
 def semidual_graded():
-    mp = lifted_matched_pair(fixture_b_lie_pair(), 3, 1)
+    mp = lift_to_Uh_action(fixture_b_lie_pair(), 3, 1)
     m = semidualize(mp)
     return {
         "action": table(m.action),
@@ -185,13 +189,13 @@ def semidual_graded():
 
 
 def doublecross_hopf():
-    return hopf_tables(DoubleCrossProduct(_sample_matched_pair()).to_hopf_data())
+    return hopf_tables(hopf_data(DoubleCrossProduct(_sample_matched_pair())))
 
 
 def bicross_hopf():
     from test_cross_products import trivial_mutual_pair
 
-    return hopf_tables(Bicrossproduct(trivial_mutual_pair()).to_hopf_data())
+    return hopf_tables(hopf_data(Bicrossproduct(trivial_mutual_pair())))
 
 
 def check_outcome(rep):
@@ -223,7 +227,7 @@ def failing_matched_pairs():
     mp = _sample_matched_pair()
     left, right = _perturbed(mp.left, (1, 1), e(0)), _perturbed(mp.right, (2, 1), e(3))
     kz4 = MatchedPairHopf(mp.u, mp.v, left, right)
-    mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
+    mp = lift_to_Uh_action(fixture_b_lie_pair(), 2, 1)
     y = [k for k in mp.u.basis_keys() if mp.u.degree(k) == 1][0]
     x = [k for k in mp.v.basis_keys() if mp.v.degree(k) == 1][0]
     lifted = MatchedPairHopf(mp.u, mp.v, mp.left, _perturbed(mp.right, (x, y), e(x)))
@@ -244,7 +248,7 @@ def perturbed_graded_mutual_pairs():
     """The fixture-B semidual (N=2, W=1) with two constants of its action
     changed, and with one constant of the left action that defines its
     coaction changed: v1 |> u1 gains u1 on the degree-1 keys."""
-    mp = lifted_matched_pair(fixture_b_lie_pair(), 2, 1)
+    mp = lift_to_Uh_action(fixture_b_lie_pair(), 2, 1)
     g = semidualize(mp)
     u1 = [k for k in g.u.basis_keys() if g.u.degree(k) == 1][0]
     f1 = [k for k in g.f.basis_keys() if g.f.degree(k) == 1][0]

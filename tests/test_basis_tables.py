@@ -31,12 +31,6 @@ from homhopf.cross_products import (
     coaction_column,
 )
 from homhopf.errors import TruncationOverflow, UnknownBasisIndex
-from homhopf.fixtures import (
-    fixture_a_prime_lie_pair,
-    fixture_b_lie_pair,
-    kz4_twisted_hopf,
-    sl2,
-)
 from homhopf.foundation import LinComb, LinearOperator, bilinear
 from homhopf.hom_core import (
     CheckReport,
@@ -44,9 +38,15 @@ from homhopf.hom_core import (
     check_hom_algebra,
     check_hom_hopf,
 )
-from homhopf.semidual import lifted_matched_pair, semidualize
-from homhopf.uea_trees import UNIT, TruncatedUEA, build_truncated_uea
+from homhopf.semidual import semidualize
+from homhopf.uea_trees import UNIT, TruncatedUEA, build_truncated_uea, lift_to_Uh_action
 
+from fixtures import (
+    fixture_a_prime_lie_pair,
+    fixture_b_lie_pair,
+    kz4_twisted_hopf,
+    sl2,
+)
 from lie_pairs import anticommuting_pair, sl2_reverse_split_pair, sl2_split_pair
 from oracles import (
     FreshPerKey,
@@ -77,7 +77,7 @@ def parsed(doc):
 
 
 def lie_semidual(pair, n, w=1):
-    return semidualize(lifted_matched_pair(pair, n, w))
+    return semidualize(lift_to_Uh_action(pair, n, w))
 
 
 def lie_bicross(pair, n, w):
@@ -508,7 +508,7 @@ def checked_objects(monkeypatch):
     monkeypatch.setattr(uea_trees, "UEAActionContext", Kept)
     semi = lie_semidual(fixture_b_lie_pair(), 3)
     semi_bi = Bicrossproduct(semi)
-    lift = lifted_matched_pair(sl2_split_pair(), 3, 1)
+    lift = lift_to_Uh_action(sl2_split_pair(), 3, 1)
     double = DoubleCrossProduct(trivial_hopf_matched_pair())
     z4 = Bicrossproduct(parsed(perfbench_doc("z4_mutual")).mutual_pairs["z4"])
     objects = {

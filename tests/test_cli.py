@@ -6,9 +6,9 @@ import pytest
 
 from homhopf.cli import main, parse_input
 from homhopf.errors import InverseMismatch
-from homhopf.fixtures import kz4_twisted_hopf, abelian_lie, fixture_b_lie_pair
 from homhopf.foundation import LinComb
 
+from fixtures import kz4_twisted_hopf, abelian_lie, fixture_b_lie_pair
 from jsonize import hopf_to_json, lie_to_json, lie_pair_to_json, mutual_pair_to_json
 from record_golden import GOLDEN, SAMPLES
 from test_cross_products import trivial_mutual_pair

@@ -14,11 +14,10 @@ term for term.
 import pytest
 
 from homhopf.errors import TruncationOverflow
-from homhopf.fixtures import abelian_lie, fixture_b_lie_pair, sl2, sl2_involution
 from homhopf.foundation import LinComb
-from homhopf.hom_lie import lie_twist
 from homhopf.uea_trees import build_truncated_uea
 
+from fixtures import abelian_lie, fixture_b_lie_pair, lie_twist, sl2, sl2_involution
 from lie_pairs import (
     anticommuting_pair,
     diag23,

@@ -11,13 +11,19 @@ A LinComb is shared, not copied: caches hand out their stored values and
 `extend`/`bilinear` return a table entry itself on a unit input.  The
 immutability lint fails on any code that writes to a LinComb's `terms`
 after construction, directly or through a name bound to them, or that
-hands them to a function it does not know to only read them.
+hands them to a function it does not know to only read them.  It reads
+`tests/oracles.py` and `tests/fixtures.py` as well, since the package is
+compared against them; the division lint does not, since they divide by
+design.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "homhopf"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "homhopf"
+# the test references, which handle the same shared LinComb values
+REFERENCES = [TESTS / "oracles.py", TESTS / "fixtures.py"]
 
 # (module, enclosing function) -> why the quotient is exact
 DIVISIONS = {
@@ -178,7 +184,7 @@ def _terms_writes(tree, scope=(), fn=None, aliases=frozenset()):
 def terms_write_sites():
     return sorted(
         (path.name, where, line, kind)
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py")) + REFERENCES
         for where, line, kind in _terms_writes(ast.parse(path.read_text(), str(path)))
     )
 

@@ -15,10 +15,9 @@ from homhopf.foundation import (
     _accumulate_tensor,
     pair_apply,
     pair_extend,
-    solve_linear,
 )
 
-from oracles import FullScanRowSpace, gauss_jordan_inverse, quotient_projection
+from oracles import FullScanRowSpace, gauss_jordan_inverse, quotient_projection, solve_linear
 
 e = LinComb.basis
 

@@ -1,19 +1,7 @@
 import pytest
 
-from homhopf.errors import NotHomLie, NotInvertible, NotLieEndomorphism, NotMatchedPair
-from homhopf.fixtures import (
-    abelian_lie,
-    fixture_a_prime_lie_pair,
-    fixture_b_lie_pair,
-    kz4_twisted_hopf,
-    sl2,
-    sl2_involution,
-    solvable2_lie,
-    triangular_conjugation,
-    upper_triangular_algebra,
-)
+from homhopf.errors import NotHomLie, NotInvertible, NotMatchedPair
 from homhopf.foundation import LinComb, LinearOperator
-from homhopf.hom_core import twist_algebra
 from homhopf.hom_lie import (
     HomLieData,
     LieActionData,
@@ -22,8 +10,17 @@ from homhopf.hom_lie import (
     check_hom_lie,
     check_lie_module,
     check_matched_pair_lie,
-    commutator_hom_lie,
+)
+
+from fixtures import (
+    NotLieEndomorphism,
+    abelian_lie,
+    fixture_a_prime_lie_pair,
+    fixture_b_lie_pair,
     lie_twist,
+    sl2,
+    sl2_involution,
+    solvable2_lie,
 )
 
 e = LinComb.basis
@@ -93,18 +90,6 @@ def test_lie_twist():
 
     with pytest.raises(NotLieEndomorphism):
         lie_twist(g, LinearOperator.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-
-
-def test_commutator_hom_lie():
-    h = kz4_twisted_hopf()
-    gl = commutator_hom_lie(h)
-    assert not gl.table  # commutative input gives the zero bracket
-    assert check_hom_lie(gl).passed
-
-    a = twist_algebra(upper_triangular_algebra(), triangular_conjugation())
-    gl2 = commutator_hom_lie(a)
-    assert check_hom_lie(gl2).passed
-    assert gl2.table  # genuinely nonabelian
 
 
 def test_lie_modules():

@@ -20,11 +20,11 @@ each leaf (s, eta) by (0, alpha^s(eta)).
 import pytest
 
 from homhopf.errors import NotHomLie
-from homhopf.fixtures import fixture_a_prime_lie_pair, fixture_b_lie_pair
 from homhopf.foundation import LinComb, extend
 from homhopf.hom_lie import LieActionData, MatchedPairLie, check_matched_pair_lie
 from homhopf.uea_trees import UEAActionContext, build_truncated_uea, lift_to_Uh_action
 
+from fixtures import fixture_a_prime_lie_pair, fixture_b_lie_pair
 from lie_pairs import (
     anticommuting_pair,
     left_action_missing_h_ideal,
@@ -77,12 +77,12 @@ def outcome(lift, pair, n, w):
     """Both tables of lift(pair, n, w), each as its (entry, terms) list in
     order, or the message that refuses the pair."""
     try:
-        left, right = lift(pair, n, w)
+        mp = lift(pair, n, w)
     except NotHomLie as exc:
         return str(exc)
     return [
-        [(key, list(val.items())) for key, val in action.act.items()]
-        for action in (left, right)
+        [(key, list(val.items())) for key, val in table.items()]
+        for table in (mp.left, mp.right)
     ]
 
 

@@ -27,10 +27,10 @@ from collections import Counter
 import pytest
 
 from homhopf.cross_products import MatchedPairHopf, check_matched_pair_hopf
-from homhopf.fixtures import kz4_twisted_hopf, sweedler_hopf
 from homhopf.foundation import LinComb, LinearOperator, swap_pairs
 from homhopf.hom_core import HomHopfData, check_hom_hopf
 
+from fixtures import kz4_twisted_hopf, sweedler_hopf
 from record_golden import _sample_matched_pair
 
 e = LinComb.basis

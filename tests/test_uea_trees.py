@@ -4,17 +4,16 @@ from fractions import Fraction
 import pytest
 
 from homhopf.errors import NotHomLie, TruncationOverflow
-from homhopf.fixtures import (
-    abelian_lie,
-    fixture_a_prime_lie_pair,
-    fixture_b_lie_pair,
-    sl2,
-    sl2_involution,
-    solvable2_lie,
+from homhopf.foundation import (
+    FuncOperator,
+    LinComb,
+    LinearOperator,
+    RowSpace,
+    extend,
+    pair_apply,
 )
-from homhopf.foundation import LinComb, LinearOperator, RowSpace, extend, pair_apply
-from homhopf.hom_core import check_hom_hopf, check_hom_module
-from homhopf.hom_lie import HomLieData, lie_twist
+from homhopf.hom_core import check_hom_hopf
+from homhopf.hom_lie import HomLieData
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -29,6 +28,16 @@ from homhopf.uea_trees import (
     UEAActionContext,
 )
 
+from fixtures import (
+    ActionData,
+    abelian_lie,
+    fixture_a_prime_lie_pair,
+    fixture_b_lie_pair,
+    lie_twist,
+    sl2,
+    sl2_involution,
+    solvable2_lie,
+)
 from lie_pairs import (
     diag23,
     left_action_missing_h_ideal,
@@ -37,7 +46,12 @@ from lie_pairs import (
     solvable_on_line,
     swap_phi,
 )
-from oracles import coproduct_by_leaf_subsets, enveloping_ideal_by_closure, ideal_J_span
+from oracles import (
+    check_hom_module,
+    coproduct_by_leaf_subsets,
+    enveloping_ideal_by_closure,
+    ideal_J_span,
+)
 
 e = LinComb.basis
 
@@ -472,18 +486,29 @@ def test_act_h_on_U_examples():
     assert ctx2.omega_left(leaves(e(0)), e((LEAF, (0,), (0,)))) == LinComb.zero()
 
 
+def module_actions(mp):
+    """The lifted actions of mp as tables on the side each acts from:
+    v |> u on U(g), and v <| u on U(h) keyed (u, v)."""
+    ug, uh = mp.u, mp.v
+    left = ActionData(uh, ug.basis_keys(), mp.left, FuncOperator(ug.alpha_map))
+    right_uv = {(u, v): val for (v, u), val in mp.right.items()}
+    right = ActionData(ug, uh.basis_keys(), right_uv, FuncOperator(uh.alpha_map), side="right")
+    return left, right
+
+
 def test_lift_to_Uh_action():
     pair = fixture_b_lie_pair()
-    left, right = lift_to_Uh_action(pair, 3, 3)
-    ug, uh = left.carrier, right.carrier
+    mp = lift_to_Uh_action(pair, 3, 3)
+    ug, uh = mp.u, mp.v
     # unit acts as the twist
     for k in ug.basis_keys():
-        assert left.act[(UNIT, k)] == ug.alpha_map(e(k))
+        assert mp.left[(UNIT, k)] == ug.alpha_map(e(k))
     # (x v x) |> (y v y) = 4 (y v y): two applications with twist corrections
     x2 = [k for k in uh.basis_keys() if uh.degree(k) == 2][0]
     y2 = [k for k in ug.basis_keys() if ug.degree(k) == 2][0]
-    assert left.act[(x2, y2)] == 4 * e(y2)
+    assert mp.left[(x2, y2)] == 4 * e(y2)
     # both lifted actions are Hom-modules over the truncated algebras
+    left, right = module_actions(mp)
     assert check_hom_module(uh, left).passed
     assert check_hom_module(ug, right).passed
 
@@ -498,8 +523,9 @@ def test_lift_rejects_an_action_that_is_not_a_derivation(n):
 
 def test_lift_accepts_a_derivation():
     # Dx = 0, Dy = y is a derivation of [x, y] = y
-    left, right = lift_to_Uh_action(solvable_on_line((0, 1)), 3, 0)
-    assert check_hom_module(right.carrier, left).passed
+    mp = lift_to_Uh_action(solvable_on_line((0, 1)), 3, 0)
+    left, _ = module_actions(mp)
+    assert check_hom_module(mp.v, left).passed
 
 
 def test_lift_rejects_a_right_action_that_moves_the_g_ideal():
@@ -519,9 +545,9 @@ def test_lift_rejects_a_right_action_that_misses_the_h_ideal():
 
 def test_trivial_pair_lift_unrolls_to_counit_pattern():
     pair = fixture_a_prime_lie_pair()
-    left, right = lift_to_Uh_action(pair, 2, 1)
-    ug, uh = left.carrier, right.carrier
+    mp = lift_to_Uh_action(pair, 2, 1)
+    ug, uh = mp.u, mp.v
     for vk in uh.basis_keys():
         eps = uh.counit_map(e(vk))
         for uk in ug.basis_keys():
-            assert left.act[(vk, uk)] == eps * ug.alpha_map(e(uk))
+            assert mp.left[(vk, uk)] == eps * ug.alpha_map(e(uk))
