@@ -19,19 +19,27 @@ the check; the counts do not.
 
 The matched pair of the kz4 doublecross sample gets the same sweep
 through `check_matched_pair_hopf`: +1 on each constant [v |> u]_k and
-[v <| u]_k, zero constants included.
+[v <| u]_k, zero constants included.  So does the mutual pair of the Z/4
+bicross sample, through `check_mutual_pair`: +1 on each constant
+[u |> f]_k and [nabla(u)]_(u', f), zero constants included.
 """
 
 from collections import Counter
 
 import pytest
 
-from homhopf.cross_products import MatchedPairHopf, check_matched_pair_hopf
+from homhopf.cli import parse_input
+from homhopf.cross_products import (
+    MatchedPairHopf,
+    MutualPairHopf,
+    check_matched_pair_hopf,
+    check_mutual_pair,
+)
 from homhopf.foundation import LinComb, LinearOperator, swap_pairs
 from homhopf.hom_core import HomHopfData, check_hom_hopf
 
 from fixtures import kz4_twisted_hopf, sweedler_hopf
-from record_golden import _sample_matched_pair
+from record_golden import SAMPLES, _sample_matched_pair
 
 e = LinComb.basis
 
@@ -194,3 +202,49 @@ def test_every_matched_pair_perturbation_fails():
                 swept += 1
     assert swept == 128
     assert dict(failures) == MATCHED_PAIR_FAILURES
+
+
+# equation of check_mutual_pair -> how many of the 128 perturbations of
+# the Z/4 mutual pair fail it
+MUTUAL_PAIR_FAILURES = {
+    "left-module-assoc": 64, "left-module-unit": 16, "Hom-mod-alg-00": 56,
+    "Hom-mod-alg-I": 64, "Hom-mod-alg-II": 16, "rt-f-comp": 56,
+    "coaction/hom-comodule-coassoc": 64, "coaction/hom-comodule-counit": 64,
+    "Hom-comod-coalg-00": 56, "Hom-comod-coalg-I": 64, "Hom-comod-coalg-II": 64,
+    "lt-f-comp": 56, "comp-I": 128, "comp-II": 64, "comp-III": 80, "comp-IV": 0,
+}
+
+
+def test_every_mutual_pair_perturbation_fails():
+    """No perturbation fails comp-IV, and none can: every basis vector of U
+    has a coproduct x (x) x with equal legs, so the two sides of comp-IV
+    differ only in the order of one product in F, and F is commutative.
+    Neither fact depends on the action or coaction tables."""
+    m = parse_input(str(SAMPLES / "z4_trivial_bicross.json")).mutual_pairs["m"]
+    rep = check_mutual_pair(m)
+    assert rep.passed
+    F, U = m.f, m.u
+    for k in U.basis_keys():
+        assert all(a == b for (a, b) in U.comult_map(e(k)).terms)
+    for a in F.basis_keys():
+        for b in F.basis_keys():
+            assert F.product(e(a), e(b)) == F.product(e(b), e(a))
+    perturbations = [
+        ("action", entry, k) for entry in m.action for k in F.basis_keys()
+    ] + [
+        ("coaction", entry, (k, f))
+        for entry in m.coaction
+        for k in U.basis_keys()
+        for f in F.basis_keys()
+    ]
+    assert len(perturbations) == 128
+    failures = Counter({eq.eq_id: 0 for eq in rep.equations})
+    for table, entry, k in perturbations:
+        tables = {"action": dict(m.action), "coaction": dict(m.coaction)}
+        tables[table][entry] = tables[table][entry] + e(k)
+        rep = check_mutual_pair(
+            MutualPairHopf(F, U, tables["action"], tables["coaction"])
+        )
+        assert not rep.passed, (table, entry, k)
+        failures.update(eq.eq_id for eq in rep.equations if eq.violations)
+    assert dict(failures) == MUTUAL_PAIR_FAILURES
