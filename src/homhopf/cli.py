@@ -417,8 +417,8 @@ def run(command, doc, args):
         pair = need(doc.lie_matched_pairs, "matched pair of Hom-Lie algebras")
         res = build_hom_lie_hopf(pair, degree, weight, enforce)
         report["dimensions"] = {
-            "u_per_degree": res.ug.dims_per_degree(),
-            "v_per_degree": res.uh.dims_per_degree(),
+            "u_per_degree": res.matched_pair.u.dims_per_degree(),
+            "v_per_degree": res.matched_pair.v.dims_per_degree(),
         }
         checks.append(_report_block("matched-pair", res.matched_report))
         checks.append(_report_block("mutual-pair", res.mutual_report))

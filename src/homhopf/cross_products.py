@@ -10,12 +10,9 @@ functional leg is paired against the normal-form test vectors of each
 degree, which reduces each equation to exact rational arithmetic.
 """
 
-from types import SimpleNamespace
-
 from .errors import TruncationOverflow
 from .foundation import (
     ZERO,
-    FuncOperator,
     LinComb,
     bilinear,
     extend,
@@ -23,7 +20,6 @@ from .foundation import (
 )
 from .hom_core import (
     CheckReport,
-    CoactionData,
     check_hom_comodule,
     memo_lookup,
     module_axioms,
@@ -106,7 +102,7 @@ def _module_coalgebra(rep, prefix, x, y, target, act):
 # the module and comodule symmetry checkers
 
 
-def check_module_algebra(h, a, action):
+def check_module_algebra(h, a, act):
     """Hom-module algebra conditions for a left action of h on the algebra a:
     alpha(h |> x) = psi(h) |> alpha(x);
     psi^2(h) |> (x . y) = (h_(1) |> x) . (h_(2) |> y);
@@ -115,24 +111,24 @@ def check_module_algebra(h, a, action):
     hk = h.basis_keys()
     ak = a.basis_keys()
     _twist_compat(
-        rep, "Hom-mod-alg-00", h, a, action.apply, a.alpha_map, h.beta_map, a.alpha_map
+        rep, "Hom-mod-alg-00", h, a, act, a.alpha_map, h.beta_map, a.alpha_map
     )
 
     def diag(i, j, k):
         x, y = e(j), e(k)
-        lhs = action.apply(h.beta_pow(2, e(i)), a.product(x, y))
+        lhs = act(h.beta_pow(2, e(i)), a.product(x, y))
         rhs = extend(
-            lambda t: a.product(action.apply(e(t[0]), x), action.apply(e(t[1]), y)),
+            lambda t: a.product(act(e(t[0]), x), act(e(t[1]), y)),
             h.comult_map(e(i)),
         )
         return lhs, rhs
 
     rep.run("Hom-mod-alg-I", [(i, j, k) for i in hk for j in ak for k in ak], diag)
-    _unit_compat(rep, "Hom-mod-alg-II", h, a, action.apply)
+    _unit_compat(rep, "Hom-mod-alg-II", h, a, act)
     return rep
 
 
-def check_comodule_coalgebra(h, c, coaction):
+def check_comodule_coalgebra(h, c, coact):
     """Hom-comodule coalgebra conditions for a right coaction of h on c."""
     rep = CheckReport()
     ck = c.basis_keys()
@@ -141,8 +137,8 @@ def check_comodule_coalgebra(h, c, coaction):
         "Hom-comod-coalg-00",
         [(j,) for j in ck],
         lambda j: (
-            coaction.apply(c.beta_map(e(j))),
-            pair_apply(c.beta_map, h.alpha_map, coaction.apply(e(j))),
+            coact(c.beta_map(e(j))),
+            pair_apply(c.beta_map, h.alpha_map, coact(e(j))),
         ),
     )
 
@@ -155,9 +151,9 @@ def check_comodule_coalgebra(h, c, coaction):
         def glue(s1, s2):
             return e(s1[0]) @ (e(s2[0]) @ h.product(e(s1[1]), e(s2[1])))
 
-        lhs = extend(split, coaction.apply(e(j)))
+        lhs = extend(split, coact(e(j)))
         rhs = extend(
-            lambda t: bilinear(glue, coaction.apply(e(t[0])), coaction.apply(e(t[1]))),
+            lambda t: bilinear(glue, coact(e(t[0])), coact(e(t[1]))),
             c.comult_map(e(j)),
         )
         return lhs, rhs
@@ -166,7 +162,7 @@ def check_comodule_coalgebra(h, c, coaction):
 
     def cond2(j):
         out = extend(
-            lambda s: c.counit_map(e(s[0])) * e(s[1]), coaction.apply(e(j))
+            lambda s: c.counit_map(e(s[0])) * e(s[1]), coact(e(j))
         )
         return out, c.counit_map(e(j)) * h.unit_elem()
 
@@ -296,9 +292,6 @@ class _TensorHopf:
 
     def __init__(self, a, b):
         self._factors = (a, b)
-        self.is_truncated = getattr(a, "is_truncated", False) or getattr(
-            b, "is_truncated", False
-        )
         self.keys = [(ka, kb) for ka in a.basis_keys() for kb in b.basis_keys()]
         # (k1, k2) -> product, (map name, k) -> image of k under a twist,
         # the coproduct or the antipode; a basis key is a pair of factor
@@ -431,8 +424,6 @@ class MutualPairHopf:
     over (u', f) pairs.
     """
 
-    is_graded = False
-
     def __init__(self, f, u, action, coaction):
         self.f = f
         self.u = u
@@ -458,8 +449,6 @@ class GradedMutualPair(MutualPairHopf):
     algebras the in-budget pattern forces the Lie-level action to vanish,
     which propagates the pattern to all degrees through the recursion.)
     """
-
-    is_graded = True
 
     def __init__(self, f, u, action, matched_pair):
         self.f = f
@@ -508,7 +497,7 @@ class GradedMutualPair(MutualPairHopf):
 
 
 def check_mutual_pair(m):
-    if getattr(m, "is_graded", False):
+    if isinstance(m, GradedMutualPair):
         return _check_mutual_pair_graded(m)
     return _check_mutual_pair_finite(m)
 
@@ -520,7 +509,7 @@ def _check_action_side(m):
     rep = CheckReport()
     F, U = m.f, m.u
     module_axioms(rep, "left", U, F.basis_keys(), m.act, F.beta_map)
-    rep.merge(check_module_algebra(U, F, SimpleNamespace(apply=m.act)))
+    rep.merge(check_module_algebra(U, F, m.act))
     _twist_compat(rep, "rt-f-comp", U, F, m.act, F.beta_map, U.alpha_map, F.beta_map)
     return rep
 
@@ -530,9 +519,10 @@ def _check_mutual_pair_finite(m):
     fk, uk = F.basis_keys(), U.basis_keys()
     rep = _check_action_side(m)
 
-    coact = CoactionData(F, uk, m.coaction, FuncOperator(U.alpha_map))
-    rep.merge(check_hom_comodule(F, coact), prefix="coaction/")
-    rep.merge(check_comodule_coalgebra(F, U, coact))
+    rep.merge(
+        check_hom_comodule(F, uk, m.coaction_legs, U.alpha_map), prefix="coaction/"
+    )
+    rep.merge(check_comodule_coalgebra(F, U, m.coaction_legs))
     rep.run(
         "lt-f-comp",
         [(i,) for i in uk],

@@ -313,16 +313,6 @@ def _column(columns, k):
     return col
 
 
-class FuncOperator:
-    """Operator given by a callable; used for maps on tree bases."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def apply(self, x):
-        return self.fn(x)
-
-
 def _default_order(key):
     """Integers in natural order, everything else by repr."""
     if isinstance(key, int) and not isinstance(key, bool):

@@ -214,19 +214,6 @@ class HomHopfData(HomAlgebraData, HomCoalgebraData):
         return self.antipode.apply(x)
 
 
-class CoactionData:
-    """A coalgebra coaction on a carrier: table m -> LinComb over (m', h) pairs."""
-
-    def __init__(self, coalgebra, carrier_keys, coact, theta):
-        self.coalgebra = coalgebra
-        self.carrier_keys = list(carrier_keys)
-        self.coact = dict(coact)
-        self.theta = theta
-
-    def apply(self, m):
-        return extend(self.coact.__getitem__, m)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 
@@ -522,29 +509,30 @@ def module_axioms(rep, prefix, a, carrier_keys, act, gamma):
     )
 
 
-def check_hom_comodule(c, m):
-    """Right Hom-comodule axioms: (theta x Delta)nabla = (nabla x beta)nabla
-    and (id x eps)nabla = theta."""
+def check_hom_comodule(c, carrier_keys, coact, theta):
+    """Right Hom-comodule axioms of a coaction coact of c on a carrier with
+    twist theta, coact valued in combinations over (m, h) pairs:
+    (theta x Delta)nabla = (nabla x beta)nabla and (id x eps)nabla = theta."""
     rep = CheckReport()
 
     def coassoc(k):
-        d = m.apply(LinComb.basis(k))
-        lhs = pair_apply(m.theta.apply, c.comult_map, d)
-        rhs = pair_apply(m.apply, c.beta_map, d)
+        d = coact(LinComb.basis(k))
+        lhs = pair_apply(theta, c.comult_map, d)
+        rhs = pair_apply(coact, c.beta_map, d)
         # flatten ((m, h), h') vs (m, (h, h')) to a common 3-leg shape
         lhs = LinComb({(a, b, cc): v2 for (a, (b, cc)), v2 in lhs.items()})
         rhs = LinComb({(a, b, cc): v2 for ((a, b), cc), v2 in rhs.items()})
         return lhs, rhs
 
-    rep.run("hom-comodule-coassoc", [(k,) for k in m.carrier_keys], coassoc)
+    rep.run("hom-comodule-coassoc", [(k,) for k in carrier_keys], coassoc)
 
     def counit(k):
         v = LinComb.basis(k)
         out = extend(
-            lambda t: c.counit_map(LinComb.basis(t[1])) * LinComb.basis(t[0]), m.apply(v)
+            lambda t: c.counit_map(LinComb.basis(t[1])) * LinComb.basis(t[0]), coact(v)
         )
-        return out, m.theta.apply(v)
+        return out, theta(v)
 
-    rep.run("hom-comodule-counit", [(k,) for k in m.carrier_keys], counit)
+    rep.run("hom-comodule-counit", [(k,) for k in carrier_keys], counit)
     return rep
 

@@ -23,8 +23,8 @@ from .cross_products import (
 )
 from .duality import TruncatedDual, dual_hom_hopf
 from .errors import OrderConstraintViolated
-from .foundation import FuncOperator, LinComb, bilinear
-from .hom_core import CoactionData, check_hom_hopf
+from .foundation import LinComb
+from .hom_core import check_hom_hopf
 from .uea_trees import lift_to_Uh_action
 
 
@@ -38,18 +38,6 @@ def _check_order(obj, label, enforce):
             raise OrderConstraintViolated(
                 "%s fails alpha^4 beta^-2 = id on basis %r" % (label, k)
             )
-
-
-def coaction_from_action(v, carrier_keys, left_table, gamma):
-    """Turn a left action of the finite Hopf object v into a right coaction
-    over its dual: nabla(u) = sum_w (alpha^-2(w) |> u) x w*."""
-    dual = dual_hom_hopf(v)
-
-    def lt(vec, u):
-        return bilinear(lambda i, j: left_table[(i, j)], vec, u)
-
-    coact = {ukey: coaction_column(lt, v, ukey) for ukey in carrier_keys}
-    return CoactionData(dual, carrier_keys, coact, gamma)
 
 
 def _dual_action_table(u, v, rt):
@@ -74,33 +62,25 @@ def semidualize(p, enforce_order_constraint=True):
     _check_order(V, "second factor", enforce_order_constraint)
     _check_order(U, "first factor", enforce_order_constraint)
 
-    if getattr(V, "is_truncated", False):
+    if V.is_truncated:
         return GradedMutualPair(TruncatedDual(V), U, _dual_action_table(U, V, p.rt), p)
-    # the dual Hopf algebra is built once, inside coaction_from_action
-    coaction = coaction_from_action(V, U.basis_keys(), p.left, FuncOperator(U.alpha_map))
-    act = _dual_action_table(U, V, p.rt)
-    return MutualPairHopf(coaction.coalgebra, U, act, coaction.coact)
+    # the coaction nabla(u) = sum_w (alpha^-2(w) |> u) x w* over the dual
+    dual = dual_hom_hopf(V)
+    coaction = {u: coaction_column(p.lt, V, u) for u in U.basis_keys()}
+    return MutualPairHopf(dual, U, _dual_action_table(U, V, p.rt), coaction)
 
 
 class HomLieHopfResult:
     """Everything the end-to-end pipeline produces."""
 
-    def __init__(self, ug, uh, matched_pair, matched_report, mutual, mutual_report,
-                 bicross, suite_report):
-        self.ug = ug
-        self.uh = uh
+    def __init__(self, matched_pair, matched_report, mutual, mutual_report, bicross,
+                 suite_report):
         self.matched_pair = matched_pair
         self.matched_report = matched_report
         self.mutual = mutual
         self.mutual_report = mutual_report
         self.bicross = bicross
         self.suite_report = suite_report
-
-    @property
-    def passed(self):
-        return self.matched_report.passed and self.mutual_report.passed and (
-            self.suite_report.passed
-        )
 
 
 def build_hom_lie_hopf(pair, truncation_degree, weight_bound,
@@ -119,12 +99,11 @@ def build_hom_lie_hopf(pair, truncation_degree, weight_bound,
                         "twist of %s is not of order dividing 4" % label
                     )
     mp = lift_to_Uh_action(pair, truncation_degree, weight_bound)
-    ug, uh = mp.u, mp.v
     matched_report = check_matched_pair_hopf(mp)
     mutual = semidualize(mp, enforce_order_constraint)
     mutual_report = check_mutual_pair(mutual)
     bicross = Bicrossproduct(mutual)
     suite_report = check_hom_hopf(bicross)
     return HomLieHopfResult(
-        ug, uh, mp, matched_report, mutual, mutual_report, bicross, suite_report
+        mp, matched_report, mutual, mutual_report, bicross, suite_report
     )

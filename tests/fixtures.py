@@ -119,7 +119,7 @@ def lie_twist(g, t):
 
 class ActionData:
     """An algebra action on a carrier: table (h, m) -> LinComb, carrier map
-    gamma, and the side it acts from; for a right action the table holds
+    gamma (a callable), and the side it acts from; for a right action the table holds
     m <| h under the key (h, m)."""
 
     def __init__(self, algebra, carrier_keys, act, gamma, side="left"):
@@ -159,8 +159,8 @@ def coregular_actions(a):
                 act[(p, q)] = cols[q]
         return act
 
-    left = ActionData(a, keys, table(False), gamma, side="left")
-    right = ActionData(a, keys, table(True), gamma, side="right")
+    left = ActionData(a, keys, table(False), gamma.apply, side="left")
+    right = ActionData(a, keys, table(True), gamma.apply, side="right")
     return left, right
 
 
@@ -323,7 +323,7 @@ def fixture_a_prime_lie_pair():
 
 def self_action(a):
     """An algebra acting on itself by its own multiplication."""
-    return ActionData(a, a.basis_keys(), dict(a.mult), a.alpha)
+    return ActionData(a, a.basis_keys(), dict(a.mult), a.alpha_map)
 
 
 def trivial_left_action(h, target):
@@ -333,5 +333,5 @@ def trivial_left_action(h, target):
         eps = h.counit_map(LinComb.basis(i))
         for j in target.basis_keys():
             act[(i, j)] = eps * target.alpha_map(LinComb.basis(j))
-    return ActionData(h, target.basis_keys(), act, target.alpha)
+    return ActionData(h, target.basis_keys(), act, target.alpha_map)
 

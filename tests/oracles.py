@@ -38,7 +38,7 @@ of finite factors as explicit tables) are constructions that only the
 tests use.  `antipode_from_convolution` solves for the convolution
 inverse of the identity, a second route to the antipode, and
 `action_from_coaction` reads an action back off the coaction that
-`semidual.coaction_from_action` builds.  `check_hom_module` checks the
+`semidual.semidualize` builds.  `check_hom_module` checks the
 Hom-module axioms of a left or right action given by its table, and
 `check_module_coalgebra` the module-coalgebra conditions of a left action.
 """
@@ -840,16 +840,16 @@ def antipode_from_convolution(h):
     return LinearOperator(cols)
 
 
-def action_from_coaction(v, coaction):
-    """Inverse reading of the pairing of `semidual.coaction_from_action`:
-    v |> u = u_(0) <u_(1), alpha^2(v)>."""
+def action_from_coaction(v, carrier_keys, coaction_table):
+    """Inverse reading of the pairing of the coaction that
+    `semidual.semidualize` builds: v |> u = u_(0) <u_(1), alpha^2(v)>."""
     table = {}
     for vkey in v.basis_keys():
         shifted = v.alpha_pow(2, LinComb.basis(vkey))
-        for ukey in coaction.carrier_keys:
+        for ukey in carrier_keys:
             table[(vkey, ukey)] = extend(
                 lambda t: shifted.get(t[1]) * LinComb.basis(t[0]),
-                coaction.coact[ukey],
+                coaction_table[ukey],
             )
     return table
 
@@ -885,7 +885,7 @@ def check_hom_module(a, m):
     rep = CheckReport()
     e = LinComb.basis
     akeys = a.basis_keys()
-    act, gamma = m.apply, m.gamma.apply
+    act, gamma = m.apply, m.gamma
 
     def assoc(i, j, k):
         outer, inner = (i, j) if m.side == "left" else (j, i)

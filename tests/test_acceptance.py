@@ -251,7 +251,7 @@ def test_criterion_9_hom_lie_hopf_pipeline():
     res_b = build_hom_lie_hopf(pb, n, 3)
     assert res_b.matched_report.passed
     assert res_b.mutual_report.passed
-    bi, U, F = res_b.bicross, res_b.ug, res_b.mutual.f
+    bi, U, F = res_b.bicross, res_b.matched_pair.u, res_b.mutual.f
     u_by_deg = {U.degree(k): k for k in U.basis_keys()}
     f_by_deg = {F.degree(k): k for k in F.basis_keys()}
     ours = {

@@ -1,8 +1,10 @@
+from functools import partial
+
 import pytest
 
 from homhopf.errors import TruncationOverflow
-from homhopf.foundation import LinComb, pair_apply
-from homhopf.hom_core import CoactionData, check_hom_hopf
+from homhopf.foundation import LinComb, extend, pair_apply
+from homhopf.hom_core import check_hom_hopf
 from homhopf.cross_products import (
     Bicrossproduct,
     DoubleCrossProduct,
@@ -67,12 +69,14 @@ def test_module_algebra_trivial_action():
         eps = h.counit_map(e(i))
         for j in a.basis_keys():
             act[(i, j)] = eps * a.alpha_map(e(j))
-    action = ActionData(h, a.basis_keys(), act, a.alpha)
+    action = ActionData(h, a.basis_keys(), act, a.alpha_map)
     assert check_hom_module(h, action).passed
-    assert check_module_algebra(h, a, action).passed
+    assert check_module_algebra(h, a, action.apply).passed
     # breaking the unit condition fails Hom-mod-alg-II
     act[(1, 0)] = act[(1, 0)] + e(0)
-    rep = check_module_algebra(h, a, ActionData(h, a.basis_keys(), act, a.alpha))
+    rep = check_module_algebra(
+        h, a, ActionData(h, a.basis_keys(), act, a.alpha_map).apply
+    )
     assert any(eq.eq_id == "Hom-mod-alg-II" and eq.violations for eq in rep.equations)
 
 
@@ -83,8 +87,8 @@ def test_module_algebra_over_ground_field():
 
     k = HomAlgebraData(1, {(0, 0): e(0)}, e(0), LinearOperator.identity([0]))
     act = {(i, 0): h.counit_map(e(i)) * e(0) for i in h.basis_keys()}
-    action = ActionData(h, [0], act, LinearOperator.identity([0]))
-    assert check_module_algebra(h, k, action).passed
+    action = ActionData(h, [0], act, LinearOperator.identity([0]).apply)
+    assert check_module_algebra(h, k, action.apply).passed
 
 
 def test_module_coalgebra_on_uea_pair():
@@ -116,15 +120,11 @@ def test_module_coalgebra_on_uea_pair():
 
 def test_comodule_coalgebra():
     h = kz4_twisted_hopf()
-    coact = CoactionData(
-        h, h.basis_keys(), {i: h.beta_map(e(i)) @ h.unit_elem() for i in range(4)},
-        h.beta,
-    )
-    assert check_comodule_coalgebra(h, h, coact).passed
+    coact = {i: h.beta_map(e(i)) @ h.unit_elem() for i in range(4)}
+    assert check_comodule_coalgebra(h, h, partial(extend, coact.__getitem__)).passed
     tbl = {i: h.beta_map(e(i)) @ h.unit_elem() for i in range(4)}
     tbl[1] = tbl[1] + LinComb({(1, 1): 1})
-    bad = CoactionData(h, h.basis_keys(), tbl, h.beta)
-    rep = check_comodule_coalgebra(h, h, bad)
+    rep = check_comodule_coalgebra(h, h, partial(extend, tbl.__getitem__))
     assert any(
         eq.eq_id == "Hom-comod-coalg-II" and eq.violations for eq in rep.equations
     )
@@ -309,7 +309,7 @@ def test_tabulated_tensor_maps_match_uncached(case):
                         t.product(e(k1), e(k2))
                     continue
                 assert terms(t.product(e(k1), e(k2))) == terms(want), (k1, k2)
-    assert overflows or not t.is_truncated
+    assert overflows or not any(f.is_truncated for f in t._factors)
     for name, (f, g) in t._twists.items():
         method = getattr(t, TWIST_METHODS[name])
         for k in keys:

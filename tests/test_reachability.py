@@ -27,7 +27,6 @@ KEEP = {
     "hom_core.Violation.__repr__": "protocol: how a failing assert shows a witness",
     "hom_core.CheckReport.violations": "protocol: all witnesses of a report, for asserts",
     "foundation.RowSpace.rank": "protocol: the rank of a row space",
-    "semidual.HomLieHopfResult.passed": "protocol: one verdict for the whole pipeline",
     "hom_core.HomCoalgebraData.basis_keys": "protocol: the basis of a coalgebra alone",
     "foundation.LinearOperator.identity": "protocol: the identity twist of a fixture",
     "foundation.LinearOperator.is_identity": "protocol: hopf_twist's classical-input test",

@@ -5,7 +5,6 @@ import pytest
 
 from homhopf.errors import NotHomLie, TruncationOverflow
 from homhopf.foundation import (
-    FuncOperator,
     LinComb,
     LinearOperator,
     RowSpace,
@@ -490,9 +489,9 @@ def module_actions(mp):
     """The lifted actions of mp as tables on the side each acts from:
     v |> u on U(g), and v <| u on U(h) keyed (u, v)."""
     ug, uh = mp.u, mp.v
-    left = ActionData(uh, ug.basis_keys(), mp.left, FuncOperator(ug.alpha_map))
+    left = ActionData(uh, ug.basis_keys(), mp.left, ug.alpha_map)
     right_uv = {(u, v): val for (v, u), val in mp.right.items()}
-    right = ActionData(ug, uh.basis_keys(), right_uv, FuncOperator(uh.alpha_map), side="right")
+    right = ActionData(ug, uh.basis_keys(), right_uv, uh.alpha_map, side="right")
     return left, right
 
 
