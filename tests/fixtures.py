@@ -119,8 +119,8 @@ def lie_twist(g, t):
 
 class ActionData:
     """An algebra action on a carrier: table (h, m) -> LinComb, carrier map
-    gamma (a callable), and the side it acts from; for a right action the table holds
-    m <| h under the key (h, m)."""
+    gamma (a callable), and the side it acts from; for a right action the
+    table holds m <| h under the key (h, m)."""
 
     def __init__(self, algebra, carrier_keys, act, gamma, side="left"):
         self.algebra = algebra

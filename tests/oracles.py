@@ -905,9 +905,9 @@ def check_hom_module(a, m):
     return rep
 
 
-def check_module_coalgebra(h, c, action):
-    """Hom-module coalgebra conditions for a left action of h on the
+def check_module_coalgebra(h, c, act):
+    """Hom-module coalgebra conditions for a left action act of h on the
     coalgebra c: beta-compatibility, diagonal coproduct, counit kill."""
     rep = CheckReport()
-    _module_coalgebra(rep, "", h, c, c, action.apply)
+    _module_coalgebra(rep, "", h, c, c, act)
     return rep

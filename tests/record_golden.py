@@ -15,7 +15,6 @@ import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
@@ -289,7 +288,7 @@ def failing_module_checks():
     broken = MatchedPairHopf(
         kz4.u, kz4.v, _perturbed(kz4.left, (1, 1), e(0)), kz4.right
     )
-    rep = check_module_coalgebra(kz4.v, kz4.u, SimpleNamespace(apply=broken.lt))
+    rep = check_module_coalgebra(kz4.v, kz4.u, broken.lt)
     out["kz4_module_coalgebra_left"] = check_outcome(rep)
     right = _perturbed(_perturbed(kz4.right, (0, 1), e(2)), (1, 0), e(2))
     left = _perturbed(_perturbed(kz4.left, (0, 1), e(2)), (1, 0), e(2))

@@ -94,13 +94,7 @@ def test_module_algebra_over_ground_field():
 def test_module_coalgebra_on_uea_pair():
     mp = uea_matched_pair(2, 1)
     U, V = mp.u, mp.v
-
-    class _Act:
-        @staticmethod
-        def apply(h, x):
-            return mp.lt(h, x)
-
-    rep = check_module_coalgebra(V, U, _Act)
+    rep = check_module_coalgebra(V, U, mp.lt)
     assert rep.passed, rep.violations
     # break the diagonal compatibility
     broken = dict(mp.left)
@@ -108,13 +102,7 @@ def test_module_coalgebra_on_uea_pair():
     x = [k for k in V.basis_keys() if V.degree(k) == 1][0]
     broken[(x, y)] = broken[(x, y)] + e(UNIT)
     mp2 = MatchedPairHopf(U, V, broken, mp.right)
-
-    class _Act2:
-        @staticmethod
-        def apply(h, xx):
-            return mp2.lt(h, xx)
-
-    rep2 = check_module_coalgebra(V, U, _Act2)
+    rep2 = check_module_coalgebra(V, U, mp2.lt)
     assert any(eq.eq_id == "Hom-mod-coalg-I" and eq.violations for eq in rep2.equations)
 
 
