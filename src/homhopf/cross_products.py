@@ -785,18 +785,14 @@ class Bicrossproduct(_TensorHopf):
     def product(self, x, y):
         return bilinear(self._product_key, x, y)
 
-    def _fproduct(self, a, b, truncated):
-        if truncated and hasattr(self.f, "product_dropped"):
-            return self.f.product_dropped(a, b)
-        return self.f.product(a, b)
-
-    # the truncated=True variants are stored under names of their own, apart
-    # from the default maps, which overflow where the coaction is not
-    # complete
+    # the truncated=True variants, for F a TruncatedDual, are stored under
+    # names of their own, apart from the default maps, which overflow where
+    # the coaction is not complete
 
     def comult_map(self, x, truncated=False):
         F, U, m = self.f, self.u, self.m
         legs_of = m.coaction_legs_truncated if truncated else m.coaction_legs
+        fproduct = F.product_dropped if truncated else F.product
 
         def comult_key(k):
             fd = F.comult_map(e(k[0]))
@@ -804,8 +800,8 @@ class Bicrossproduct(_TensorHopf):
             def over_u(us):
                 def term(fs, ms):
                     left = F.alpha_map(F.beta_inv(e(fs[0]))) @ U.alpha_inv(e(ms[0]))
-                    right = self._fproduct(
-                        F.beta_inv(e(fs[1])), F.alpha_pow(-2, e(ms[1])), truncated
+                    right = fproduct(
+                        F.beta_inv(e(fs[1])), F.alpha_pow(-2, e(ms[1]))
                     ) @ e(us[1])
                     return left @ right
 
@@ -819,15 +815,15 @@ class Bicrossproduct(_TensorHopf):
     def antipode_map(self, x, truncated=False):
         F, U, m = self.f, self.u, self.m
         legs_of = m.coaction_legs_truncated if truncated else m.coaction_legs
+        fproduct = F.product_dropped if truncated else F.product
 
         def antipode_key(k):
             def term(ms):
                 head = F.unit_elem() @ U.antipode_map(U.alpha_pow(-2, e(ms[0])))
                 tail = F.antipode_map(
-                    self._fproduct(
+                    fproduct(
                         F.alpha_inv(F.beta_inv(e(k[0]))),
                         F.alpha_pow(-2, F.beta_inv(e(ms[1]))),
-                        truncated,
                     )
                 ) @ U.unit_elem()
                 return self.product(head, tail)

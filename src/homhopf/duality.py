@@ -1,7 +1,8 @@
-"""Finite-dimensional duality for Hom-structures: the dual Hom-algebra of
-a Hom-coalgebra, the dual Hom-coalgebra of a Hom-algebra (the
-finite-dimensional case of the restricted dual), the dual Hom-Hopf
-algebra, and the degreewise dual of a truncated enveloping algebra.
+"""Duality for Hom-structures: the degreewise dual of a truncated
+Hom-Hopf algebra.  A finite Hom-Hopf algebra is its own truncation at
+degree 0 (`hom_core._TableBasis`), so its dual Hom-Hopf algebra is the
+same construction (the finite-dimensional case of the restricted dual),
+and the dual of a dual is one again.
 
 Conventions: the dual of a coalgebra multiplies as
 (f * g)(c) = f(beta^-2 c_(1)) g(beta^-2 c_(2)) with twist f -> f o beta^-1,
@@ -15,7 +16,7 @@ from .errors import (
     NotInvertibleBeta,
     TruncationOverflow,
 )
-from .foundation import ZERO, LinComb, LinearOperator, bilinear, extend, pair_apply
+from .foundation import ZERO, LinComb, bilinear, extend, pair_apply
 
 _EMPTY = LinComb()
 
@@ -37,19 +38,6 @@ def transpose_table(images, keys=()):
     return {i: LinComb._wrap(col) for i, col in cols.items()}
 
 
-def transpose_operator(op, keys):
-    """Dual operator on the dual basis: column i is sum_k [op e_k]_i e_k."""
-    images = ((k, op.apply(LinComb.basis(k))) for k in keys)
-    return LinearOperator(transpose_table(images, keys))
-
-
-def _require_inverse(op, err):
-    try:
-        op.inverted()
-    except NotInvertible as exc:
-        raise err(str(exc))
-
-
 def _unshifted_comult(c):
     """(beta^-2 x beta^-2) Delta(e_x) for every basis key x of c."""
 
@@ -62,73 +50,37 @@ def _unshifted_comult(c):
     }
 
 
-def dual_algebra_of_coalgebra(c):
-    """The dual Hom-algebra of a finite Hom-coalgebra on the dual basis."""
-    from .hom_core import HomAlgebraData
-
-    _require_inverse(c.beta, NotInvertibleBeta)
-    keys = c.basis_keys()
-    pairs = [(i, j) for i in keys for j in keys]
-    mult = transpose_table(_unshifted_comult(c).items(), pairs)
-    unit = LinComb({x: c.counit_map(LinComb.basis(x)) for x in keys})
-    alpha = transpose_operator(c.beta.inverted(), keys)
-    return HomAlgebraData(len(keys), mult, unit, alpha, keys=keys)
-
-
-def dual_coalgebra_of_algebra(a):
-    """The dual Hom-coalgebra of a finite Hom-algebra (restricted dual
-    specialized to finite dimension)."""
-    from .hom_core import HomCoalgebraData
-
-    _require_inverse(a.alpha, NotInvertibleAlpha)
-    keys = a.basis_keys()
-    images = (
-        ((i, j), a.alpha_pow(-2, a.product(LinComb.basis(i), LinComb.basis(j))))
-        for i in keys
-        for j in keys
-    )
-    comult = transpose_table(images, keys)
-    counit = {k: a.unit_elem().get(k) for k in keys}
-    beta = transpose_operator(a.alpha.inverted(), keys)
-    return HomCoalgebraData(len(keys), comult, counit, beta, keys=keys)
-
-
 def dual_hom_hopf(h):
-    """The dual Hom-Hopf algebra of a finite-dimensional Hom-Hopf algebra."""
-    from .hom_core import HomHopfData
-
-    alg = dual_algebra_of_coalgebra(h)
-    coalg = dual_coalgebra_of_algebra(h)
-    keys = h.basis_keys()
-    antipode = transpose_operator(h.antipode, keys)
-    return HomHopfData(
-        len(keys),
-        alg.mult,
-        alg.unit,
-        alg.alpha,
-        coalg.comult,
-        coalg.counit,
-        coalg.beta,
-        antipode,
-        keys=keys,
-    )
+    """The dual Hom-Hopf algebra of a finite-dimensional Hom-Hopf algebra,
+    its degreewise dual at truncation degree 0.  A twist without inverse
+    is refused up front, beta (the dual's alpha) first."""
+    for inverse, err in ((h.beta_inv, NotInvertibleBeta), (h.alpha_inv, NotInvertibleAlpha)):
+        for k in h.basis_keys():
+            try:
+                inverse(LinComb.basis(k))
+            except NotInvertible as exc:
+                raise err(str(exc))
+    return TruncatedDual(h)
 
 
 class TruncatedDual:
-    """Degreewise dual of a truncated enveloping algebra.
+    """Degreewise dual of a truncated Hom-Hopf algebra: a truncated
+    enveloping algebra, or a finite one read as its truncation at degree 0.
 
     Carries a total algebra structure (convolution against the coproduct,
     which preserves degree) and a partial coalgebra structure: the dual
     coproduct is available degree-by-degree only when the primal quotient
-    is degree-graded, and raises TruncationOverflow otherwise.  Pairing is
-    the degreewise dual-basis pairing against the normal forms.
+    is degree-graded, and raises TruncationOverflow otherwise.  The dual's
+    product preserves degree, so it is graded itself and can be dualized
+    again.  Pairing is the degreewise dual-basis pairing against the
+    primal basis.
 
     Each structure map is the transpose of a primal one.  It is compiled
     into a table on first use, once per instance, and every call reads
     from that table.
     """
 
-    is_truncated = True
+    graded = True
 
     def __init__(self, v):
         self.v = v
@@ -197,7 +149,7 @@ class TruncatedDual:
     # -- Hom-coalgebra structure (partial)
 
     def comult_map(self, f):
-        if not getattr(self.v, "graded", False):
+        if not self.v.graded:
             raise TruncationOverflow(
                 "dual coproduct needs a degree-graded primal quotient"
             )

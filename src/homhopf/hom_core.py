@@ -135,24 +135,38 @@ class CheckReport:
 # structure records
 
 
-class HomAlgebraData:
-    """Hom-algebra as tables: mult (i,j) -> LinComb, unit vector, twist alpha.
+class _TableBasis:
+    """A finite table basis read as a truncation at degree 0: every key has
+    degree 0, so no product leaves the budget and the coproduct preserves
+    degree.  One dual construction (`duality.TruncatedDual`) then serves
+    finite tables and truncated enveloping algebras alike.
 
     Basis indices default to range(dim); pass keys for other index sets
     (pair bases of map spaces, dual bases, ...).
     """
 
-    is_truncated = False
+    truncation_degree = 0
+    graded = True
 
-    def __init__(self, dim, mult, unit, alpha, keys=None):
+    def __init__(self, dim, keys):
         self.dim = dim
         self.keys = list(keys) if keys is not None else list(range(dim))
-        self.mult = dict(mult)
-        self.unit = unit
-        self.alpha = alpha
 
     def basis_keys(self):
         return list(self.keys)
+
+    def degree(self, key):
+        return 0
+
+
+class HomAlgebraData(_TableBasis):
+    """Hom-algebra as tables: mult (i,j) -> LinComb, unit vector, twist alpha."""
+
+    def __init__(self, dim, mult, unit, alpha, keys=None):
+        _TableBasis.__init__(self, dim, keys)
+        self.mult = dict(mult)
+        self.unit = unit
+        self.alpha = alpha
 
     def unit_elem(self):
         return self.unit
@@ -170,20 +184,14 @@ class HomAlgebraData:
         return self.alpha.power(n, x)
 
 
-class HomCoalgebraData:
+class HomCoalgebraData(_TableBasis):
     """Hom-coalgebra as tables: comult i -> pair LinComb, counit, twist beta."""
 
-    is_truncated = False
-
     def __init__(self, dim, comult, counit, beta, keys=None):
-        self.dim = dim
-        self.keys = list(keys) if keys is not None else list(range(dim))
+        _TableBasis.__init__(self, dim, keys)
         self.comult = dict(comult)
         self.counit = {i: scalar(c) for i, c in dict(counit).items()}
         self.beta = beta
-
-    def basis_keys(self):
-        return list(self.keys)
 
     def comult_map(self, x):
         return extend(self.comult.__getitem__, x)

@@ -5,8 +5,9 @@ factor, with the pairing conventions
     u_(0) <u_(1), v> = alpha_V^-2(v) |> u        (coaction from action)
     <u |>* f, v>     = <f, alpha_V^-2(v) <| phi_U^-2(u)>   (dual action)
 
-Finite factors dualize into honest table data; a truncated enveloping
-factor dualizes degreewise, and the mutual-pair equations are then
+Both kinds of second factor dualize through `TruncatedDual`: a finite
+one as its truncation at degree 0, with the coaction as a finite table; a
+truncated enveloping one degreewise, with the mutual-pair equations then
 evaluated pairing-wise.  The pipeline entry point composes: build both
 enveloping algebras and lift the actions into a matched pair
 (`lift_to_Uh_action`), check the matched pair, semidualize, check the
@@ -25,7 +26,7 @@ from .duality import TruncatedDual, dual_hom_hopf
 from .errors import OrderConstraintViolated
 from .foundation import LinComb
 from .hom_core import check_hom_hopf
-from .uea_trees import lift_to_Uh_action
+from .uea_trees import TruncatedUEA, lift_to_Uh_action
 
 
 def _check_order(obj, label, enforce):
@@ -62,7 +63,7 @@ def semidualize(p, enforce_order_constraint=True):
     _check_order(V, "second factor", enforce_order_constraint)
     _check_order(U, "first factor", enforce_order_constraint)
 
-    if V.is_truncated:
+    if isinstance(V, TruncatedUEA):
         return GradedMutualPair(TruncatedDual(V), U, _dual_action_table(U, V, p.rt), p)
     # the coaction nabla(u) = sum_w (alpha^-2(w) |> u) x w* over the dual
     dual = dual_hom_hopf(V)

@@ -387,8 +387,6 @@ class TruncatedUEA:
     J0 only, and `ideal_rows` derives the rows of the weighted trees.
     """
 
-    is_truncated = True
-
     def __init__(self, lie, truncation_degree, ops, rowspace, ambient):
         self.lie = lie
         self.truncation_degree = truncation_degree

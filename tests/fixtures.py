@@ -7,10 +7,13 @@ a classical Hopf algebra or associative algebra along endomorphisms,
 `lie_twist` a Lie algebra along a Lie endomorphism; each refuses a map
 that is not one.  `ActionData` is an algebra action given by its table,
 on the side it declares, and `coregular_actions` are the two actions of
-a Hom-algebra on its dual.
+a Hom-algebra on its dual, whose twist `transpose_operator` builds.
+`trivial_hopf_matched_pair` is two copies of the twisted k[Z/4] with
+counital actions.
 """
 
-from homhopf.duality import transpose_operator, transpose_table
+from homhopf.cross_products import MatchedPairHopf
+from homhopf.duality import transpose_table
 from homhopf.errors import HomHopfError
 from homhopf.foundation import LinComb, LinearOperator, bilinear, pair_apply
 from homhopf.hom_core import HomAlgebraData, HomHopfData, check_hom_algebra
@@ -111,6 +114,12 @@ def lie_twist(g, t):
     for (i, j), v in g.table.items():
         bracket[(i, j)] = t.apply(v)
     return HomLieData(g.dim, bracket, t)
+
+
+def transpose_operator(op, keys):
+    """Dual operator on the dual basis: column i is sum_k [op e_k]_i e_k."""
+    images = ((k, op.apply(LinComb.basis(k))) for k in keys)
+    return LinearOperator(transpose_table(images, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +252,21 @@ def sweedler_hopf():
     )
 
 
+def sweedler_twisted_hopf():
+    """Sweedler's algebra deformed along alpha: x, gx -> 2x, 2gx and
+    beta: x, gx -> 4x, 4gx (1 and g fixed).  Both are bialgebra
+    automorphisms; alpha has infinite order, alpha != beta, and
+    alpha^4 beta^-2 = id."""
+    I, G, X, GX = range(4)
+
+    def scaling(c):
+        return LinearOperator(
+            {k: (c if k in (X, GX) else 1) * LinComb.basis(k) for k in (I, G, X, GX)}
+        )
+
+    return hopf_twist(sweedler_hopf(), scaling(2), scaling(4))
+
+
 def upper_triangular_algebra():
     """The 3-dimensional algebra of upper triangular 2x2 matrices."""
     E11, E12, E22 = range(3)
@@ -335,3 +359,15 @@ def trivial_left_action(h, target):
             act[(i, j)] = eps * target.alpha_map(LinComb.basis(j))
     return ActionData(h, target.basis_keys(), act, target.alpha_map)
 
+
+def trivial_hopf_matched_pair():
+    """Two copies of the twisted group algebra with counital actions."""
+    e = LinComb.basis
+    u, v = kz4_twisted_hopf(), kz4_twisted_hopf()
+    left, right = {}, {}
+    for i in v.basis_keys():
+        eps_v = v.counit_map(e(i))
+        for j in u.basis_keys():
+            left[(i, j)] = eps_v * u.alpha_map(e(j))
+            right[(i, j)] = u.counit_map(e(j)) * v.alpha_map(e(i))
+    return MatchedPairHopf(u, v, left, right)

@@ -7,6 +7,10 @@ tests freeze.  The `*_by_pairing` functions are the direct definitions of
 the degreewise dual's structure maps: each pairs a functional against the
 primal image of every basis key, on every call.  `TruncatedDual` compiles
 the same maps into tables, and the tests require equal results.
+`dual_hom_hopf_tables` (with `dual_algebra_of_coalgebra` and
+`dual_coalgebra_of_algebra`) is the dual of a finite Hom-Hopf algebra as
+eager tables, which `duality.dual_hom_hopf` replaced by the degreewise
+dual at truncation degree 0.
 `FullScanRowSpace` and `coproduct_by_leaf_subsets` are the row reduction
 without a column index and the tree coproduct as a sum over leaf subsets,
 which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
@@ -55,7 +59,13 @@ from homhopf.cross_products import (
     _counit_compat,
     _module_coalgebra,
 )
-from homhopf.errors import NotHomLie, NotInvertible
+from homhopf.duality import transpose_table
+from homhopf.errors import (
+    NotHomLie,
+    NotInvertible,
+    NotInvertibleAlpha,
+    NotInvertibleBeta,
+)
 from homhopf.foundation import (
     ZERO,
     LinComb,
@@ -66,7 +76,12 @@ from homhopf.foundation import (
     pair_apply,
     scalar,
 )
-from homhopf.hom_core import CheckReport, HomHopfData
+from homhopf.hom_core import (
+    CheckReport,
+    HomAlgebraData,
+    HomCoalgebraData,
+    HomHopfData,
+)
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -83,6 +98,8 @@ from homhopf.uea_trees import (
     pivot_order,
     split,
 )
+
+from fixtures import transpose_operator
 
 
 def sym_algebra_dims(generators, n_max):
@@ -218,6 +235,77 @@ def dual_comult_basis_by_pairing(d, k):
             if c:
                 out = out + LinComb({(i, j): c})
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dual of a finite Hom-Hopf algebra as eager tables, the construction
+# that `duality.dual_hom_hopf` replaced by the degree-0 `TruncatedDual`
+
+
+def _require_inverse(op, err):
+    try:
+        op.inverted()
+    except NotInvertible as exc:
+        raise err(str(exc))
+
+
+def _unshifted_comult(c):
+    """(beta^-2 x beta^-2) Delta(e_x) for every basis key x of c."""
+
+    def unshift(x):
+        return c.beta_pow(-2, x)
+
+    return {
+        x: pair_apply(unshift, unshift, c.comult_map(LinComb.basis(x)))
+        for x in c.basis_keys()
+    }
+
+
+def dual_algebra_of_coalgebra(c):
+    """The dual Hom-algebra of a finite Hom-coalgebra on the dual basis."""
+    _require_inverse(c.beta, NotInvertibleBeta)
+    keys = c.basis_keys()
+    pairs = [(i, j) for i in keys for j in keys]
+    mult = transpose_table(_unshifted_comult(c).items(), pairs)
+    unit = LinComb({x: c.counit_map(LinComb.basis(x)) for x in keys})
+    alpha = transpose_operator(c.beta.inverted(), keys)
+    return HomAlgebraData(len(keys), mult, unit, alpha, keys=keys)
+
+
+def dual_coalgebra_of_algebra(a):
+    """The dual Hom-coalgebra of a finite Hom-algebra (restricted dual
+    specialized to finite dimension)."""
+    _require_inverse(a.alpha, NotInvertibleAlpha)
+    keys = a.basis_keys()
+    images = (
+        ((i, j), a.alpha_pow(-2, a.product(LinComb.basis(i), LinComb.basis(j))))
+        for i in keys
+        for j in keys
+    )
+    comult = transpose_table(images, keys)
+    counit = {k: a.unit_elem().get(k) for k in keys}
+    beta = transpose_operator(a.alpha.inverted(), keys)
+    return HomCoalgebraData(len(keys), comult, counit, beta, keys=keys)
+
+
+def dual_hom_hopf_tables(h):
+    """The dual Hom-Hopf algebra of a finite-dimensional Hom-Hopf algebra,
+    as tables."""
+    alg = dual_algebra_of_coalgebra(h)
+    coalg = dual_coalgebra_of_algebra(h)
+    keys = h.basis_keys()
+    antipode = transpose_operator(h.antipode, keys)
+    return HomHopfData(
+        len(keys),
+        alg.mult,
+        alg.unit,
+        alg.alpha,
+        coalg.comult,
+        coalg.counit,
+        coalg.beta,
+        antipode,
+        keys=keys,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from fixtures import (
     fixture_a_prime_lie_pair,
     fixture_b_lie_pair,
     kz4_twisted_hopf,
+    trivial_hopf_matched_pair,
 )
 from oracles import ClassicalBicrossOracle, antipode_from_convolution, sym_algebra_dims
 
@@ -36,16 +37,6 @@ def _elapsed_ok(t0, bound, label):
     dt = time.monotonic() - t0
     assert dt < bound, "%s took %.1fs (budget %ss)" % (label, dt, bound)
     return dt
-
-
-def _trivial_hopf_matched_pair():
-    u, v = kz4_twisted_hopf(), kz4_twisted_hopf()
-    left, right = {}, {}
-    for i in v.basis_keys():
-        for j in u.basis_keys():
-            left[(i, j)] = v.counit_map(e(i)) * u.alpha_map(e(j))
-            right[(i, j)] = u.counit_map(e(j)) * v.alpha_map(e(i))
-    return MatchedPairHopf(u, v, left, right)
 
 
 def test_criterion_1_hom_hopf_axiom_suite():
@@ -74,12 +65,18 @@ def test_criterion_2_duality():
     d = dual_hom_hopf(h)
     assert check_hom_hopf(d).passed
     dd = dual_hom_hopf(d)
-    assert dd.mult == h.mult and dd.comult == h.comult
-    assert dd.unit == h.unit and dd.counit == h.counit
-    for i in h.basis_keys():
-        assert dd.alpha.apply(e(i)) == h.alpha.apply(e(i))
-        assert dd.beta.apply(e(i)) == h.beta.apply(e(i))
-        assert dd.antipode.apply(e(i)) == h.antipode.apply(e(i))
+    keys = h.basis_keys()
+    assert dd.basis_keys() == keys
+    for i in keys:
+        for j in keys:
+            assert dd.product(e(i), e(j)) == h.product(e(i), e(j))
+        assert dd.comult_map(e(i)) == h.comult_map(e(i))
+    assert dd.unit_elem() == h.unit_elem()
+    for i in keys:
+        assert dd.counit_map(e(i)) == h.counit_map(e(i))
+        assert dd.alpha_map(e(i)) == h.alpha_map(e(i))
+        assert dd.beta_map(e(i)) == h.beta_map(e(i))
+        assert dd.antipode_map(e(i)) == h.antipode_map(e(i))
     s = antipode_from_convolution(h)
     assert s is not None
     for i in h.basis_keys():
@@ -222,7 +219,7 @@ def test_criterion_8_semidualization_iff():
     ]
     agreements = []
     for name, side, key in cases:
-        p = _trivial_hopf_matched_pair()
+        p = trivial_hopf_matched_pair()
         if side is not None:
             table = p.left if side == "left" else p.right
             table[key] = table[key] + e(0)

@@ -46,6 +46,7 @@ from fixtures import (
     fixture_b_lie_pair,
     kz4_twisted_hopf,
     sl2,
+    trivial_hopf_matched_pair,
 )
 from lie_pairs import anticommuting_pair, sl2_reverse_split_pair, sl2_split_pair
 from oracles import (
@@ -55,7 +56,6 @@ from oracles import (
     fresh_copy,
 )
 from record_golden import SAMPLES, perturbed_graded_mutual_pairs
-from test_cross_products import trivial_hopf_matched_pair
 
 e = LinComb.basis
 

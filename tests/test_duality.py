@@ -1,6 +1,6 @@
 import pytest
 
-from homhopf.errors import NotInvertibleBeta
+from homhopf.errors import NotInvertibleAlpha, NotInvertibleBeta
 from homhopf.foundation import LinComb, LinearOperator
 from homhopf.hom_core import (
     HomCoalgebraData,
@@ -9,14 +9,23 @@ from homhopf.hom_core import (
     check_hom_coalgebra,
     check_hom_hopf,
 )
-from homhopf.duality import (
+from homhopf.duality import TruncatedDual, dual_hom_hopf
+
+from fixtures import (
+    abelian_lie,
+    coregular_actions,
+    kz4_twisted_hopf,
+    sweedler_hopf,
+    sweedler_twisted_hopf,
+)
+from oracles import (
+    Pairing,
+    antipode_from_convolution,
+    check_hom_module,
     dual_algebra_of_coalgebra,
     dual_coalgebra_of_algebra,
-    dual_hom_hopf,
+    dual_hom_hopf_tables,
 )
-
-from fixtures import abelian_lie, coregular_actions, kz4_twisted_hopf, sweedler_hopf
-from oracles import Pairing, antipode_from_convolution, check_hom_module
 
 e = LinComb.basis
 
@@ -68,12 +77,22 @@ def test_dual_algebra_of_group_like_coalgebra():
 
 def test_dual_algebra_requires_invertible_beta():
     h = kz4_twisted_hopf()
-    broken = HomCoalgebraData(
-        4, h.comult, h.counit,
-        LinearOperator.from_matrix([[1, 0, 0, 0]] + [[0] * 4] * 3),
-    )
+    singular = LinearOperator.from_matrix([[1, 0, 0, 0]] + [[0] * 4] * 3)
+    broken = HomCoalgebraData(4, h.comult, h.counit, singular)
     with pytest.raises(NotInvertibleBeta):
         dual_algebra_of_coalgebra(broken)
+    # dual_hom_hopf refuses a singular beta up front, and a singular alpha
+    # as well; beta is asked first
+    for alpha, beta, err in (
+        (h.alpha, singular, NotInvertibleBeta),
+        (singular, h.beta, NotInvertibleAlpha),
+        (singular, singular, NotInvertibleBeta),
+    ):
+        broken = HomHopfData(
+            4, h.mult, h.unit, alpha, h.comult, h.counit, beta, h.antipode
+        )
+        with pytest.raises(err):
+            dual_hom_hopf(broken)
 
 
 def test_dual_coalgebra_of_algebra():
@@ -85,18 +104,59 @@ def test_dual_coalgebra_of_algebra():
 
 
 def test_dual_hom_hopf_suite_and_double_dual():
-    for h in (kz4_twisted_hopf(), sweedler_hopf(), trivial_hopf()):
+    for h in (kz4_twisted_hopf(), sweedler_hopf(), trivial_hopf(), sweedler_twisted_hopf()):
         d = dual_hom_hopf(h)
         assert check_hom_hopf(d).passed
         dd = dual_hom_hopf(d)
-        assert dd.mult == h.mult
-        assert dd.comult == h.comult
-        assert dd.unit == h.unit
-        assert dd.counit == h.counit
-        for i in h.basis_keys():
-            assert dd.alpha.apply(e(i)) == h.alpha.apply(e(i))
-            assert dd.beta.apply(e(i)) == h.beta.apply(e(i))
-            assert dd.antipode.apply(e(i)) == h.antipode.apply(e(i))
+        keys = h.basis_keys()
+        assert dd.basis_keys() == keys
+        for i in keys:
+            for j in keys:
+                assert dd.product(e(i), e(j)) == h.product(e(i), e(j))
+            assert dd.comult_map(e(i)) == h.comult_map(e(i))
+        assert dd.unit_elem() == h.unit_elem()
+        for i in keys:
+            assert dd.counit_map(e(i)) == h.counit_map(e(i))
+            assert dd.alpha_map(e(i)) == h.alpha_map(e(i))
+            assert dd.beta_map(e(i)) == h.beta_map(e(i))
+            assert dd.antipode_map(e(i)) == h.antipode_map(e(i))
+
+
+# the eager tables of the dual against the degree-0 TruncatedDual that
+# replaced them; the twisted Sweedler algebra is the one case with
+# alpha != beta and twists of order > 2, so a swapped or inverted twist
+# shows there
+DUAL_CASES = {
+    "kz4": kz4_twisted_hopf,
+    "sweedler": sweedler_hopf,
+    "trivial": trivial_hopf,
+    "sweedler_twisted": sweedler_twisted_hopf,
+}
+DUAL_MAPS = (
+    "comult_map", "counit_map", "alpha_map", "alpha_inv", "beta_map", "beta_inv",
+    "antipode_map",
+)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_CASES))
+def test_dual_hom_hopf_matches_eager_tables(name):
+    h = DUAL_CASES[name]()
+    d = dual_hom_hopf(h)
+    ref = dual_hom_hopf_tables(h)
+    assert isinstance(d, TruncatedDual)
+    keys = ref.basis_keys()
+    assert d.basis_keys() == keys
+    assert d.unit_elem() == ref.unit_elem()
+    for i in keys:
+        for j in keys:
+            assert d.product(e(i), e(j)) == ref.product(e(i), e(j)), (i, j)
+        for m in DUAL_MAPS:
+            assert getattr(d, m)(e(i)) == getattr(ref, m)(e(i)), (m, i)
+    # linearity: a combination with several terms
+    f = LinComb({k: n + 1 for n, k in enumerate(keys)})
+    for m in DUAL_MAPS:
+        assert getattr(d, m)(f) == getattr(ref, m)(f), m
+    assert d.product(f, f) == ref.product(f, f)
 
 
 def test_coregular_actions():

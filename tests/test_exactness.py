@@ -1,4 +1,4 @@
-"""Two source lints over the package.
+"""Three source lints over the package.
 
 Every coefficient is an int or a Fraction, so the arithmetic stays in Q
 as long as nothing divides two ints (or raises one to a negative power),
@@ -15,6 +15,10 @@ hands them to a function it does not know to only read them.  It reads
 `tests/oracles.py` and `tests/fixtures.py` as well, since the package is
 compared against them; the division lint does not, since they divide by
 design.
+
+The package dispatches on the types of its objects.  The probe lint fails
+on any `hasattr` or `getattr` in the package: a branch on an attribute
+that one kind of object happens to have hides which kinds reach it.
 """
 
 import ast
@@ -45,22 +49,27 @@ def _leaves_q(node):
     return False
 
 
-def _sites(tree, scope=()):
+def _sites(tree, hit=_leaves_q, scope=()):
+    """(enclosing scope, line) of every node of tree that hit accepts."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = scope + (node.name,)
-        if _leaves_q(node):
+        if hit(node):
             yield ".".join(scope) or "<module>", node.lineno
-        yield from _sites(node, inner)
+        yield from _sites(node, hit, inner)
 
 
-def division_sites():
+def package_sites(hit):
     return sorted(
         (path.name, where, line)
         for path in sorted(PACKAGE.glob("*.py"))
-        for where, line in _sites(ast.parse(path.read_text(), str(path)))
+        for where, line in _sites(ast.parse(path.read_text(), str(path)), hit)
     )
+
+
+def division_sites():
+    return package_sites(_leaves_q)
 
 
 def test_divisions_are_the_documented_set():
@@ -264,3 +273,36 @@ def test_immutability_lint_sees_every_write():
         ("h", 45, "terms.setdefault"),
         ("h.inner", 47, "terms item"),
     ], found
+
+
+# ---------------------------------------------------------------------------
+# dispatch: the package branches on the types of its objects, never on an
+# attribute it probes for
+
+ATTRIBUTE_PROBES = {"hasattr", "getattr"}
+
+
+def _probes_attribute(node):
+    """node names hasattr or getattr: a call of one, or an alias for one."""
+    return isinstance(node, ast.Name) and node.id in ATTRIBUTE_PROBES
+
+
+def test_no_attribute_probes_in_the_package():
+    assert package_sites(_probes_attribute) == []
+
+
+def test_probe_lint_sees_every_probe():
+    src = (
+        "class Bicrossproduct:\n"
+        "    def _fproduct(self, a, b, truncated):\n"
+        "        if truncated and hasattr(self.f, 'product_dropped'):\n"  # 3
+        "            return self.f.product_dropped(a, b)\n"
+        "def comult_map(self, f):\n"
+        "    if not getattr(self.v, 'graded', False):\n"  # 6
+        "        probe = hasattr\n"  # 7
+        "    return self.getattr(f), isinstance(f, LinComb), f.hasattr\n"
+    )
+    assert sorted(_sites(ast.parse(src), _probes_attribute)) == [
+        ("Bicrossproduct._fproduct", 3), ("comult_map", 6), ("comult_map", 7),
+    ]
+

@@ -21,13 +21,11 @@ KEEP = {
     # one- to three-line protocol methods that the tests call
     "cross_products._TensorHopf.alpha_inv": "protocol: inverse twist, compared leg by leg",
     "cross_products._TensorHopf.beta_inv": "protocol: inverse twist, compared leg by leg",
-    "duality.TruncatedDual.beta_pow": "protocol: twist power in the mutual-pair oracle",
     "foundation.LinComb.__neg__": "protocol: unary minus of a vector",
     "foundation.LinComb.__repr__": "protocol: how a failing assert shows a vector",
     "hom_core.Violation.__repr__": "protocol: how a failing assert shows a witness",
     "hom_core.CheckReport.violations": "protocol: all witnesses of a report, for asserts",
     "foundation.RowSpace.rank": "protocol: the rank of a row space",
-    "hom_core.HomCoalgebraData.basis_keys": "protocol: the basis of a coalgebra alone",
     "foundation.LinearOperator.identity": "protocol: the identity twist of a fixture",
     "foundation.LinearOperator.is_identity": "protocol: hopf_twist's classical-input test",
     "foundation._default_order": "protocol: the key order of a RowSpace built without one",

@@ -21,6 +21,7 @@ from fixtures import (
     fixture_b_lie_pair,
     kz4_twisted_hopf,
     sl2,
+    trivial_hopf_matched_pair,
 )
 from lie_pairs import (
     anticommuting_pair,
@@ -32,23 +33,12 @@ from oracles import ClassicalBicrossOracle, action_from_coaction, check_module_c
 e = LinComb.basis
 
 
-def trivial_hopf_matched_pair():
-    u, v = kz4_twisted_hopf(), kz4_twisted_hopf()
-    left, right = {}, {}
-    for i in v.basis_keys():
-        eps_v = v.counit_map(e(i))
-        for j in u.basis_keys():
-            left[(i, j)] = eps_v * u.alpha_map(e(j))
-            right[(i, j)] = u.counit_map(e(j)) * v.alpha_map(e(i))
-    return MatchedPairHopf(u, v, left, right)
-
-
 def test_coaction_from_action_trivial():
     mp = trivial_hopf_matched_pair()
     U, V = mp.u, mp.v
     m = semidualize(mp)
     # trivial action dualizes to u -> phi(u) x eps
-    dual_unit = dual_hom_hopf(V).unit
+    dual_unit = dual_hom_hopf(V).unit_elem()
     for i in U.basis_keys():
         want = LinComb()
         for k2, c in U.alpha_map(e(i)).items():

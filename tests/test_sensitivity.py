@@ -22,6 +22,13 @@ through `check_matched_pair_hopf`: +1 on each constant [v |> u]_k and
 [v <| u]_k, zero constants included.  So does the mutual pair of the Z/4
 bicross sample, through `check_mutual_pair`: +1 on each constant
 [u |> f]_k and [nabla(u)]_(u', f), zero constants included.
+
+The dual of a finite Hom-Hopf algebra puts its twists in place by
+`TruncatedDual._precompose`.  Two mutants of it, one reading beta where
+alpha is meant and back, one inverting the twist, give a dual that
+`check_hom_hopf` passes on kz4 and Sweedler's algebra, where alpha = beta
+is its own inverse, and fails on Sweedler's algebra twisted by alpha = 2,
+beta = 4 on x and gx.
 """
 
 from collections import Counter
@@ -35,10 +42,11 @@ from homhopf.cross_products import (
     check_matched_pair_hopf,
     check_mutual_pair,
 )
+from homhopf.duality import TruncatedDual, dual_hom_hopf
 from homhopf.foundation import LinComb, LinearOperator, swap_pairs
 from homhopf.hom_core import HomHopfData, check_hom_hopf
 
-from fixtures import kz4_twisted_hopf, sweedler_hopf
+from fixtures import kz4_twisted_hopf, sweedler_hopf, sweedler_twisted_hopf
 from record_golden import SAMPLES, _sample_matched_pair
 
 e = LinComb.basis
@@ -248,3 +256,32 @@ def test_every_mutual_pair_perturbation_fails():
         assert not rep.passed, (table, entry, k)
         failures.update(eq.eq_id for eq in rep.equations if eq.violations)
     assert dict(failures) == MUTUAL_PAIR_FAILURES
+
+
+# the twist placement of the dual, mutated: each mutant replaces
+# TruncatedDual._precompose(self, f, power, use_beta)
+PRECOMPOSE_MUTANTS = {
+    "use_beta flipped": lambda precompose: (
+        lambda self, f, power, use_beta: precompose(self, f, power, not use_beta)
+    ),
+    "power negated": lambda precompose: (
+        lambda self, f, power, use_beta: precompose(self, f, -power, use_beta)
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(PRECOMPOSE_MUTANTS))
+def test_dual_twist_mutants_fail_only_on_the_twisted_sweedler(mutant, monkeypatch):
+    assert check_hom_hopf(dual_hom_hopf(sweedler_twisted_hopf())).passed
+    mutated = PRECOMPOSE_MUTANTS[mutant](TruncatedDual._precompose)
+    monkeypatch.setattr(TruncatedDual, "_precompose", mutated)
+    rep = check_hom_hopf(dual_hom_hopf(sweedler_twisted_hopf()))
+    assert not rep.passed
+    assert {v.eq_id for v in rep.violations} == {
+        "hom-assoc", "hom-unit", "hom-unit-right",
+        "hom-coassoc", "hom-counit", "hom-counit-right",
+    }
+    # where alpha = beta is its own inverse, neither mutant changes a twist
+    for h in (kz4_twisted_hopf(), sweedler_hopf()):
+        assert check_hom_hopf(dual_hom_hopf(h)).passed
+
