@@ -17,6 +17,7 @@ from .errors import (
     TruncationOverflow,
 )
 from .foundation import ZERO, LinComb, bilinear, extend, pair_apply
+from .hom_core import HomStructure
 
 _EMPTY = LinComb()
 
@@ -63,7 +64,7 @@ def dual_hom_hopf(h):
     return TruncatedDual(h)
 
 
-class TruncatedDual:
+class TruncatedDual(HomStructure):
     """Degreewise dual of a truncated Hom-Hopf algebra: a truncated
     enveloping algebra, or a finite one read as its truncation at degree 0.
 
@@ -89,9 +90,6 @@ class TruncatedDual:
         self._tables = {}
 
     # -- bookkeeping
-
-    def basis_keys(self):
-        return list(self.keys)
 
     def degree(self, key):
         return self.v.degree(key)
@@ -136,14 +134,8 @@ class TruncatedDual:
         )
         return bilinear(lambda i, j: table.get((i, j), _EMPTY), f, g)
 
-    def alpha_map(self, f):
-        # (beta_V^-1)* = precompose with beta_V^-1
-        return self._precompose(f, -1, use_beta=True)
-
-    def alpha_inv(self, f):
-        return self._precompose(f, 1, use_beta=True)
-
     def alpha_pow(self, n, f):
+        # alpha = (beta_V^-1)*: precompose with beta_V^-n
         return self._precompose(f, -n, use_beta=True)
 
     # -- Hom-coalgebra structure (partial)
@@ -174,12 +166,6 @@ class TruncatedDual:
 
     def counit_map(self, f):
         return self.pair(f, self.v.unit_elem())
-
-    def beta_map(self, f):
-        return self._precompose(f, -1, use_beta=False)
-
-    def beta_inv(self, f):
-        return self._precompose(f, 1, use_beta=False)
 
     def beta_pow(self, n, f):
         return self._precompose(f, -n, use_beta=False)

@@ -240,20 +240,14 @@ class LinearOperator:
         return cls(cols, dict(cols))
 
     @classmethod
-    def from_matrix(cls, mat, keys=None, inverse=None):
+    def from_matrix(cls, mat, inverse=None):
         """Columns from a dense matrix: image(e_j) = sum_i mat[i][j] e_i."""
-        n = len(mat)
-        if keys is None:
-            keys = list(range(n))
-        cols = {}
-        for j, kj in enumerate(keys):
-            cols[kj] = LinComb({keys[i]: mat[i][j] for i in range(n)})
-        inv_cols = None
-        if inverse is not None:
-            inv_cols = {}
-            for j, kj in enumerate(keys):
-                inv_cols[kj] = LinComb({keys[i]: inverse[i][j] for i in range(n)})
-        return cls(cols, inv_cols)
+
+        def columns(m):
+            n = len(m)
+            return {j: LinComb({i: m[i][j] for i in range(n)}) for j in range(n)}
+
+        return cls(columns(mat), columns(inverse) if inverse is not None else None)
 
     def apply(self, x):
         return extend(lambda k: _column(self.columns, k), x)

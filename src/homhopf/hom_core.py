@@ -5,10 +5,11 @@ alpha(e_i) and product e_i e_j once (`memo_lookup`), counts the
 associativity tuples whose products must overflow as skipped from that
 table, and evaluates only the others.
 
-Checkers talk to a small duck-typed protocol (product / comult / counit /
-alpha / beta / antipode on LinComb arguments) so that the degree-truncated
-objects built elsewhere can reuse them; a TruncationOverflow raised inside
-an equation marks that tuple as skipped and feeds the coverage accounting.
+Checkers talk to a small protocol (product / comult / counit / alpha /
+beta / antipode on LinComb arguments) whose basis keys and +-1 twists
+`HomStructure` writes once, so that the degree-truncated objects built
+elsewhere can reuse them; a TruncationOverflow raised inside an equation
+marks that tuple as skipped and feeds the coverage accounting.
 """
 
 from fractions import Fraction
@@ -135,7 +136,28 @@ class CheckReport:
 # structure records
 
 
-class _TableBasis:
+class HomStructure:
+    """What every structure the checkers read shares: the basis keys, read
+    from `self.keys`, and the twists alpha, alpha^-1, beta, beta^-1 as the
+    powers +-1 of the subclass's `alpha_pow(n, x)` and `beta_pow(n, x)`."""
+
+    def basis_keys(self):
+        return list(self.keys)
+
+    def alpha_map(self, x):
+        return self.alpha_pow(1, x)
+
+    def alpha_inv(self, x):
+        return self.alpha_pow(-1, x)
+
+    def beta_map(self, x):
+        return self.beta_pow(1, x)
+
+    def beta_inv(self, x):
+        return self.beta_pow(-1, x)
+
+
+class _TableBasis(HomStructure):
     """A finite table basis read as a truncation at degree 0: every key has
     degree 0, so no product leaves the budget and the coproduct preserves
     degree.  One dual construction (`duality.TruncatedDual`) then serves
@@ -151,9 +173,6 @@ class _TableBasis:
     def __init__(self, dim, keys):
         self.dim = dim
         self.keys = list(keys) if keys is not None else list(range(dim))
-
-    def basis_keys(self):
-        return list(self.keys)
 
     def degree(self, key):
         return 0
@@ -174,6 +193,7 @@ class HomAlgebraData(_TableBasis):
     def product(self, x, y):
         return bilinear(lambda i, j: self.mult[(i, j)], x, y)
 
+    # own +-1 maps: apply skips the loop of power, which slows finite checks
     def alpha_map(self, x):
         return self.alpha.apply(x)
 
@@ -199,6 +219,7 @@ class HomCoalgebraData(_TableBasis):
     def counit_map(self, x):
         return sum((a * self.counit.get(i, ZERO) for i, a in x.items()), ZERO)
 
+    # own +-1 maps: apply skips the loop of power, which slows finite checks
     def beta_map(self, x):
         return self.beta.apply(x)
 

@@ -22,7 +22,7 @@ from .cross_products import (
     check_mutual_pair,
     coaction_column,
 )
-from .duality import TruncatedDual, dual_hom_hopf
+from .duality import TruncatedDual, dual_hom_hopf, transpose_table
 from .errors import OrderConstraintViolated
 from .foundation import LinComb
 from .hom_core import check_hom_hopf
@@ -48,11 +48,9 @@ def _dual_action_table(u, v, rt):
     act = {}
     for ukey in u.basis_keys():
         shifted_u = u.alpha_pow(-2, LinComb.basis(ukey))
-        images = [(w, rt(v.alpha_pow(-2, LinComb.basis(w)), shifted_u)) for w in vk]
-        for z in vk:
-            act[(ukey, z)] = LinComb._wrap(
-                {w: val.terms[z] for w, val in images if z in val.terms}
-            )
+        images = ((w, rt(v.alpha_pow(-2, LinComb.basis(w)), shifted_u)) for w in vk)
+        for z, col in transpose_table(images, vk).items():
+            act[(ukey, z)] = col
     return act
 
 

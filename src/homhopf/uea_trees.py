@@ -39,7 +39,7 @@ from .foundation import (
     extend,
     pair_extend,
 )
-from .hom_core import CheckReport
+from .hom_core import CheckReport, HomStructure
 from .hom_lie import check_hom_lie
 
 UNIT = "1"
@@ -374,7 +374,7 @@ def _enveloping_ideal(g, n_max):
     return ops, rs
 
 
-class TruncatedUEA:
+class TruncatedUEA(HomStructure):
     """The universal enveloping Hom-Hopf algebra of a Hom-Lie algebra,
     truncated at a tree degree.
 
@@ -383,8 +383,9 @@ class TruncatedUEA:
     grafting product raises TruncationOverflow past the degree bound; the
     coproduct, counit, antipode and twist are total.
 
-    `ambient` lists every tree within the weight bound; `rowspace` holds
-    J0 only, and `ideal_rows` derives the rows of the weighted trees.
+    `ambient` lists every tree within the weight bound and `keys` the
+    normal forms; `rowspace` holds J0 only, and `ideal_rows` derives the
+    rows of the weighted trees.
     """
 
     def __init__(self, lie, truncation_degree, ops, rowspace, ambient):
@@ -394,10 +395,10 @@ class TruncatedUEA:
         self.rowspace = rowspace
         self.ambient = ambient
         self._weighted = frozenset(k for k in ambient if k != UNIT and any(k[1]))
-        self.nf_keys = [
+        self.keys = [
             k for k in ambient if k not in self._weighted and k not in rowspace.rows
         ]
-        self.nf_keys.sort(key=display_order)
+        self.keys.sort(key=display_order)
         # a weighted row t - P0(sigma(t)) has the one degree of t when P0
         # preserves degree, that is when every row of J0 does
         self.graded = all(
@@ -409,15 +410,12 @@ class TruncatedUEA:
 
     # -- bookkeeping
 
-    def basis_keys(self):
-        return list(self.nf_keys)
-
     def degree(self, key):
         return tree_degree(key)
 
     def dims_per_degree(self):
         dims = [0] * (self.truncation_degree + 1)
-        for k in self.nf_keys:
+        for k in self.keys:
             dims[tree_degree(k)] += 1
         return dims
 
@@ -454,6 +452,7 @@ class TruncatedUEA:
             self._product_cache[(k1, k2)] = val
         return val
 
+    # own maps: perfbench/spans.py wraps all three through this class's __dict__
     def alpha_map(self, x):
         return self.project(self.ops.a_shift(x, 1))
 
@@ -485,12 +484,6 @@ class TruncatedUEA:
 
     def counit_map(self, x):
         return self.ops.counit(x)
-
-    def beta_map(self, x):
-        return x
-
-    def beta_inv(self, x):
-        return x
 
     def beta_pow(self, n, x):
         return x

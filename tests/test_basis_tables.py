@@ -107,7 +107,7 @@ class PerturbedUEA(TruncatedUEA):
 
     def __init__(self, u):
         TruncatedUEA.__init__(self, u.lie, u.truncation_degree, u.ops, u.rowspace, u.ambient)
-        self.pair = tuple(k for k in self.nf_keys if self.degree(k) == 1)[:2]
+        self.pair = tuple(k for k in self.keys if self.degree(k) == 1)[:2]
 
     def _product_key(self, k1, k2):
         val = TruncatedUEA._product_key(self, k1, k2)

@@ -520,3 +520,72 @@ def test_consistent_bracket_rows_are_accepted(tmp_path):
     ]
     g = parse_input(write(tmp_path, doc)).hom_lie["a2"]
     assert g.bracket(0, 1) == e(0) and g.bracket(1, 0) == -1 * e(0)
+
+
+# schema errors that no other test reaches on purpose: case -> a function
+# of tmp_path giving (argv, the message of the one stderr line)
+
+
+def missing_matrix(tmp_path):
+    doc = sample_doc("kz4_verify")
+    del doc["hopf"]["kz4_twisted"]["alpha"]
+    argv = ["verify-hopf", "--input", write(tmp_path, doc)]
+    return argv, "/hopf/kz4_twisted: missing matrix 'alpha'"
+
+
+def short_dense_vector(tmp_path):
+    doc = sample_doc("kz4_verify")
+    doc["hopf"]["kz4_twisted"]["unit"] = ["1", "0", "0"]
+    argv = ["verify-hopf", "--input", write(tmp_path, doc)]
+    return argv, "/hopf/kz4_twisted/unit: dense vector length != 4"
+
+
+def unreadable_file(tmp_path):
+    path = str(tmp_path / "absent.json")
+    with pytest.raises(OSError) as exc:
+        open(path, encoding="utf-8")
+    return ["verify-hopf", "--input", path], "/: cannot read input: %s" % exc.value
+
+
+def invalid_json(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text('{"field": ')
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(path.read_text())
+    return ["verify-hopf", "--input", str(path)], "/: invalid JSON: %s" % exc.value
+
+
+def top_level_list(tmp_path):
+    argv = ["verify-hopf", "--input", write(tmp_path, [])]
+    return argv, "/: top level must be an object"
+
+
+def malformed_bracket_row(tmp_path):
+    doc = sample_doc("abelian2_build_uea")
+    doc["hom_lie"]["abelian2"]["bracket"] = [[0, 1]]
+    argv = ["build-uea", "--input", write(tmp_path, doc)]
+    return argv, "/hom_lie/abelian2/bracket: expected [i, j, vector] rows"
+
+
+def target_names_nothing(tmp_path):
+    path = write(tmp_path, sample_doc("kz4_verify"))
+    argv = ["verify-hopf", "--input", path, "--target", "nope"]
+    return argv, "/pipeline/target: no hopf algebra named 'nope'"
+
+
+SCHEMA_ERRORS = {
+    f.__name__: f
+    for f in (
+        missing_matrix, short_dense_vector, unreadable_file, invalid_json,
+        top_level_list, malformed_bracket_row, target_names_nothing,
+    )
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_ERRORS))
+def test_schema_error_is_one_stderr_line_and_exit_two(tmp_path, capsys, case):
+    argv, message = SCHEMA_ERRORS[case](tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: %s\n" % message

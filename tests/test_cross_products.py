@@ -15,17 +15,20 @@ from homhopf.cross_products import (
     check_module_algebra,
     check_mutual_pair,
 )
-from homhopf.semidual import semidualize
+from homhopf.semidual import _check_order, semidualize
 from homhopf.duality import TruncatedDual
-from homhopf.uea_trees import UNIT, TruncatedUEA, lift_to_Uh_action
+from homhopf.uea_trees import UNIT, TruncatedUEA, build_truncated_uea, lift_to_Uh_action
 
 from fixtures import (
     ActionData,
+    abelian_lie,
     fixture_a_prime_lie_pair,
     fixture_b_lie_pair,
     kz4_twisted_hopf,
+    sweedler_twisted_hopf,
     trivial_hopf_matched_pair,
 )
+from lie_pairs import diag23
 from oracles import (
     antipode_from_convolution,
     check_hom_module,
@@ -248,13 +251,7 @@ def test_bicross_product_of_fiber_elements():
 # degree budget (every TruncatedDual below is the dual of a TruncatedUEA)
 TRUNCATED = (TruncatedUEA, TruncatedDual)
 
-TWIST_METHODS = {
-    "alpha": "alpha_map",
-    "alpha_inv": "alpha_inv",
-    "beta": "beta_map",
-    "beta_inv": "beta_inv",
-}
-
+TWIST_POWERS = range(-2, 3)
 
 def lie_bicross(pair, n, w):
     return Bicrossproduct(semidualize(lift_to_Uh_action(pair, n, w)))
@@ -298,10 +295,12 @@ def test_tabulated_tensor_maps_match_uncached(case):
                 assert terms(t.product(e(k1), e(k2))) == terms(want), (k1, k2)
     assert overflows or not any(isinstance(f, TRUNCATED) for f in t._factors)
     for name, (f, g) in t._twists.items():
-        method = getattr(t, TWIST_METHODS[name])
-        for k in keys:
-            for _ in range(2):
-                assert terms(method(e(k))) == terms(pair_apply(f, g, e(k))), (name, k)
+        power = getattr(t, name + "_pow")
+        for n in TWIST_POWERS:
+            want = partial(pair_apply, partial(f, n), partial(g, n))
+            for k in keys:
+                for _ in range(2):
+                    assert terms(power(n, e(k))) == terms(want(e(k))), (name, n, k)
     # the coproduct and the antipode against a fresh copy for every key
     for name in ("comult_map", "antipode_map"):
         for k in keys:
@@ -325,3 +324,64 @@ def test_tabulated_tensor_maps_match_uncached(case):
         (q.eq_id, q.checked, q.skipped) for q in second.equations
     ]
     assert first.passed and second.passed
+
+
+# ---------------------------------------------------------------------------
+# HomStructure: the +-1 twists of every structure are its powers +-1, and
+# the twist powers of the tensor products are those of their legs
+
+
+def uea_diag23():
+    return build_truncated_uea(abelian_lie(2, diag23()), 2, 1)
+
+
+# the twists read only the factors, so this pair needs no actions; the
+# twisted Sweedler leg has alpha != beta, and alpha of infinite order
+def doublecross_sweedler_twisted_kz4():
+    return DoubleCrossProduct(
+        MatchedPairHopf(sweedler_twisted_hopf(), kz4_twisted_hopf(), {}, {})
+    )
+
+
+STRUCTURES = {
+    "kz4": kz4_twisted_hopf,
+    "sweedler_twisted": sweedler_twisted_hopf,
+    "uea_abelian2_diag23_n2_w1": uea_diag23,
+    "dual_abelian2_diag23_n2_w1": lambda: TruncatedDual(uea_diag23()),
+    "doublecross_sweedler_twisted_kz4": doublecross_sweedler_twisted_kz4,
+    "bicross_fixture_a_prime_n3_w1": (
+        lambda: lie_bicross(fixture_a_prime_lie_pair(), 3, 1)
+    ),
+}
+
+
+def leg_powers(t):
+    """name -> (n-th power on the first leg, on the second), as the double
+    cross product and the bicrossproduct define their twists."""
+    if isinstance(t, DoubleCrossProduct):
+        a, b = t.u, t.v
+        return {"alpha": (a.alpha_pow, b.alpha_pow), "beta": (a.beta_pow, b.beta_pow)}
+    a, b = t.f, t.u
+    return {"alpha": (a.beta_pow, b.alpha_pow), "beta": (a.alpha_pow, b.beta_pow)}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURES))
+def test_twists_are_powers_and_tensor_powers_are_leg_wise(case):
+    h = STRUCTURES[case]()
+    keys = h.basis_keys()
+    for name in ("alpha", "beta"):
+        power = getattr(h, name + "_pow")
+        fwd, inv = getattr(h, name + "_map"), getattr(h, name + "_inv")
+        for k in keys:
+            assert terms(fwd(e(k))) == terms(power(1, e(k))), (name, k)
+            assert terms(inv(e(k))) == terms(power(-1, e(k))), (name, k)
+    if not isinstance(h, (DoubleCrossProduct, Bicrossproduct)):
+        return
+    for name, (f, g) in leg_powers(h).items():
+        power = getattr(h, name + "_pow")
+        for n in TWIST_POWERS:
+            for k in keys:
+                want = f(n, e(k[0])) @ g(n, e(k[1]))
+                assert terms(power(n, e(k))) == terms(want), (name, n, k)
+    if isinstance(h, DoubleCrossProduct):
+        _check_order(h, "double cross product", True)

@@ -73,7 +73,7 @@ def test_build_from_J0_matches_stored_weighted_rows(name):
     u = build_truncated_uea(g, n, w)
     ref = build_truncated_uea_with_weighted_rows(g, n, w)
     assert u.ambient == ref.ambient
-    assert u.nf_keys == ref.nf_keys
+    assert u.keys == ref.keys
     assert u.graded == ref.graded
     assert [terms(r) for r in u.ideal_rows()] == [
         terms(r) for r in ref.rowspace.basis_rows()

@@ -19,8 +19,6 @@ KEEP = {
     # ROADMAP item 4 puts it on the reports
     "hom_core.EquationResult.coverage": "item 4: checked share of an equation's tuples",
     # one- to three-line protocol methods that the tests call
-    "cross_products._TensorHopf.alpha_inv": "protocol: inverse twist, compared leg by leg",
-    "cross_products._TensorHopf.beta_inv": "protocol: inverse twist, compared leg by leg",
     "foundation.LinComb.__neg__": "protocol: unary minus of a vector",
     "foundation.LinComb.__repr__": "protocol: how a failing assert shows a vector",
     "hom_core.Violation.__repr__": "protocol: how a failing assert shows a witness",

@@ -23,6 +23,11 @@ through `check_matched_pair_hopf`: +1 on each constant [v |> u]_k and
 bicross sample, through `check_mutual_pair`: +1 on each constant
 [u |> f]_k and [nabla(u)]_(u', f), zero constants included.
 
+The two mutual-pair checkers, the table check of a finite semidual and
+the pairing-wise check of `GradedMutualPair`, are run side by side on the
+semiduals of two finite matched pairs, each with every +1 perturbation of
+its left action table: both must fail the same equations.
+
 The dual of a finite Hom-Hopf algebra puts its twists in place by
 `TruncatedDual._precompose`.  Two mutants of it, one reading beta where
 alpha is meant and back, one inverting the twist, give a dual that
@@ -37,6 +42,7 @@ import pytest
 
 from homhopf.cli import parse_input
 from homhopf.cross_products import (
+    GradedMutualPair,
     MatchedPairHopf,
     MutualPairHopf,
     check_matched_pair_hopf,
@@ -45,9 +51,16 @@ from homhopf.cross_products import (
 from homhopf.duality import TruncatedDual, dual_hom_hopf
 from homhopf.foundation import LinComb, LinearOperator, swap_pairs
 from homhopf.hom_core import HomHopfData, check_hom_hopf
+from homhopf.semidual import semidualize
 
-from fixtures import kz4_twisted_hopf, sweedler_hopf, sweedler_twisted_hopf
+from fixtures import (
+    kz4_twisted_hopf,
+    sweedler_hopf,
+    sweedler_twisted_hopf,
+    trivial_hopf_matched_pair,
+)
 from record_golden import SAMPLES, _sample_matched_pair
+from test_semidual import nontrivial_finite_matched_pair
 
 e = LinComb.basis
 
@@ -256,6 +269,32 @@ def test_every_mutual_pair_perturbation_fails():
         assert not rep.passed, (table, entry, k)
         failures.update(eq.eq_id for eq in rep.equations if eq.violations)
     assert dict(failures) == MUTUAL_PAIR_FAILURES
+
+
+def failed_by_both_checkers(p):
+    """The ids of the equations that the table check and the pairing-wise
+    check of the mutual pair semidualized from p fail."""
+    m = semidualize(p, enforce_order_constraint=False)
+    return [
+        {eq.eq_id for eq in check_mutual_pair(q).equations if eq.violations}
+        for q in (m, GradedMutualPair(m.f, p.u, m.action, p))
+    ]
+
+
+def test_table_and_pairing_wise_mutual_pair_checks_fail_alike():
+    swept = 0
+    for base in (trivial_hopf_matched_pair(), nontrivial_finite_matched_pair()):
+        assert failed_by_both_checkers(base) == [set(), set()]
+        for entry in base.left:
+            for k in base.u.basis_keys():
+                left = dict(base.left)
+                left[entry] = left[entry] + e(k)
+                p = MatchedPairHopf(base.u, base.v, left, base.right)
+                table, pairing_wise = failed_by_both_checkers(p)
+                assert table, (entry, k)
+                assert table == pairing_wise, (entry, k)
+                swept += 1
+    assert swept == 128
 
 
 # the twist placement of the dual, mutated: each mutant replaces
