@@ -40,7 +40,7 @@ from .foundation import (
     pair_extend,
 )
 from .hom_core import CheckReport, HomStructure
-from .hom_lie import check_hom_lie
+from .hom_lie import check_hom_lie, check_lie_module
 
 UNIT = "1"
 LEAF = ()
@@ -562,6 +562,16 @@ class UEAActionContext:
         omega|>(t, u) = omega|>(sigma t, u)    as combinations,
         sigma(omega<|(t, u)) = omega<|(sigma t, u),
     where the raw <| images differ, because v <| 1 = a(v) keeps weights.
+
+    A weighted g-leaf (s, xi) is not read through sigma_g: eta acts on it
+    through alpha^-s(eta).  When both Lie actions meet `lie-module-i`,
+    gamma(xi.v) = phi(xi).gamma(v), its iterate
+        phi_g^s(alpha^-s(eta) |> xi) = eta |> phi_g^s(xi)
+    is the leaf case of an induction over the recursions, which gives, for
+    every h-tree v and every weighted g-tree t,
+        sigma_g(omega|>(v, t)) = sigma_g(omega|>(v, sigma_g t)),
+        omega<|(v, t) = omega<|(v, sigma_g t).
+    Without it both can fail.
     """
 
     def __init__(self, pair):
@@ -664,6 +674,20 @@ class UEAActionContext:
         return bilinear(self.omega_right_key, v, u)
 
 
+def _g_ideal_failure(ctx, ug, uh, rows):
+    """Why the first of rows that some U(h) normal form does not preserve,
+    under either lifted action, is refused, walking the normal forms
+    outside and the rows inside; None if there is none."""
+    for vkey in uh.basis_keys():
+        v = LinComb.basis(vkey)
+        for row in rows:
+            if ug.project(ctx.omega_left(v, row)):
+                return "h-action does not preserve the g-ideal"
+            if uh.project(ctx.omega_right(v, row)):
+                return "right action does not preserve the g-ideal"
+    return None
+
+
 def _h_ideal_failure(ctx, ug, uh, rows):
     """Why the first of rows that some U(g) normal form does not kill,
     under either lifted action, is refused; None if there is none."""
@@ -685,27 +709,35 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     verified to be stable under the actions, so the tables are well defined
     on the quotients; NotHomLie is raised otherwise.
 
-    Every row of the g-ideal (`ideal_rows`) is checked on every U(h) normal
-    form: its weighted rows test that the actions commute with the twist.
-    The h-ideal is accepted through the stored rows J0, on every U(g) normal
-    form.  That suffices: every weighted row is t - P0(sigma t), so the
-    projection P_h of U(h) satisfies P_h(sigma x) = P_h(x), and by the
-    identities of UEAActionContext the row acts, after projection, as
-    sigma t - P0(sigma t) does, which is a combination of J0 rows.  When a
-    J0 row is not killed, every row is walked in pivot order, so that the
-    refusal is that of the first row that fails.
+    Each ideal is accepted through its stored rows J0.  For the h-ideal,
+    on every U(g) normal form, that always suffices: every weighted row is
+    t - P0(sigma t), the projection P_h of U(h) satisfies
+    P_h(sigma x) = P_h(x), and by the identities of UEAActionContext the
+    row acts, after projection, as sigma t - P0(sigma t) does, which is a
+    combination of J0 rows.  For the g-ideal, on every U(h) normal form,
+    it suffices when both Lie actions meet `lie-module-i` of
+    `check_lie_module`, gamma(xi.v) = phi(xi).gamma(v): then, by the
+    second pair of identities of UEAActionContext and P_g = P0 sigma_g,
+    the weighted row t - P0(sigma_g t) acts, after projection, as
+    sigma_g t - P0(sigma_g t) does.  When the twists are not compatible,
+    or a J0 row is not preserved, every row of `ideal_rows` is walked in
+    pivot order, so that the refusal is that of the first row that fails;
+    the weighted g-rows then test the twist compatibility and its powers.
     """
     ug = build_truncated_uea(pair.g, truncation_degree, weight_bound)
     uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
     ctx = UEAActionContext(pair)
 
-    g_rows = ug.ideal_rows()
-    for vkey in uh.basis_keys():
-        for row in g_rows:
-            if ug.project(ctx.omega_left(LinComb.basis(vkey), row)):
-                raise NotHomLie("h-action does not preserve the g-ideal")
-            if uh.project(ctx.omega_right(LinComb.basis(vkey), row)):
-                raise NotHomLie("right action does not preserve the g-ideal")
+    twists_compatible = all(
+        check_lie_module(lie, action).equation("lie-module-i").passed
+        for lie, action in ((pair.h, pair.h_on_g), (pair.g, pair.g_on_h))
+    )
+    if not twists_compatible or _g_ideal_failure(
+        ctx, ug, uh, ug.rowspace.basis_rows()
+    ):
+        failure = _g_ideal_failure(ctx, ug, uh, ug.ideal_rows())
+        if failure:
+            raise NotHomLie(failure)
     if _h_ideal_failure(ctx, ug, uh, uh.rowspace.basis_rows()):
         raise NotHomLie(_h_ideal_failure(ctx, ug, uh, uh.ideal_rows()))
 

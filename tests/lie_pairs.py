@@ -37,17 +37,18 @@ def anticommuting_pair():
     return MatchedPairLie(g, h, h_on_g, g_on_h)
 
 
-def sl2_split_pair(twisted=False):
+def sl2_split_pair(lam=1):
     """sl2 split as g = <e> and h = <h, f>: h |> e = 2e, f <| e = -h and
-    [h, f] = -2f, so both actions are nonzero.  twisted=True deforms every
-    bracket and action along the Chevalley involution e -> -e, f -> -f,
-    which becomes the twist of g and h (order 2)."""
-    s = -1 if twisted else 1
-    phi = LinearOperator.from_matrix([[s]], inverse=[[s]])
-    alpha = LinearOperator.from_matrix([[1, 0], [0, s]], inverse=[[1, 0], [0, s]])
+    [h, f] = -2f, so both actions are nonzero.  lam != 1 deforms every
+    bracket and action along the automorphism e -> lam e, f -> f/lam,
+    h -> h, which becomes the twist of g and h: lam = -1 is the Chevalley
+    involution (order 2), and any lam other than +-1 has infinite order."""
+    inv = Fraction(1, lam)
+    phi = LinearOperator.from_matrix([[lam]], inverse=[[inv]])
+    alpha = LinearOperator.from_matrix([[1, 0], [0, inv]], inverse=[[1, 0], [0, lam]])
     g = HomLieData(1, {}, phi)
-    h = HomLieData(2, {(0, 1): -2 * s * e(1)}, alpha)
-    h_on_g = LieActionData(h, [0], {(0, 0): 2 * s * e(0)}, phi)
+    h = HomLieData(2, {(0, 1): -2 * inv * e(1)}, alpha)
+    h_on_g = LieActionData(h, [0], {(0, 0): 2 * lam * e(0)}, phi)
     g_on_h = LieActionData(g, [0, 1], {(0, 1): -1 * e(0)}, alpha)
     return MatchedPairLie(g, h, h_on_g, g_on_h)
 

@@ -324,7 +324,7 @@ TABLE_CASES = {
     "lift_fixture_b_n3_w1": lambda: lifted_actions(fixture_b_lie_pair()),
     "lift_anticommuting_n3_w1": lambda: lifted_actions(anticommuting_pair()),
     "lift_sl2_split_n3_w1": lambda: lifted_actions(sl2_split_pair()),
-    "lift_sl2_split_twisted_n3_w1": lambda: lifted_actions(sl2_split_pair(True)),
+    "lift_sl2_split_twisted_n3_w1": lambda: lifted_actions(sl2_split_pair(-1)),
     "lift_sl2_reverse_split_twisted_n3_w1": lambda: lifted_actions(
         sl2_reverse_split_pair(True)
     ),

@@ -243,7 +243,7 @@ GRADED_CASES = {
     "fixture_a_prime_n3_w1": lambda: lie_semidual(fixture_a_prime_lie_pair(), 3),
     "anticommuting_n3_w1": lambda: lie_semidual(anticommuting_pair(), 3),
     "sl2_split_n3_w1": lambda: lie_semidual(sl2_split_pair(), 3),
-    "sl2_split_twisted_n3_w1": lambda: lie_semidual(sl2_split_pair(True), 3),
+    "sl2_split_twisted_n3_w1": lambda: lie_semidual(sl2_split_pair(-1), 3),
     "sl2_reverse_split_n2_w1": lambda: lie_semidual(sl2_reverse_split_pair(), 2),
     "sl2_reverse_split_twisted_n2_w1": lambda: lie_semidual(
         sl2_reverse_split_pair(True), 2

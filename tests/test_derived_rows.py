@@ -34,7 +34,7 @@ LIFT_PAIRS = {
     "fixture_b": fixture_b_lie_pair,
     "anticommuting": anticommuting_pair,
     "sl2_split": sl2_split_pair,
-    "sl2_split_twisted": lambda: sl2_split_pair(True),
+    "sl2_split_twisted": lambda: sl2_split_pair(-1),
     "sl2_reverse_split_twisted": lambda: sl2_reverse_split_pair(True),
 }
 

@@ -1,28 +1,46 @@
 """The stability loops of the lifted actions against the loops they replace.
 
 `lift_to_Uh_action` returns a join term of the lifted actions as soon as
-its zero factor is known, and accepts the h-ideal through the rows of its
-weight-0 part J0, the only rows U(h) stores.
+its zero factor is known.  It accepts the h-ideal through the rows of its
+weight-0 part J0, the only rows U(h) stores, and the g-ideal through J0
+of U(g) when both Lie actions meet `lie-module-i`.
 `oracles.lift_to_Uh_action_full_walk` evaluates both factors of every term
 and walks every row of both ideals, the weighted rows that `ideal_rows`
 derives included.  On every pair below the two must give the same left
 and right tables, entry for entry and term for term in the same order, or
 refuse the pair with the same message.
 
-The acceptance through the weight-0 rows rests on two identities of the
-recursions, pinned here for every input, matched pair or not:
+The acceptance of the h-ideal rests on two identities of the recursions,
+pinned here for every input, matched pair or not:
     omega|>(t, u) = omega|>(sigma t, u),
     sigma(omega<|(t, u)) = omega<|(sigma t, u),
 for every weighted h-tree t and every U(g) tree u, where sigma replaces
-each leaf (s, eta) by (0, alpha^s(eta)).
+each leaf (s, eta) by (0, alpha^s(eta)).  The acceptance of the g-ideal
+rests on two more, pinned on every pair of PAIRS:
+    sigma_g(omega|>(v, t)) = sigma_g(omega|>(v, sigma_g t)),
+    omega<|(v, t) = omega<|(v, sigma_g t),
+for every U(h) normal form v and every weighted g-tree t.  They need the
+twist compatibility `lie-module-i`, and a pair that fails it shows so.
 """
 
 import pytest
 
+from homhopf import uea_trees
 from homhopf.errors import NotHomLie
 from homhopf.foundation import LinComb, extend
-from homhopf.hom_lie import LieActionData, MatchedPairLie, check_matched_pair_lie
-from homhopf.uea_trees import UEAActionContext, build_truncated_uea, lift_to_Uh_action
+from homhopf.hom_core import CheckReport
+from homhopf.hom_lie import (
+    LieActionData,
+    MatchedPairLie,
+    check_lie_module,
+    check_matched_pair_lie,
+)
+from homhopf.uea_trees import (
+    UEAActionContext,
+    _g_ideal_failure,
+    build_truncated_uea,
+    lift_to_Uh_action,
+)
 
 from fixtures import fixture_a_prime_lie_pair, fixture_b_lie_pair
 from lie_pairs import (
@@ -43,7 +61,9 @@ PAIRS = {
     "fixture_a_prime": fixture_a_prime_lie_pair,
     "anticommuting": anticommuting_pair,
     "sl2_split": sl2_split_pair,
-    "sl2_split_twisted": lambda: sl2_split_pair(True),
+    "sl2_split_twisted": lambda: sl2_split_pair(-1),
+    # a twist of infinite order: phi^s differs from phi^(s mod 2)
+    "sl2_split_lambda2": lambda: sl2_split_pair(2),
     "sl2_reverse_split_twisted": lambda: sl2_reverse_split_pair(True),
 }
 
@@ -122,11 +142,21 @@ def sigma(ops, x):
 
 def not_a_matched_pair():
     """The twisted sl2 split with f <| e = -h + f."""
-    return dict(perturbations(sl2_split_pair(True)))["g_on_h(0, 1)+e1"]
+    return dict(perturbations(sl2_split_pair(-1)))["g_on_h(0, 1)+e1"]
 
 
 def test_perturbed_pair_is_not_a_matched_pair():
     assert not check_matched_pair_lie(not_a_matched_pair()).passed
+
+
+def weighted_trees(ops, lie, n, w):
+    """The decorated trees of degree <= n with some leaf of weight 1..w."""
+    return [
+        t
+        for d in range(1, n + 1)
+        for t in ops.basis_keys(d, w, lie.dim)
+        if any(t[1])
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS) + ["not_a_matched_pair"])
@@ -136,16 +166,64 @@ def test_weighted_h_leaves_act_through_sigma(name):
     ug = build_truncated_uea(pair.g, n, w)
     ctx = UEAActionContext(pair)
     hops = ctx.hops
-    weighted = [
-        t
-        for d in range(1, n + 1)
-        for t in hops.basis_keys(d, w, pair.h.dim)
-        if any(t[1])
-    ]
-    for t in weighted:
+    for t in weighted_trees(hops, pair.h, n, w):
         st = sigma(hops, e(t))
         for u in ug.ambient:
             assert ctx.omega_left(e(t), e(u)) == ctx.omega_left(st, e(u)), (t, u)
             assert sigma(hops, ctx.omega_right(e(t), e(u))) == ctx.omega_right(
                 st, e(u)
             ), (t, u)
+
+
+def twist_incompatible_pair():
+    """The twisted sl2 split with f |> e = e: phi_g(f |> e) = -e, but
+    alpha(f) |> phi_g(e) = e, so `lie-module-i` of the h-action fails."""
+    return dict(perturbations(sl2_split_pair(-1)))["h_on_g(1, 0)+e0"]
+
+
+def g_sigma_mismatches(pair, n, w):
+    """The (v, t), v a U(h) normal form and t a weighted g-tree of degree
+    <= n, on which sigma_g(omega|>(v, t)) and sigma_g(omega|>(v, sigma_g t))
+    differ, and those on which omega<|(v, t) and omega<|(v, sigma_g t) do."""
+    uh = build_truncated_uea(pair.h, n, w)
+    ctx = UEAActionContext(pair)
+    gops = ctx.gops
+    left, right = [], []
+    for t in weighted_trees(gops, pair.g, n, w):
+        st = sigma(gops, e(t))
+        for v in uh.basis_keys():
+            if sigma(gops, ctx.omega_left(e(v), e(t))) != sigma(
+                gops, ctx.omega_left(e(v), st)
+            ):
+                left.append((v, t))
+            if ctx.omega_right(e(v), e(t)) != ctx.omega_right(e(v), st):
+                right.append((v, t))
+    return left, right
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_weighted_g_leaves_act_through_sigma(name):
+    assert g_sigma_mismatches(PAIRS[name](), 3, 2) == ([], [])
+
+
+def test_weighted_g_leaves_need_compatible_twists():
+    left, right = g_sigma_mismatches(twist_incompatible_pair(), 3, 1)
+    assert (len(left), len(right)) == (94, 6)
+
+
+def test_twist_check_is_load_bearing(monkeypatch):
+    pair = twist_incompatible_pair()
+    assert not check_lie_module(pair.h, pair.h_on_g).equation("lie-module-i").passed
+    ug = build_truncated_uea(pair.g, 3, 1)
+    uh = build_truncated_uea(pair.h, 3, 1)
+    # both actions preserve J0 of the g-ideal: its rows alone would accept it
+    ctx = UEAActionContext(pair)
+    assert _g_ideal_failure(ctx, ug, uh, ug.rowspace.basis_rows()) is None
+    assert assert_same_lift(pair, 3, 1) == "h-action does not preserve the g-ideal"
+    # without the twist check the weighted g-rows go unwalked, and the
+    # refusal comes only from the h-ideal
+    monkeypatch.setattr(uea_trees, "check_lie_module", lambda lie, action: CheckReport())
+    assert (
+        outcome(lift_to_Uh_action, pair, 3, 1)
+        == "lifted action does not kill the h-ideal"
+    )

@@ -14,7 +14,6 @@ import reachability
 KEEP = {
     # ROADMAP item 7 gives these a CLI path (U(g) ⋈ U(h) ≅ U(g ⋈ h))
     "hom_lie.check_matched_pair_lie": "item 7: the Lie-level matched-pair check",
-    "hom_lie.check_lie_module": "item 7: the Lie-module axioms of each action",
     "hom_lie.build_double_sum_lie": "item 7: the bicrossed sum g ⋈ h",
     # ROADMAP item 4 puts it on the reports
     "hom_core.EquationResult.coverage": "item 4: checked share of an equation's tuples",
