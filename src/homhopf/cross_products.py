@@ -4,10 +4,11 @@ bicrossproduct.
 
 All checkers enumerate basis tuples exhaustively.  When a factor is degree
 truncated, tuples whose intermediate products leave the budget are skipped
-and counted, so reports carry an honest coverage fraction.  For a graded
-dual factor the mutual-pair equations are evaluated pairing-wise: every
-functional leg is paired against the normal-form test vectors of each
-degree, which reduces each equation to exact rational arithmetic.
+and counted, so reports carry an honest coverage fraction.  For a dual
+factor truncated past degree 0 the mutual-pair equations are evaluated
+pairing-wise: every functional leg is paired against the normal-form test
+vectors of each degree, which reduces each equation to exact rational
+arithmetic.  A finite dual factor is compared leg for leg.
 """
 
 from .errors import TruncationOverflow
@@ -392,21 +393,9 @@ class DoubleCrossProduct(_TensorHopf):
 # mutual pairs and the bicrossproduct
 
 
-def coaction_column(lt, v, ukey):
-    """The coaction read off a left action of v through the dual pairing:
-    nabla(u) = sum_w (alpha^-2(w) |> u) x w*, over (u', w) pairs."""
-    return LinComb._wrap(
-        {
-            (k2, w): c
-            for w in v.basis_keys()
-            for k2, c in lt(v.alpha_pow(-2, e(w)), e(ukey)).items()
-        }
-    )
-
-
 class MutualPairHopf:
     """A Hom-Hopf pair (F, U) with an action of U on F and a coaction of U
-    into U x F, both finite tables.
+    into U x F, both finite tables, as `bicross` inputs give them.
 
     action[(u, f)] is u |> f in F; coaction[u] is nabla(u) as a combination
     over (u', f) pairs.
@@ -424,18 +413,20 @@ class MutualPairHopf:
     def coaction_legs(self, x):
         return extend(self.coaction.__getitem__, x)
 
-    coaction_legs_truncated = coaction_legs
-
 
 class GradedMutualPair(MutualPairHopf):
-    """Mutual-pair data where F is the degreewise dual of a truncated
-    factor; the coaction exists only through its pairings.
+    """The semidual of a matched pair: F is the degreewise dual of its
+    second factor V, a truncated enveloping algebra or a finite one read as
+    its truncation at degree 0, and the coaction exists through its
+    pairings, u_(0) <u_(1), w> = alpha^-2(w) |> u, read from the left
+    action of the matched pair.
 
-    The coaction can be materialized exactly only when the underlying left
-    action has the counital pattern v |> u = eps(v) alpha_U(u); then its
-    dual support is concentrated on the unit functional.  (For enveloping
-    algebras the in-budget pattern forces the Lie-level action to vanish,
-    which propagates the pattern to all degrees through the recursion.)
+    The coaction is complete, so that coaction_legs is exact, when F is
+    finite, which retains all of V at degree 0, or when the left action has
+    the counital pattern v |> u = eps(v) alpha_U(u); then its dual support
+    is concentrated on the unit functional.  (For enveloping algebras the
+    in-budget pattern forces the Lie-level action to vanish, which
+    propagates the pattern to all degrees through the recursion.)
     """
 
     def __init__(self, f, u, action, matched_pair):
@@ -444,8 +435,10 @@ class GradedMutualPair(MutualPairHopf):
         self.v = f.v
         self.action = dict(action)
         self.mp = matched_pair
-        self.coaction_complete = self._counital_pattern()
-        self._nabla = {}  # (U key, V key) -> nabla(e_u) paired with e_w
+        self.coaction_complete = f.truncation_degree == 0 or self._counital_pattern()
+        # (U key, V key) -> nabla(e_u) paired with e_w, and (U key,) -> the
+        # coaction column of e_u
+        self._nabla = {}
 
     def _counital_pattern(self):
         for (vkey, ukey), val in self.mp.left.items():
@@ -472,20 +465,24 @@ class GradedMutualPair(MutualPairHopf):
             )
         return self.coaction_legs_truncated(x)
 
+    def _column(self, i):
+        vk = self.v.basis_keys()
+        return LinComb._wrap(
+            {(k2, w): c for w in vk for k2, c in self._nabla_key(i, w).items()}
+        )
+
     def coaction_legs_truncated(self, x):
         """Coaction with dual legs restricted to the retained degrees; exact
-        when coaction_complete, a declared truncation otherwise."""
-        vk = self.v.basis_keys()
-        return extend(
-            lambda k: LinComb._wrap(
-                {(k2, w): c for w in vk for k2, c in self._nabla_key(k, w).items()}
-            ),
-            x,
-        )
+        when coaction_complete, a declared truncation otherwise.  Each
+        column sum_w (alpha^-2(w) |> u) x w* is built once."""
+        return extend(lambda i: memo_lookup(self._nabla, (i,), self._column, i), x)
 
 
 def check_mutual_pair(m):
-    if isinstance(m, GradedMutualPair):
+    """A finite F (truncation degree 0) is checked leg for leg from its
+    coaction; a truncated one pairing-wise, against the retained test
+    vectors."""
+    if m.f.truncation_degree:
         return _check_mutual_pair_graded(m)
     return _check_mutual_pair_finite(m)
 

@@ -5,28 +5,26 @@ factor, with the pairing conventions
     u_(0) <u_(1), v> = alpha_V^-2(v) |> u        (coaction from action)
     <u |>* f, v>     = <f, alpha_V^-2(v) <| phi_U^-2(u)>   (dual action)
 
-Both kinds of second factor dualize through `TruncatedDual`: a finite
-one as its truncation at degree 0, with the coaction as a finite table; a
-truncated enveloping one degreewise, with the mutual-pair equations then
-evaluated pairing-wise.  The pipeline entry point composes: build both
-enveloping algebras and lift the actions into a matched pair
-(`lift_to_Uh_action`), check the matched pair, semidualize, check the
-mutual pair, and build the bicrossproduct.
+Every second factor is a truncation, a finite one at degree 0, so one
+construction serves both kinds: the dual is `dual_hom_hopf`, the dual
+action a table, and the coaction is read from the matched pair's left
+action through the pairing (`GradedMutualPair`).  The pipeline entry
+point composes: build both enveloping algebras and lift the actions into
+a matched pair (`lift_to_Uh_action`), check the matched pair,
+semidualize, check the mutual pair, and build the bicrossproduct.
 """
 
 from .cross_products import (
     Bicrossproduct,
     GradedMutualPair,
-    MutualPairHopf,
     check_matched_pair_hopf,
     check_mutual_pair,
-    coaction_column,
 )
-from .duality import TruncatedDual, dual_hom_hopf, transpose_table
+from .duality import dual_hom_hopf, transpose_table
 from .errors import OrderConstraintViolated
 from .foundation import LinComb
 from .hom_core import check_hom_hopf
-from .uea_trees import TruncatedUEA, lift_to_Uh_action
+from .uea_trees import lift_to_Uh_action
 
 
 def _check_order(obj, label, enforce):
@@ -56,17 +54,12 @@ def _dual_action_table(u, v, rt):
 
 def semidualize(p, enforce_order_constraint=True):
     """Replace the second factor of a matched pair by its dual, producing
-    mutual-pair data (dual action and pairing coaction)."""
+    mutual-pair data: the dual action as a table, and the coaction
+    nabla(u) = sum_w (alpha^-2(w) |> u) x w* read from the left action."""
     U, V = p.u, p.v
     _check_order(V, "second factor", enforce_order_constraint)
     _check_order(U, "first factor", enforce_order_constraint)
-
-    if isinstance(V, TruncatedUEA):
-        return GradedMutualPair(TruncatedDual(V), U, _dual_action_table(U, V, p.rt), p)
-    # the coaction nabla(u) = sum_w (alpha^-2(w) |> u) x w* over the dual
-    dual = dual_hom_hopf(V)
-    coaction = {u: coaction_column(p.lt, V, u) for u in U.basis_keys()}
-    return MutualPairHopf(dual, U, _dual_action_table(U, V, p.rt), coaction)
+    return GradedMutualPair(dual_hom_hopf(V), U, _dual_action_table(U, V, p.rt), p)
 
 
 class HomLieHopfResult:

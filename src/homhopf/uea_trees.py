@@ -40,7 +40,7 @@ from .foundation import (
     pair_extend,
 )
 from .hom_core import CheckReport, HomStructure
-from .hom_lie import check_hom_lie, check_lie_module
+from .hom_lie import check_hom_lie, check_lie_module_twist
 
 UNIT = "1"
 LEAF = ()
@@ -715,10 +715,10 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     P_h(sigma x) = P_h(x), and by the identities of UEAActionContext the
     row acts, after projection, as sigma t - P0(sigma t) does, which is a
     combination of J0 rows.  For the g-ideal, on every U(h) normal form,
-    it suffices when both Lie actions meet `lie-module-i` of
-    `check_lie_module`, gamma(xi.v) = phi(xi).gamma(v): then, by the
-    second pair of identities of UEAActionContext and P_g = P0 sigma_g,
-    the weighted row t - P0(sigma_g t) acts, after projection, as
+    it suffices when both Lie actions pass `check_lie_module_twist`,
+    gamma(xi.v) = phi(xi).gamma(v): then, by the second pair of
+    identities of UEAActionContext and P_g = P0 sigma_g, the weighted
+    row t - P0(sigma_g t) acts, after projection, as
     sigma_g t - P0(sigma_g t) does.  When the twists are not compatible,
     or a J0 row is not preserved, every row of `ideal_rows` is walked in
     pivot order, so that the refusal is that of the first row that fails;
@@ -729,7 +729,7 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     ctx = UEAActionContext(pair)
 
     twists_compatible = all(
-        check_lie_module(lie, action).equation("lie-module-i").passed
+        check_lie_module_twist(lie, action).passed
         for lie, action in ((pair.h, pair.h_on_g), (pair.g, pair.g_on_h))
     )
     if not twists_compatible or _g_ideal_failure(

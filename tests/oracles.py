@@ -43,8 +43,14 @@ tests use.  `antipode_from_convolution` solves for the convolution
 inverse of the identity, a second route to the antipode, and
 `action_from_coaction` reads an action back off the coaction that
 `semidual.semidualize` builds.  `check_hom_module` checks the
-Hom-module axioms of a left or right action given by its table, and
-`check_module_coalgebra` the module-coalgebra conditions of a left action.
+Hom-module axioms of a left or right action given by its table,
+`check_module_coalgebra` the module-coalgebra conditions of a left action,
+and `check_lie_module` the Lie-module axioms of one Lie action, the
+twist compatibility of `hom_lie` and the bracket axiom.
+`semidualize_to_tables` is the semidual of a finite matched pair as
+`semidualize` built it before it read every coaction from the matched
+pair: a `MutualPairHopf` whose coaction is a table of columns
+(`coaction_column`).
 """
 
 import copy
@@ -54,12 +60,13 @@ from fractions import Fraction
 
 from homhopf.cross_products import (
     MatchedPairHopf,
+    MutualPairHopf,
     _check_action_side,
     _comult_compat,
     _counit_compat,
     _module_coalgebra,
 )
-from homhopf.duality import transpose_table
+from homhopf.duality import dual_hom_hopf, transpose_table
 from homhopf.errors import (
     NotHomLie,
     NotInvertible,
@@ -82,6 +89,8 @@ from homhopf.hom_core import (
     HomCoalgebraData,
     HomHopfData,
 )
+from homhopf.hom_lie import check_lie_module_twist
+from homhopf.semidual import _dual_action_table
 from homhopf.uea_trees import (
     LEAF,
     UNIT,
@@ -942,6 +951,28 @@ def action_from_coaction(v, carrier_keys, coaction_table):
     return table
 
 
+def coaction_column(lt, v, ukey):
+    """The coaction read off a left action of v through the dual pairing:
+    nabla(u) = sum_w (alpha^-2(w) |> u) x w*, over (u', w) pairs."""
+    e = LinComb.basis
+    return LinComb._wrap(
+        {
+            (k2, w): c
+            for w in v.basis_keys()
+            for k2, c in lt(v.alpha_pow(-2, e(w)), e(ukey)).items()
+        }
+    )
+
+
+def semidualize_to_tables(p):
+    """The semidual of a finite matched pair with its coaction copied into
+    a table, one column per U key; no order constraint is checked."""
+    U, V = p.u, p.v
+    dual = dual_hom_hopf(V)
+    coaction = {u: coaction_column(p.lt, V, u) for u in U.basis_keys()}
+    return MutualPairHopf(dual, U, _dual_action_table(U, V, p.rt), coaction)
+
+
 def hopf_data(t):
     """A double cross product or bicrossproduct of finite factors
     materialized as explicit tables."""
@@ -998,4 +1029,28 @@ def check_module_coalgebra(h, c, act):
     coalgebra c: beta-compatibility, diagonal coproduct, counit kill."""
     rep = CheckReport()
     _module_coalgebra(rep, "", h, c, c, act)
+    return rep
+
+
+def check_lie_module(g, m):
+    """Lie-module axioms of an action m of g: the twist compatibility
+    gamma(xi.v) = phi(xi).gamma(v) of `hom_lie.check_lie_module_twist`, and
+    [xi,xi'].gamma(v) = phi(xi).(xi'.v) - phi(xi').(xi.v)."""
+    rep = check_lie_module_twist(g, m)
+    keys = g.basis_keys()
+    bas = [LinComb.basis(k) for k in keys]
+
+    def axiom_ii(i, j, v):
+        vv = LinComb.basis(v)
+        lhs = m.apply(g.bracket(i, j), m.gamma.apply(vv))
+        rhs = m.apply(g.phi_map(bas[i]), m.apply(bas[j], vv)) - m.apply(
+            g.phi_map(bas[j]), m.apply(bas[i], vv)
+        )
+        return lhs, rhs
+
+    rep.run(
+        "lie-module-ii",
+        [(i, j, v) for i in keys for j in keys for v in m.carrier_keys],
+        axiom_ii,
+    )
     return rep

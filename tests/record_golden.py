@@ -172,7 +172,8 @@ def _sample_matched_pair():
 
 def semidual_finite():
     m = semidualize(_sample_matched_pair())
-    return {"action": table(m.action), "coaction": table(m.coaction)}
+    coaction = {k: m.coaction_legs(e(k)) for k in m.u.basis_keys()}
+    return {"action": table(m.action), "coaction": table(coaction)}
 
 
 def semidual_graded():

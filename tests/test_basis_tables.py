@@ -28,7 +28,6 @@ from homhopf.cross_products import (
     MatchedPairHopf,
     check_matched_pair_hopf,
     check_mutual_pair,
-    coaction_column,
 )
 from homhopf.errors import TruncationOverflow, UnknownBasisIndex
 from homhopf.foundation import LinComb, LinearOperator, bilinear
@@ -53,6 +52,7 @@ from oracles import (
     FreshPerKey,
     check_hom_algebra_untabulated,
     check_mutual_pair_graded_untabulated,
+    coaction_column,
     fresh_copy,
 )
 from record_golden import SAMPLES, perturbed_graded_mutual_pairs

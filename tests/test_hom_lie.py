@@ -1,14 +1,16 @@
+from collections import Counter
+
 import pytest
 
 from homhopf.errors import NotHomLie, NotInvertible, NotMatchedPair
 from homhopf.foundation import LinComb, LinearOperator
+from homhopf.hom_core import CheckReport
 from homhopf.hom_lie import (
     HomLieData,
     LieActionData,
     MatchedPairLie,
     build_double_sum_lie,
     check_hom_lie,
-    check_lie_module,
     check_matched_pair_lie,
 )
 
@@ -22,6 +24,9 @@ from fixtures import (
     sl2_involution,
     solvable2_lie,
 )
+from lie_pairs import sl2_split_pair
+from oracles import check_lie_module
+from test_lift_stability import perturbations
 
 e = LinComb.basis
 
@@ -112,6 +117,32 @@ def test_lie_modules():
     )
     rep = check_lie_module(g, skew)
     assert any(eq.eq_id == "lie-module-i" and eq.violations for eq in rep.equations)
+
+
+def module_blocks(rep):
+    return [
+        (q.eq_id, q.checked, [(v.witness, v.lhs, v.rhs) for v in q.violations])
+        for q in rep.equations
+        if q.eq_id.startswith(("h-on-g/", "g-on-h/"))
+    ]
+
+
+def test_matched_pair_check_runs_the_module_check_on_each_action():
+    """check_matched_pair_lie evaluates both Lie-module axioms of each
+    action, as the reference check_lie_module does, on valid pairs and on
+    every +1 perturbation of the sl2 split pair's actions."""
+    pairs = [fixture_b_lie_pair(), fixture_a_prime_lie_pair()]
+    pairs += [p for _, p in perturbations(sl2_split_pair(-1))]
+    failing = Counter()
+    for p in pairs:
+        want = CheckReport()
+        want.merge(check_lie_module(p.h, p.h_on_g), prefix="h-on-g/")
+        want.merge(check_lie_module(p.g, p.g_on_h), prefix="g-on-h/")
+        assert module_blocks(check_matched_pair_lie(p)) == module_blocks(want)
+        failing.update(q.eq_id for q in want.equations if q.violations)
+    assert failing == {
+        "h-on-g/lie-module-i": 1, "h-on-g/lie-module-ii": 1, "g-on-h/lie-module-i": 2,
+    }
 
 
 def test_lie_action_missing_entry_reads_zero():

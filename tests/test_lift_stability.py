@@ -32,7 +32,7 @@ from homhopf.hom_core import CheckReport
 from homhopf.hom_lie import (
     LieActionData,
     MatchedPairLie,
-    check_lie_module,
+    check_lie_module_twist,
     check_matched_pair_lie,
 )
 from homhopf.uea_trees import (
@@ -213,7 +213,7 @@ def test_weighted_g_leaves_need_compatible_twists():
 
 def test_twist_check_is_load_bearing(monkeypatch):
     pair = twist_incompatible_pair()
-    assert not check_lie_module(pair.h, pair.h_on_g).equation("lie-module-i").passed
+    assert not check_lie_module_twist(pair.h, pair.h_on_g).passed
     ug = build_truncated_uea(pair.g, 3, 1)
     uh = build_truncated_uea(pair.h, 3, 1)
     # both actions preserve J0 of the g-ideal: its rows alone would accept it
@@ -222,7 +222,9 @@ def test_twist_check_is_load_bearing(monkeypatch):
     assert assert_same_lift(pair, 3, 1) == "h-action does not preserve the g-ideal"
     # without the twist check the weighted g-rows go unwalked, and the
     # refusal comes only from the h-ideal
-    monkeypatch.setattr(uea_trees, "check_lie_module", lambda lie, action: CheckReport())
+    monkeypatch.setattr(
+        uea_trees, "check_lie_module_twist", lambda lie, action: CheckReport()
+    )
     assert (
         outcome(lift_to_Uh_action, pair, 3, 1)
         == "lifted action does not kill the h-ideal"

@@ -23,10 +23,11 @@ through `check_matched_pair_hopf`: +1 on each constant [v |> u]_k and
 bicross sample, through `check_mutual_pair`: +1 on each constant
 [u |> f]_k and [nabla(u)]_(u', f), zero constants included.
 
-The two mutual-pair checkers, the table check of a finite semidual and
-the pairing-wise check of `GradedMutualPair`, are run side by side on the
-semiduals of two finite matched pairs, each with every +1 perturbation of
-its left action table: both must fail the same equations.
+The two mutual-pair evaluations, the table check and the pairing-wise
+check, are run side by side on the semiduals of two finite matched pairs,
+each with every +1 perturbation of its left action table: both must fail
+the same equations.  They are called directly, since `check_mutual_pair`
+picks the table check for every finite semidual.
 
 The dual of a finite Hom-Hopf algebra puts its twists in place by
 `TruncatedDual._precompose`.  Two mutants of it, one reading beta where
@@ -42,9 +43,10 @@ import pytest
 
 from homhopf.cli import parse_input
 from homhopf.cross_products import (
-    GradedMutualPair,
     MatchedPairHopf,
     MutualPairHopf,
+    _check_mutual_pair_finite,
+    _check_mutual_pair_graded,
     check_matched_pair_hopf,
     check_mutual_pair,
 )
@@ -276,8 +278,8 @@ def failed_by_both_checkers(p):
     check of the mutual pair semidualized from p fail."""
     m = semidualize(p, enforce_order_constraint=False)
     return [
-        {eq.eq_id for eq in check_mutual_pair(q).equations if eq.violations}
-        for q in (m, GradedMutualPair(m.f, p.u, m.action, p))
+        {eq.eq_id for eq in check(m).equations if eq.violations}
+        for check in (_check_mutual_pair_finite, _check_mutual_pair_graded)
     ]
 
 
