@@ -120,44 +120,44 @@ def check_hom_lie(g):
     return rep
 
 
-def check_lie_module_twist(g, m):
-    """The twist compatibility of a Lie module, gamma(xi.v) = phi(xi).gamma(v)."""
+def check_lie_module(g, m):
+    """Lie-module axioms of an action m of g on its carrier:
+    lie-module-i   gamma(xi.v) = phi(xi).gamma(v),
+    lie-module-ii  [xi,xi'].gamma(v) = phi(xi).(xi'.v) - phi(xi').(xi.v)."""
     rep = CheckReport()
+    keys = g.basis_keys()
+    bas = [LinComb.basis(k) for k in keys]
     rep.run(
         "lie-module-i",
-        [(i, v) for i in g.basis_keys() for v in m.carrier_keys],
+        [(i, v) for i in keys for v in m.carrier_keys],
         lambda i, v: (
-            m.gamma.apply(m.apply(LinComb.basis(i), LinComb.basis(v))),
-            m.apply(g.phi_map(LinComb.basis(i)), m.gamma.apply(LinComb.basis(v))),
+            m.gamma.apply(m.apply(bas[i], LinComb.basis(v))),
+            m.apply(g.phi_map(bas[i]), m.gamma.apply(LinComb.basis(v))),
         ),
+    )
+
+    def axiom_ii(i, j, v):
+        vv = LinComb.basis(v)
+        lhs = m.apply(g.bracket(i, j), m.gamma.apply(vv))
+        rhs = m.apply(g.phi_map(bas[i]), m.apply(bas[j], vv)) - m.apply(
+            g.phi_map(bas[j]), m.apply(bas[i], vv)
+        )
+        return lhs, rhs
+
+    rep.run(
+        "lie-module-ii",
+        [(i, j, v) for i in keys for j in keys for v in m.carrier_keys],
+        axiom_ii,
     )
     return rep
 
 
 def check_matched_pair_lie(p):
-    """Both Lie-module axioms of each action, the twist compatibility
-    (`check_lie_module_twist`) and
-    [xi,xi'].gamma(v) = phi(xi).(xi'.v) - phi(xi').(xi.v),
-    then the two mixed compatibility equations."""
+    """Both Lie-module axioms of each action (`check_lie_module`), then the
+    two mixed compatibility equations."""
     rep = CheckReport()
     for prefix, lie, m in (("h-on-g/", p.h, p.h_on_g), ("g-on-h/", p.g, p.g_on_h)):
-        rep.merge(check_lie_module_twist(lie, m), prefix=prefix)
-        keys = lie.basis_keys()
-        bas = [LinComb.basis(k) for k in keys]
-
-        def axiom_ii(i, j, v):
-            vv = LinComb.basis(v)
-            lhs = m.apply(lie.bracket(i, j), m.gamma.apply(vv))
-            rhs = m.apply(lie.phi_map(bas[i]), m.apply(bas[j], vv)) - m.apply(
-                lie.phi_map(bas[j]), m.apply(bas[i], vv)
-            )
-            return lhs, rhs
-
-        rep.run(
-            prefix + "lie-module-ii",
-            [(i, j, v) for i in keys for j in keys for v in m.carrier_keys],
-            axiom_ii,
-        )
+        rep.merge(check_lie_module(lie, m), prefix=prefix)
 
     g, h = p.g, p.h
     gk, hk = g.basis_keys(), h.basis_keys()

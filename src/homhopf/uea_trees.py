@@ -30,7 +30,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .cross_products import MatchedPairHopf
-from .errors import NotHomLie, TruncationOverflow
+from .errors import NotHomLie, NotMatchedPair, TruncationOverflow
 from .foundation import (
     ZERO,
     LinComb,
@@ -40,7 +40,7 @@ from .foundation import (
     pair_extend,
 )
 from .hom_core import CheckReport, HomStructure
-from .hom_lie import check_hom_lie, check_lie_module_twist
+from .hom_lie import check_hom_lie, check_matched_pair_lie
 
 UNIT = "1"
 LEAF = ()
@@ -565,7 +565,8 @@ class UEAActionContext:
 
     A weighted g-leaf (s, xi) is not read through sigma_g: eta acts on it
     through alpha^-s(eta).  When both Lie actions meet `lie-module-i`,
-    gamma(xi.v) = phi(xi).gamma(v), its iterate
+    gamma(xi.v) = phi(xi).gamma(v), which the lift reads off the report
+    of `check_matched_pair_lie`, its iterate
         phi_g^s(alpha^-s(eta) |> xi) = eta |> phi_g^s(xi)
     is the leaf case of an induction over the recursions, which gives, for
     every h-tree v and every weighted g-tree t,
@@ -674,29 +675,15 @@ class UEAActionContext:
         return bilinear(self.omega_right_key, v, u)
 
 
-def _g_ideal_failure(ctx, ug, uh, rows):
-    """Why the first of rows that some U(h) normal form does not preserve,
-    under either lifted action, is refused, walking the normal forms
-    outside and the rows inside; None if there is none."""
-    for vkey in uh.basis_keys():
-        v = LinComb.basis(vkey)
-        for row in rows:
-            if ug.project(ctx.omega_left(v, row)):
-                return "h-action does not preserve the g-ideal"
-            if uh.project(ctx.omega_right(v, row)):
-                return "right action does not preserve the g-ideal"
-    return None
-
-
-def _h_ideal_failure(ctx, ug, uh, rows):
-    """Why the first of rows that some U(g) normal form does not kill,
-    under either lifted action, is refused; None if there is none."""
-    for row in rows:
-        for ukey in ug.basis_keys():
-            if ug.project(ctx.omega_left(row, LinComb.basis(ukey))):
-                return "lifted action does not kill the h-ideal"
-            if uh.project(ctx.omega_right(row, LinComb.basis(ukey))):
-                return "right action does not kill the h-ideal"
+def _ideal_failure(ctx, ug, uh, pairs, messages):
+    """The refusal of the first (v, u) of pairs, v in U(h) and u in U(g),
+    with v |> u nonzero in U(g) (messages[0]) or v <| u nonzero in U(h)
+    (messages[1]); None if there is none."""
+    for v, u in pairs:
+        if ug.project(ctx.omega_left(v, u)):
+            return messages[0]
+        if uh.project(ctx.omega_right(v, u)):
+            return messages[1]
     return None
 
 
@@ -707,7 +694,8 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     normal-form bases, hold v |> u in U(g) and v <| u in U(h), both keyed
     (v, u) with v a U(h) key and u a U(g) key.  Both ideals are first
     verified to be stable under the actions, so the tables are well defined
-    on the quotients; NotHomLie is raised otherwise.
+    on the quotients; NotHomLie is raised otherwise.  Then a pair that
+    fails `check_matched_pair_lie` (run once, first) raises NotMatchedPair.
 
     Each ideal is accepted through its stored rows J0.  For the h-ideal,
     on every U(g) normal form, that always suffices: every weighted row is
@@ -715,7 +703,7 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     P_h(sigma x) = P_h(x), and by the identities of UEAActionContext the
     row acts, after projection, as sigma t - P0(sigma t) does, which is a
     combination of J0 rows.  For the g-ideal, on every U(h) normal form,
-    it suffices when both Lie actions pass `check_lie_module_twist`,
+    it suffices when both Lie actions pass `lie-module-i`,
     gamma(xi.v) = phi(xi).gamma(v): then, by the second pair of
     identities of UEAActionContext and P_g = P0 sigma_g, the weighted
     row t - P0(sigma_g t) acts, after projection, as
@@ -724,22 +712,27 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
     pivot order, so that the refusal is that of the first row that fails;
     the weighted g-rows then test the twist compatibility and its powers.
     """
+    rep = check_matched_pair_lie(pair)
     ug = build_truncated_uea(pair.g, truncation_degree, weight_bound)
     uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
     ctx = UEAActionContext(pair)
 
-    twists_compatible = all(
-        check_lie_module_twist(lie, action).passed
-        for lie, action in ((pair.h, pair.h_on_g), (pair.g, pair.g_on_h))
-    )
-    if not twists_compatible or _g_ideal_failure(
-        ctx, ug, uh, ug.rowspace.basis_rows()
+    vs = [LinComb.basis(k) for k in uh.basis_keys()]
+    us = [LinComb.basis(k) for k in ug.basis_keys()]
+    twists = all(q.passed for q in rep.equations if q.eq_id.endswith("/lie-module-i"))
+    for alg, j0_suffices, pairs, messages in (
+        (ug, twists, lambda rows: ((v, r) for v in vs for r in rows),
+         ("h-action does not preserve the g-ideal",
+          "right action does not preserve the g-ideal")),
+        (uh, True, lambda rows: ((r, u) for r in rows for u in us),
+         ("lifted action does not kill the h-ideal",
+          "right action does not kill the h-ideal")),
     ):
-        failure = _g_ideal_failure(ctx, ug, uh, ug.ideal_rows())
-        if failure:
-            raise NotHomLie(failure)
-    if _h_ideal_failure(ctx, ug, uh, uh.rowspace.basis_rows()):
-        raise NotHomLie(_h_ideal_failure(ctx, ug, uh, uh.ideal_rows()))
+        j0 = pairs(alg.rowspace.basis_rows())
+        if not j0_suffices or _ideal_failure(ctx, ug, uh, j0, messages):
+            failure = _ideal_failure(ctx, ug, uh, pairs(alg.ideal_rows()), messages)
+            if failure:
+                raise NotHomLie(failure)
 
     left_table = {}
     right_table = {}
@@ -751,4 +744,9 @@ def lift_to_Uh_action(pair, truncation_degree, weight_bound=3):
             right_table[(vkey, ukey)] = uh.project(
                 ctx.omega_right_key(vkey, ukey)
             )
+    if not rep.passed:
+        q = next(q for q in rep.equations if not q.passed)
+        raise NotMatchedPair(
+            "%s fails on %d of %d tuples" % (q.eq_id, len(q.violations), q.checked)
+        )
     return MatchedPairHopf(ug, uh, left_table, right_table)

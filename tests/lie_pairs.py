@@ -2,7 +2,8 @@
 
 The golden recorder, the lift and semidual tests and the table tests all
 take their pairs from here, so that a pair means the same structure
-constants wherever it is used.
+constants wherever it is used.  `perturbations` moves one action constant
+of a pair at a time, for the sweeps of the lift and Lie-level tests.
 """
 
 from fractions import Fraction
@@ -106,3 +107,20 @@ def right_action_missing_h_ideal():
     return _untwisted_pair(
         abelian_lie(1), solvable2_lie(), {}, {(0, 0): e(0), (0, 1): e(0)}
     )
+
+
+def perturbations(pair):
+    """pair with one Lie-level action constant increased by 1, for every
+    constant of both actions, zero constants included: (label, pair)."""
+    for side in ("h_on_g", "g_on_h"):
+        action = getattr(pair, side)
+        for a in action.lie.basis_keys():
+            for b in action.carrier_keys:
+                for k in action.carrier_keys:
+                    act = dict(action.act)
+                    act[(a, b)] = act.get((a, b), LinComb.zero()) + e(k)
+                    moved = LieActionData(action.lie, action.carrier_keys, act, action.gamma)
+                    actions = {"h_on_g": pair.h_on_g, "g_on_h": pair.g_on_h, side: moved}
+                    yield "%s%r+e%d" % (side, (a, b), k), MatchedPairLie(
+                        pair.g, pair.h, actions["h_on_g"], actions["g_on_h"]
+                    )

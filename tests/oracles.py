@@ -33,8 +33,8 @@ images of coproduct legs.
 `UEAActionContextFullJoin` evaluates both factors of every term of the two
 join rules of the lifted actions, where `UEAActionContext` returns a term
 once its zero factor is known, and `lift_to_Uh_action_full_walk` walks
-every row of both ideals, where `lift_to_Uh_action` accepts the h-ideal
-through its stored rows J0.
+every row of both ideals, where `lift_to_Uh_action` accepts each ideal
+through its stored rows J0 when it can.
 `Pairing` (a bilinear pairing by its evaluation table),
 `quotient_projection` (the projection onto the non-pivot complement of a
 row space), `solve_linear` and `hopf_data` (a tensor-product Hopf object
@@ -44,9 +44,8 @@ inverse of the identity, a second route to the antipode, and
 `action_from_coaction` reads an action back off the coaction that
 `semidual.semidualize` builds.  `check_hom_module` checks the
 Hom-module axioms of a left or right action given by its table,
-`check_module_coalgebra` the module-coalgebra conditions of a left action,
-and `check_lie_module` the Lie-module axioms of one Lie action, the
-twist compatibility of `hom_lie` and the bracket axiom.
+and `check_module_coalgebra` the module-coalgebra conditions of a left
+action.
 `semidualize_to_tables` is the semidual of a finite matched pair as
 `semidualize` built it before it read every coaction from the matched
 pair: a `MutualPairHopf` whose coaction is a table of columns
@@ -89,7 +88,6 @@ from homhopf.hom_core import (
     HomCoalgebraData,
     HomHopfData,
 )
-from homhopf.hom_lie import check_lie_module_twist
 from homhopf.semidual import _dual_action_table
 from homhopf.uea_trees import (
     LEAF,
@@ -607,7 +605,9 @@ class UEAActionContextFullJoin(UEAActionContext):
 def lift_to_Uh_action_full_walk(pair, truncation_degree, weight_bound=3):
     """`lift_to_Uh_action` on `UEAActionContextFullJoin`, checking every
     row of both ideals on every normal form of the other algebra, under
-    both actions."""
+    both actions.  The oracle has no Lie-level gate: it runs no
+    `check_matched_pair_lie`, so it never raises NotMatchedPair and it
+    walks every weighted g-row whether or not the twists are compatible."""
     ug = build_truncated_uea(pair.g, truncation_degree, weight_bound)
     uh = build_truncated_uea(pair.h, truncation_degree, weight_bound)
     ctx = UEAActionContextFullJoin(pair)
@@ -1031,26 +1031,3 @@ def check_module_coalgebra(h, c, act):
     _module_coalgebra(rep, "", h, c, c, act)
     return rep
 
-
-def check_lie_module(g, m):
-    """Lie-module axioms of an action m of g: the twist compatibility
-    gamma(xi.v) = phi(xi).gamma(v) of `hom_lie.check_lie_module_twist`, and
-    [xi,xi'].gamma(v) = phi(xi).(xi'.v) - phi(xi').(xi.v)."""
-    rep = check_lie_module_twist(g, m)
-    keys = g.basis_keys()
-    bas = [LinComb.basis(k) for k in keys]
-
-    def axiom_ii(i, j, v):
-        vv = LinComb.basis(v)
-        lhs = m.apply(g.bracket(i, j), m.gamma.apply(vv))
-        rhs = m.apply(g.phi_map(bas[i]), m.apply(bas[j], vv)) - m.apply(
-            g.phi_map(bas[j]), m.apply(bas[i], vv)
-        )
-        return lhs, rhs
-
-    rep.run(
-        "lie-module-ii",
-        [(i, j, v) for i in keys for j in keys for v in m.carrier_keys],
-        axiom_ii,
-    )
-    return rep

@@ -108,6 +108,11 @@ REPORT_RUNS = [
     # the sl2 Borel sample with h |> e = -e: a weight-0 row of the h-ideal
     # is not killed, so the lift walks every row to name the refusal
     ("sl2_borel_perturbed_hom_lie_hopf", "hom-lie-hopf"),
+    # the sl2 Borel sample with h |> e = -3e at degree 1: both ideals are
+    # stable, and the pair is refused because it fails
+    # matched-pair-Hom-Lie-alg-II of check_matched_pair_lie
+    ("sl2_borel_minus3e_hom_lie_hopf", "hom-lie-hopf"),
+    ("sl2_borel_minus3e_hom_lie_hopf", "doublecross"),
     # kz4 with e1 . e1 = 2 e2: a failing report whose hom-assoc witnesses,
     # lhs and rhs are pinned byte for byte
     ("kz4_perturbed_verify", "verify-hopf"),

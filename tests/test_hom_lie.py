@@ -11,6 +11,7 @@ from homhopf.hom_lie import (
     MatchedPairLie,
     build_double_sum_lie,
     check_hom_lie,
+    check_lie_module,
     check_matched_pair_lie,
 )
 
@@ -24,9 +25,7 @@ from fixtures import (
     sl2_involution,
     solvable2_lie,
 )
-from lie_pairs import sl2_split_pair
-from oracles import check_lie_module
-from test_lift_stability import perturbations
+from lie_pairs import perturbations, sl2_split_pair
 
 e = LinComb.basis
 
@@ -128,9 +127,9 @@ def module_blocks(rep):
 
 
 def test_matched_pair_check_runs_the_module_check_on_each_action():
-    """check_matched_pair_lie evaluates both Lie-module axioms of each
-    action, as the reference check_lie_module does, on valid pairs and on
-    every +1 perturbation of the sl2 split pair's actions."""
+    """check_matched_pair_lie holds the report of check_lie_module on the
+    h-action, then on the g-action, on valid pairs and on every +1
+    perturbation of the sl2 split pair's actions."""
     pairs = [fixture_b_lie_pair(), fixture_a_prime_lie_pair()]
     pairs += [p for _, p in perturbations(sl2_split_pair(-1))]
     failing = Counter()

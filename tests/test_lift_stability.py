@@ -8,7 +8,10 @@ of U(g) when both Lie actions meet `lie-module-i`.
 and walks every row of both ideals, the weighted rows that `ideal_rows`
 derives included.  On every pair below the two must give the same left
 and right tables, entry for entry and term for term in the same order, or
-refuse the pair with the same message.
+refuse the pair with the same message.  The oracle has no Lie-level gate:
+where it accepts a pair that fails `check_matched_pair_lie`, the lift
+must refuse it with NotMatchedPair, and give the oracle's tables once
+that refusal is lifted.
 
 The acceptance of the h-ideal rests on two identities of the recursions,
 pinned here for every input, matched pair or not:
@@ -26,18 +29,13 @@ twist compatibility `lie-module-i`, and a pair that fails it shows so.
 import pytest
 
 from homhopf import uea_trees
-from homhopf.errors import NotHomLie
+from homhopf.errors import NotHomLie, NotMatchedPair
 from homhopf.foundation import LinComb, extend
 from homhopf.hom_core import CheckReport
-from homhopf.hom_lie import (
-    LieActionData,
-    MatchedPairLie,
-    check_lie_module_twist,
-    check_matched_pair_lie,
-)
+from homhopf.hom_lie import check_matched_pair_lie
 from homhopf.uea_trees import (
     UEAActionContext,
-    _g_ideal_failure,
+    _ideal_failure,
     build_truncated_uea,
     lift_to_Uh_action,
 )
@@ -46,6 +44,7 @@ from fixtures import fixture_a_prime_lie_pair, fixture_b_lie_pair
 from lie_pairs import (
     anticommuting_pair,
     left_action_missing_h_ideal,
+    perturbations,
     right_action_missing_h_ideal,
     right_action_moving_g_ideal,
     sl2_reverse_split_pair,
@@ -76,23 +75,6 @@ REFUSED = {
 }
 
 
-def perturbations(pair):
-    """pair with one Lie-level action constant increased by 1, for every
-    constant of both actions, zero constants included: (label, pair)."""
-    for side in ("h_on_g", "g_on_h"):
-        action = getattr(pair, side)
-        for a in action.lie.basis_keys():
-            for b in action.carrier_keys:
-                for k in action.carrier_keys:
-                    act = dict(action.act)
-                    act[(a, b)] = act.get((a, b), LinComb.zero()) + e(k)
-                    moved = LieActionData(action.lie, action.carrier_keys, act, action.gamma)
-                    actions = {"h_on_g": pair.h_on_g, "g_on_h": pair.g_on_h, side: moved}
-                    yield "%s%r+e%d" % (side, (a, b), k), MatchedPairLie(
-                        pair.g, pair.h, actions["h_on_g"], actions["g_on_h"]
-                    )
-
-
 def outcome(lift, pair, n, w):
     """Both tables of lift(pair, n, w), each as its (entry, terms) list in
     order, or the message that refuses the pair."""
@@ -100,15 +82,44 @@ def outcome(lift, pair, n, w):
         mp = lift(pair, n, w)
     except NotHomLie as exc:
         return str(exc)
+    except NotMatchedPair as exc:
+        return "NotMatchedPair: %s" % exc
     return [
         [(key, list(val.items())) for key, val in table.items()]
         for table in (mp.left, mp.right)
     ]
 
 
+class PassingReport(CheckReport):
+    """A report whose verdict is pass, whatever its equations say."""
+
+    passed = True
+
+
+def ungated_lift(pair, n, w):
+    """`lift_to_Uh_action` with its NotMatchedPair refusal lifted: it still
+    reads `lie-module-i` off the report of `check_matched_pair_lie`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            uea_trees,
+            "check_matched_pair_lie",
+            lambda p: PassingReport().merge(check_matched_pair_lie(p)),
+        )
+        return lift_to_Uh_action(pair, n, w)
+
+
 def assert_same_lift(pair, n, w):
+    """The lift's outcome on pair, after checking it against the full walk:
+    the same tables or NotHomLie refusal, except that a pair the full walk
+    accepts and `check_matched_pair_lie` fails is refused with
+    NotMatchedPair, with the full walk's tables once that is lifted."""
+    want = outcome(lift_to_Uh_action_full_walk, pair, n, w)
     got = outcome(lift_to_Uh_action, pair, n, w)
-    assert got == outcome(lift_to_Uh_action_full_walk, pair, n, w)
+    if isinstance(want, str) or check_matched_pair_lie(pair).passed:
+        assert got == want
+    else:
+        assert got.startswith("NotMatchedPair: ")
+        assert outcome(ungated_lift, pair, n, w) == want
     return got
 
 
@@ -124,15 +135,22 @@ def test_refusal_matches_full_walk(name, w):
     assert isinstance(assert_same_lift(REFUSED[name](), 2, w), str)
 
 
+# the pairs whose perturbations the lift sweeps, here and in test_lie_gate
+SWEPT = ("fixture_b", "fixture_a_prime", "anticommuting", "sl2_split_twisted")
+
+
 def test_perturbed_lifts_match_full_walk():
     outcomes = {
-        (name, label): assert_same_lift(pair, 3, 1)
-        for name in ("fixture_b", "sl2_split_twisted")
+        (name, label, n): assert_same_lift(pair, n, 1)
+        for name in SWEPT
         for label, pair in perturbations(PAIRS[name]())
+        for n in (1, 3)
     }
     # the weight-0 rows refuse one of them, so the full walk of the h-ideal
     # runs to name the first row that fails
     assert "right action does not kill the h-ideal" in outcomes.values()
+    # at N=1 some pass both ideals and are refused by the Lie-level check
+    assert any(str(o).startswith("NotMatchedPair") for o in outcomes.values())
 
 
 def sigma(ops, x):
@@ -213,18 +231,22 @@ def test_weighted_g_leaves_need_compatible_twists():
 
 def test_twist_check_is_load_bearing(monkeypatch):
     pair = twist_incompatible_pair()
-    assert not check_lie_module_twist(pair.h, pair.h_on_g).passed
+    rep = check_matched_pair_lie(pair)
+    assert [q.eq_id for q in rep.equations if q.eq_id.endswith("/lie-module-i")] == [
+        "h-on-g/lie-module-i", "g-on-h/lie-module-i",
+    ]
+    assert not rep.equations[0].passed
     ug = build_truncated_uea(pair.g, 3, 1)
     uh = build_truncated_uea(pair.h, 3, 1)
     # both actions preserve J0 of the g-ideal: its rows alone would accept it
     ctx = UEAActionContext(pair)
-    assert _g_ideal_failure(ctx, ug, uh, ug.rowspace.basis_rows()) is None
+    vs = [e(v) for v in uh.basis_keys()]
+    j0 = [(v, r) for v in vs for r in ug.rowspace.basis_rows()]
+    assert _ideal_failure(ctx, ug, uh, j0, ("left", "right")) is None
     assert assert_same_lift(pair, 3, 1) == "h-action does not preserve the g-ideal"
-    # without the twist check the weighted g-rows go unwalked, and the
+    # without the Lie-level check the weighted g-rows go unwalked, and the
     # refusal comes only from the h-ideal
-    monkeypatch.setattr(
-        uea_trees, "check_lie_module_twist", lambda lie, action: CheckReport()
-    )
+    monkeypatch.setattr(uea_trees, "check_matched_pair_lie", lambda pair: CheckReport())
     assert (
         outcome(lift_to_Uh_action, pair, 3, 1)
         == "lifted action does not kill the h-ideal"

@@ -12,8 +12,7 @@ from pathlib import Path
 import reachability
 
 KEEP = {
-    # ROADMAP item 7 gives these a CLI path (U(g) ⋈ U(h) ≅ U(g ⋈ h))
-    "hom_lie.check_matched_pair_lie": "item 7: the Lie-level matched-pair check",
+    # ROADMAP item 7 gives it a CLI path (U(g) ⋈ U(h) ≅ U(g ⋈ h))
     "hom_lie.build_double_sum_lie": "item 7: the bicrossed sum g ⋈ h",
     # ROADMAP item 4 puts it on the reports
     "hom_core.EquationResult.coverage": "item 4: checked share of an equation's tuples",
