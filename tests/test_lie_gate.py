@@ -45,7 +45,7 @@ def test_lie_pair_commands_refuse_a_pair_that_is_not_matched(command, capsys):
 # (pair, N) -> (perturbations that fail check_matched_pair_lie and are
 # refused, of which NotMatchedPair refuses); W = 1.  At N = 3 the ideals
 # refuse every one of them.
-REFUSED = {
+REFUSED_COUNTS = {
     ("fixture_b", 1): (0, 0),
     ("fixture_b", 3): (0, 0),
     ("fixture_a_prime", 1): (2, 1),
@@ -72,4 +72,4 @@ def test_every_perturbed_pair_that_fails_the_lie_check_is_refused(name, n):
             refused.add(label)
             not_matched += 1
     assert refused == failing
-    assert (len(refused), not_matched) == REFUSED[(name, n)]
+    assert (len(refused), not_matched) == REFUSED_COUNTS[(name, n)]
