@@ -336,8 +336,13 @@ def _parameter(flag_value, flag, doc, key, default, least):
     return value
 
 
+def _target(doc, args):
+    """--target when given, even when empty; the pipeline's target otherwise."""
+    return args.target if args.target is not None else doc.pipeline.get("target")
+
+
 def _pipeline_args(doc, args):
-    target = args.target if args.target is not None else doc.pipeline.get("target")
+    target = _target(doc, args)
     if target is not None and not isinstance(target, str):
         raise SchemaError("/pipeline/target: expected a string, got %r" % (target,))
     degree = _parameter(args.degree, "--degree", doc, "degree", 2, 1)
@@ -518,7 +523,7 @@ def main(argv=None):
             "tool": "homhopf",
             "version": __version__,
             "command": args.command,
-            "target": args.target or doc.pipeline.get("target"),
+            "target": _target(doc, args),
             "checks": [],
             "passed": False,
             "violations_total": 0,

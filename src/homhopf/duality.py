@@ -17,7 +17,7 @@ from .errors import (
     TruncationOverflow,
 )
 from .foundation import ZERO, LinComb, bilinear, extend, pair_apply
-from .hom_core import HomStructure
+from .hom_core import HomStructure, memo_lookup
 
 _EMPTY = LinComb()
 
@@ -70,15 +70,14 @@ class TruncatedDual(HomStructure):
 
     Carries a total algebra structure (convolution against the coproduct,
     which preserves degree) and a partial coalgebra structure: the dual
-    coproduct is available degree-by-degree only when the primal quotient
-    is degree-graded, and raises TruncationOverflow otherwise.  The dual's
-    product preserves degree, so it is graded itself and can be dualized
-    again.  Pairing is the degreewise dual-basis pairing against the
-    primal basis.
+    coproduct is available only when the primal quotient is degree-graded,
+    and raises TruncationOverflow otherwise.  The dual's product preserves
+    degree, so it is graded itself and can be dualized again.  Pairing is
+    the degreewise dual-basis pairing against the primal basis.
 
     Each structure map is the transpose of a primal one.  It is compiled
-    into a table on first use, once per instance, and every call reads
-    from that table.
+    into one table on first use, once per instance (`memo_lookup`), and
+    every call reads from that table.
     """
 
     graded = True
@@ -129,8 +128,9 @@ class TruncatedDual(HomStructure):
     def product_dropped(self, f, g):
         """Convolution product projected to the retained degrees (the image
         of the true product under the truncation, for table comparisons)."""
-        table = self._table(
-            "product", lambda: transpose_table(_unshifted_comult(self.v).items())
+        table = memo_lookup(
+            self._tables, "product",
+            lambda: transpose_table(_unshifted_comult(self.v).items()),
         )
         return bilinear(lambda i, j: table.get((i, j), _EMPTY), f, g)
 
@@ -145,24 +145,19 @@ class TruncatedDual(HomStructure):
             raise TruncationOverflow(
                 "dual coproduct needs a degree-graded primal quotient"
             )
-        return extend(self._comult_basis, f)
+        return self._columns("comult", self._comult_table, f)
 
-    def _comult_basis(self, k):
-        # Delta(k*) pairs e_i x e_j with alpha^-2(e_i e_j) for the (i, j)
-        # of total degree deg k; one table holds every key of that degree
-        d = self.degree(k)
-
-        def build():
-            e = LinComb.basis
-            images = (
-                ((i, j), self.v.alpha_pow(-2, self.v.product(e(i), e(j))))
-                for i in self.keys
-                for j in self.keys
-                if self.degree(i) + self.degree(j) == d
-            )
-            return transpose_table(images)
-
-        return self._table(("comult", d), build).get(k, _EMPTY)
+    def _comult_table(self):
+        # Delta(k*) pairs e_i x e_j with alpha^-2(e_i e_j), over every pair
+        # within the budget; on a graded primal only the pairs of total
+        # degree deg k reach k*
+        e = LinComb.basis
+        return transpose_table(
+            ((i, j), self.v.alpha_pow(-2, self.v.product(e(i), e(j))))
+            for i in self.keys
+            for j in self.keys
+            if self.degree(i) + self.degree(j) <= self.truncation_degree
+        )
 
     def counit_map(self, f):
         return self.pair(f, self.v.unit_elem())
@@ -171,8 +166,7 @@ class TruncatedDual(HomStructure):
         return self._precompose(f, -n, use_beta=False)
 
     def antipode_map(self, f):
-        table = self._table("antipode", lambda: self._transpose(self.v.antipode_map))
-        return extend(lambda i: table.get(i, _EMPTY), f)
+        return self._columns("antipode", lambda: self._transpose(self.v.antipode_map), f)
 
     # -- helpers
 
@@ -181,18 +175,17 @@ class TruncatedDual(HomStructure):
         if power == 0:
             return f
         twist = self.v.beta_pow if use_beta else self.v.alpha_pow
-        table = self._table(
+        return self._columns(
             ("twist", power, use_beta),
             lambda: self._transpose(lambda x: twist(power, x)),
+            f,
         )
+
+    def _columns(self, name, build, f):
+        """extend(column, f) over the table stored under name."""
+        table = memo_lookup(self._tables, name, build)
         return extend(lambda i: table.get(i, _EMPTY), f)
 
     def _transpose(self, fn):
         """Column i is sum_k [fn(e_k)]_i e_k: f o fn is extend(column, f)."""
         return transpose_table((k, fn(LinComb.basis(k))) for k in self.keys)
-
-    def _table(self, name, build):
-        table = self._tables.get(name)
-        if table is None:
-            table = self._tables[name] = build()
-        return table

@@ -201,6 +201,19 @@ def inversion_operator(n=4):
     return LinearOperator.from_matrix(mat, inverse=mat)
 
 
+def multiplication_operator(m, n):
+    """x -> m x on Z/n, as an operator on k[Z/n]: a bialgebra automorphism
+    when m is prime to n."""
+    return LinearOperator({i: LinComb.basis(m * i % n) for i in range(n)})
+
+
+def twisted_cyclic_hopf(n, a, b):
+    """k[Z/n] deformed along alpha: x -> a x and beta: x -> b x."""
+    return hopf_twist(
+        cyclic_group_hopf(n), multiplication_operator(a, n), multiplication_operator(b, n)
+    )
+
+
 def kz4_twisted_hopf():
     """The Z/4 group algebra deformed along inversion on both sides.
 
@@ -362,8 +375,12 @@ def trivial_left_action(h, target):
 
 def trivial_hopf_matched_pair():
     """Two copies of the twisted group algebra with counital actions."""
+    return counital_matched_pair(kz4_twisted_hopf(), kz4_twisted_hopf())
+
+
+def counital_matched_pair(u, v):
+    """v |> u = eps(v) alpha(u) and v <| u = eps(u) alpha(v)."""
     e = LinComb.basis
-    u, v = kz4_twisted_hopf(), kz4_twisted_hopf()
     left, right = {}, {}
     for i in v.basis_keys():
         eps_v = v.counit_map(e(i))

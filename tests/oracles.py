@@ -7,6 +7,8 @@ tests freeze.  The `*_by_pairing` functions are the direct definitions of
 the degreewise dual's structure maps: each pairs a functional against the
 primal image of every basis key, on every call.  `TruncatedDual` compiles
 the same maps into tables, and the tests require equal results.
+`dual_comult_by_degree` is the dual coproduct from one table per degree,
+where `TruncatedDual` keeps one table over the truncation budget.
 `dual_hom_hopf_tables` (with `dual_algebra_of_coalgebra` and
 `dual_coalgebra_of_algebra`) is the dual of a finite Hom-Hopf algebra as
 eager tables, which `duality.dual_hom_hopf` replaced by the degreewise
@@ -242,6 +244,36 @@ def dual_comult_basis_by_pairing(d, k):
             if c:
                 out = out + LinComb({(i, j): c})
     return out
+
+
+def dual_comult_by_degree(d, f):
+    """Delta(f) in d = TruncatedDual(v), v graded, from one table per degree
+    of the primal, each holding the (i, j) of that total degree: the
+    construction `TruncatedDual.comult_map` used before it kept one table
+    over the whole budget.  The tables live for one call."""
+    tables = {}
+
+    def comult_basis(k):
+        # Delta(k*) pairs e_i x e_j with alpha^-2(e_i e_j) for the (i, j)
+        # of total degree deg k; one table holds every key of that degree
+        deg = d.degree(k)
+
+        def build():
+            e = LinComb.basis
+            images = (
+                ((i, j), d.v.alpha_pow(-2, d.v.product(e(i), e(j))))
+                for i in d.keys
+                for j in d.keys
+                if d.degree(i) + d.degree(j) == deg
+            )
+            return transpose_table(images)
+
+        table = tables.get(deg)
+        if table is None:
+            table = tables[deg] = build()
+        return table.get(k, LinComb())
+
+    return extend(comult_basis, f)
 
 
 # ---------------------------------------------------------------------------

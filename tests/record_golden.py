@@ -104,6 +104,10 @@ REPORT_RUNS = [
     ("abelian2_build_uea", "build-uea"),
     ("fixture_a_prime_hom_lie_hopf", "hom-lie-hopf"),
     ("fixture_b_hom_lie_hopf", "hom-lie-hopf"),
+    # the Lie-pair paths of doublecross and semidualize: doublecross prints
+    # the dimensions of the lifted pair, semidualize prints none
+    ("fixture_b_hom_lie_hopf", "doublecross"),
+    ("fixture_b_hom_lie_hopf", "semidualize"),
     ("sl2_borel_hom_lie_hopf", "hom-lie-hopf"),
     # the sl2 Borel sample with h |> e = -e: a weight-0 row of the h-ideal
     # is not killed, so the lift walks every row to name the refusal

@@ -463,6 +463,25 @@ def test_target_that_is_not_a_string_exits_two(tmp_path, capsys):
     assert_input_error(capsys, argv, "/matched_pairs/trivial/u")
 
 
+def test_error_report_names_the_target_that_ran(tmp_path, capsys):
+    # a pair named "" that the lift refuses, reached by --target "" while
+    # the pipeline names another: the report names "", the target that ran
+    doc = sample_doc("sl2_borel_minus3e_hom_lie_hopf")
+    pairs = doc["lie_matched_pairs"]
+    (name,) = pairs
+    pairs[""] = pairs.pop(name)
+    doc["pipeline"]["target"] = name
+    path = write(tmp_path, doc)
+    for command in ("hom-lie-hopf", "doublecross"):
+        argv = [command, "--input", path, "--target", "", "--format", "json"]
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["target"] == ""
+        assert report["error"].startswith("NotMatchedPair: ")
+    # without --target the pipeline's target is asked for, and it is missing
+    assert_input_error(capsys, ["hom-lie-hopf", "--input", path], "/pipeline/target")
+
+
 def pair_of_pairs_violation(block):
     """The first antipode-anticomultiplicative violation: its lhs and rhs
     are over the pair-of-pairs keys of a tensor-product coproduct."""

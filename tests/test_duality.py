@@ -259,10 +259,10 @@ def _dual_case(name):
     return TruncatedDual(build_truncated_uea(lie, 3, 1))
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["fixture_b", "fixture_a_prime", "sl2", "sl2_twisted", "abelian2_quarter_turn"],
-)
+UEA_DUAL_CASES = ["fixture_b", "fixture_a_prime", "sl2", "sl2_twisted", "abelian2_quarter_turn"]
+
+
+@pytest.mark.parametrize("name", UEA_DUAL_CASES)
 def test_truncated_dual_tables_match_pairing(name):
     from homhopf.errors import TruncationOverflow
     from oracles import (
@@ -339,3 +339,92 @@ def test_truncated_dual_tables_are_lazy_and_per_instance():
     assert set(d2._tables) == set(d3._tables)
     for name, table in d3._tables.items():
         assert all(table is not other for other in d2._tables.values()), name
+
+
+# ---------------------------------------------------------------------------
+# the one coproduct table against the per-degree tables it replaced
+
+
+def _fixture_b_h_dual():
+    from fixtures import fixture_b_lie_pair
+    from homhopf.uea_trees import build_truncated_uea
+
+    return TruncatedDual(build_truncated_uea(fixture_b_lie_pair().h, 4, 1))
+
+
+COMULT_CASES = {name: (lambda b=b: dual_hom_hopf(b())) for name, b in DUAL_CASES.items()}
+COMULT_CASES.update({name: (lambda n=name: _dual_case(n)) for name in UEA_DUAL_CASES})
+COMULT_CASES["fixture_b_h_n4"] = _fixture_b_h_dual
+
+
+@pytest.mark.parametrize("name", sorted(COMULT_CASES))
+def test_dual_comult_is_the_per_degree_tables_term_for_term(name):
+    """On a graded primal only the pairs of total degree deg k reach k*, so
+    the table over the whole budget gives every coproduct with the terms
+    of the per-degree tables, in their order.  A primal that is not graded
+    is refused before any table is built.  The double dual is graded in
+    every case, since the dual's product preserves degree."""
+    from homhopf.errors import TruncationOverflow
+    from oracles import dual_comult_by_degree
+
+    d = COMULT_CASES[name]()
+    if not d.v.graded:
+        with pytest.raises(TruncationOverflow):
+            d.comult_map(d.unit_elem())
+        assert d._tables == {}
+    # the double dual's coproduct fills d's product and twist tables
+    for dual in ([d] if d.v.graded else []) + [TruncatedDual(d)]:
+        for k in dual.basis_keys():
+            got = dual.comult_map(e(k))
+            assert list(got.terms.items()) == list(
+                dual_comult_by_degree(dual, e(k)).terms.items()
+            ), k
+        assert list(dual._tables) == ["comult"]
+
+
+# ---------------------------------------------------------------------------
+# the twisting principle (Yau 2009) as a table oracle for the dual: the dual
+# of k[Z/n] twisted by the bialgebra automorphisms a, b is the dual of
+# k[Z/n] twisted by (b^-1)^T and (a^-1)^T
+
+
+def yau_twist_mismatches(n, a, b):
+    """The (map, keys) at which dual_hom_hopf of k[Z/n] twisted by
+    alpha = x a, beta = x b differs from the Yau twist of the classical
+    dual; the expected twists are computed from a and b."""
+    from fixtures import (
+        cyclic_group_hopf,
+        hopf_twist,
+        multiplication_operator,
+        transpose_operator,
+        twisted_cyclic_hopf,
+    )
+
+    h = cyclic_group_hopf(n)
+    d = dual_hom_hopf(twisted_cyclic_hopf(n, a, b))
+    alpha, beta = multiplication_operator(a, n), multiplication_operator(b, n)
+    keys = h.basis_keys()
+    want = hopf_twist(
+        dual_hom_hopf_tables(h),
+        transpose_operator(beta.inverted(), keys),
+        transpose_operator(alpha.inverted(), keys),
+    )
+    out = [("unit",)] if d.unit_elem() != want.unit_elem() else []
+    out += [
+        ("product", i, j)
+        for i in keys
+        for j in keys
+        if d.product(e(i), e(j)) != want.product(e(i), e(j))
+    ]
+    for m in ("comult_map", "counit_map", "antipode_map", "alpha_map", "beta_map"):
+        out += [(m, k) for k in keys if getattr(d, m)(e(k)) != getattr(want, m)(e(k))]
+    return out
+
+
+# (n, alpha, beta): alpha != beta, both of order > 2, alpha^4 = beta^2
+TWISTED_CYCLIC = [(9, 4, 7), (7, 3, 2)]
+
+
+@pytest.mark.parametrize("n,a,b", TWISTED_CYCLIC)
+def test_dual_of_a_twisted_cyclic_group_is_the_yau_twist_of_its_dual(n, a, b):
+    assert yau_twist_mismatches(n, a, b) == []

@@ -34,15 +34,30 @@ The dual of a finite Hom-Hopf algebra puts its twists in place by
 alpha is meant and back, one inverting the twist, give a dual that
 `check_hom_hopf` passes on kz4 and Sweedler's algebra, where alpha = beta
 is its own inverse, and fails on Sweedler's algebra twisted by alpha = 2,
-beta = 4 on x and gx.
+beta = 4 on x and gx.  The twisting-principle oracle of `test_duality`
+sees both mutants on k[Z/9] and k[Z/7], in the alpha and beta images.
+
+Telling alpha from beta: k[Z/7] twisted by alpha = x3, beta = x2 and
+k[Z/5] twisted by alpha = x2, beta = x4 each act on themselves counitally,
+and the matched pair, the double cross product, the semidual mutual pair
+and the bicrossproduct pass with no tuple skipped.  Each mutant of
+ALPHA_BETA_MUTANTS replaces one line of one method of `cross_products`,
+swapping or merging an alpha and a beta power, and fails one block on
+both pairs.  No other pair kills them: every other pair that the tests
+build a cross product of has alpha^2 = id.
 """
 
+import inspect
+import textwrap
 from collections import Counter
 
 import pytest
 
+from homhopf import cross_products
 from homhopf.cli import parse_input
 from homhopf.cross_products import (
+    Bicrossproduct,
+    DoubleCrossProduct,
     MatchedPairHopf,
     MutualPairHopf,
     _check_mutual_pair_finite,
@@ -56,12 +71,15 @@ from homhopf.hom_core import HomHopfData, check_hom_hopf
 from homhopf.semidual import semidualize
 
 from fixtures import (
+    counital_matched_pair,
     kz4_twisted_hopf,
     sweedler_hopf,
     sweedler_twisted_hopf,
     trivial_hopf_matched_pair,
+    twisted_cyclic_hopf,
 )
 from record_golden import SAMPLES, _sample_matched_pair
+from test_duality import TWISTED_CYCLIC, yau_twist_mismatches
 from test_semidual import nontrivial_finite_matched_pair
 
 e = LinComb.basis
@@ -325,4 +343,100 @@ def test_dual_twist_mutants_fail_only_on_the_twisted_sweedler(mutant, monkeypatc
     # where alpha = beta is its own inverse, neither mutant changes a twist
     for h in (kz4_twisted_hopf(), sweedler_hopf()):
         assert check_hom_hopf(dual_hom_hopf(h)).passed
+    # the twisting-principle oracle: 6 of the n alpha images and 6 of the
+    # n beta images differ, on k[Z/9] and on k[Z/7]
+    for n, a, b in TWISTED_CYCLIC:
+        mismatches = Counter(m[0] for m in yau_twist_mismatches(n, a, b))
+        assert mismatches == {"alpha_map": 6, "beta_map": 6}, n
+
+
+# ---------------------------------------------------------------------------
+# telling alpha from beta
+
+
+# (n, alpha, beta) of a twisted k[Z/n] that acts on itself counitally
+ALPHA_BETA_PAIRS = {"z7": (7, 3, 2), "z5": (5, 2, 4)}
+
+
+def alpha_beta_pair(name):
+    n, a, b = ALPHA_BETA_PAIRS[name]
+    return counital_matched_pair(twisted_cyclic_hopf(n, a, b), twisted_cyclic_hopf(n, a, b))
+
+
+def checked_blocks(mp):
+    """The four blocks of the doublecross and semidualize paths and of
+    bicross on the semidual, by their report ids."""
+    m = semidualize(mp)
+    return {
+        "matched-pair": check_matched_pair_hopf(mp),
+        "double-cross-suite": check_hom_hopf(DoubleCrossProduct(mp)),
+        "mutual-pair": check_mutual_pair(m),
+        "bicross-suite": check_hom_hopf(Bicrossproduct(m)),
+    }
+
+
+# the alpha/beta placement mutants M1, M2 and M7 of ROADMAP item 9: the
+# method, the one line of its source that is replaced, and the equations
+# of the one block that fail on both pairs
+ALPHA_BETA_MUTANTS = {
+    # alpha_F^-1 beta_F -> beta_F^-1 alpha_F on the head
+    "M1": (
+        Bicrossproduct, "product_keys",
+        "head = F.alpha_inv(F.beta_map(e(k1[0])))",
+        "head = F.beta_inv(F.alpha_map(e(k1[0])))",
+        "bicross-suite", {
+            "hom-assoc", "hom-unit-right", "antipode-left", "antipode-right",
+            "antipode-antimultiplicative",
+        },
+    ),
+    # alpha^-1 beta^-1 -> alpha^-2 in `shifted`
+    "M2": (
+        DoubleCrossProduct, "product_keys",
+        "return side.alpha_inv(side.beta_inv(e(k)))",
+        "return side.alpha_pow(-2, e(k))",
+        "double-cross-suite", {
+            "hom-assoc", "hom-unit", "hom-unit-right", "antipode-left",
+            "antipode-right", "antipode-antimultiplicative",
+        },
+    ),
+    # alpha_F beta_F^-1 -> beta_F alpha_F^-1 on the first F leg
+    "M7": (
+        Bicrossproduct, "comult_map",
+        "left = F.alpha_map(F.beta_inv(e(fs[0])))",
+        "left = F.beta_map(F.alpha_inv(e(fs[0])))",
+        "bicross-suite", {
+            "hom-coassoc", "hom-counit-right", "antipode-left", "antipode-right",
+            "antipode-anticomultiplicative",
+        },
+    ),
+}
+
+
+def mutated_method(cls, name, old, new):
+    """cls.name recompiled from its source with the one line old -> new."""
+    src = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    assert src.count(old) == 1, (cls.__name__, name, old)
+    namespace = dict(vars(cross_products))
+    exec(compile(src.replace(old, new), inspect.getsourcefile(cls), "exec"), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_BETA_PAIRS))
+def test_alpha_beta_pairs_pass_every_block_with_nothing_skipped(name):
+    for block, rep in checked_blocks(alpha_beta_pair(name)).items():
+        assert rep.passed, block
+        assert all(eq.checked and not eq.skipped for eq in rep.equations), block
+
+
+@pytest.mark.parametrize("mutant", sorted(ALPHA_BETA_MUTANTS))
+def test_alpha_beta_mutants_fail_one_block_on_both_pairs(mutant, monkeypatch):
+    cls, name, old, new, block, equations = ALPHA_BETA_MUTANTS[mutant]
+    monkeypatch.setattr(cls, name, mutated_method(cls, name, old, new))
+    for pair in sorted(ALPHA_BETA_PAIRS):
+        failed = {
+            b: {v.eq_id for v in rep.violations}
+            for b, rep in checked_blocks(alpha_beta_pair(pair)).items()
+            if not rep.passed
+        }
+        assert failed == {block: equations}, pair
 
