@@ -382,6 +382,24 @@ def test_dual_comult_is_the_per_degree_tables_term_for_term(name):
         assert list(dual._tables) == ["comult"]
 
 
+def test_an_overflowing_table_build_is_stored_and_raised_again():
+    from homhopf.errors import TruncationOverflow
+
+    d = dual_hom_hopf(kz4_twisted_hopf())
+    builds = []
+
+    def overflowing(x):
+        builds.append(x)
+        raise TruncationOverflow("primal antipode overflows")
+
+    d.v.antipode_map = overflowing
+    for _ in range(2):
+        with pytest.raises(TruncationOverflow, match="^primal antipode overflows$"):
+            d.antipode_map(e(0))
+    assert len(builds) == 1
+    assert d._tables == {"antipode": "primal antipode overflows"}
+
+
 # ---------------------------------------------------------------------------
 # the twisting principle (Yau 2009) as a table oracle for the dual: the dual
 # of k[Z/n] twisted by the bialgebra automorphisms a, b is the dual of
