@@ -60,6 +60,16 @@ def shapes(n):
     return _shape_cache[n]
 
 
+_mirror_cache = {LEAF: LEAF}
+
+
+def mirror(shape):
+    """The shape reflected left to right (memoized per shape)."""
+    if shape not in _mirror_cache:
+        _mirror_cache[shape] = (mirror(shape[1]), mirror(shape[0]))
+    return _mirror_cache[shape]
+
+
 def leaf_count(shape):
     if shape == LEAF:
         return 1
@@ -140,6 +150,11 @@ class TreeOps:
     """Grafting, shift map, coproduct, counit and antipode on the trees
     decorated by a Lie algebra with invertible twist phi.  The shift map
     applies phi to every decoration and leaves the weights alone.
+
+    The shift and antipode images are stored for weight-0 trees only.  A
+    weighted tree t is the pivot of exactly one derived ideal row,
+    t - P0(sigma(t)), so the well-definedness report asks for its images
+    once and a stored one would never be read again.
     """
 
     def __init__(self, phi):
@@ -156,11 +171,11 @@ class TreeOps:
         if key == UNIT or power == 0:
             return LinComb.basis(key)
         cached = self._shift_cache.get((key, power))
-        if cached is not None:
-            return cached
-        out = self.phi_leafwise(key, (power,) * len(key[1]), key[1])
-        self._shift_cache[(key, power)] = out
-        return out
+        if cached is None:
+            cached = self.phi_leafwise(key, (power,) * len(key[1]), key[1])
+            if not any(key[1]):
+                self._shift_cache[(key, power)] = cached
+        return cached
 
     def phi_leafwise(self, key, powers, weights):
         """The decorated tree of the shape of key with the given weights
@@ -260,21 +275,22 @@ class TreeOps:
     def counit(self, x):
         return sum((a for k, a in x.items() if k == UNIT), ZERO)
 
-    # -- antipode: signed mirror
+    # -- antipode: signed mirror.  A leaf is sent to its negative and
+    # S(t v t') = S(t') v S(t); grafting concatenates weights and
+    # decorations, so unrolled, S(t) = (-1)^deg(t) mirror(t), where mirror
+    # reflects the shape and reverses the weights and decorations.
 
     def antipode_key(self, key):
         if key == UNIT:
             return LinComb.basis(UNIT)
         cached = self._antipode_cache.get(key)
-        if cached is not None:
-            return cached
-        if key[0] == LEAF:
-            out = -1 * LinComb.basis(key)
-        else:
-            kl, kr = split(key)
-            out = self.graft(self.antipode_key(kr), self.antipode_key(kl))
-        self._antipode_cache[key] = out
-        return out
+        if cached is None:
+            shape, weights, decs = key
+            sign = -1 if len(weights) % 2 else 1
+            cached = LinComb.basis((mirror(shape), weights[::-1], decs[::-1]), sign)
+            if not any(weights):
+                self._antipode_cache[key] = cached
+        return cached
 
     def antipode(self, x):
         return extend(self.antipode_key, x)
@@ -498,23 +514,23 @@ class TruncatedUEA(HomStructure):
         rows = self.ideal_rows()
         rep.run(
             "ideal-counit",
-            [(i,) for i in range(len(rows))],
+            ((i,) for i in range(len(rows))),
             lambda i: (LinComb.basis("k", self.ops.counit(rows[i])), LinComb.zero()),
         )
         rep.run(
             "ideal-antipode",
-            [(i,) for i in range(len(rows))],
+            ((i,) for i in range(len(rows))),
             lambda i: (self.project(self.ops.antipode(rows[i])), LinComb.zero()),
         )
         rep.run(
             "ideal-shift",
-            [(i, s) for i in range(len(rows)) for s in (1, -1)],
+            ((i, s) for i in range(len(rows)) for s in (1, -1)),
             lambda i, s: (self.project(self.ops.a_shift(rows[i], s)), LinComb.zero()),
         )
 
         rep.run(
             "ideal-coproduct",
-            [(i,) for i in range(len(rows))],
+            ((i,) for i in range(len(rows))),
             lambda i: (self.comult_map(rows[i]), LinComb.zero()),
         )
         return rep

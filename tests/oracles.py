@@ -16,6 +16,9 @@ dual at truncation degree 0.
 `FullScanRowSpace` and `coproduct_by_leaf_subsets` are the row reduction
 without a column index and the tree coproduct as a sum over leaf subsets,
 which `RowSpace` and the recursive `TreeOps.coproduct_key` replaced.
+`tree_antipode_by_recursion` is the tree antipode by its graft recursion
+S(t v t') = S(t') v S(t), which `TreeOps.antipode_key` replaced by the
+signed mirror.
 `enveloping_ideal_by_closure` closes every weighted tree under grafting and
 shifts, where `uea_trees._enveloping_ideal` closes weight 0 only.
 `build_truncated_uea_with_weighted_rows` is the build that also stored one
@@ -444,6 +447,19 @@ def coproduct_by_leaf_subsets(ops, key):
         other = _restrict(ops, key[0], key, set(range(n)) - keep, 0)
         out = out + (rest @ other)
     return out
+
+
+def tree_antipode_by_recursion(ops, key):
+    """S(1) = 1, S(leaf) = -leaf and S(t v t') = S(t') v S(t), grafted
+    through ops and recomputed for every subtree."""
+    if key == UNIT:
+        return LinComb.basis(UNIT)
+    if key[0] == LEAF:
+        return -1 * LinComb.basis(key)
+    kl, kr = split(key)
+    return ops.graft(
+        tree_antipode_by_recursion(ops, kr), tree_antipode_by_recursion(ops, kl)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from oracles import (
     coproduct_by_leaf_subsets,
     enveloping_ideal_by_closure,
     ideal_J_span,
+    tree_antipode_by_recursion,
 )
 
 e = LinComb.basis
@@ -131,6 +132,53 @@ def test_tree_counit_antipode():
     t = ((LEAF, LEAF), (0, 1), (0, 1))
     assert ops.antipode(e(t)) == e(((LEAF, LEAF), (1, 0), (1, 0)))
     assert ops.counit(e(t)) == 0
+
+
+# the Lie algebras whose trees of degree <= 4 and weight <= 2 the signed
+# mirror is compared on; the twisted sl2 moves every decoration, and fixture
+# B's g and h are the one-dimensional factors of the lie_pipeline pair
+ANTIPODE_CASES = {
+    "sl2": sl2,
+    "sl2_twisted": lambda: lie_twist(sl2(), sl2_involution()),
+    "fixture_b_g": lambda: fixture_b_lie_pair().g,
+    "fixture_b_h": lambda: fixture_b_lie_pair().h,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANTIPODE_CASES))
+def test_tree_antipode_is_the_graft_recursion_term_for_term(name):
+    g = ANTIPODE_CASES[name]()
+    ops, ref = TreeOps(g.phi), TreeOps(g.phi)
+
+    def terms(x):
+        return list(x.terms.items())
+
+    trees = [UNIT] + [k for n in range(1, 5) for k in ops.basis_keys(n, 2, g.dim)]
+    for key in trees:
+        want = tree_antipode_by_recursion(ref, key)
+        assert terms(ops.antipode_key(key)) == terms(want), key
+    # and so on the normal forms of U(g), after projection
+    u = build_truncated_uea(g, 4, 2)
+    for k in u.basis_keys():
+        want = u.project(tree_antipode_by_recursion(ref, k))
+        assert terms(u.antipode_map(e(k))) == terms(want), k
+
+
+def test_tree_ops_store_images_of_weight_zero_trees_only():
+    # each weighted tree is the pivot of one derived row, so its shift and
+    # antipode are asked for once; storing them would only hold memory
+    u = build_truncated_uea(sl2(), 3, 3)
+    rep = u.well_definedness_report()
+    assert [(q.eq_id, q.checked, q.skipped) for q in rep.equations] == [
+        ("ideal-counit", 3593, 0),
+        ("ideal-antipode", 3593, 0),
+        ("ideal-shift", 7186, 0),
+        ("ideal-coproduct", 3593, 0),
+    ]
+    assert rep.passed and check_hom_hopf(u).passed
+    shifted = [key for key, _ in u.ops._shift_cache]
+    assert shifted and u.ops._antipode_cache
+    assert not any(any(key[1]) for key in shifted + list(u.ops._antipode_cache))
 
 
 def test_coassociativity_on_all_trees_up_to_degree_four():
