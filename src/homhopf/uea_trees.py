@@ -151,10 +151,14 @@ class TreeOps:
     decorated by a Lie algebra with invertible twist phi.  The shift map
     applies phi to every decoration and leaves the weights alone.
 
-    The shift and antipode images are stored for weight-0 trees only.  A
-    weighted tree t is the pivot of exactly one derived ideal row,
-    t - P0(sigma(t)), so the well-definedness report asks for its images
-    once and a stored one would never be read again.
+    Shift images are stored for weight-0 trees only.  A weighted tree t is
+    the pivot of exactly one derived ideal row, t - P0(sigma(t)), so the
+    well-definedness report asks for its shift once per power, and storing
+    it would only hold memory.  Two callers do ask again for the shift of a
+    weighted tree, and recompute it: the coproduct templates, whose marked
+    legs are weighted but are built once per (shape, decorations), and the
+    lift's walk of every ideal row, which pairs each weighted row with
+    every basis tree of the other side.  The antipode is not stored.
     """
 
     def __init__(self, phi):
@@ -163,7 +167,6 @@ class TreeOps:
         self._phi_powers = {}
         self._coproduct_cache = {}
         self._template_cache = {}
-        self._antipode_cache = {}
 
     # -- shift map
 
@@ -283,14 +286,9 @@ class TreeOps:
     def antipode_key(self, key):
         if key == UNIT:
             return LinComb.basis(UNIT)
-        cached = self._antipode_cache.get(key)
-        if cached is None:
-            shape, weights, decs = key
-            sign = -1 if len(weights) % 2 else 1
-            cached = LinComb.basis((mirror(shape), weights[::-1], decs[::-1]), sign)
-            if not any(weights):
-                self._antipode_cache[key] = cached
-        return cached
+        shape, weights, decs = key
+        sign = -1 if len(weights) % 2 else 1
+        return LinComb.basis((mirror(shape), weights[::-1], decs[::-1]), sign)
 
     def antipode(self, x):
         return extend(self.antipode_key, x)

@@ -467,7 +467,7 @@ def test_hom_assoc_evaluates_exactly_the_checked_tuples(case, monkeypatch):
 SHARED_TABLES = {
     "_product_cache", "_comult_cache", "_projected",  # TruncatedUEA
     "_shift_cache", "_phi_powers", "_coproduct_cache",  # TreeOps
-    "_template_cache", "_antipode_cache",
+    "_template_cache",
     "_memo",  # DoubleCrossProduct, Bicrossproduct
     "_nabla",  # GradedMutualPair
     "_tables",  # TruncatedDual
