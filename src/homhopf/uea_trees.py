@@ -151,14 +151,12 @@ class TreeOps:
     decorated by a Lie algebra with invertible twist phi.  The shift map
     applies phi to every decoration and leaves the weights alone.
 
-    Shift images are stored for weight-0 trees only.  A weighted tree t is
-    the pivot of exactly one derived ideal row, t - P0(sigma(t)), so the
-    well-definedness report asks for its shift once per power, and storing
-    it would only hold memory.  Two callers do ask again for the shift of a
-    weighted tree, and recompute it: the coproduct templates, whose marked
-    legs are weighted but are built once per (shape, decorations), and the
-    lift's walk of every ideal row, which pairs each weighted row with
-    every basis tree of the other side.  The antipode is not stored.
+    The shift map reads no weight, so its images are stored once per
+    (shape, decorations, power), as the image of the weight-0 tree, and a
+    weighted tree gets the stored image with its own weights put back.
+    The memo so holds one entry per weight-0 tree and power, however many
+    weighted trees (ideal pivots, coproduct template legs, rows of the
+    lift's ideal walk) are shifted.  The antipode is not stored.
     """
 
     def __init__(self, phi):
@@ -173,12 +171,14 @@ class TreeOps:
     def a_shift_key(self, key, power=1):
         if key == UNIT or power == 0:
             return LinComb.basis(key)
-        cached = self._shift_cache.get((key, power))
-        if cached is None:
-            cached = self.phi_leafwise(key, (power,) * len(key[1]), key[1])
-            if not any(key[1]):
-                self._shift_cache[(key, power)] = cached
-        return cached
+        shape, weights, decs = key
+        image = self._shift_cache.get((shape, decs, power))
+        if image is None:
+            image = self.phi_leafwise(key, (power,) * len(weights), (0,) * len(weights))
+            self._shift_cache[(shape, decs, power)] = image
+        if not any(weights):
+            return image
+        return LinComb._wrap({(shape, weights, k[2]): c for k, c in image.items()})
 
     def phi_leafwise(self, key, powers, weights):
         """The decorated tree of the shape of key with the given weights

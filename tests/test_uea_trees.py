@@ -158,8 +158,8 @@ def test_tree_antipode_is_the_graft_recursion_term_for_term(name):
 
 
 def test_tree_ops_store_shifts_of_weight_zero_trees_only():
-    # each weighted tree is the pivot of one derived row, so the report asks
-    # for its shift once per power; storing it would only hold memory
+    # the shift reads no weight: one stored image per weight-0 tree and
+    # power, however many of the 3,593 weighted pivots are shifted
     u = build_truncated_uea(sl2(), 3, 3)
     rep = u.well_definedness_report()
     assert [(q.eq_id, q.checked, q.skipped) for q in rep.equations] == [
@@ -169,8 +169,17 @@ def test_tree_ops_store_shifts_of_weight_zero_trees_only():
         ("ideal-coproduct", 3593, 0),
     ]
     assert rep.passed and check_hom_hopf(u).passed
-    shifted = [key for key, _ in u.ops._shift_cache]
-    assert shifted and not any(any(key[1]) for key in shifted)
+    ops = u.ops
+    flat = [k for n in range(1, 4) for k in ops.basis_keys(n, 0, 3)]
+    assert sorted(ops._shift_cache) == sorted(
+        (shape, decs, p) for shape, _, decs in flat for p in (1, -1)
+    )
+    assert not any(any(k[1]) for img in ops._shift_cache.values() for k in img)
+    # a weighted tree's shift is the stored image with its weights put back
+    for t in [k for n in range(1, 4) for k in ops.basis_keys(n, 3, 3)]:
+        for p in (1, -1, 2):
+            want = ops.phi_leafwise(t, (p,) * len(t[1]), t[1])
+            assert list(ops.a_shift_key(t, p).terms.items()) == list(want.terms.items())
 
 
 def test_coassociativity_on_all_trees_up_to_degree_four():
