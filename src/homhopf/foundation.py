@@ -134,9 +134,12 @@ class LinComb:
 
 # ---------------------------------------------------------------------------
 # the accumulator: every linear and bilinear extension goes through here,
-# except a single term with coefficient 1, whose image is returned as it is.
-# `out` is always a dict the caller made for this sum; inputs and cached
-# values are never written to, so they can be shared.
+# except a single term with coefficient 1, whose image is returned as it is,
+# and an image with coefficient 1 that `extend` adds to an empty sum, which
+# it copies into a new `out`: the image's values are already canonical, so
+# the copy holds the terms, the order and the values that accumulating it
+# would.  `out` is always a dict the caller made for this sum; inputs and
+# cached values are never written to, so they can be shared.
 
 
 def _accumulate(out, vec, c):
@@ -174,14 +177,19 @@ def _accumulate_tensor(out, x, y, c):
 
 def extend(fn, x):
     """Linear extension of a basis map fn: key -> LinComb; on a single
-    term with coefficient 1 this is fn's value itself."""
+    term with coefficient 1 this is fn's value itself.  An image with
+    coefficient 1 that goes into an empty sum (the first one, as a rule)
+    is copied into it, not accumulated."""
     if len(x.terms) == 1:
         for k, c in x.terms.items():
             if c == ONE:
                 return fn(k)
     out = {}
     for k, c in x.terms.items():
-        _accumulate(out, fn(k), c)
+        if out or c != ONE:
+            _accumulate(out, fn(k), c)
+        else:
+            out = dict(fn(k).terms)
     return LinComb._wrap(out)
 
 

@@ -85,11 +85,15 @@ def split(key):
     )
 
 
+_code_cache = {LEAF: (0,)}
+
+
 def shape_code(shape):
-    """Preorder serialization: stable total order on shapes."""
-    if shape == LEAF:
-        return (0,)
-    return (1,) + shape_code(shape[0]) + shape_code(shape[1])
+    """Preorder serialization: stable total order on shapes (memoized per
+    shape, so the sort keys of trees of one shape share one tuple)."""
+    if shape not in _code_cache:
+        _code_cache[shape] = (1,) + shape_code(shape[0]) + shape_code(shape[1])
+    return _code_cache[shape]
 
 
 def tree_degree(key):
@@ -290,9 +294,6 @@ class TreeOps:
         sign = -1 if len(weights) % 2 else 1
         return LinComb.basis((mirror(shape), weights[::-1], decs[::-1]), sign)
 
-    def antipode(self, x):
-        return extend(self.antipode_key, x)
-
     # -- basis enumeration
 
     def basis_keys(self, degree, weight_bound, lie_dim):
@@ -420,6 +421,8 @@ class TruncatedUEA(HomStructure):
         )
         self._product_cache = {}
         self._comult_cache = {}
+        self._alpha_cache = {}
+        self._antipode_cache = {}
         self._projected = {}
 
     # -- bookkeeping
@@ -466,15 +469,31 @@ class TruncatedUEA(HomStructure):
             self._product_cache[(k1, k2)] = val
         return val
 
+    # the memo rule of the per-key tables of the maps below: only the
+    # images of normal forms are stored.  A pivot (a J0 pivot or a weighted
+    # tree) occurs in one ideal row only, so storing its image buys nothing,
+    # and each table keeps at most one entry per normal form (and power).
+
+    def _stores(self, k):
+        return k not in self.rowspace.rows and k not in self._weighted
+
     # own maps: perfbench/spans.py wraps all three through this class's __dict__
     def alpha_map(self, x):
-        return self.project(self.ops.a_shift(x, 1))
+        return extend(lambda k: self._alpha_key(1, k), x)
 
     def alpha_inv(self, x):
-        return self.project(self.ops.a_shift(x, -1))
+        return extend(lambda k: self._alpha_key(-1, k), x)
 
     def alpha_pow(self, n, x):
-        return self.project(self.ops.a_shift(x, n)) if n else x
+        return extend(lambda k: self._alpha_key(n, k), x) if n else x
+
+    def _alpha_key(self, n, k):
+        val = self._alpha_cache.get((n, k))
+        if val is None:
+            val = self.project(self.ops.a_shift_key(k, n))
+            if self._stores(k):
+                self._alpha_cache[(n, k)] = val
+        return val
 
     def comult_map(self, x):
         return extend(self._comult_key, x)
@@ -484,8 +503,7 @@ class TruncatedUEA(HomStructure):
         if val is None:
             leg = self._projected_key
             val = pair_extend(leg, leg, self.ops.coproduct_terms(k))
-            # a pivot occurs in one ideal row only: caching it buys nothing
-            if k not in self.rowspace.rows and k not in self._weighted:
+            if self._stores(k):
                 self._comult_cache[k] = val
         return val
 
@@ -503,7 +521,15 @@ class TruncatedUEA(HomStructure):
         return x
 
     def antipode_map(self, x):
-        return self.project(self.ops.antipode(x))
+        return extend(self._antipode_key, x)
+
+    def _antipode_key(self, k):
+        val = self._antipode_cache.get(k)
+        if val is None:
+            val = self.project(self.ops.antipode_key(k))
+            if self._stores(k):
+                self._antipode_cache[k] = val
+        return val
 
     # -- well-definedness of the induced structure
 
@@ -518,12 +544,12 @@ class TruncatedUEA(HomStructure):
         rep.run(
             "ideal-antipode",
             ((i,) for i in range(len(rows))),
-            lambda i: (self.project(self.ops.antipode(rows[i])), LinComb.zero()),
+            lambda i: (self.antipode_map(rows[i]), LinComb.zero()),
         )
         rep.run(
             "ideal-shift",
             ((i, s) for i in range(len(rows)) for s in (1, -1)),
-            lambda i, s: (self.project(self.ops.a_shift(rows[i], s)), LinComb.zero()),
+            lambda i, s: (self.alpha_pow(s, rows[i]), LinComb.zero()),
         )
 
         rep.run(

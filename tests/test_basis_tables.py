@@ -465,7 +465,8 @@ def test_hom_assoc_evaluates_exactly_the_checked_tuples(case, monkeypatch):
 
 # every per-instance table of the checked objects, by attribute name
 SHARED_TABLES = {
-    "_product_cache", "_comult_cache", "_projected",  # TruncatedUEA
+    "_product_cache", "_comult_cache", "_alpha_cache",  # TruncatedUEA
+    "_antipode_cache", "_projected",
     "_shift_cache", "_phi_powers", "_coproduct_cache",  # TreeOps
     "_template_cache",
     "_memo",  # DoubleCrossProduct, Bicrossproduct

@@ -346,6 +346,59 @@ def test_pair_apply_matches_add_scaled_loop(fcols, gcols, t):
     assert aliased(got, [t, *fcols, *gcols]) == []
 
 
+def accumulated_terms(pairs):
+    """The items of the sum of c * image over (image, c), every term put
+    through _accumulate into one fresh dict, in order."""
+    out = {}
+    for image, c in pairs:
+        _accumulate(out, image, c)
+    return list(out.items())
+
+
+def typed(items):
+    return [(k, v, type(v)) for k, v in items]
+
+
+ZERO_FIRST = [LinComb(), e(1, 2), LinComb({0: 1, 3: -1}), LinComb({0: -1})]
+
+
+# extend starts a sum whose first coefficient is 1 from a copy of the first
+# image; the copy must give the terms, their order and the types of their
+# values (int or Fraction) that accumulating every term does
+@given(tables, sparse)
+@example([LinComb(), LinComb(), LinComb(), LinComb()], LinComb({0: 1, 1: 2}))
+@example(ZERO_FIRST, LinComb({0: 1, 2: 1}))
+@example(ZERO_FIRST, LinComb({2: 1, 3: 1}))
+@example(ZERO_FIRST, LinComb({2: Fraction(1, 2), 1: 1}))
+@example(ZERO_FIRST, LinComb({1: 2, 2: 1, 3: Fraction(-1, 2)}))
+@example(ZERO_FIRST, LinComb({1: Fraction(1, 2), 2: 4}))
+# the sum cancels to empty, and the next image with coefficient 1 is copied
+@example([e(0), LinComb({0: -1}), e(1, 2), LinComb()], LinComb({0: 1, 1: 1, 2: 1}))
+@settings(max_examples=150, deadline=None)
+def test_extend_matches_accumulating_reference(cols, x):
+    got = extend(lambda k: cols[k], x)
+    want = accumulated_terms((cols[k], c) for k, c in x.items())
+    assert typed(got.items()) == typed(want)
+    assert all(type(v) in (int, Fraction) for v in got.terms.values())
+
+
+@given(tables, sparse, sparse)
+@example(ZERO_FIRST, LinComb({0: 1}), LinComb({0: 1, 1: 1}))
+@example(ZERO_FIRST, LinComb({1: 2}), LinComb({0: Fraction(1, 2), 1: -1}))
+@example(ZERO_FIRST, LinComb({3: Fraction(1, 2), 1: 1}), LinComb({1: 2}))
+@settings(max_examples=150, deadline=None)
+def test_bilinear_matches_accumulating_reference(cols, x, y):
+    def fn(i, j):
+        return cols[(i + 2 * j) % 4]
+
+    got = bilinear(fn, x, y)
+    want = accumulated_terms(
+        (fn(i, j), a * b) for i, a in x.items() for j, b in y.items()
+    )
+    assert typed(got.items()) == typed(want)
+    assert all(type(v) in (int, Fraction) for v in got.terms.values())
+
+
 def test_unit_input_returns_the_stored_value_unchanged():
     # a cache hands out one shared LinComb; a unit input returns that very
     # object, and neither extension writes to it

@@ -125,12 +125,12 @@ def test_tree_coproduct_examples():
 def test_tree_counit_antipode():
     one = e(UNIT)
     ops = TreeOps(swap_phi())
-    assert ops.counit(one) == 1 and ops.antipode(one) == one
+    assert ops.counit(one) == 1 and ops.antipode_key(UNIT) == one
     leaf = e((LEAF, (1,), (0,)))
-    assert ops.counit(leaf) == 0 and ops.antipode(leaf) == -1 * leaf
+    assert ops.counit(leaf) == 0 and ops.antipode_key((LEAF, (1,), (0,))) == -1 * leaf
     # S(t v t') = S(t') v S(t): two leaves pick up sign (+1)
     t = ((LEAF, LEAF), (0, 1), (0, 1))
-    assert ops.antipode(e(t)) == e(((LEAF, LEAF), (1, 0), (1, 0)))
+    assert ops.antipode_key(t) == e(((LEAF, LEAF), (1, 0), (1, 0)))
     assert ops.counit(e(t)) == 0
 
 
@@ -264,8 +264,12 @@ def test_comult_cache_holds_normal_forms_only():
     for key, val in u._projected.items():
         assert val == u.project(e(key)), key
     assert check_hom_hopf(u).passed
-    assert u._comult_cache
-    assert set(u._comult_cache) <= set(u.basis_keys())
+    # the coproduct, antipode and twist-power tables hold normal forms only
+    normal = set(u.basis_keys())
+    assert u._comult_cache and u._antipode_cache and u._alpha_cache
+    assert set(u._comult_cache) <= normal
+    assert set(u._antipode_cache) <= normal
+    assert {k for _, k in u._alpha_cache} <= normal
 
 
 def dense_reassociation_rank_deg3(g, weight_bound):
@@ -383,6 +387,52 @@ ENVELOPING_CASES = (
     + [(name, n, 3) for name in POWER_TWISTS for n in (2, 3)]
     + [(name, 4, 1) for name in ("sl2", "sl2_twisted", "solvable2")]
 )
+
+
+def projected_sum(u, image, x):
+    """P(sum c * image(k)) over the terms of x: the whole image summed term
+    by term with add_scaled, then projected once, with no stored image."""
+    out = LinComb.zero()
+    for k, c in x.items():
+        out = out.add_scaled(image(k), c)
+    return u.project(out)
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2_twisted", "fixture_b_g", "fixture_b_h"])
+def test_uea_map_memos_match_unstored_images(name):
+    u = build_truncated_uea(ENVELOPING_ALGEBRAS[name](), 3, 2)
+    ops = u.ops
+
+    def terms(x):
+        return list(x.terms.items())
+
+    def check_normal_forms():
+        for k in u.basis_keys():
+            want = u.project(ops.antipode_key(k))
+            assert terms(u.antipode_map(e(k))) == terms(want), k
+            for n in (1, -1, 2, -2):
+                want = u.project(ops.a_shift_key(k, n))
+                assert terms(u.alpha_pow(n, e(k))) == terms(want), (n, k)
+            assert terms(u.alpha_map(e(k))) == terms(u.alpha_pow(1, e(k)))
+            assert terms(u.alpha_inv(e(k))) == terms(u.alpha_pow(-1, e(k)))
+
+    # first on empty tables, then read back from the stored images
+    check_normal_forms()
+    check_normal_forms()
+    rows = u.ideal_rows()
+    assert rows
+    for row in rows:
+        # the row itself, and its pivot alone, whose image is not stored
+        for x in (row, e(min(row.terms, key=pivot_order))):
+            assert u.antipode_map(x) == projected_sum(u, ops.antipode_key, x)
+            for n in (1, -1, 2, -2):
+                want = projected_sum(u, lambda k: ops.a_shift_key(k, n), x)
+                assert u.alpha_pow(n, x) == want, n
+    assert u.well_definedness_report().passed
+    normal = set(u.basis_keys())
+    assert set(u._antipode_cache) == normal
+    assert {k for _, k in u._alpha_cache} == normal
+    assert {n for n, _ in u._alpha_cache} == {1, -1, 2, -2}
 
 
 @pytest.mark.parametrize(
