@@ -401,6 +401,13 @@ class TruncatedUEA(HomStructure):
     `ambient` lists every tree within the weight bound and `keys` the
     normal forms; `rowspace` holds J0 only, and `ideal_rows` derives the
     rows of the weighted trees.
+
+    The twist powers, the antipode and the coproduct are linear extensions
+    of per-key tables of projected images: P(a^n(k)), P(S(k)) and Delta(k)
+    with projected legs.  The tables keep the images of normal forms only
+    (`_stores`), so each holds at most one entry per normal form (and
+    power); the image of a pivot is built again on each call.  The
+    well-definedness report evaluates every ideal row through these maps.
     """
 
     def __init__(self, lie, truncation_degree, ops, rowspace, ambient):
@@ -469,12 +476,10 @@ class TruncatedUEA(HomStructure):
             self._product_cache[(k1, k2)] = val
         return val
 
-    # the memo rule of the per-key tables of the maps below: only the
-    # images of normal forms are stored.  A pivot (a J0 pivot or a weighted
-    # tree) occurs in one ideal row only, so storing its image buys nothing,
-    # and each table keeps at most one entry per normal form (and power).
-
     def _stores(self, k):
+        """The memo rule of the per-key tables: k is a normal form.  A
+        pivot (a J0 pivot or a weighted tree) occurs in one ideal row only,
+        so storing its image buys nothing."""
         return k not in self.rowspace.rows and k not in self._weighted
 
     # own maps: perfbench/spans.py wraps all three through this class's __dict__

@@ -362,9 +362,9 @@ def typed(items):
 ZERO_FIRST = [LinComb(), e(1, 2), LinComb({0: 1, 3: -1}), LinComb({0: -1})]
 
 
-# extend starts a sum whose first coefficient is 1 from a copy of the first
-# image; the copy must give the terms, their order and the types of their
-# values (int or Fraction) that accumulating every term does
+# extend copies an image with coefficient 1 into an empty sum instead of
+# accumulating it; the copy must give the terms, their order and the types
+# of their values (int or Fraction) that accumulating every term does
 @given(tables, sparse)
 @example([LinComb(), LinComb(), LinComb(), LinComb()], LinComb({0: 1, 1: 2}))
 @example(ZERO_FIRST, LinComb({0: 1, 2: 1}))

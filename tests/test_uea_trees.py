@@ -126,8 +126,9 @@ def test_tree_counit_antipode():
     one = e(UNIT)
     ops = TreeOps(swap_phi())
     assert ops.counit(one) == 1 and ops.antipode_key(UNIT) == one
-    leaf = e((LEAF, (1,), (0,)))
-    assert ops.counit(leaf) == 0 and ops.antipode_key((LEAF, (1,), (0,))) == -1 * leaf
+    leaf_key = (LEAF, (1,), (0,))
+    leaf = e(leaf_key)
+    assert ops.counit(leaf) == 0 and ops.antipode_key(leaf_key) == -1 * leaf
     # S(t v t') = S(t') v S(t): two leaves pick up sign (+1)
     t = ((LEAF, LEAF), (0, 1), (0, 1))
     assert ops.antipode_key(t) == e(((LEAF, LEAF), (1, 0), (1, 0)))
