@@ -22,12 +22,15 @@ reduction P0; the projection of U(g) is P0(sigma(x)), where sigma replaces
 each leaf (s, xi) by (0, phi^s(xi)).  This is exact because sigma fixes
 weight-0 trees, commutes with grafting and the shift map, and sends every
 relation into J0.  So each weighted tree t is a pivot whose reduced row
-t - P0(sigma(t)) is derived on demand, never stored.
+t - P0(sigma(t)) is derived on demand, never stored, and no list of the
+weighted trees is kept: the normal forms come from the weight-0 trees, and
+`TruncatedUEA.ideal_rows` generates the weighted trees in pivot order.
 """
 
 from collections import deque
 from itertools import product as iproduct
 from math import prod
+from operator import itemgetter
 
 from .cross_products import MatchedPairHopf
 from .errors import NotHomLie, NotMatchedPair, TruncationOverflow
@@ -38,6 +41,7 @@ from .foundation import (
     bilinear,
     extend,
     pair_extend,
+    scalar,
 )
 from .hom_core import CheckReport, HomStructure
 from .hom_lie import check_hom_lie, check_matched_pair_lie
@@ -123,16 +127,27 @@ def display_order(key):
     return (1, len(weights), weights, shape_code(shape), decs)
 
 
+def weighted(key):
+    """Whether key is a tree with a leaf of nonzero weight."""
+    return key != UNIT and any(key[1])
+
+
 def leaves(x, weight=0):
     """The single-leaf trees of one weight decorated by a Lie combination x."""
     return extend(lambda j: LinComb.basis((LEAF, (weight,), (j,))), x)
 
 
-def _relabel(leg, weights):
-    """A coproduct template leg with leaf position i read as weights[i]."""
+def _compile_leg(leg):
+    """A coproduct template leg as (shape, getter, decorations), the getter
+    mapping a tree's weights to the tuple of those at the leg's leaf
+    positions; the unit leg as None."""
     if leg == UNIT:
-        return UNIT
-    return (leg[0], tuple([weights[i] for i in leg[1]]), leg[2])
+        return None
+    positions = leg[1]
+    if len(positions) == 1:
+        (i,) = positions
+        return (leg[0], lambda weights: (weights[i],), leg[2])
+    return (leg[0], itemgetter(*positions), leg[2])
 
 
 def tree_label(key):
@@ -194,6 +209,9 @@ class TreeOps:
             if img is None:
                 img = self._phi_powers[(d, p)] = self.phi.power(p, LinComb.basis(d))
             per_leaf.append(img.items())
+        if all(len(img) == 1 for img in per_leaf):
+            decs, coeffs = zip(*[next(iter(img)) for img in per_leaf])
+            return LinComb._wrap({(key[0], weights, decs): scalar(prod(coeffs))})
         return LinComb({
             (key[0], weights, tuple(d for d, _ in combo)): prod(c for _, c in combo)
             for combo in iproduct(*per_leaf)
@@ -232,8 +250,9 @@ class TreeOps:
     # (shape, decorations), on the template key whose leaf i has weight i,
     # reading the coproducts of the subtrees off their own templates.
     # coproduct_terms(t) is the template of t with each leg's weights read
-    # through the weights of t; distinct template terms meet when t repeats
-    # a weight.  TruncatedUEA projects these terms as they come, so it never
+    # through the weights of t, by a getter stored with the leg (the leaf
+    # positions it holds); distinct template terms meet when t repeats a
+    # weight.  TruncatedUEA projects these terms as they come, so it never
     # builds Delta of an ideal pivot; coproduct_key sums them and memoizes
     # per tree, for the lifted actions, which reuse whole trees.
 
@@ -256,12 +275,20 @@ class TreeOps:
         template = self._template_cache.get((key[0], key[2]))
         if template is None:
             marked = (key[0], tuple(range(len(key[1]))), key[2])
-            template = self._template(marked)
-            self._template_cache[(key[0], key[2])] = template
+            template = self._template_cache[(key[0], key[2])] = tuple(
+                (_compile_leg(a), _compile_leg(b), c)
+                for (a, b), c in self._template(marked).items()
+            )
         weights = key[1]
         return [
-            ((_relabel(a, weights), _relabel(b, weights)), c)
-            for (a, b), c in template.items()
+            (
+                (
+                    UNIT if a is None else (a[0], a[1](weights), a[2]),
+                    UNIT if b is None else (b[0], b[1](weights), b[2]),
+                ),
+                c,
+            )
+            for a, b, c in template
         ]
 
     def _summed_terms(self, key):
@@ -389,6 +416,22 @@ def _enveloping_ideal(g, n_max):
     return ops, rs
 
 
+class _Projections(dict):
+    """P0(sigma(k)) per tree key k, computed and stored on first lookup."""
+
+    __slots__ = ("ops", "rowspace")
+
+    def __init__(self, ops, rowspace):
+        super().__init__()
+        self.ops = ops
+        self.rowspace = rowspace
+
+    def __missing__(self, key):
+        x = self.ops.sigma_key(key) if weighted(key) else LinComb.basis(key)
+        val = self[key] = self.rowspace.reduce(x)
+        return val
+
+
 class TruncatedUEA(HomStructure):
     """The universal enveloping Hom-Hopf algebra of a Hom-Lie algebra,
     truncated at a tree degree.
@@ -398,29 +441,42 @@ class TruncatedUEA(HomStructure):
     grafting product raises TruncationOverflow past the degree bound; the
     coproduct, counit, antipode and twist are total.
 
-    `ambient` lists every tree within the weight bound and `keys` the
-    normal forms; `rowspace` holds J0 only, and `ideal_rows` derives the
-    rows of the weighted trees.
+    `keys` lists the normal forms, the weight-0 trees that are not pivots
+    of J0; `rowspace` holds J0 only, and `ideal_rows` generates the
+    weighted trees within `weight_bound` and derives their rows.  No tree
+    list is kept: `ambient` is a range whose length is the number of trees
+    within the weight bound.
 
     The twist powers, the antipode and the coproduct are linear extensions
     of per-key tables of projected images: P(a^n(k)), P(S(k)) and Delta(k)
     with projected legs.  The tables keep the images of normal forms only
     (`_stores`), so each holds at most one entry per normal form (and
     power); the image of a pivot is built again on each call.  The
-    well-definedness report evaluates every ideal row through these maps.
+    projection P0(sigma(k)) of each tree k is stored in `_projected`, which
+    the coproduct reads its legs from.  The well-definedness report
+    evaluates every ideal row through these maps.
     """
 
-    def __init__(self, lie, truncation_degree, ops, rowspace, ambient):
+    def __init__(self, lie, truncation_degree, ops, rowspace, weight_bound):
         self.lie = lie
         self.truncation_degree = truncation_degree
         self.ops = ops
         self.rowspace = rowspace
-        self.ambient = ambient
-        self._weighted = frozenset(k for k in ambient if k != UNIT and any(k[1]))
-        self.keys = [
-            k for k in ambient if k not in self._weighted and k not in rowspace.rows
+        self.weight_bound = weight_bound
+        degrees = range(1, truncation_degree + 1)
+        # only the length is read: the number of trees within the weight
+        # bound, |shapes(n)| * ((W + 1) * dim)^n in degree n, and the unit
+        count, labels = 1, 1
+        for n in degrees:
+            labels *= (weight_bound + 1) * lie.dim
+            count += len(shapes(n)) * labels
+        self.ambient = range(count)
+        self.keys = [UNIT] + [
+            k
+            for n in degrees
+            for k in ops.basis_keys(n, 0, lie.dim)
+            if k not in rowspace.rows
         ]
-        self.keys.sort(key=display_order)
         # a weighted row t - P0(sigma(t)) has the one degree of t when P0
         # preserves degree, that is when every row of J0 does
         self.graded = all(
@@ -430,7 +486,7 @@ class TruncatedUEA(HomStructure):
         self._comult_cache = {}
         self._alpha_cache = {}
         self._antipode_cache = {}
-        self._projected = {}
+        self._projected = _Projections(ops, rowspace)
 
     # -- bookkeeping
 
@@ -445,16 +501,35 @@ class TruncatedUEA(HomStructure):
 
     def project(self, x):
         """P0(sigma(x)); sigma runs only when x holds a weighted tree."""
-        if self._weighted.isdisjoint(x.terms):
+        if not any(map(weighted, x)):
             return self.rowspace.reduce(x)
-        return extend(self._projected_key, x)
+        return extend(self._projected.__getitem__, x)
+
+    def _weighted_trees(self, n):
+        """The trees of degree n with a leaf of nonzero weight within the
+        weight bound, in pivot order: weights in descending lexicographic
+        order, then shapes by `shape_code`, then decorations ascending."""
+        forms = sorted(shapes(n), key=shape_code)
+        for weights in iproduct(range(self.weight_bound, -1, -1), repeat=n):
+            if any(weights):
+                for shape in forms:
+                    for decs in iproduct(range(self.lie.dim), repeat=n):
+                        yield (shape, weights, decs)
 
     def ideal_rows(self):
-        """Every row of the reduced ideal, in pivot order: the stored rows
-        of J0 and t - P0(sigma(t)) for each weighted tree t."""
-        rows = {t: LinComb.basis(t) - self._projected_key(t) for t in self._weighted}
-        rows.update(self.rowspace.rows)
-        return [rows[p] for p in sorted(rows, key=pivot_order)]
+        """Every row of the reduced ideal, in pivot order, as a list: per
+        degree from the top down, t - P0(sigma(t)) for each weighted tree t,
+        then the stored rows of J0 of that degree (a weighted tree sorts
+        before the weight-0 trees of its degree)."""
+        j0 = {}
+        for p in self.rowspace.pivots():
+            j0.setdefault(tree_degree(p), []).append(self.rowspace.rows[p])
+        proj = self._projected
+        rows = []
+        for n in range(self.truncation_degree, 0, -1):
+            rows.extend(LinComb.basis(t) - proj[t] for t in self._weighted_trees(n))
+            rows.extend(j0.get(n, ()))
+        return rows
 
     # -- Hom-Hopf protocol
 
@@ -480,7 +555,7 @@ class TruncatedUEA(HomStructure):
         """The memo rule of the per-key tables: k is a normal form.  A
         pivot (a J0 pivot or a weighted tree) occurs in one ideal row only,
         so storing its image buys nothing."""
-        return k not in self.rowspace.rows and k not in self._weighted
+        return k not in self.rowspace.rows and not weighted(k)
 
     # own maps: perfbench/spans.py wraps all three through this class's __dict__
     def alpha_map(self, x):
@@ -506,17 +581,10 @@ class TruncatedUEA(HomStructure):
     def _comult_key(self, k):
         val = self._comult_cache.get(k)
         if val is None:
-            leg = self._projected_key
+            leg = self._projected.__getitem__
             val = pair_extend(leg, leg, self.ops.coproduct_terms(k))
             if self._stores(k):
                 self._comult_cache[k] = val
-        return val
-
-    def _projected_key(self, key):
-        val = self._projected.get(key)
-        if val is None:
-            x = self.ops.sigma_key(key) if key in self._weighted else LinComb.basis(key)
-            val = self._projected[key] = self.rowspace.reduce(x)
         return val
 
     def counit_map(self, x):
@@ -570,10 +638,7 @@ def build_truncated_uea(g, truncation_degree, weight_bound=3):
     if not check_hom_lie(g).passed:
         raise NotHomLie("structure constants fail the Hom-Lie axioms")
     ops, rs = _enveloping_ideal(g, truncation_degree)
-    ambient = [UNIT]
-    for n in range(1, truncation_degree + 1):
-        ambient.extend(ops.basis_keys(n, weight_bound, g.dim))
-    return TruncatedUEA(g, truncation_degree, ops, rs, ambient)
+    return TruncatedUEA(g, truncation_degree, ops, rs, weight_bound)
 
 
 # ---------------------------------------------------------------------------

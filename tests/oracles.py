@@ -21,10 +21,16 @@ S(t v t') = S(t') v S(t), which `TreeOps.antipode_key` replaced by the
 signed mirror.
 `enveloping_ideal_by_closure` closes every weighted tree under grafting and
 shifts, where `uea_trees._enveloping_ideal` closes weight 0 only.
+`coproduct_terms_by_relabel` reads the coproduct template of a tree
+through its weights by relabelling each leg, where `TreeOps.coproduct_terms`
+stores a weight getter with each leg.
 `build_truncated_uea_with_weighted_rows` is the build that also stored one
 row t - P0(sigma(t)) per weighted tree t and projected by reducing against
 every row, where `TruncatedUEA` stores J0 and derives those rows in
-`ideal_rows`; `ideal_J_span` reads the enveloping relations modulo the
+`ideal_rows`.  `ambient_trees` lists every tree within the weight bound,
+and `sorted_ambient_build` reads the normal forms and the ideal rows off
+that list and sorts them, as `build_truncated_uea` did before it generated
+the weighted trees in pivot order.  `ideal_J_span` reads the enveloping relations modulo the
 reassociation ideal off `ideal_rows` and a closure, for the golden tables.
 `gauss_jordan_inverse` is the dense Gauss-Jordan elimination that
 `LinearOperator` used before it row-reduced [M | I] in a `RowSpace`.
@@ -104,6 +110,7 @@ from homhopf.uea_trees import (
     _enveloping_ideal,
     _reassociation_seeds,
     build_truncated_uea,
+    display_order,
     leaf_count,
     leaves,
     max_degree,
@@ -449,6 +456,44 @@ def coproduct_by_leaf_subsets(ops, key):
     return out
 
 
+def _relabel(leg, weights):
+    """A coproduct template leg with leaf position i read as weights[i]."""
+    if leg == UNIT:
+        return UNIT
+    return (leg[0], tuple([weights[i] for i in leg[1]]), leg[2])
+
+
+def coproduct_template_by_relabel(ops, shape, decs):
+    """Delta of the tree of shape and decorations whose leaf i has weight
+    i, the coproducts of its subtrees read by `coproduct_terms_by_relabel`,
+    recomputed on every call."""
+    marked = (shape, tuple(range(len(decs))), decs)
+    if shape == LEAF:
+        return LinComb({(UNIT, marked): 1, (marked, UNIT): 1})
+
+    def summed(k):
+        out = {}
+        for legs, c in coproduct_terms_by_relabel(ops, k):
+            out[legs] = out.get(legs, ZERO) + c
+        return LinComb(out)
+
+    kl, kr = split(marked)
+    return bilinear(ops._graft_legs, summed(kl), summed(kr))
+
+
+def coproduct_terms_by_relabel(ops, key, template=None):
+    """`TreeOps.coproduct_terms` as a list: the template of key (by default
+    `coproduct_template_by_relabel` of its shape and decorations) with
+    each leg relabelled through the weights of key by `_relabel`."""
+    if key == UNIT:
+        return list(ops.coproduct_key(key).items())
+    if template is None:
+        template = coproduct_template_by_relabel(ops, key[0], key[2])
+    return [
+        ((_relabel(a, key[1]), _relabel(b, key[1])), c) for (a, b), c in template.items()
+    ]
+
+
 def tree_antipode_by_recursion(ops, key):
     """S(1) = 1, S(leaf) = -leaf and S(t v t') = S(t') v S(t), grafted
     through ops and recomputed for every subtree."""
@@ -521,25 +566,62 @@ def enveloping_ideal_with_weighted_rows(g, n_max, weight_bound):
     return ops, basis_by_degree, rs
 
 
+class ReducedPerKey(dict):
+    """The reduction of each basis key against a row space, stored on
+    first lookup."""
+
+    def __init__(self, rowspace):
+        super().__init__()
+        self.rowspace = rowspace
+
+    def __missing__(self, key):
+        val = self[key] = self.rowspace.reduce(LinComb.basis(key))
+        return val
+
+
 class TruncatedUEAWithWeightedRows(TruncatedUEA):
     """`TruncatedUEA` on the row space of every row, weighted rows stored:
     it projects, and projects the legs of coproducts, by reducing against
     all of them."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._projected = ReducedPerKey(self.rowspace)
+
     def project(self, x):
         return self.rowspace.reduce(x)
 
-    def _projected_key(self, key):
-        val = self._projected.get(key)
-        if val is None:
-            val = self._projected[key] = self.project(LinComb.basis(key))
-        return val
-
 
 def build_truncated_uea_with_weighted_rows(g, n_max, weight_bound):
-    ops, basis_by_degree, rs = enveloping_ideal_with_weighted_rows(g, n_max, weight_bound)
-    ambient = [UNIT] + [k for n in range(1, n_max + 1) for k in basis_by_degree[n]]
-    return TruncatedUEAWithWeightedRows(g, n_max, ops, rs, ambient)
+    ops, _, rs = enveloping_ideal_with_weighted_rows(g, n_max, weight_bound)
+    return TruncatedUEAWithWeightedRows(g, n_max, ops, rs, weight_bound)
+
+
+def ambient_trees(g, n_max, weight_bound):
+    """Every tree decorated by g of degree <= n_max within the weight
+    bound, the unit first, in display order: the list that `TruncatedUEA`
+    kept as `ambient`, of which it keeps the length only."""
+    ops = TreeOps(g.phi)
+    return [UNIT] + [
+        k for n in range(1, n_max + 1) for k in ops.basis_keys(n, weight_bound, g.dim)
+    ]
+
+
+def sorted_ambient_build(u):
+    """The ambient list, the normal forms and the ideal rows of u as
+    `build_truncated_uea` made them from the ambient list: the weighted
+    trees as a set, the normal forms filtered out of the list and sorted
+    by `display_order`, and the rows t - P0(sigma(t)) of the weighted trees
+    t with those of J0, sorted by `pivot_order`."""
+    ambient = ambient_trees(u.lie, u.truncation_degree, u.weight_bound)
+    weighted = frozenset(k for k in ambient if k != UNIT and any(k[1]))
+    keys = [k for k in ambient if k not in weighted and k not in u.rowspace.rows]
+    keys.sort(key=display_order)
+    rows = {
+        t: LinComb.basis(t) - u.rowspace.reduce(u.ops.sigma_key(t)) for t in weighted
+    }
+    rows.update(u.rowspace.rows)
+    return ambient, keys, [rows[p] for p in sorted(rows, key=pivot_order)]
 
 
 def ideal_J_span(g, n_max, weight_bound=3):

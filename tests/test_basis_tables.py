@@ -106,7 +106,9 @@ class PerturbedUEA(TruncatedUEA):
     normal forms; every other product is U(g)'s."""
 
     def __init__(self, u):
-        TruncatedUEA.__init__(self, u.lie, u.truncation_degree, u.ops, u.rowspace, u.ambient)
+        TruncatedUEA.__init__(
+            self, u.lie, u.truncation_degree, u.ops, u.rowspace, u.weight_bound
+        )
         self.pair = tuple(k for k in self.keys if self.degree(k) == 1)[:2]
 
     def _product_key(self, k1, k2):
@@ -482,6 +484,10 @@ def frozen(val):
         return list(val.terms.items())
     if isinstance(val, dict):
         return {k: frozen(v) for k, v in val.items()}
+    if isinstance(val, tuple):
+        # a coproduct template: tuples of shapes, weight getters, decorations
+        # and coefficients, none of which can be written to
+        return val
     assert isinstance(val, str), type(val)  # a stored overflow
     return val
 

@@ -6,9 +6,16 @@ P0(sigma(x)) and derives the row t - P0(sigma(t)) of each weighted tree t
 in `ideal_rows`.  `oracles.build_truncated_uea_with_weighted_rows` stores
 those rows and reduces against all of them.  On every case below the two
 must have the same normal forms and the same reduced rows, as term lists
-in the same order, and equal projections of every ambient key and its
-shifts, and products, shifts, coproducts and antipodes of normal forms,
-term for term.
+in the same order, and equal projections of every tree within the weight
+bound and its shifts, and products, shifts, coproducts and antipodes of
+normal forms, term for term.
+
+`build_truncated_uea` lists no weighted tree: `ideal_rows` generates them
+degree by degree in pivot order, the normal forms come from the weight-0
+trees, and `ambient` keeps only the number of trees.
+`oracles.sorted_ambient_build` lists every tree and sorts, as the build
+did before; the two must give the same rows, term lists in the same
+order, the same normal forms and the same number of trees.
 """
 
 import pytest
@@ -25,7 +32,11 @@ from lie_pairs import (
     sl2_split_pair,
     swap_phi,
 )
-from oracles import build_truncated_uea_with_weighted_rows
+from oracles import (
+    ambient_trees,
+    build_truncated_uea_with_weighted_rows,
+    sorted_ambient_build,
+)
 
 e = LinComb.basis
 
@@ -72,13 +83,13 @@ def test_build_from_J0_matches_stored_weighted_rows(name):
     g = make()
     u = build_truncated_uea(g, n, w)
     ref = build_truncated_uea_with_weighted_rows(g, n, w)
-    assert u.ambient == ref.ambient
+    assert len(u.ambient) == len(ref.ambient)
     assert u.keys == ref.keys
     assert u.graded == ref.graded
     assert [terms(r) for r in u.ideal_rows()] == [
         terms(r) for r in ref.rowspace.basis_rows()
     ]
-    for k in u.ambient:
+    for k in ambient_trees(g, n, w):
         assert terms(u.project(e(k))) == terms(ref.project(e(k))), k
         # a shifted weighted tree is a combination of weighted trees
         for s in (1, -1):
@@ -94,3 +105,32 @@ def test_build_from_J0_matches_stored_weighted_rows(name):
             assert terms(u.alpha_pow(s, x)) == terms(ref.alpha_pow(s, x)), (k, s)
         assert terms(u.comult_map(x)) == terms(ref.comult_map(x)), k
         assert terms(u.antipode_map(x)) == terms(ref.antipode_map(x)), k
+
+
+# the enveloping algebras of the sorted-ambient differential test
+ALGEBRAS = {
+    "sl2": sl2,
+    "sl2_twisted": lambda: lie_twist(sl2(), sl2_involution()),
+    "abelian2": lambda: abelian_lie(2),
+    "fixture_b_g": lambda: fixture_b_lie_pair().g,
+    "fixture_b_h": lambda: fixture_b_lie_pair().h,
+    "anticommuting_g": lambda: anticommuting_pair().g,
+    "anticommuting_h": lambda: anticommuting_pair().h,
+}
+# every algebra at each bound, and the one-dimensional factors past degree
+# 4, where `shapes` stops listing shapes in `shape_code` order
+BOUNDS = [
+    (name, n, w) for name in sorted(ALGEBRAS) for n, w in [(3, 0), (3, 1), (3, 3), (4, 1)]
+] + [("fixture_b_g", 6, 1), ("anticommuting_h", 5, 2)]
+
+
+@pytest.mark.parametrize("name,n,w", BOUNDS, ids=["%s_n%d_w%d" % b for b in BOUNDS])
+def test_generated_rows_match_sorted_ambient(name, n, w):
+    u = build_truncated_uea(ALGEBRAS[name](), n, w)
+    ambient, keys, rows = sorted_ambient_build(u)
+    got = u.ideal_rows()
+    # a list: the lift's walk of the g-ideal reads it once per U(h) key
+    assert type(got) is list
+    assert [terms(r) for r in got] == [terms(r) for r in rows]
+    assert u.keys == keys
+    assert len(u.ambient) == len(ambient)

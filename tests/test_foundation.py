@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from homhopf.foundation import (
     pair_apply,
     pair_extend,
 )
+from homhopf.uea_trees import LEAF, TreeOps, shapes
 
 from oracles import FullScanRowSpace, gauss_jordan_inverse, quotient_projection, solve_linear
 
@@ -395,6 +398,73 @@ def test_bilinear_matches_accumulating_reference(cols, x, y):
     want = accumulated_terms(
         (fn(i, j), a * b) for i, a in x.items() for j, b in y.items()
     )
+    assert typed(got.items()) == typed(want)
+    assert all(type(v) in (int, Fraction) for v in got.terms.values())
+
+
+# pair_extend puts each term's legs through _accumulate_tensor, which skips
+# its loops when both legs are single terms; the sum must have the terms, the
+# order and the value types that accumulating every c * (f(k1) @ g(k2)) does
+SINGLE_LEGS = [e(0), LinComb({0: -1}), e(1, Fraction(1, 2)), e(2, 2)]
+
+
+@given(tables, tables, st.lists(st.tuples(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), cancelling), max_size=6))
+# single legs that cancel, and that cancel after a sum of three terms
+@example(SINGLE_LEGS, SINGLE_LEGS, [((0, 0), 1), ((1, 0), 1)])
+@example(SINGLE_LEGS, SINGLE_LEGS, [((0, 3), 2), ((3, 0), 1), ((1, 3), 2)])
+# Fraction legs whose product is an integer, stored as an int
+@example(SINGLE_LEGS, SINGLE_LEGS, [((2, 3), 1), ((2, 2), 4), ((3, 3), Fraction(1, 2))])
+# a single leg against a longer one, and an empty leg
+@example(SINGLE_LEGS, [LinComb({0: 1, 1: 2}), LinComb(), e(2), e(3)], [((2, 0), 2), ((0, 1), 1)])
+@settings(max_examples=150, deadline=None)
+def test_pair_extend_matches_accumulating_reference(fcols, gcols, terms):
+    got = pair_extend(fcols.__getitem__, gcols.__getitem__, terms)
+    want = accumulated_terms((fcols[k1] @ gcols[k2], c) for (k1, k2), c in terms)
+    assert typed(got.items()) == typed(want)
+    assert all(type(v) in (int, Fraction) for v in got.terms.values())
+
+
+# phi_leafwise builds a single-term image without the product over leaves
+# when phi sends every decoration to a single term
+PHI_COLUMNS = [e(1, Fraction(1, 2)), e(0, 2), e(2, -1), LinComb({0: 1, 2: Fraction(1, 3)})]
+
+
+def ref_phi_leafwise(phi, key, powers, weights):
+    """The terms of phi^powers[i] applied to leaf i, accumulated one
+    product of per-leaf terms at a time."""
+    images = [phi.power(p, e(d)).items() for d, p in zip(key[2], powers)]
+    return accumulated_terms(
+        (e((key[0], weights, tuple(d for d, _ in combo))), math.prod(c for _, c in combo))
+        for combo in itertools.product(*images)
+    )
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 3), cancelling, max_size=2).map(LinComb),
+        min_size=4, max_size=4,
+    ),
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.sampled_from(shapes(n)),
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.tuples(*[st.integers(0, 3)] * n),
+    )),
+)
+# single terms throughout: 1/2 * 2 is stored as the int 1
+@example(PHI_COLUMNS, ((LEAF, LEAF), (0, 1), (1, 1), (2, 0)))
+@example(PHI_COLUMNS, (((LEAF, LEAF), LEAF), (0, 1, 2), (2, 1, 0), (0, 0, 1)))
+# one leaf with two terms, and one whose image is zero
+@example(PHI_COLUMNS, ((LEAF, LEAF), (3, 1), (1, 1), (0, 0)))
+@example(PHI_COLUMNS[:3] + [LinComb()], ((LEAF, LEAF), (3, 0), (1, 0), (0, 0)))
+@settings(max_examples=150, deadline=None)
+def test_phi_leafwise_matches_accumulating_reference(cols, tree):
+    shape, decs, powers, weights = tree
+    phi = LinearOperator(dict(enumerate(cols)))
+    key = (shape, (0,) * len(decs), decs)
+    got = TreeOps(phi).phi_leafwise(key, powers, weights)
+    want = ref_phi_leafwise(phi, key, powers, weights)
     assert typed(got.items()) == typed(want)
     assert all(type(v) in (int, Fraction) for v in got.terms.values())
 

@@ -51,7 +51,7 @@ from lie_pairs import (
     sl2_split_pair,
     solvable_on_line,
 )
-from oracles import lift_to_Uh_action_full_walk
+from oracles import ambient_trees, lift_to_Uh_action_full_walk
 
 e = LinComb.basis
 
@@ -181,12 +181,11 @@ def weighted_trees(ops, lie, n, w):
 def test_weighted_h_leaves_act_through_sigma(name):
     pair = not_a_matched_pair() if name == "not_a_matched_pair" else PAIRS[name]()
     n, w = 3, 1
-    ug = build_truncated_uea(pair.g, n, w)
     ctx = UEAActionContext(pair)
     hops = ctx.hops
     for t in weighted_trees(hops, pair.h, n, w):
         st = sigma(hops, e(t))
-        for u in ug.ambient:
+        for u in ambient_trees(pair.g, n, w):
             assert ctx.omega_left(e(t), e(u)) == ctx.omega_left(st, e(u)), (t, u)
             assert sigma(hops, ctx.omega_right(e(t), e(u))) == ctx.omega_right(
                 st, e(u)

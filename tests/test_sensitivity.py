@@ -45,6 +45,13 @@ ALPHA_BETA_MUTANTS replaces one line of one method of `cross_products`,
 swapping or merging an alpha and a beta power, and fails one block on
 both pairs.  No other pair kills them: every other pair that the tests
 build a cross product of has alpha^2 = id.
+
+U(g)'s well-definedness report reads the coproduct of each ideal row off
+`TreeOps.coproduct_terms`, which reads a tree's weights through getters
+stored with its template's legs.  A mutant that reverses the weights of
+each leg of a weighted tree fails `ideal-coproduct` on twisted sl2, and
+only there: on plain sl2 phi is the identity, so sigma, and with it the
+projection of every leg, ignores weights, and the mutant is equivalent.
 """
 
 import inspect
@@ -69,10 +76,14 @@ from homhopf.duality import TruncatedDual, dual_hom_hopf
 from homhopf.foundation import LinComb, LinearOperator, swap_pairs
 from homhopf.hom_core import HomHopfData, check_hom_hopf
 from homhopf.semidual import semidualize
+from homhopf.uea_trees import UNIT, TreeOps, build_truncated_uea
 
 from fixtures import (
     counital_matched_pair,
     kz4_twisted_hopf,
+    lie_twist,
+    sl2,
+    sl2_involution,
     sweedler_hopf,
     sweedler_twisted_hopf,
     trivial_hopf_matched_pair,
@@ -440,3 +451,43 @@ def test_alpha_beta_mutants_fail_one_block_on_both_pairs(mutant, monkeypatch):
         }
         assert failed == {block: equations}, pair
 
+
+
+def reversed_leg_weights(coproduct_terms):
+    """A mutant of coproduct_terms: each leg of the coproduct of a weighted
+    tree has its weights in reverse order."""
+
+    def reverse(leg):
+        return leg if leg == UNIT else (leg[0], leg[1][::-1], leg[2])
+
+    def mutant(ops, key):
+        terms = coproduct_terms(ops, key)
+        if key == UNIT or not any(key[1]):
+            return terms
+        return [((reverse(a), reverse(b)), c) for (a, b), c in terms]
+
+    return mutant
+
+
+# algebra -> rows of 455 (N=3, W=1) on which the mutant fails ideal-coproduct
+COPRODUCT_WEIGHT_MUTANT = {
+    "sl2_twisted": (lambda: lie_twist(sl2(), sl2_involution()), 200),
+    # phi = id: the projection of a leg is that of its weight-0 tree, so
+    # reversed weights project alike and every row still passes
+    "sl2": (sl2, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPRODUCT_WEIGHT_MUTANT))
+def test_leg_weight_mutant_fails_ideal_coproduct_on_twisted_sl2(name, monkeypatch):
+    make, failing = COPRODUCT_WEIGHT_MUTANT[name]
+    monkeypatch.setattr(
+        TreeOps, "coproduct_terms", reversed_leg_weights(TreeOps.coproduct_terms)
+    )
+    rep = build_truncated_uea(make(), 3, 1).well_definedness_report()
+    assert [(q.eq_id, q.checked, len(q.violations)) for q in rep.equations] == [
+        ("ideal-counit", 455, 0),
+        ("ideal-antipode", 455, 0),
+        ("ideal-shift", 910, 0),
+        ("ideal-coproduct", 455, failing),
+    ]

@@ -46,8 +46,11 @@ from lie_pairs import (
     swap_phi,
 )
 from oracles import (
+    ambient_trees,
     check_hom_module,
     coproduct_by_leaf_subsets,
+    coproduct_template_by_relabel,
+    coproduct_terms_by_relabel,
     enveloping_ideal_by_closure,
     ideal_J_span,
     tree_antipode_by_recursion,
@@ -158,6 +161,27 @@ def test_tree_antipode_is_the_graft_recursion_term_for_term(name):
         assert terms(u.antipode_map(e(k))) == terms(want), k
 
 
+# coproduct_terms reads a tree's weights through getters stored with the
+# legs of its template; on the algebras of the antipode test, every tree of
+# degree <= 4 and weight <= 2 must give the relabelled template's terms, in
+# order; the first tree of each (shape, decorations) compiles its template,
+# the others read it stored
+@pytest.mark.parametrize("name", ["fixture_b_g", "fixture_b_h", "sl2", "sl2_twisted"])
+def test_coproduct_terms_match_relabelled_templates(name):
+    g = ENVELOPING_ALGEBRAS[name]()
+    ops, ref = TreeOps(g.phi), TreeOps(g.phi)
+    trees = {}
+    for n in range(1, 5):
+        for key in ops.basis_keys(n, 2, g.dim):
+            trees.setdefault((key[0], key[2]), []).append(key)
+    assert list(ops.coproduct_terms(UNIT)) == coproduct_terms_by_relabel(ref, UNIT)
+    for (shape, decs), keys in trees.items():
+        template = coproduct_template_by_relabel(ref, shape, decs)
+        for key in keys:
+            want = coproduct_terms_by_relabel(ref, key, template)
+            assert list(ops.coproduct_terms(key)) == want, key
+
+
 def test_tree_ops_store_shifts_of_weight_zero_trees_only():
     # the shift reads no weight: one stored image per weight-0 tree and
     # power, however many of the 3,593 weighted pivots are shifted
@@ -261,7 +285,7 @@ def test_comult_cache_holds_normal_forms_only():
     # the weight-free templates, their legs from one projection per key
     assert u.ops._template_cache
     assert not any(p in u.ops._coproduct_cache for p in ideal_pivots(u))
-    assert u._projected and set(u._projected) <= set(u.ambient)
+    assert u._projected and set(u._projected) <= set(ambient_trees(u.lie, 3, 1))
     for key, val in u._projected.items():
         assert val == u.project(e(key)), key
     assert check_hom_hopf(u).passed
@@ -471,7 +495,7 @@ def test_stored_ideal_is_weight_zero(name):
     assert u.rowspace.rank
     assert all(not any(p[1]) for p in u.rowspace.rows)
     # every weighted tree is a pivot of a derived row
-    weighted = [k for k in u.ambient if k != UNIT and any(k[1])]
+    weighted = [k for k in ambient_trees(u.lie, 3, 3) if k != UNIT and any(k[1])]
     assert set(weighted) <= set(ideal_pivots(u))
     assert len(u.ideal_rows()) == u.rowspace.rank + len(weighted)
 
