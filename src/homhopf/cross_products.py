@@ -301,6 +301,9 @@ class _TensorHopf(HomStructure):
         self._memo = {}
 
     def _product_key(self, k1, k2):
+        val = self._memo.get((k1, k2))
+        if type(val) is LinComb:
+            return val
         return memo_lookup(self._memo, (k1, k2), self.product_keys, k1, k2)
 
     def _keywise(self, name, build, x):
@@ -740,7 +743,18 @@ def _check_mutual_pair_graded(m):
 class Bicrossproduct(_TensorHopf):
     """The bicrossproduct on F x U: smash-type product against the action,
     cosmash-type coproduct against the coaction, twists (beta x phi) on the
-    algebra side and (alpha x psi) on the coalgebra side."""
+    algebra side and (alpha x psi) on the coalgebra side.
+
+    The product of keys (f, u)(f', u') is the sum over the terms us of
+    Delta(e_u) of
+        alpha_F^-1 beta_F(f) (alpha_U^-1 beta_U^-1(us_1) |> alpha_F^-1(f'))
+          x beta_U^-1(us_2) u'.
+    Its legs that no key pair owns, the acting leg per (us_1, f') and
+    beta_U^-1(us_2) per us_2, are kept in `_legs` on first use, so each key
+    pair computes only its head and its two products.  A leg is read where the pair
+    would compute it, so a leg that overflows makes every pair that reads
+    it overflow, and any other error escapes, as before.
+    """
 
     def __init__(self, m):
         _TensorHopf.__init__(self, m.f, m.u)
@@ -751,17 +765,20 @@ class Bicrossproduct(_TensorHopf):
             "alpha": (F.beta_pow, U.alpha_pow),
             "beta": (F.alpha_pow, U.beta_pow),
         }
+        # (U key, F key) -> acting leg, (U key,) -> beta_U^-1 of the key
+        self._legs = {}
 
     def product_keys(self, k1, k2):
-        F, U, m = self.f, self.u, self.m
+        F, U, m, legs = self.f, self.u, self.m, self._legs
         head = F.alpha_inv(F.beta_map(e(k1[0])))
-        f2, u2 = e(k2[0]), e(k2[1])
+        kf, u2 = k2[0], e(k2[1])
+
+        def acting(k):
+            return m.act(U.alpha_inv(U.beta_inv(e(k))), F.alpha_inv(e(kf)))
 
         def term(us):
-            fpart = F.product(
-                head, m.act(U.alpha_inv(U.beta_inv(e(us[0]))), F.alpha_inv(f2))
-            )
-            return fpart @ U.product(U.beta_inv(e(us[1])), u2)
+            fpart = F.product(head, memo_lookup(legs, (us[0], kf), acting, us[0]))
+            return fpart @ U.product(memo_lookup(legs, us[1:], U.beta_inv, e(us[1])), u2)
 
         return extend(term, U.comult_map(e(k1[1])))
 

@@ -181,9 +181,9 @@ def extend(fn, x):
     coefficient 1 that goes into an empty sum (the first one, as a rule)
     is copied into it, not accumulated."""
     if len(x.terms) == 1:
-        for k, c in x.terms.items():
-            if c == ONE:
-                return fn(k)
+        [(k, c)] = x.terms.items()
+        if c == ONE:
+            return fn(k)
     out = {}
     for k, c in x.terms.items():
         if out or c != ONE:
@@ -197,9 +197,9 @@ def bilinear(fn, x, y):
     """Bilinear extension of fn: (key of x, key of y) -> LinComb; on single
     terms whose coefficients multiply to 1 this is fn's value itself."""
     if len(x.terms) == 1 == len(y.terms):
-        for (i, a), (j, b) in zip(x.terms.items(), y.terms.items()):
-            if a * b == ONE:
-                return fn(i, j)
+        [(i, a)], [(j, b)] = x.terms.items(), y.terms.items()
+        if a * b == ONE:
+            return fn(i, j)
     out = {}
     for i, a in x.terms.items():
         for j, b in y.terms.items():

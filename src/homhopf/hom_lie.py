@@ -1,10 +1,9 @@
 """Hom-Lie algebras from antisymmetric structure constants: axiom checking,
-Lie modules, matched pairs, and the bicrossed-sum algebra on g (+) h whose
-bracket mixes the two actions.
+Lie modules and matched pairs.
 """
 
-from .errors import NotHomLie, NotMatchedPair
-from .foundation import LinComb, LinearOperator, bilinear
+from .errors import NotHomLie
+from .foundation import LinComb, bilinear
 from .hom_core import CheckReport
 
 _ZERO = LinComb.zero()
@@ -201,47 +200,3 @@ def check_matched_pair_lie(p):
     )
     return rep
 
-
-def build_double_sum_lie(p, check=True):
-    """Hom-Lie structure on g (+) h:
-
-    [(xi, eta), (xi', eta')] =
-        ([xi, xi'] + eta |> xi' - eta' |> xi,
-         [eta, eta'] + eta <| xi' - eta' <| xi),
-    with structure map phi x alpha.
-    """
-    if check and not check_matched_pair_lie(p).passed:
-        raise NotMatchedPair("matched-pair equations fail; cannot build the sum")
-    g, h = p.g, p.h
-    dg = g.dim
-    dim = dg + h.dim
-
-    def embed_g(x):
-        return LinComb({i: c for i, c in x.items()})
-
-    def embed_h(x):
-        return LinComb({dg + i: c for i, c in x.items()})
-
-    def pair_bracket(a, b):
-        # a, b are indices in the sum; split into (g, h) parts
-        xi = LinComb.basis(a) if a < dg else LinComb.zero()
-        eta = LinComb.basis(a - dg) if a >= dg else LinComb.zero()
-        xi2 = LinComb.basis(b) if b < dg else LinComb.zero()
-        eta2 = LinComb.basis(b - dg) if b >= dg else LinComb.zero()
-        gpart = g.bracket_lc(xi, xi2) + p.left(eta, xi2) - p.left(eta2, xi)
-        hpart = h.bracket_lc(eta, eta2) + p.right(eta, xi2) - p.right(eta2, xi)
-        return embed_g(gpart) + embed_h(hpart)
-
-    bracket = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            v = pair_bracket(a, b)
-            if v:
-                bracket[(a, b)] = v
-    phi_cols = {}
-    for i in range(dg):
-        phi_cols[i] = g.phi_map(LinComb.basis(i))
-    for i in range(h.dim):
-        phi_cols[dg + i] = embed_h(h.phi_map(LinComb.basis(i)))
-    phi = LinearOperator(phi_cols)
-    return HomLieData(dim, bracket, phi)

@@ -35,7 +35,11 @@ reassociation ideal off `ideal_rows` and a closure, for the golden tables.
 `gauss_jordan_inverse` is the dense Gauss-Jordan elimination that
 `LinearOperator` used before it row-reduced [M | I] in a `RowSpace`.
 `check_hom_algebra_untabulated` is the Hom-algebra check before it tabulated
-twist images and products once per check, and `FreshPerKey` evaluates the
+twist images and products once per check; its report's `products`
+(`UntabulatedProducts`) make the pair equations of the bialgebra and Hopf
+checks evaluate every key pair too.  `BicrossDirectProduct` computes each
+bicrossproduct key product by the direct formula, where `Bicrossproduct`
+keeps the legs that no key pair owns.  `FreshPerKey` evaluates the
 coproduct and antipode of a double cross product or bicrossproduct on a
 fresh copy for every basis key, where the objects now keep them per key.
 `check_mutual_pair_graded_untabulated` is the graded mutual-pair check
@@ -61,6 +65,8 @@ action.
 `semidualize` built it before it read every coaction from the matched
 pair: a `MutualPairHopf` whose coaction is a table of columns
 (`coaction_column`).
+`build_double_sum_lie` is the Hom-Lie algebra on g (+) h of a Lie matched
+pair, whose bracket mixes the two actions; no CLI command builds it yet.
 """
 
 import copy
@@ -69,6 +75,7 @@ import math
 from fractions import Fraction
 
 from homhopf.cross_products import (
+    Bicrossproduct,
     MatchedPairHopf,
     MutualPairHopf,
     _check_action_side,
@@ -82,6 +89,7 @@ from homhopf.errors import (
     NotInvertible,
     NotInvertibleAlpha,
     NotInvertibleBeta,
+    NotMatchedPair,
 )
 from homhopf.foundation import (
     ZERO,
@@ -99,6 +107,7 @@ from homhopf.hom_core import (
     HomCoalgebraData,
     HomHopfData,
 )
+from homhopf.hom_lie import HomLieData, check_matched_pair_lie
 from homhopf.semidual import _dual_action_table
 from homhopf.uea_trees import (
     LEAF,
@@ -768,11 +777,35 @@ def lift_to_Uh_action_full_walk(pair, truncation_degree, weight_bound=3):
 # checks and tensor-product maps without per-key tables
 
 
+class UntabulatedProducts:
+    """The `products` of a report of `check_hom_algebra_untabulated`: every
+    key pair (i, j), and e_i e_j computed afresh on each lookup, so that
+    the pair equations of `check_hom_bialgebra` and `check_hom_hopf`
+    evaluate every pair, as they did before they read a product table."""
+
+    def __init__(self, a):
+        self.a = a
+        self.bas = [LinComb.basis(k) for k in a.basis_keys()]
+
+    def __iter__(self):
+        n = len(self.bas)
+        return ((i, j) for i in range(n) for j in range(n))
+
+    def __len__(self):
+        return len(self.bas) ** 2
+
+    def __getitem__(self, pair):
+        i, j = pair
+        return self.a.product(self.bas[i], self.bas[j])
+
+
 def check_hom_algebra_untabulated(a):
     """`hom_core.check_hom_algebra` as every tuple evaluating its own twist
     images and products: e_j e_k, e_i e_j and alpha(e_i) are computed
-    afresh for each of the n^3 hom-assoc tuples, skipped or not."""
+    afresh for each of the n^3 hom-assoc tuples, skipped or not, and each
+    pair equation computes e_i e_j on every pair (`UntabulatedProducts`)."""
     rep = CheckReport()
+    rep.products = UntabulatedProducts(a)
     keys = a.basis_keys()
     unit = a.unit_elem()
     bas = [LinComb.basis(k) for k in keys]
@@ -835,7 +868,28 @@ class FreshPerKey:
         return extend(lambda k: fresh_copy(self.inner).antipode_map(LinComb.basis(k), **kw), x)
 
 
+
 e = LinComb.basis
+
+
+class BicrossDirectProduct(Bicrossproduct):
+    """A bicrossproduct whose `product_keys` is the direct formula: each key
+    pair computes the coproduct legs of e_u, their twists and the action on
+    f' afresh, where `Bicrossproduct` keeps the acting leg per (U key,
+    F key) and the U leg per U key."""
+
+    def product_keys(self, k1, k2):
+        F, U, m = self.f, self.u, self.m
+        head = F.alpha_inv(F.beta_map(e(k1[0])))
+        f2, u2 = e(k2[0]), e(k2[1])
+
+        def term(us):
+            fpart = F.product(
+                head, m.act(U.alpha_inv(U.beta_inv(e(us[0]))), F.alpha_inv(f2))
+            )
+            return fpart @ U.product(U.beta_inv(e(us[1])), u2)
+
+        return extend(term, U.comult_map(e(k1[1])))
 
 
 def check_mutual_pair_graded_untabulated(m):
@@ -1161,3 +1215,51 @@ def check_module_coalgebra(h, c, act):
     _module_coalgebra(rep, "", h, c, c, act)
     return rep
 
+
+# ---------------------------------------------------------------------------
+# the bicrossed sum of a Lie matched pair
+
+
+def build_double_sum_lie(p, check=True):
+    """Hom-Lie structure on g (+) h:
+
+    [(xi, eta), (xi', eta')] =
+        ([xi, xi'] + eta |> xi' - eta' |> xi,
+         [eta, eta'] + eta <| xi' - eta' <| xi),
+    with structure map phi x alpha.
+    """
+    if check and not check_matched_pair_lie(p).passed:
+        raise NotMatchedPair("matched-pair equations fail; cannot build the sum")
+    g, h = p.g, p.h
+    dg = g.dim
+    dim = dg + h.dim
+
+    def embed_g(x):
+        return LinComb({i: c for i, c in x.items()})
+
+    def embed_h(x):
+        return LinComb({dg + i: c for i, c in x.items()})
+
+    def pair_bracket(a, b):
+        # a, b are indices in the sum; split into (g, h) parts
+        xi = LinComb.basis(a) if a < dg else LinComb.zero()
+        eta = LinComb.basis(a - dg) if a >= dg else LinComb.zero()
+        xi2 = LinComb.basis(b) if b < dg else LinComb.zero()
+        eta2 = LinComb.basis(b - dg) if b >= dg else LinComb.zero()
+        gpart = g.bracket_lc(xi, xi2) + p.left(eta, xi2) - p.left(eta2, xi)
+        hpart = h.bracket_lc(eta, eta2) + p.right(eta, xi2) - p.right(eta2, xi)
+        return embed_g(gpart) + embed_h(hpart)
+
+    bracket = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            v = pair_bracket(a, b)
+            if v:
+                bracket[(a, b)] = v
+    phi_cols = {}
+    for i in range(dg):
+        phi_cols[i] = g.phi_map(LinComb.basis(i))
+    for i in range(h.dim):
+        phi_cols[dg + i] = embed_h(h.phi_map(LinComb.basis(i)))
+    phi = LinearOperator(phi_cols)
+    return HomLieData(dim, bracket, phi)

@@ -1,11 +1,13 @@
 """Basis images computed once: the per-key coproduct and antipode of the
-double cross product and the bicrossproduct, the twist and product tables
-of one `check_hom_algebra` run, and the coaction table and coproduct-leg
-tables of the graded mutual-pair check, against the paths they replace
-(`oracles.FreshPerKey`, `oracles.check_hom_algebra_untabulated`,
+double cross product and the bicrossproduct, the legs of the
+bicrossproduct's product, the twist and product tables of one
+`check_hom_algebra` run, and the coaction table and coproduct-leg tables
+of the graded mutual-pair check, against the paths they replace (`oracles.FreshPerKey`,
+`oracles.BicrossDirectProduct`, `oracles.check_hom_algebra_untabulated`,
 `oracles.check_mutual_pair_graded_untabulated`).  The hom-assoc tuples
-that `check_hom_algebra` decides from its table to overflow are compared
-tuple by tuple with the ones the untabulated check skips.
+and the key pairs of the pair equations that the checks decide from the
+product table to overflow are compared tuple by tuple with the ones the
+untabulated check skips.
 
 Reports are compared in full: per equation the checked and skipped
 counts, and per violation its witness, lhs and rhs, with their term order
@@ -41,14 +43,17 @@ from homhopf.semidual import semidualize
 from homhopf.uea_trees import UNIT, TruncatedUEA, build_truncated_uea, lift_to_Uh_action
 
 from fixtures import (
+    counital_matched_pair,
     fixture_a_prime_lie_pair,
     fixture_b_lie_pair,
     kz4_twisted_hopf,
     sl2,
     trivial_hopf_matched_pair,
+    twisted_cyclic_hopf,
 )
 from lie_pairs import anticommuting_pair, sl2_reverse_split_pair, sl2_split_pair
 from oracles import (
+    BicrossDirectProduct,
     FreshPerKey,
     check_hom_algebra_untabulated,
     check_mutual_pair_graded_untabulated,
@@ -446,19 +451,141 @@ def traced_assoc(check, a, monkeypatch):
     ]
 
 
+# the equations on key pairs (i, j) that begin with e_i e_j and skip the
+# pairs whose product overflows from the table
+PAIR_EQUATIONS = {
+    "alpha-multiplicative", "bialg-2", "bialg-5", "bialg-8",
+    "antipode-antimultiplicative",
+}
+
+
+def traced_table_equations(a, tabulated, monkeypatch):
+    """check_hom_hopf(a), or check_hom_algebra(a) where a has no coproduct,
+    through the tabulated or the untabulated algebra check, and the tuples
+    of hom-assoc and of the pair equations it evaluates, in order, each
+    with the terms of its lhs and rhs, or None where it overflows."""
+    algebra = check_hom_algebra if tabulated else check_hom_algebra_untabulated
+    with monkeypatch.context() as patch:
+        patch.setattr(hom_core, "check_hom_algebra", algebra)
+        check = check_hom_hopf if hasattr(a, "comult_map") else algebra
+        rep, seen = traced_check(check, a, monkeypatch)
+    return rep, [
+        (eq_id, tup, None if val is None else (terms(val[0]), terms(val[1])))
+        for eq_id, tup, val in seen
+        if eq_id == "hom-assoc" or eq_id in PAIR_EQUATIONS
+    ]
+
+
+def product_overflows(a, i, j):
+    keys = a.basis_keys()
+    try:
+        a.product(e(keys[i]), e(keys[j]))
+    except TruncationOverflow:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("case", sorted(ASSOC_CASES))
 def test_hom_assoc_evaluates_exactly_the_checked_tuples(case, monkeypatch):
-    got, got_seen = traced_assoc(check_hom_algebra, ASSOC_CASES[case](), monkeypatch)
-    want, want_seen = traced_assoc(
-        check_hom_algebra_untabulated, ASSOC_CASES[case](), monkeypatch
-    )
+    a = ASSOC_CASES[case]()
+    got, got_seen = traced_table_equations(a, True, monkeypatch)
+    want, want_seen = traced_table_equations(ASSOC_CASES[case](), False, monkeypatch)
     assert report_terms(got) == report_terms(want)
-    # no tuple handed to CheckReport.run overflows: every skip is decided
-    # from the table, and the tuples checked are the untabulated ones
-    assert got_seen == [(tup, val) for tup, val in want_seen if val is not None]
+    # no hom-assoc tuple handed to CheckReport.run overflows, and no pair
+    # whose product overflows is handed to a pair equation: those skips are
+    # decided from the table, and the tuples evaluated are the untabulated
+    # ones, with the same values
+    decided = {
+        (eq_id, tup)
+        for eq_id, tup, val in want_seen
+        if val is None and eq_id == "hom-assoc"
+        or eq_id in PAIR_EQUATIONS and product_overflows(a, *tup)
+    }
+    assert got_seen == [row for row in want_seen if row[:2] not in decided]
+    assert not any(
+        product_overflows(a, *tup) for eq_id, tup, _ in got_seen if eq_id in PAIR_EQUATIONS
+    )
+    pair_skips = sum(1 for eq_id, _ in decided if eq_id in PAIR_EQUATIONS)
     if case == "outer_overflow":
         assoc = got.equations[0]
         assert assoc.checked and assoc.skipped and assoc.violations
+        assert pair_skips == 2  # (3, 1) and (2, 4) in alpha-multiplicative
+    if case == "fixture_b_bicross_n3_w1":
+        # skipped from the table, and skipped on a later overflow in fn
+        assert pair_skips
+        assert any(val is None for eq_id, _, val in got_seen if eq_id in PAIR_EQUATIONS)
+
+
+# ---------------------------------------------------------------------------
+# Bicrossproduct keeps the acting leg of its product per (U key, F key) and
+# the U leg per U key
+
+
+PRODUCT_CASES = {
+    "fixture_b_n3_w1": lambda: lie_semidual(fixture_b_lie_pair(), 3),
+    "fixture_b_n4_w1": lambda: lie_semidual(fixture_b_lie_pair(), 4),
+    "fixture_a_prime_n3_w1": lambda: lie_semidual(fixture_a_prime_lie_pair(), 3),
+    "z4_mutual": lambda: parsed(perfbench_doc("z4_mutual")).mutual_pairs["z4"],
+    # alpha != beta on both factors
+    "z7_twisted_self_pair": lambda: semidualize(
+        counital_matched_pair(twisted_cyclic_hopf(7, 3, 2), twisted_cyclic_hopf(7, 3, 2))
+    ),
+}
+
+
+def key_products(bi, errors=TruncationOverflow):
+    """bi.product_keys on every key pair, in order: its terms with their
+    value types, or the name of the error in errors that it raises."""
+    keys = bi.basis_keys()
+    out = []
+    for k1 in keys:
+        for k2 in keys:
+            try:
+                val = bi.product_keys(k1, k2)
+            except errors as exc:
+                out.append(type(exc).__name__)
+                continue
+            out.append([(k, v, type(v)) for k, v in val.items()])
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_factored_bicross_product_matches_direct_formula(case):
+    m = PRODUCT_CASES[case]()
+    got = key_products(Bicrossproduct(m))
+    assert got == key_products(BicrossDirectProduct(m))
+    overflowed = got.count("TruncationOverflow")
+    if case.startswith("fixture"):
+        assert 0 < overflowed < len(got)
+    else:
+        assert overflowed == 0
+
+
+class ActionFails:
+    """A mutual pair whose action raises UnknownBasisIndex on one F key."""
+
+    def __init__(self, m, key):
+        self.m, self.key = m, key
+
+    def __getattr__(self, name):
+        return getattr(self.m, name)
+
+    def act(self, u, f):
+        if self.key in f.terms:
+            raise UnknownBasisIndex(repr(self.key))
+        return self.m.act(u, f)
+
+
+def test_other_errors_escape_the_action_legs():
+    # fixture B at N=3 overflows on some key pairs, so an error raised on
+    # the legs of one F key must escape on every pair that reaches it, and
+    # neither be stored nor be taken for an overflow
+    m = PRODUCT_CASES["fixture_b_n3_w1"]()
+    broken = ActionFails(m, m.f.basis_keys()[1])
+    errors = (TruncationOverflow, UnknownBasisIndex)
+    got = key_products(Bicrossproduct(broken), errors)
+    assert got == key_products(BicrossDirectProduct(broken), errors)
+    assert "UnknownBasisIndex" in got and "TruncationOverflow" in got
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from homhopf.hom_lie import (
     HomLieData,
     LieActionData,
     MatchedPairLie,
-    build_double_sum_lie,
     check_hom_lie,
     check_lie_module,
     check_matched_pair_lie,
@@ -25,6 +24,7 @@ from fixtures import (
     solvable2_lie,
 )
 from lie_pairs import perturbations, sl2_split_pair
+from oracles import build_double_sum_lie
 
 e = LinComb.basis
 

@@ -12,8 +12,6 @@ from pathlib import Path
 import reachability
 
 KEEP = {
-    # ROADMAP item 7 gives it a CLI path (U(g) ⋈ U(h) ≅ U(g ⋈ h))
-    "hom_lie.build_double_sum_lie": "item 7: the bicrossed sum g ⋈ h",
     # ROADMAP item 4 puts it on the reports
     "hom_core.EquationResult.coverage": "item 4: checked share of an equation's tuples",
     # one- to three-line protocol methods that the tests call

@@ -28,7 +28,12 @@ from lie_pairs import (
     sl2_reverse_split_pair,
     sl2_split_pair,
 )
-from oracles import ClassicalBicrossOracle, action_from_coaction, check_module_coalgebra
+from oracles import (
+    ClassicalBicrossOracle,
+    action_from_coaction,
+    build_double_sum_lie,
+    check_module_coalgebra,
+)
 
 e = LinComb.basis
 
@@ -348,7 +353,7 @@ def test_anticommuting_action_pipeline():
 
 def test_sl2_borel_split_pipeline():
     # a matched pair with a nonzero right action: f <| e = -h
-    from homhopf.hom_lie import build_double_sum_lie, check_hom_lie
+    from homhopf.hom_lie import check_hom_lie
 
     for lam in (1, -1):
         res = build_hom_lie_hopf(sl2_split_pair(lam), 2, 1)
@@ -366,7 +371,7 @@ def test_sl2_borel_split_pipeline():
 
 def test_sl2_reverse_split_pipeline():
     # the right action iterates: (f <| h) <| h = 4f
-    from homhopf.hom_lie import build_double_sum_lie, check_hom_lie
+    from homhopf.hom_lie import check_hom_lie
 
     for twisted in (False, True):
         res = build_hom_lie_hopf(sl2_reverse_split_pair(twisted), 2, 1)
