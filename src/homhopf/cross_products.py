@@ -750,10 +750,10 @@ class Bicrossproduct(_TensorHopf):
         alpha_F^-1 beta_F(f) (alpha_U^-1 beta_U^-1(us_1) |> alpha_F^-1(f'))
           x beta_U^-1(us_2) u'.
     Its legs that no key pair owns, the acting leg per (us_1, f') and
-    beta_U^-1(us_2) per us_2, are kept in `_legs` on first use, so each key
-    pair computes only its head and its two products.  A leg is read where the pair
-    would compute it, so a leg that overflows makes every pair that reads
-    it overflow, and any other error escapes, as before.
+    beta_U^-1(us_2) per us_2, are kept in `_legs` on first use, so each
+    key pair computes only its head and its two products.  A leg is read
+    where the pair would compute it, so a leg that overflows makes every
+    pair that reads it overflow, and any other error escapes, as before.
     """
 
     def __init__(self, m):

@@ -199,4 +199,3 @@ def check_matched_pair_lie(p):
         eq2,
     )
     return rep
-

@@ -868,7 +868,6 @@ class FreshPerKey:
         return extend(lambda k: fresh_copy(self.inner).antipode_map(LinComb.basis(k), **kw), x)
 
 
-
 e = LinComb.basis
 
 

@@ -404,7 +404,8 @@ def test_comp1_right_side_overflow_is_stored_and_raised(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # check_hom_algebra counts the hom-assoc tuples whose products overflow as
-# skipped from its table, and evaluates only the others
+# skipped from its table, and evaluates only the others; the pair equations
+# skip the pairs whose product overflows from the same table
 
 
 class OuterOverflow(HomAlgebraData):
@@ -438,17 +439,6 @@ class OuterOverflow(HomAlgebraData):
 
 
 ASSOC_CASES = dict(CASES, outer_overflow=OuterOverflow)
-
-
-def traced_assoc(check, a, monkeypatch):
-    """check(a) and the hom-assoc tuples it evaluates, in order, each with
-    the terms of its lhs and rhs, or None where it overflows."""
-    rep, seen = traced_check(check, a, monkeypatch)
-    return rep, [
-        (tup, None if val is None else (terms(val[0]), terms(val[1])))
-        for eq_id, tup, val in seen
-        if eq_id == "hom-assoc"
-    ]
 
 
 # the equations on key pairs (i, j) that begin with e_i e_j and skip the
