@@ -17,11 +17,17 @@ from .foundation import (
     LinComb,
     bilinear,
     extend,
-    pair_apply,
 )
 from .hom_core import (
     CheckReport,
     HomStructure,
+    _comult_compat,
+    _comult_twist,
+    _counit_compat,
+    _counit_leg,
+    _pairs,
+    _twist_compat,
+    _unit_compat,
     check_hom_comodule,
     memo_lookup,
     module_axioms,
@@ -31,69 +37,19 @@ e = LinComb.basis
 
 
 # ---------------------------------------------------------------------------
-# the equations shared by the module checkers: act(x, y) is x acting on y,
-# and every pair equation runs over (x key, y key) in that order
-
-
-def _pairs(x, y):
-    return [(i, k) for i in x.basis_keys() for k in y.basis_keys()]
-
-
-def _twist_compat(rep, eq_id, x, y, act, out, tx, ty):
-    """out(act(x, y)) = act(tx(x), ty(y))."""
-    rep.run(
-        eq_id,
-        _pairs(x, y),
-        lambda i, k: (out(act(e(i), e(k))), act(tx(e(i)), ty(e(k)))),
-    )
-
-
-def _counit_compat(rep, eq_id, x, y, target, act):
-    """eps(act(x, y)) = eps(x) eps(y), with act valued in target."""
-    rep.run(
-        eq_id,
-        _pairs(x, y),
-        lambda i, k: (
-            e("k", target.counit_map(act(e(i), e(k)))),
-            e("k", x.counit_map(e(i)) * y.counit_map(e(k))),
-        ),
-    )
-
-
-def _comult_compat(rep, eq_id, x, y, target, act):
-    """Delta(act(x, y)) = act(x_(1), y_(1)) x act(x_(2), y_(2)), with act
-    valued in target."""
-    rep.run(
-        eq_id,
-        _pairs(x, y),
-        lambda i, k: (
-            target.comult_map(act(e(i), e(k))),
-            bilinear(
-                lambda s, t: act(e(s[0]), e(t[0])) @ act(e(s[1]), e(t[1])),
-                x.comult_map(e(i)),
-                y.comult_map(e(k)),
-            ),
-        ),
-    )
-
-
-def _unit_compat(rep, eq_id, x, target, act):
-    """act(x, 1) = eps(x) 1, with 1 the unit of target."""
-    rep.run(
-        eq_id,
-        [(i,) for i in x.basis_keys()],
-        lambda i: (
-            act(e(i), target.unit_elem()),
-            x.counit_map(e(i)) * target.unit_elem(),
-        ),
-    )
+# the module-coalgebra block of both sides of a matched pair.  The equation
+# forms that it and the checkers below share with one another and with
+# hom_core's checkers are written once in hom_core (`_twist_compat`,
+# `_comult_compat`, `_counit_compat`, `_unit_compat`, `_comult_twist`,
+# `_counit_leg`); here they run over basis keys, (x key, y key) in that
+# order for a pair, so a failure is named by its keys
 
 
 def _module_coalgebra(rep, prefix, x, y, target, act):
     """Hom-module coalgebra conditions of act: x on y, valued in target:
     beta-compatibility, diagonal coproduct, counit kill."""
     _twist_compat(
-        rep, prefix + "Hom-mod-coalg-00", x, y, act,
+        rep, prefix + "Hom-mod-coalg-00", _pairs(x, y), act,
         target.beta_map, x.beta_map, y.beta_map,
     )
     _comult_compat(rep, prefix + "Hom-mod-coalg-I", x, y, target, act)
@@ -113,7 +69,7 @@ def check_module_algebra(h, a, act):
     hk = h.basis_keys()
     ak = a.basis_keys()
     _twist_compat(
-        rep, "Hom-mod-alg-00", h, a, act, a.alpha_map, h.beta_map, a.alpha_map
+        rep, "Hom-mod-alg-00", _pairs(h, a), act, a.alpha_map, h.beta_map, a.alpha_map
     )
 
     def diag(i, j, k):
@@ -134,15 +90,8 @@ def check_comodule_coalgebra(h, c, coact):
     """Hom-comodule coalgebra conditions for a right coaction of h on c."""
     rep = CheckReport()
     ck = c.basis_keys()
-
-    rep.run(
-        "Hom-comod-coalg-00",
-        [(j,) for j in ck],
-        lambda j: (
-            coact(c.beta_map(e(j))),
-            pair_apply(c.beta_map, h.alpha_map, coact(e(j))),
-        ),
-    )
+    beta = c.beta_map
+    _comult_twist(rep, "Hom-comod-coalg-00", ck, e, coact, beta, beta, h.alpha_map)
 
     def cond1(j):
         # c_(0)(1) x c_(0)(2) x phi^2(c_(1)) = c_(1)(0) x c_(2)(0) x c_(1)(1).c_(2)(1)
@@ -161,14 +110,10 @@ def check_comodule_coalgebra(h, c, coact):
         return lhs, rhs
 
     rep.run("Hom-comod-coalg-I", [(j,) for j in ck], cond1)
-
-    def cond2(j):
-        out = extend(
-            lambda s: c.counit_map(e(s[0])) * e(s[1]), coact(e(j))
-        )
-        return out, c.counit_map(e(j)) * h.unit_elem()
-
-    rep.run("Hom-comod-coalg-II", [(j,) for j in ck], cond2)
+    _counit_leg(
+        rep, "Hom-comod-coalg-II", ck, e, coact, c.counit_map, 0,
+        lambda x: c.counit_map(x) * h.unit_elem(),
+    )
     return rep
 
 
@@ -228,7 +173,7 @@ def check_matched_pair_hopf(p):
     ):
         _module_coalgebra(rep, side + "/", V, U, target, act)
         _twist_compat(
-            rep, compat, V, U, act, target.alpha_map, V.alpha_map, U.alpha_map
+            rep, compat, _pairs(V, U), act, target.alpha_map, V.alpha_map, U.alpha_map
         )
 
     # the four mixed equations
@@ -498,7 +443,9 @@ def _check_action_side(m):
     F, U = m.f, m.u
     module_axioms(rep, "left", U, F.basis_keys(), m.act, F.beta_map)
     rep.merge(check_module_algebra(U, F, m.act))
-    _twist_compat(rep, "rt-f-comp", U, F, m.act, F.beta_map, U.alpha_map, F.beta_map)
+    _twist_compat(
+        rep, "rt-f-comp", _pairs(U, F), m.act, F.beta_map, U.alpha_map, F.beta_map
+    )
     return rep
 
 
@@ -511,13 +458,8 @@ def _check_mutual_pair_finite(m):
         check_hom_comodule(F, uk, m.coaction_legs, U.alpha_map), prefix="coaction/"
     )
     rep.merge(check_comodule_coalgebra(F, U, m.coaction_legs))
-    rep.run(
-        "lt-f-comp",
-        [(i,) for i in uk],
-        lambda i: (
-            m.coaction_legs(U.alpha_map(e(i))),
-            pair_apply(U.alpha_map, F.beta_map, m.coaction_legs(e(i))),
-        ),
+    _comult_twist(
+        rep, "lt-f-comp", uk, e, m.coaction_legs, U.alpha_map, U.alpha_map, F.beta_map
     )
 
     def comp1(i, k):

@@ -1,11 +1,12 @@
 """Hom-algebra, Hom-coalgebra and Hom-Hopf structure records and the
 exhaustive axiom checkers that scan every basis tuple and report witnesses
 for each failed equation.  The Hom-algebra check computes each twist image
-alpha(e_i) and product e_i e_j once (`memo_lookup`), counts the
-associativity tuples whose products must overflow as skipped from that
-table, and evaluates only the others.  The equations on key pairs that
-begin with e_i e_j read it from that table, and skip the pairs whose
-product overflowed there unevaluated, as evaluating them would.
+alpha(e_i) and product e_i e_j once, counts the associativity tuples whose
+products must overflow as skipped from that table, and evaluates only the
+others.  The equations on key pairs that begin with e_i e_j read it from
+that table, and skip the pairs whose product overflowed there unevaluated,
+as evaluating them would.  Each equation form that several checkers state,
+here and in `cross_products` and `hom_lie`, is written once, below.
 
 Checkers talk to a small protocol (product / comult / counit / alpha /
 beta / antipode on LinComb arguments) whose basis keys and +-1 twists
@@ -27,6 +28,8 @@ from .foundation import (
     scalar,
     swap_pairs,
 )
+
+e = LinComb.basis
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +264,128 @@ def _run_pairs(rep, eq_id, n, fn):
     res.skipped += n * n - len(products)
 
 
+# ---------------------------------------------------------------------------
+# the equation forms that several checkers state, each written once.  The
+# pair forms run over (x key, y key), with act(x, y) x acting on y.  The
+# forms on one vector run over the tuples (w,) for w in ws, on the vector
+# vec(w): the witnesses are basis indices in this module's checkers and
+# basis keys in cross_products.
+
+
+def _pairs(x, y):
+    return [(i, k) for i in x.basis_keys() for k in y.basis_keys()]
+
+
+def _twist_compat(rep, eq_id, tuples, act, out, tx, ty):
+    """out(act(x, y)) = act(tx(x), ty(y)) over the key pairs tuples."""
+    rep.run(
+        eq_id,
+        tuples,
+        lambda i, k: (out(act(e(i), e(k))), act(tx(e(i)), ty(e(k)))),
+    )
+
+
+def _counit_compat(rep, eq_id, x, y, target, act):
+    """eps(act(x, y)) = eps(x) eps(y), with act valued in target."""
+    rep.run(
+        eq_id,
+        _pairs(x, y),
+        lambda i, k: (
+            e("k", target.counit_map(act(e(i), e(k)))),
+            e("k", x.counit_map(e(i)) * y.counit_map(e(k))),
+        ),
+    )
+
+
+def _comult_compat(rep, eq_id, x, y, target, act):
+    """Delta(act(x, y)) = act(x_(1), y_(1)) x act(x_(2), y_(2)), with act
+    valued in target."""
+    rep.run(
+        eq_id,
+        _pairs(x, y),
+        lambda i, k: (
+            target.comult_map(act(e(i), e(k))),
+            bilinear(
+                lambda s, t: act(e(s[0]), e(t[0])) @ act(e(s[1]), e(t[1])),
+                x.comult_map(e(i)),
+                y.comult_map(e(k)),
+            ),
+        ),
+    )
+
+
+def _unit_compat(rep, eq_id, x, target, act):
+    """act(x, 1) = eps(x) 1, with 1 the unit of target."""
+    rep.run(
+        eq_id,
+        [(i,) for i in x.basis_keys()],
+        lambda i: (
+            act(e(i), target.unit_elem()),
+            x.counit_map(e(i)) * target.unit_elem(),
+        ),
+    )
+
+
+def _comult_twist(rep, eq_id, ws, vec, d, f, g, h):
+    """d(f(x)) = (g x h)(d(x)), with d valued in pairs."""
+    rep.run(
+        eq_id,
+        [(w,) for w in ws],
+        lambda w: (d(f(vec(w))), pair_apply(g, h, d(vec(w)))),
+    )
+
+
+def _commute(rep, eq_id, ws, vec, f, g):
+    """f(g(x)) = g(f(x))."""
+    rep.run(eq_id, [(w,) for w in ws], lambda w: (f(g(vec(w))), g(f(vec(w)))))
+
+
+def _counit_twist(rep, eq_id, ws, vec, eps, f):
+    """eps(f(x)) = eps(x)."""
+    rep.run(
+        eq_id,
+        [(w,) for w in ws],
+        lambda w: (e("k", eps(f(vec(w)))), e("k", eps(vec(w)))),
+    )
+
+
+def _coassoc(rep, eq_id, ws, vec, d, tl, dr, tr):
+    """(tl x dr) d(x) = (d x tr) d(x), with d valued in pairs: both sides
+    flattened, from (a, (b, c)) and ((a, b), c), to the 3-leg keys (a, b, c)."""
+
+    def sides(w):
+        dx = d(vec(w))
+        lhs = pair_apply(tl, dr, dx)
+        rhs = pair_apply(d, tr, dx)
+        return (
+            LinComb({(a, b, cc): v for (a, (b, cc)), v in lhs.items()}),
+            LinComb({(a, b, cc): v for ((a, b), cc), v in rhs.items()}),
+        )
+
+    rep.run(eq_id, [(w,) for w in ws], sides)
+
+
+def _counit_leg(rep, eq_id, ws, vec, d, eps, leg, rhs):
+    """eps contracted with leg 0 (leg 1) of d(x), a combination of pairs,
+    keeping the other leg, = rhs(x)."""
+    rep.run(
+        eq_id,
+        [(w,) for w in ws],
+        lambda w: (
+            extend(lambda t: eps(e(t[leg])) * e(t[1 - leg]), d(vec(w))),
+            rhs(vec(w)),
+        ),
+    )
+
+
 def check_hom_algebra(a):
     """Twisted associativity, unit diagrams, multiplicativity of the twist.
 
-    alpha(e_i) and e_i e_j are tabulated once per check, so the hom-assoc
-    tuples compute only their two outer products; an entry that overflows
-    raises on every lookup.  The hom-assoc tuples that must overflow are
-    read off the table and counted as skipped without being evaluated.
+    alpha(e_i) and e_i e_j are tabulated once per check, None where they
+    overflow, so the hom-assoc tuples compute only their two outer products.
+    The hom-assoc tuples that must overflow are read off the table and
+    counted as skipped without being evaluated, so no evaluated tuple reads
+    a None entry.
     That relies on every product here raising TruncationOverflow on x y
     when e_p e_q does for some p in supp x and q in supp y (`bilinear` over
     stored key products, the pairwise degree test of `TruncatedDual`); a
@@ -280,23 +398,16 @@ def check_hom_algebra(a):
     n = len(keys)
     unit = a.unit_elem()
     bas = [LinComb.basis(k) for k in keys]
-    table = {}  # i -> alpha(e_i), (i, j) -> e_i e_j
 
-    def alpha(i):
-        return memo_lookup(table, i, a.alpha_map, bas[i])
-
-    def prod(i, j):
-        return memo_lookup(table, (i, j), a.product, bas[i], bas[j])
-
-    def entry(lookup, *args):  # lookup(*args), or None on an overflow
+    def entry(build, *args):  # build(*args), or None on an overflow
         try:
-            return lookup(*args)
+            return build(*args)
         except TruncationOverflow:
             return None
 
     idx = {k: i for i, k in enumerate(keys)}
-    alphas = [entry(alpha, i) for i in range(n)]
-    prods = [[entry(prod, i, j) for j in range(n)] for i in range(n)]
+    alphas = [entry(a.alpha_map, x) for x in bas]
+    prods = [[entry(a.product, x, y) for y in bas] for x in bas]
     failed = {i for i, t in enumerate(alphas) if t is None}
     # b -> the i (the k) with e_x e_b (e_b e_x) overflowing for some x in
     # supp alpha(e_i) (supp alpha(e_k))
@@ -331,26 +442,31 @@ def check_hom_algebra(a):
             if i not in lhs[j][k] and k not in rhs[i][j]
         ),
         lambda i, j, k: (
-            a.product(alpha(i), prod(j, k)),
-            a.product(prod(i, j), alpha(k)),
+            a.product(alphas[i], prods[j][k]),
+            a.product(prods[i][j], alphas[k]),
         ),
     )
     assoc.skipped = n ** 3 - assoc.checked
+    # alphas[i] is re-evaluated where it is None, which raises the overflow
+    # again and skips the tuple, or zero, which it gives again
     rep.run(
         "hom-unit",
         [(i,) for i in range(len(keys))],
-        lambda i: (a.product(unit, bas[i]), alpha(i)),
+        lambda i: (a.product(unit, bas[i]), alphas[i] or a.alpha_map(bas[i])),
     )
     rep.run(
         "hom-unit-right",
         [(i,) for i in range(len(keys))],
-        lambda i: (a.product(bas[i], unit), alpha(i)),
+        lambda i: (a.product(bas[i], unit), alphas[i] or a.alpha_map(bas[i])),
     )
     _run_pairs(
         rep,
         "alpha-multiplicative",
         n,
-        lambda p, i, j: (a.alpha_map(p), a.product(alpha(i), alpha(j))),
+        lambda p, i, j: (
+            a.alpha_map(p),
+            a.product(alphas[i] or a.alpha_map(bas[i]), alphas[j] or a.alpha_map(bas[j])),
+        ),
     )
     rep.run("alpha-unit", [()], lambda: (a.alpha_map(unit), unit))
     return rep
@@ -359,58 +475,19 @@ def check_hom_algebra(a):
 def check_hom_coalgebra(c):
     """Twisted coassociativity, counit diagrams, comultiplicativity of beta."""
     rep = CheckReport()
-    keys = c.basis_keys()
-    bas = [LinComb.basis(k) for k in keys]
-
-    def coassoc(i):
-        d = c.comult_map(bas[i])
-        lhs = pair_apply(c.beta_map, c.comult_map, d)
-        rhs = pair_apply(c.comult_map, c.beta_map, d)
-        # flatten (a, (b, c)) vs ((a, b), c) to common 3-leg keys
-        lhs = LinComb({(a, b, cc): w for (a, (b, cc)), w in lhs.items()})
-        rhs = LinComb({(a, b, cc): w for ((a, b), cc), w in rhs.items()})
-        return lhs, rhs
-
-    rep.run("hom-coassoc", [(i,) for i in range(len(keys))], coassoc)
-
-    def eps(k):
-        return c.counit_map(LinComb.basis(k))
-
-    def counit_left(i):
-        # (eps x id) Delta(e_i)
-        out = extend(lambda k: eps(k[0]) * LinComb.basis(k[1]), c.comult_map(bas[i]))
-        return out, c.beta_map(bas[i])
-
-    def counit_right(i):
-        # (id x eps) Delta(e_i)
-        out = extend(lambda k: eps(k[1]) * LinComb.basis(k[0]), c.comult_map(bas[i]))
-        return out, c.beta_map(bas[i])
-
-    rep.run("hom-counit", [(i,) for i in range(len(keys))], counit_left)
-    rep.run("hom-counit-right", [(i,) for i in range(len(keys))], counit_right)
-    rep.run(
-        "eps-beta",
-        [(i,) for i in range(len(keys))],
-        lambda i: (
-            LinComb.basis("k", c.counit_map(c.beta_map(bas[i]))),
-            LinComb.basis("k", c.counit_map(bas[i])),
-        ),
-    )
-
-    rep.run(
-        "beta-comultiplicative",
-        [(i,) for i in range(len(keys))],
-        lambda i: (
-            c.comult_map(c.beta_map(bas[i])),
-            pair_apply(c.beta_map, c.beta_map, c.comult_map(bas[i])),
-        ),
-    )
+    bas = [LinComb.basis(k) for k in c.basis_keys()]
+    ws, vec = range(len(bas)), bas.__getitem__
+    d, beta = c.comult_map, c.beta_map
+    _coassoc(rep, "hom-coassoc", ws, vec, d, beta, d, beta)
+    _counit_leg(rep, "hom-counit", ws, vec, d, c.counit_map, 0, beta)
+    _counit_leg(rep, "hom-counit-right", ws, vec, d, c.counit_map, 1, beta)
+    _counit_twist(rep, "eps-beta", ws, vec, c.counit_map, beta)
+    _comult_twist(rep, "beta-comultiplicative", ws, vec, d, beta, beta, beta)
     return rep
 
 
 def _comult_product(b, x, y):
     """Componentwise product of comultiplications: Delta(x) * Delta(y)."""
-    e = LinComb.basis
     return bilinear(
         lambda k, l: b.product(e(k[0]), e(l[0])) @ b.product(e(k[1]), e(l[1])),
         b.comult_map(x),
@@ -425,6 +502,7 @@ def check_hom_bialgebra(b):
     keys = b.basis_keys()
     n = len(keys)
     bas = [LinComb.basis(k) for k in keys]
+    ws, vec = range(n), bas.__getitem__
     unit = b.unit_elem()
     kone = LinComb.basis("k", 1)
 
@@ -435,14 +513,8 @@ def check_hom_bialgebra(b):
         n,
         lambda p, i, j: (b.comult_map(p), _comult_product(b, bas[i], bas[j])),
     )
-    rep.run(
-        "bialg-3",
-        [(i,) for i in range(len(keys))],
-        lambda i: (
-            b.comult_map(b.alpha_map(bas[i])),
-            pair_apply(b.alpha_map, b.alpha_map, b.comult_map(bas[i])),
-        ),
-    )
+    alpha = b.alpha_map
+    _comult_twist(rep, "bialg-3", ws, vec, b.comult_map, alpha, alpha, alpha)
     rep.run("bialg-4", [()], lambda: (LinComb.basis("k", b.counit_map(unit)), kone))
     _run_pairs(
         rep,
@@ -453,14 +525,7 @@ def check_hom_bialgebra(b):
             LinComb.basis("k", b.counit_map(bas[i]) * b.counit_map(bas[j])),
         ),
     )
-    rep.run(
-        "bialg-6",
-        [(i,) for i in range(len(keys))],
-        lambda i: (
-            LinComb.basis("k", b.counit_map(b.alpha_map(bas[i]))),
-            LinComb.basis("k", b.counit_map(bas[i])),
-        ),
-    )
+    _counit_twist(rep, "bialg-6", ws, vec, b.counit_map, b.alpha_map)
     rep.run("bialg-7", [()], lambda: (b.beta_map(unit), unit))
     _run_pairs(
         rep,
@@ -468,11 +533,7 @@ def check_hom_bialgebra(b):
         n,
         lambda p, i, j: (b.beta_map(p), b.product(b.beta_map(bas[i]), b.beta_map(bas[j]))),
     )
-    rep.run(
-        "bialg-9",
-        [(i,) for i in range(len(keys))],
-        lambda i: (b.beta_map(b.alpha_map(bas[i])), b.alpha_map(b.beta_map(bas[i]))),
-    )
+    _commute(rep, "bialg-9", ws, vec, b.beta_map, b.alpha_map)
     return rep
 
 
@@ -482,6 +543,7 @@ def check_hom_hopf(h):
     rep = check_hom_bialgebra(h)
     keys = h.basis_keys()
     bas = [LinComb.basis(k) for k in keys]
+    ws, vec = range(len(keys)), bas.__getitem__
     unit = h.unit_elem()
 
     def conv(side, i):
@@ -497,26 +559,11 @@ def check_hom_hopf(h):
 
     rep.run("antipode-left", [(i,) for i in range(len(keys))], lambda i: conv("left", i))
     rep.run("antipode-right", [(i,) for i in range(len(keys))], lambda i: conv("right", i))
-    rep.run(
-        "antipode-alpha",
-        [(i,) for i in range(len(keys))],
-        lambda i: (h.antipode_map(h.alpha_map(bas[i])), h.alpha_map(h.antipode_map(bas[i]))),
-    )
-    rep.run(
-        "antipode-beta",
-        [(i,) for i in range(len(keys))],
-        lambda i: (h.antipode_map(h.beta_map(bas[i])), h.beta_map(h.antipode_map(bas[i]))),
-    )
+    _commute(rep, "antipode-alpha", ws, vec, h.antipode_map, h.alpha_map)
+    _commute(rep, "antipode-beta", ws, vec, h.antipode_map, h.beta_map)
     # derived properties
     rep.run("antipode-unit", [()], lambda: (h.antipode_map(unit), unit))
-    rep.run(
-        "eps-antipode",
-        [(i,) for i in range(len(keys))],
-        lambda i: (
-            LinComb.basis("k", h.counit_map(h.antipode_map(bas[i]))),
-            LinComb.basis("k", h.counit_map(bas[i])),
-        ),
-    )
+    _counit_twist(rep, "eps-antipode", ws, vec, h.counit_map, h.antipode_map)
     _run_pairs(
         rep,
         "antipode-antimultiplicative",
@@ -543,7 +590,6 @@ def module_axioms(rep, prefix, a, carrier_keys, act, gamma):
     <prefix>-module-unit:
     (p*q) |> gamma(v) = alpha(p) |> (q |> v)  and  1 |> v = gamma(v).
     """
-    e = LinComb.basis
     akeys = a.basis_keys()
     rep.run(
         prefix + "-module-assoc",
@@ -565,25 +611,8 @@ def check_hom_comodule(c, carrier_keys, coact, theta):
     twist theta, coact valued in combinations over (m, h) pairs:
     (theta x Delta)nabla = (nabla x beta)nabla and (id x eps)nabla = theta."""
     rep = CheckReport()
-
-    def coassoc(k):
-        d = coact(LinComb.basis(k))
-        lhs = pair_apply(theta, c.comult_map, d)
-        rhs = pair_apply(coact, c.beta_map, d)
-        # flatten ((m, h), h') vs (m, (h, h')) to a common 3-leg shape
-        lhs = LinComb({(a, b, cc): v2 for (a, (b, cc)), v2 in lhs.items()})
-        rhs = LinComb({(a, b, cc): v2 for ((a, b), cc), v2 in rhs.items()})
-        return lhs, rhs
-
-    rep.run("hom-comodule-coassoc", [(k,) for k in carrier_keys], coassoc)
-
-    def counit(k):
-        v = LinComb.basis(k)
-        out = extend(
-            lambda t: c.counit_map(LinComb.basis(t[1])) * LinComb.basis(t[0]), coact(v)
-        )
-        return out, theta(v)
-
-    rep.run("hom-comodule-counit", [(k,) for k in carrier_keys], counit)
+    _coassoc(
+        rep, "hom-comodule-coassoc", carrier_keys, e, coact, theta, c.comult_map, c.beta_map
+    )
+    _counit_leg(rep, "hom-comodule-counit", carrier_keys, e, coact, c.counit_map, 1, theta)
     return rep
-

@@ -4,7 +4,7 @@ Lie modules and matched pairs.
 
 from .errors import NotHomLie
 from .foundation import LinComb, bilinear
-from .hom_core import CheckReport
+from .hom_core import CheckReport, _pairs, _twist_compat
 
 _ZERO = LinComb.zero()
 
@@ -95,11 +95,8 @@ def check_hom_lie(g):
     keys = g.basis_keys()
     bas = [LinComb.basis(k) for k in keys]
 
-    rep.run(
-        "antisymmetry",
-        [(i, j) for i in keys for j in keys],
-        lambda i, j: (g.bracket(i, j), -1 * g.bracket(j, i)),
-    )
+    pairs = _pairs(g, g)
+    rep.run("antisymmetry", pairs, lambda i, j: (g.bracket(i, j), -1 * g.bracket(j, i)))
 
     def jacobi(i, j, k):
         s = g.bracket_lc(g.phi_map(bas[i]), g.bracket(j, k))
@@ -108,14 +105,8 @@ def check_hom_lie(g):
         return s, LinComb.zero()
 
     rep.run("hom-jacobi", [(i, j, k) for i in keys for j in keys for k in keys], jacobi)
-    rep.run(
-        "phi-multiplicative",
-        [(i, j) for i in keys for j in keys],
-        lambda i, j: (
-            g.phi_map(g.bracket(i, j)),
-            g.bracket_lc(g.phi_map(bas[i]), g.phi_map(bas[j])),
-        ),
-    )
+    phi = g.phi_map
+    _twist_compat(rep, "phi-multiplicative", pairs, g.bracket_lc, phi, phi, phi)
     return rep
 
 
@@ -126,13 +117,9 @@ def check_lie_module(g, m):
     rep = CheckReport()
     keys = g.basis_keys()
     bas = [LinComb.basis(k) for k in keys]
-    rep.run(
-        "lie-module-i",
-        [(i, v) for i in keys for v in m.carrier_keys],
-        lambda i, v: (
-            m.gamma.apply(m.apply(bas[i], LinComb.basis(v))),
-            m.apply(g.phi_map(bas[i]), m.gamma.apply(LinComb.basis(v))),
-        ),
+    _twist_compat(
+        rep, "lie-module-i", [(i, v) for i in keys for v in m.carrier_keys],
+        m.apply, m.gamma.apply, g.phi_map, m.gamma.apply,
     )
 
     def axiom_ii(i, j, v):

@@ -54,6 +54,34 @@ def sl2_split_pair(lam=1):
     return MatchedPairLie(g, h, h_on_g, g_on_h)
 
 
+def sl2_gaussian_split_pair():
+    """sl2_split_pair at lam = i, over Q(i) read as a Q-vector space:
+    g = <e, ie> and h = <h, ih, f, if>, basis indices in that order.  phi_g
+    sends e -> ie -> -e and phi_h fixes h and ih and sends f -> -if,
+    if -> f, so both twists have order 4 and the pair meets the order
+    constraint; both actions are nonzero:
+      [h, f] = 2 if, [h, if] = -2f, [ih, f] = -2f, [ih, if] = -2 if;
+      h |> e = 2 ie, h |> ie = -2e, ih |> e = -2e, ih |> ie = -2 ie;
+      f <| e = -h, if <| e = -ih, f <| ie = -ih, if <| ie = h."""
+    phi = LinearOperator.from_matrix([[0, -1], [1, 0]], inverse=[[0, 1], [-1, 0]])
+    alpha = LinearOperator(
+        {0: e(0), 1: e(1), 2: -1 * e(3), 3: e(2)}, {0: e(0), 1: e(1), 2: e(3), 3: -1 * e(2)}
+    )
+    g = HomLieData(2, {}, phi)
+    h = HomLieData(
+        4, {(0, 2): 2 * e(3), (0, 3): -2 * e(2), (1, 2): -2 * e(2), (1, 3): -2 * e(3)}, alpha
+    )
+    h_on_g = LieActionData(
+        h, [0, 1], {(0, 0): 2 * e(1), (0, 1): -2 * e(0), (1, 0): -2 * e(0), (1, 1): -2 * e(1)},
+        phi,
+    )
+    g_on_h = LieActionData(
+        g, range(4), {(0, 2): -1 * e(0), (0, 3): -1 * e(1), (1, 2): -1 * e(1), (1, 3): e(0)},
+        alpha,
+    )
+    return MatchedPairLie(g, h, h_on_g, g_on_h)
+
+
 def sl2_reverse_split_pair(twisted=False):
     """sl2 split the other way, as g = <e, h> and h = <f>: f |> e = -h,
     f <| h = 2f and [e, h] = -2e.  (f <| h) <| h = 4f, so the right action

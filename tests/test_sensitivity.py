@@ -43,8 +43,15 @@ and the matched pair, the double cross product, the semidual mutual pair
 and the bicrossproduct pass with no tuple skipped.  Each mutant of
 ALPHA_BETA_MUTANTS replaces one line of one method of `cross_products`,
 swapping or merging an alpha and a beta power, and fails one block on
-both pairs.  No other pair kills them: every other pair that the tests
-build a cross product of has alpha^2 = id.
+both pairs.  Every other finite pair that the tests build a cross product
+of has alpha^2 = id.
+
+The Gaussian sl2 split of `lie_pairs` has twists of order 4 on both
+factors and both actions nonzero; lifted at N=2 it passes all four blocks.
+Each mutant of GRADED_MUTANTS changes one twist power in the pairing-wise
+mutual-pair check and fails exactly one equation there on that pair, which
+no other case of the tests does.  (That pair fails M1 and M2 in their
+blocks too, and passes M7.)
 
 U(g)'s well-definedness report reads the coproduct of each ideal row off
 `TreeOps.coproduct_terms`, which reads a tree's weights through getters
@@ -57,6 +64,7 @@ projection of every leg, ignores weights, and the mutant is equivalent.
 import inspect
 import textwrap
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -76,7 +84,7 @@ from homhopf.duality import TruncatedDual, dual_hom_hopf
 from homhopf.foundation import LinComb, LinearOperator, swap_pairs
 from homhopf.hom_core import HomHopfData, check_hom_hopf
 from homhopf.semidual import semidualize
-from homhopf.uea_trees import UNIT, TreeOps, build_truncated_uea
+from homhopf.uea_trees import UNIT, TreeOps, build_truncated_uea, lift_to_Uh_action
 
 from fixtures import (
     counital_matched_pair,
@@ -89,6 +97,7 @@ from fixtures import (
     trivial_hopf_matched_pair,
     twisted_cyclic_hopf,
 )
+from lie_pairs import sl2_gaussian_split_pair
 from record_golden import SAMPLES, _sample_matched_pair
 from test_duality import TWISTED_CYCLIC, yau_twist_mismatches
 from test_semidual import nontrivial_finite_matched_pair
@@ -424,7 +433,8 @@ ALPHA_BETA_MUTANTS = {
 
 
 def mutated_method(cls, name, old, new):
-    """cls.name recompiled from its source with the one line old -> new."""
+    """cls.name, a method of a class or a function of a module, recompiled
+    from its source with the one line old -> new."""
     src = textwrap.dedent(inspect.getsource(getattr(cls, name)))
     assert src.count(old) == 1, (cls.__name__, name, old)
     namespace = dict(vars(cross_products))
@@ -451,6 +461,41 @@ def test_alpha_beta_mutants_fail_one_block_on_both_pairs(mutant, monkeypatch):
         }
         assert failed == {block: equations}, pair
 
+
+@lru_cache(maxsize=None)
+def gaussian_matched_pair():
+    """The Gaussian sl2 split lifted at N=2, W=1."""
+    return lift_to_Uh_action(sl2_gaussian_split_pair(), 2, 1)
+
+
+# the twist-power mutants M8 and M10 of ROADMAP item 9, both in the
+# pairing-wise mutual-pair check: the one line of _check_mutual_pair_graded
+# that is replaced, and the one equation of the mutual-pair block that fails
+# on the Gaussian sl2 split at N=2.  The other three blocks do not run the
+# mutated function.
+GRADED_MUTANTS = {
+    # alpha_V^-5 -> alpha_V^-3 in `carried`
+    "M8": ("V.alpha_pow(-5,", "V.alpha_pow(-3,", "comp-I"),
+    # alpha_U^-3 -> alpha_U^-1 in `z`
+    "M10": ("U.alpha_pow(-3, e(us1))", "U.alpha_pow(-1, e(us1))", "comp-III"),
+}
+
+
+def test_gaussian_pair_passes_every_block():
+    blocks = checked_blocks(gaussian_matched_pair())
+    assert {block: (rep.passed, rep.total_checked()) for block, rep in blocks.items()} == {
+        "matched-pair": (True, 1842), "double-cross-suite": (True, 7368),
+        "mutual-pair": (True, 6967), "bicross-suite": (True, 3682),
+    }
+
+
+@pytest.mark.parametrize("mutant", sorted(GRADED_MUTANTS))
+def test_graded_mutants_fail_one_mutual_pair_equation(mutant, monkeypatch):
+    old, new, equation = GRADED_MUTANTS[mutant]
+    name = "_check_mutual_pair_graded"
+    monkeypatch.setattr(cross_products, name, mutated_method(cross_products, name, old, new))
+    rep = check_mutual_pair(semidualize(gaussian_matched_pair()))
+    assert {v.eq_id for v in rep.violations} == {equation}
 
 
 def reversed_leg_weights(coproduct_terms):
