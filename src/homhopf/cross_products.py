@@ -29,6 +29,7 @@ from .hom_core import (
     _twist_compat,
     _unit_compat,
     check_hom_comodule,
+    check_memo,
     memo_lookup,
     module_axioms,
 )
@@ -176,34 +177,41 @@ def check_matched_pair_hopf(p):
             rep, compat, _pairs(V, U), act, target.alpha_map, V.alpha_map, U.alpha_map
         )
 
-    # the four mixed equations
+    # the four mixed equations; each sub-term on coproduct legs is built once per check
+    once = check_memo()
+
+    def first(v0, u0):
+        return p.lt(V.alpha_inv(V.beta_inv(e(v0))), U.beta_inv(e(u0)))
+
+    def inner(v1, u1):
+        return p.rt(V.alpha_pow(-2, V.beta_inv(e(v1))), U.alpha_inv(U.beta_inv(e(u1))))
+
     def v_rt_uu(i, j, k):
         v, u, u2 = e(i), e(j), e(k)
         lhs = p.lt(v, U.product(u, u2))
 
         def term(vs, us):
-            first = p.lt(V.alpha_inv(V.beta_inv(e(vs[0]))), U.beta_inv(e(us[0])))
-            inner = p.rt(
-                V.alpha_pow(-2, V.beta_inv(e(vs[1]))),
-                U.alpha_inv(U.beta_inv(e(us[1]))),
+            return U.product(
+                once(first, vs[0], us[0]), p.lt(once(inner, vs[1], us[1]), u2)
             )
-            return U.product(first, p.lt(inner, u2))
 
         return lhs, bilinear(term, V.comult_map(v), U.comult_map(u))
 
     rep.run("v-rt-uu'", [(i, j, k) for i in vk for j in uk for k in uk], v_rt_uu)
+
+    def lt_inner(w0, u0):
+        return p.lt(V.alpha_inv(V.beta_inv(e(w0))), U.alpha_pow(-2, U.beta_inv(e(u0))))
+
+    def second(w1, u1):
+        return p.rt(V.beta_inv(e(w1)), U.alpha_inv(U.beta_inv(e(u1))))
 
     def vv_rt_u(i, j, k):
         v, v2, u = e(i), e(j), e(k)
         lhs = p.rt(V.product(v, v2), u)
 
         def term(ws, us):
-            inner = p.lt(
-                V.alpha_inv(V.beta_inv(e(ws[0]))),
-                U.alpha_pow(-2, U.beta_inv(e(us[0]))),
-            )
-            second = p.rt(V.beta_inv(e(ws[1])), U.alpha_inv(U.beta_inv(e(us[1]))))
-            return V.product(p.rt(v, inner), second)
+            mid, rest = once(lt_inner, ws[0], us[0]), once(second, ws[1], us[1])
+            return V.product(p.rt(v, mid), rest)
 
         return lhs, bilinear(term, V.comult_map(v2), U.comult_map(u))
 
@@ -462,21 +470,25 @@ def _check_mutual_pair_finite(m):
         rep, "lt-f-comp", uk, e, m.coaction_legs, U.alpha_map, U.alpha_map, F.beta_map
     )
 
+    # each sub-term of comp-I and comp-III on legs alone is built once per check
+    once = check_memo()
+
+    def first(m0, f0):
+        return m.act(U.beta_inv(e(m0)), e(f0))
+
+    def second(m1, u1, f1):
+        tail = U.alpha_map(U.beta_pow(-2, e(u1)))
+        shifted = F.alpha_pow(-4, F.beta_pow(3, e(m1)))
+        return F.product(shifted, m.act(tail, F.alpha_inv(e(f1))))
+
     def comp1(i, k):
         u, f = e(i), e(k)
         lhs = F.comult_map(m.act(u, f))
         fd = F.comult_map(f)
 
         def over_u(us):
-            tail = U.alpha_map(U.beta_pow(-2, e(us[1])))
-
             def term(ms, fs):
-                first = m.act(U.beta_inv(e(ms[0])), e(fs[0]))
-                second = F.product(
-                    F.alpha_pow(-4, F.beta_pow(3, e(ms[1]))),
-                    m.act(tail, F.alpha_inv(e(fs[1]))),
-                )
-                return first @ second
+                return once(first, ms[0], fs[0]) @ once(second, ms[1], us[1], fs[1])
 
             return bilinear(term, m.coaction_legs(e(us[0])), fd)
 
@@ -485,6 +497,13 @@ def _check_mutual_pair_finite(m):
     rep.run("comp-I", [(i, k) for i in uk for k in fk], comp1)
     _counit_compat(rep, "comp-II", U, F, F, m.act)
 
+    def upart(a0, b0):
+        return U.product(U.beta_inv(e(a0)), e(b0))
+
+    def fpart(a1, u1, b1):
+        shifted = F.alpha_pow(-2, F.beta_map(e(a1)))
+        return F.product(shifted, m.act(U.alpha_inv(e(u1)), F.alpha_inv(e(b1))))
+
     def comp3(i, j):
         u, u2 = e(i), e(j)
         lhs = m.coaction_legs(U.product(u, u2))
@@ -492,12 +511,7 @@ def _check_mutual_pair_finite(m):
 
         def over_u(us):
             def term(s1, s2):
-                upart = U.product(U.beta_inv(e(s1[0])), e(s2[0]))
-                fpart = F.product(
-                    F.alpha_pow(-2, F.beta_map(e(s1[1]))),
-                    m.act(U.alpha_inv(e(us[1])), F.alpha_inv(e(s2[1]))),
-                )
-                return upart @ fpart
+                return once(upart, s1[0], s2[0]) @ once(fpart, s1[1], us[1], s2[1])
 
             return bilinear(term, m.coaction_legs(e(us[0])), legs2)
 
@@ -536,22 +550,19 @@ def _check_mutual_pair_graded(m):
     """Pairing-wise evaluation of the mutual-pair equations: every dual leg
     is contracted against normal-form test vectors within the budget.
 
-    The image of each coproduct leg is computed once per check (`once`),
-    and comp-I pairs with f only at the end, so its right side is built once
-    per (u, w1, w2).  An overflow raises on every lookup, so a tuple is
-    skipped exactly when its direct evaluation would be.  comp-IV cannot
-    fail on a pair of enveloping algebras: its two sides swap the legs of
-    Delta(u) and Delta(w), and both coproducts are cocommutative."""
+    The image of each coproduct leg, alpha_V^-2(w1 w2) and u |> f are built
+    once per check (`check_memo`), and comp-I pairs with f only at the end,
+    so its right side is built once per (u, w1, w2).  An overflow raises on
+    every lookup, so a tuple is skipped exactly when its direct evaluation
+    would be.  comp-IV cannot fail on a pair of enveloping algebras: its two
+    sides swap the legs of Delta(u) and Delta(w), and both coproducts are
+    cocommutative."""
     F, U, V = m.f, m.u, m.v
     n = V.truncation_degree
     fk, uk, vk = F.basis_keys(), U.basis_keys(), V.basis_keys()
     rep = _check_action_side(m)
     kone = LinComb.basis("k")
-    memo = {}
-
-    def once(build, *args):
-        """build(*args), computed once per check."""
-        return memo_lookup(memo, (build, args), build, *args)
+    once = check_memo()
 
     pair_tests = [
         (w1, w2)
@@ -560,11 +571,12 @@ def _check_mutual_pair_graded(m):
         if V.degree(w1) + V.degree(w2) <= n
     ]
 
+    def shifted_product(w1, w2):
+        return V.alpha_pow(-2, V.product(e(w1), e(w2)))
+
     def comod_coassoc(i, w1, w2):
         u = e(i)
-        lhs = U.alpha_map(
-            m.nabla_pair(u, V.alpha_pow(-2, V.product(e(w1), e(w2))))
-        )
+        lhs = U.alpha_map(m.nabla_pair(u, once(shifted_product, w1, w2)))
         rhs = m.nabla_pair(m.nabla_pair(u, V.alpha_inv(e(w2))), e(w1))
         return lhs, rhs
 
@@ -620,10 +632,12 @@ def _check_mutual_pair_graded(m):
 
         return bilinear(term, U.comult_map(e(i)), V.comult_map(e(w2)))
 
+    def acted(i, k):
+        return m.act(e(i), e(k))
+
     def comp1(i, k, w1, w2):
-        f = e(k)
-        lhs = F.pair(m.act(e(i), f), V.alpha_pow(-2, V.product(e(w1), e(w2))))
-        rhs = F.pair(f, once(comp1_rhs, i, w1, w2))
+        lhs = F.pair(once(acted, i, k), once(shifted_product, w1, w2))
+        rhs = F.pair(e(k), once(comp1_rhs, i, w1, w2))
         return LinComb.basis("k", lhs), rhs * kone
 
     rep.run(

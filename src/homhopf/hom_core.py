@@ -79,6 +79,14 @@ def memo_lookup(memo, key, build, *args):
     return val
 
 
+def check_memo():
+    """A fresh once(build, *args) = build(*args) on keys args, built on first
+    use, for one checker call: an overflow is stored and raised again on every
+    lookup (`memo_lookup`), and any other error escapes unstored."""
+    memo = {}
+    return lambda build, *args: memo_lookup(memo, (build, args), build, *args)
+
+
 class CheckReport:
     """Outcome of an axiom scan: per-equation counts plus witnesses."""
 

@@ -3,14 +3,15 @@
     python tests/reachability.py
 
 runs every `REPORT_RUNS` sample of `record_golden.py` through
-`homhopf.cli.main`, once with text output and once with JSON, under a
-profile hook that records every Python function call.  It then lists each
-`def` in `src/homhopf` whose code never ran, as `file:first-last name`,
-and ends with one summary line: how many of the definitions never ran and
-how many source lines they cover.  A nested definition is listed on its
-own as well; its lines are counted once.  `unreached()` returns the same
-list, and `test_reachability.py` requires it to be a written keep-list.
-Uses only the standard library.
+`homhopf.cli.main` under a profile hook that records every Python function
+call.  Each sample runs once, with text output: the output format selects
+only a branch inside `cli.emit_report`, so JSON output runs the same
+definitions.  It then lists each `def` in `src/homhopf` whose code never
+ran, as `file:first-last name`, and ends with one summary line: how many
+of the definitions never ran and how many source lines they cover.  A
+nested definition is listed on its own as well; its lines are counted
+once.  `unreached()` returns the same list, and `test_reachability.py`
+requires it to be a written keep-list.  Uses only the standard library.
 """
 
 import ast
@@ -58,9 +59,9 @@ def definitions():
 
 
 def run_samples():
-    """Run every REPORT_RUNS sample through cli.main in both formats under
-    a profile hook.  Returns the (file, first line) of every code object
-    that ran, the file as a resolved path, and one exit line per run."""
+    """Run every REPORT_RUNS sample through cli.main under a profile
+    hook.  Returns the (file, first line) of every code object that ran,
+    the file as a resolved path, and one exit line per run."""
     sys.path.insert(0, str(ROOT / "src"))
     called = set()
 
@@ -75,11 +76,9 @@ def run_samples():
 
         statuses = []
         for sample, command in report_runs():
-            for fmt in ("text", "json"):
-                argv = [command, "--input", str(ROOT / "sample_inputs" / (sample + ".json")),
-                        "--format", fmt]
-                with redirect_stdout(io.TextIOWrapper(io.BytesIO())):
-                    statuses.append("%s %s %s: exit %d" % (sample, command, fmt, cli.main(argv)))
+            argv = [command, "--input", str(ROOT / "sample_inputs" / (sample + ".json"))]
+            with redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+                statuses.append("%s %s: exit %d" % (sample, command, cli.main(argv)))
     finally:
         sys.setprofile(None)
     resolved = {f: str(Path(f).resolve()) for f, _ in called}

@@ -123,6 +123,11 @@ REPORT_RUNS = [
     # the one sample whose input is a finite mutual pair: bicross checks it
     # and then builds the bicrossproduct
     ("z4_trivial_bicross", "bicross"),
+    # the Gaussian sl2 split of lie_pairs at degree 2: order-4 twists on
+    # both factors and both actions nonzero, through every Lie-pair path
+    ("sl2_gaussian_hom_lie_hopf", "hom-lie-hopf"),
+    ("sl2_gaussian_hom_lie_hopf", "doublecross"),
+    ("sl2_gaussian_hom_lie_hopf", "semidualize"),
 ]
 
 

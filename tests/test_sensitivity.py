@@ -51,7 +51,10 @@ factors and both actions nonzero; lifted at N=2 it passes all four blocks.
 Each mutant of GRADED_MUTANTS changes one twist power in the pairing-wise
 mutual-pair check and fails exactly one equation there on that pair, which
 no other case of the tests does.  (That pair fails M1 and M2 in their
-blocks too, and passes M7.)
+blocks too, and passes M7.)  The mutant M3 of MATCHED_PAIR_MUTANTS
+changes one twist power of a stored sub-term of v-rt-uu' in the
+matched-pair check, and fails that one equation on the lambda = 2 sl2
+split at N=3, whose twists have infinite order.
 
 U(g)'s well-definedness report reads the coproduct of each ideal row off
 `TreeOps.coproduct_terms`, which reads a tree's weights through getters
@@ -97,7 +100,7 @@ from fixtures import (
     trivial_hopf_matched_pair,
     twisted_cyclic_hopf,
 )
-from lie_pairs import sl2_gaussian_split_pair
+from lie_pairs import sl2_gaussian_split_pair, sl2_split_pair
 from record_golden import SAMPLES, _sample_matched_pair
 from test_duality import TWISTED_CYCLIC, yau_twist_mismatches
 from test_semidual import nontrivial_finite_matched_pair
@@ -496,6 +499,32 @@ def test_graded_mutants_fail_one_mutual_pair_equation(mutant, monkeypatch):
     monkeypatch.setattr(cross_products, name, mutated_method(cross_products, name, old, new))
     rep = check_mutual_pair(semidualize(gaussian_matched_pair()))
     assert {v.eq_id for v in rep.violations} == {equation}
+
+
+# the twist-power mutant M3 of ROADMAP item 9 in check_matched_pair_hopf:
+# the one line that is replaced, and the one equation of the matched-pair
+# block that fails on the lambda = 2 sl2 split lifted at N=3, W=1, with its
+# number of violations.  A Lie pair that meets the order constraint has
+# alpha^4 = id, so alpha^-2 = alpha^2 there and M3 is equivalent; this
+# split's twists have infinite order.
+MATCHED_PAIR_MUTANTS = {
+    # alpha_V^-2 -> alpha_V^2 in `inner`, a stored sub-term of v-rt-uu'
+    "M3": (
+        "V.alpha_pow(-2, V.beta_inv(e(v1)))", "V.alpha_pow(2, V.beta_inv(e(v1)))",
+        "v-rt-uu'", 21,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MATCHED_PAIR_MUTANTS))
+def test_matched_pair_mutants_fail_one_equation(mutant, monkeypatch):
+    old, new, equation, violations = MATCHED_PAIR_MUTANTS[mutant]
+    mp = lift_to_Uh_action(sl2_split_pair(2), 3, 1)
+    assert check_matched_pair_hopf(mp).passed
+    name = "check_matched_pair_hopf"
+    monkeypatch.setattr(cross_products, name, mutated_method(cross_products, name, old, new))
+    rep = cross_products.check_matched_pair_hopf(mp)
+    assert Counter(v.eq_id for v in rep.violations) == {equation: violations}
 
 
 def reversed_leg_weights(coproduct_terms):
