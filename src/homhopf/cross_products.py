@@ -290,7 +290,10 @@ class DoubleCrossProduct(_TensorHopf):
 
     (u, v)(u', v') = u (a^-1 b^-1(v1) |> f^-1 p^-1(u'1))
                        x (a^-1 b^-1(v2) <| f^-1 p^-1(u'2)) v'
-    with f = alpha_U, p = beta_U, a = alpha_V, b = beta_V.
+    with f = alpha_U, p = beta_U, a = alpha_V, b = beta_V.  Its |> leg per
+    (v1, u'1) and its <| leg per (v2, u'2) are kept in `_legs` and read as
+    `Bicrossproduct` reads its legs: an overflow is stored, any other error
+    escapes.
     """
 
     def __init__(self, pair):
@@ -302,18 +305,23 @@ class DoubleCrossProduct(_TensorHopf):
             "alpha": (U.alpha_pow, V.alpha_pow),
             "beta": (U.beta_pow, V.beta_pow),
         }
+        # ("lt", V key, U key) -> mid, ("rt", V key, U key) -> tail
+        self._legs = {}
 
     def product_keys(self, k1, k2):
-        U, V, p = self.u, self.v, self.pair
+        U, V, p, legs = self.u, self.v, self.pair, self._legs
         u, v2 = e(k1[0]), e(k2[1])
 
         def shifted(k, side):
             # a^-1 b^-1 on the V leg and f^-1 p^-1 on the U leg
             return side.alpha_inv(side.beta_inv(e(k)))
 
+        def acted(act, kv, ku):
+            return act(shifted(kv, V), shifted(ku, U))
+
         def term(vs, us):
-            mid = p.lt(shifted(vs[0], V), shifted(us[0], U))
-            tail = p.rt(shifted(vs[1], V), shifted(us[1], U))
+            mid = memo_lookup(legs, ("lt", vs[0], us[0]), acted, p.lt, vs[0], us[0])
+            tail = memo_lookup(legs, ("rt", vs[1], us[1]), acted, p.rt, vs[1], us[1])
             return U.product(u, mid) @ V.product(tail, v2)
 
         return bilinear(term, V.comult_map(e(k1[1])), U.comult_map(e(k2[0])))

@@ -24,7 +24,9 @@ weight-0 trees, commutes with grafting and the shift map, and sends every
 relation into J0.  So each weighted tree t is a pivot whose reduced row
 t - P0(sigma(t)) is derived on demand, never stored, and no list of the
 weighted trees is kept: the normal forms come from the weight-0 trees, and
-`TruncatedUEA.ideal_rows` generates the weighted trees in pivot order.
+`TruncatedUEA` generates the pairs (pivot, normal form) in pivot order.  The
+well-definedness report checks a linear map M on a row t - P(t) as
+M(t) = M(P(t)), building M(P(t)) once per distinct P(t).
 """
 
 from collections import deque
@@ -43,7 +45,7 @@ from .foundation import (
     pair_extend,
     scalar,
 )
-from .hom_core import CheckReport, HomStructure
+from .hom_core import CheckReport, HomStructure, memo_lookup
 from .hom_lie import check_hom_lie, check_matched_pair_lie
 
 UNIT = "1"
@@ -453,8 +455,9 @@ class TruncatedUEA(HomStructure):
     (`_stores`), so each holds at most one entry per normal form (and
     power); the image of a pivot is built again on each call.  The
     projection P0(sigma(k)) of each tree k is stored in `_projected`, which
-    the coproduct reads its legs from.  The well-definedness report
-    evaluates every ideal row through these maps.
+    the coproduct reads its legs from.  The well-definedness report applies
+    these maps to each ideal row's pivot and compares the image with that
+    of the row's normal form, built once per report.
     """
 
     def __init__(self, lie, truncation_degree, ops, rowspace, weight_bound):
@@ -516,20 +519,26 @@ class TruncatedUEA(HomStructure):
                     for decs in iproduct(range(self.lie.dim), repeat=n):
                         yield (shape, weights, decs)
 
-    def ideal_rows(self):
-        """Every row of the reduced ideal, in pivot order, as a list: per
-        degree from the top down, t - P0(sigma(t)) for each weighted tree t,
-        then the stored rows of J0 of that degree (a weighted tree sorts
-        before the weight-0 trees of its degree)."""
+    def _pivot_forms(self):
+        """Each row t - P(t) of the reduced ideal as (t, P(t)), in pivot
+        order: per degree from the top down, (t, P0(sigma(t))) for each
+        weighted tree t, then the pivots of J0 of that degree."""
         j0 = {}
         for p in self.rowspace.pivots():
-            j0.setdefault(tree_degree(p), []).append(self.rowspace.rows[p])
-        proj = self._projected
-        rows = []
+            j0.setdefault(tree_degree(p), []).append(p)
         for n in range(self.truncation_degree, 0, -1):
-            rows.extend(LinComb.basis(t) - proj[t] for t in self._weighted_trees(n))
-            rows.extend(j0.get(n, ()))
-        return rows
+            for t in self._weighted_trees(n):
+                yield t, self._projected[t]
+            for p in j0.get(n, ()):
+                yield p, LinComb.basis(p) - self.rowspace.rows[p]
+
+    def _row(self, t, nf):
+        """The row t - P(t) of `_pivot_forms`; a J0 row as it is stored."""
+        return self.rowspace.rows.get(t) or LinComb.basis(t) - nf
+
+    def ideal_rows(self):
+        """Every row of the reduced ideal, in pivot order, as a list."""
+        return [self._row(t, nf) for t, nf in self._pivot_forms()]
 
     # -- Hom-Hopf protocol
 
@@ -607,29 +616,32 @@ class TruncatedUEA(HomStructure):
     # -- well-definedness of the induced structure
 
     def well_definedness_report(self):
+        """M(t - P(t)) = 0 for each map M and ideal row, checked as M(t) =
+        M(P(t)), M(t) first, with M(P(t)) built once per map, power and list
+        of P(t)'s terms and values.  Where they differ, lhs is M(row)."""
         rep = CheckReport()
-        rows = self.ideal_rows()
-        rep.run(
-            "ideal-counit",
-            ((i,) for i in range(len(rows))),
-            lambda i: (LinComb.basis("k", self.ops.counit(rows[i])), LinComb.zero()),
-        )
-        rep.run(
-            "ideal-antipode",
-            ((i,) for i in range(len(rows))),
-            lambda i: (self.antipode_map(rows[i]), LinComb.zero()),
-        )
-        rep.run(
-            "ideal-shift",
-            ((i, s) for i in range(len(rows)) for s in (1, -1)),
-            lambda i, s: (self.alpha_pow(s, rows[i]), LinComb.zero()),
-        )
+        classes = {}
+        forms = [
+            (t, nf, classes.setdefault(tuple(nf.items()), len(classes)))
+            for t, nf in self._pivot_forms()
+        ]
 
-        rep.run(
-            "ideal-coproduct",
-            ((i,) for i in range(len(rows))),
-            lambda i: (self.comult_map(rows[i]), LinComb.zero()),
-        )
+        def check(eq_id, m, powers=((),)):
+            memo = {}
+
+            def fn(i, *power):
+                t, nf, c = forms[i]
+                lhs = m(*power, LinComb.basis(t))
+                if lhs == memo_lookup(memo, (c,) + power, m, *power, nf):
+                    return ZERO, ZERO
+                return m(*power, self._row(t, nf)), LinComb.zero()
+
+            rep.run(eq_id, ((i,) + s for i in range(len(forms)) for s in powers), fn)
+
+        check("ideal-counit", lambda x: LinComb.basis("k", self.ops.counit(x)))
+        check("ideal-antipode", self.antipode_map)
+        check("ideal-shift", self.alpha_pow, ((1,), (-1,)))
+        check("ideal-coproduct", self.comult_map)
         return rep
 
 

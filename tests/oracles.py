@@ -39,9 +39,13 @@ twist images and products once per check; its report's `products`
 (`UntabulatedProducts`) make the pair equations of the bialgebra and Hopf
 checks evaluate every key pair too.  `BicrossDirectProduct` computes each
 bicrossproduct key product by the direct formula, where `Bicrossproduct`
-keeps the legs that no key pair owns.  `FreshPerKey` evaluates the
+keeps the legs that no key pair owns, and `DoubleCrossDirectProduct`
+does the same for the double cross product.  `FreshPerKey` evaluates the
 coproduct and antipode of a double cross product or bicrossproduct on a
 fresh copy for every basis key, where the objects now keep them per key.
+`well_definedness_direct` is U(g)'s well-definedness report evaluating
+every map on every ideal row, where the report compares each row's pivot
+image with its normal form's image, built once.
 `check_mutual_pair_graded_untabulated` is the graded mutual-pair check
 before it kept a coaction table per pair and one table per check for the
 images of coproduct legs.
@@ -76,6 +80,7 @@ from fractions import Fraction
 
 from homhopf.cross_products import (
     Bicrossproduct,
+    DoubleCrossProduct,
     MatchedPairHopf,
     MutualPairHopf,
     _check_action_side,
@@ -840,12 +845,41 @@ def check_hom_algebra_untabulated(a):
     return rep
 
 
+def well_definedness_direct(u):
+    """`TruncatedUEA.well_definedness_report` by evaluating every map on
+    every row of `u.ideal_rows()`, where the report compares the image of
+    each row's pivot with the image of its normal form, built once."""
+    rep = CheckReport()
+    rows = u.ideal_rows()
+    rep.run(
+        "ideal-counit",
+        ((i,) for i in range(len(rows))),
+        lambda i: (LinComb.basis("k", u.ops.counit(rows[i])), LinComb.zero()),
+    )
+    rep.run(
+        "ideal-antipode",
+        ((i,) for i in range(len(rows))),
+        lambda i: (u.antipode_map(rows[i]), LinComb.zero()),
+    )
+    rep.run(
+        "ideal-shift",
+        ((i, s) for i in range(len(rows)) for s in (1, -1)),
+        lambda i, s: (u.alpha_pow(s, rows[i]), LinComb.zero()),
+    )
+    rep.run(
+        "ideal-coproduct",
+        ((i,) for i in range(len(rows))),
+        lambda i: (u.comult_map(rows[i]), LinComb.zero()),
+    )
+    return rep
+
+
 def fresh_copy(t):
     """A copy of a tensor-product Hopf object (`DoubleCrossProduct`,
-    `Bicrossproduct`) with an empty memo: it shares the factors, and
-    every map it is asked for is computed from them."""
+    `Bicrossproduct`) with an empty memo and empty product legs: it shares
+    the factors, and every map it is asked for is computed from them."""
     out = copy.copy(t)
-    out._memo = {}
+    out._memo, out._legs = {}, {}
     return out
 
 
@@ -889,6 +923,27 @@ class BicrossDirectProduct(Bicrossproduct):
             return fpart @ U.product(U.beta_inv(e(us[1])), u2)
 
         return extend(term, U.comult_map(e(k1[1])))
+
+
+class DoubleCrossDirectProduct(DoubleCrossProduct):
+    """A double cross product whose `product_keys` is the direct formula:
+    each key pair computes the shifted coproduct legs and both actions on
+    them afresh, where `DoubleCrossProduct` keeps the leg v1 |> u'1 per
+    (v1, u'1) and the leg v2 <| u'2 per (v2, u'2)."""
+
+    def product_keys(self, k1, k2):
+        U, V, p = self.u, self.v, self.pair
+        u, v2 = e(k1[0]), e(k2[1])
+
+        def shifted(k, side):
+            return side.alpha_inv(side.beta_inv(e(k)))
+
+        def term(vs, us):
+            mid = p.lt(shifted(vs[0], V), shifted(us[0], U))
+            tail = p.rt(shifted(vs[1], V), shifted(us[1], U))
+            return U.product(u, mid) @ V.product(tail, v2)
+
+        return bilinear(term, V.comult_map(e(k1[1])), U.comult_map(e(k2[0])))
 
 
 def check_mutual_pair_graded_untabulated(m):

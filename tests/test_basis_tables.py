@@ -1,9 +1,10 @@
 """Basis images computed once: the per-key coproduct and antipode of the
-double cross product and the bicrossproduct, the legs of the
-bicrossproduct's product, the twist and product tables of one
+double cross product and the bicrossproduct, the legs of the products
+of both, the twist and product tables of one
 `check_hom_algebra` run, and the coaction table and coproduct-leg tables
 of the graded mutual-pair check, against the paths they replace (`oracles.FreshPerKey`,
-`oracles.BicrossDirectProduct`, `oracles.check_hom_algebra_untabulated`,
+`oracles.BicrossDirectProduct`, `oracles.DoubleCrossDirectProduct`,
+`oracles.check_hom_algebra_untabulated`,
 `oracles.check_mutual_pair_graded_untabulated`).  The hom-assoc tuples
 and the key pairs of the pair equations that the checks decide from the
 product table to overflow are compared tuple by tuple with the ones the
@@ -51,9 +52,15 @@ from fixtures import (
     trivial_hopf_matched_pair,
     twisted_cyclic_hopf,
 )
-from lie_pairs import anticommuting_pair, sl2_reverse_split_pair, sl2_split_pair
+from lie_pairs import (
+    anticommuting_pair,
+    sl2_gaussian_split_pair,
+    sl2_reverse_split_pair,
+    sl2_split_pair,
+)
 from oracles import (
     BicrossDirectProduct,
+    DoubleCrossDirectProduct,
     FreshPerKey,
     check_hom_algebra_untabulated,
     check_mutual_pair_graded_untabulated,
@@ -579,6 +586,56 @@ def test_other_errors_escape_the_action_legs():
 
 
 # ---------------------------------------------------------------------------
+# DoubleCrossProduct keeps the leg v1 |> u'1 of its product per (V key,
+# U key) and the leg v2 <| u'2 per (V key, U key)
+
+DOUBLE_CROSS_CASES = {
+    "kz4_doublecross": trivial_hopf_matched_pair,
+    "fixture_b_n3_w1": lambda: lift_to_Uh_action(fixture_b_lie_pair(), 3, 1),
+    "gaussian_n2_w1": lambda: lift_to_Uh_action(sl2_gaussian_split_pair(), 2, 1),
+    # alpha != beta on both factors
+    "z7_twisted_self_pair": lambda: counital_matched_pair(
+        twisted_cyclic_hopf(7, 3, 2), twisted_cyclic_hopf(7, 3, 2)
+    ),
+}
+
+
+class LeftActionFails:
+    """A matched pair whose left action raises UnknownBasisIndex on one V
+    key."""
+
+    def __init__(self, p, key):
+        self.p, self.key = p, key
+
+    def __getattr__(self, name):
+        return getattr(self.p, name)
+
+    def lt(self, v, u):
+        if self.key in v.terms:
+            raise UnknownBasisIndex(repr(self.key))
+        return self.p.lt(v, u)
+
+
+@pytest.mark.parametrize("case", sorted(DOUBLE_CROSS_CASES))
+def test_double_cross_legs_match_direct_formula(case):
+    p = DOUBLE_CROSS_CASES[case]()
+    got = key_products(DoubleCrossProduct(p))
+    assert got == key_products(DoubleCrossDirectProduct(p))
+    overflowed = got.count("TruncationOverflow")
+    if case.startswith(("fixture", "gaussian")):
+        assert 0 < overflowed < len(got)
+    else:
+        assert overflowed == 0
+    # an error raised on the legs of one V key escapes on every pair that
+    # reaches it, and is neither stored nor taken for an overflow
+    broken = LeftActionFails(p, p.v.basis_keys()[1])
+    errors = (TruncationOverflow, UnknownBasisIndex)
+    got = key_products(DoubleCrossProduct(broken), errors)
+    assert got == key_products(DoubleCrossDirectProduct(broken), errors)
+    assert "UnknownBasisIndex" in got
+
+
+# ---------------------------------------------------------------------------
 # stored values are shared, not copied: a check that wrote to a value it
 # read from a table would change that table and the next report
 
@@ -588,7 +645,7 @@ SHARED_TABLES = {
     "_antipode_cache", "_projected",
     "_shift_cache", "_phi_powers", "_coproduct_cache",  # TreeOps
     "_template_cache",
-    "_memo",  # DoubleCrossProduct, Bicrossproduct
+    "_memo", "_legs",  # DoubleCrossProduct, Bicrossproduct
     "_nabla",  # GradedMutualPair
     "_tables",  # TruncatedDual
     "_omega_left", "_omega_right",  # UEAActionContext
